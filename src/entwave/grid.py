@@ -205,13 +205,18 @@ def scale_weights(scales: ScaleGrid, power: int) -> np.ndarray:
     return log_trapezoid_weights(scales.mu_values, power)
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    # Write-temp-then-rename keeps interrupted runs from leaving partial files.
+def _atomic_write(path: str, *buffers) -> None:
+    """Write the bytes-like ``buffers`` to ``path``, one after another.
+
+    Write-temp-then-rename keeps interrupted runs from leaving partial
+    files; contiguous arrays are written in place, without a bytes copy.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".entwave-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for buf in buffers:
+                fh.write(buf)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -223,8 +228,7 @@ def write_field_ewg1(f: Field, path: str) -> None:
     """Write a field in the EWG1 binary format."""
     g = f.grid
     header = _EWG1_HEADER.pack(EWG1_MAGIC, g.nx, g.ny, g.x_min, g.y_min, g.dx, g.dy)
-    payload = np.ascontiguousarray(f.values, dtype="<c16").tobytes()
-    _atomic_write(path, header + payload)
+    _atomic_write(path, header, np.ascontiguousarray(f.values, dtype="<c16"))
 
 
 def _parse_ewg1_header(buf: bytes, offset: int, path: str):
@@ -300,6 +304,8 @@ def read_field_csv(path: str) -> Field:
                             float(xs[1] - xs[0]), float(ys[1] - ys[0]))
     ix = np.searchsorted(xs, rows[:, 0])
     iy = np.searchsorted(ys, rows[:, 1])
+    if np.unique(ix * ny + iy).size != rows.shape[0]:
+        raise FileFormatError(f"{path}: a grid node is listed more than once")
     vals = np.zeros((nx, ny), dtype=complex)
     vals[ix, iy] = rows[:, 2] + 1j * rows[:, 3]
     try:

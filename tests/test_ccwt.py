@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from entwave.ccwt import (
 )
 from entwave.errors import BoundaryDecayError, FileFormatError, NonAdmissibleError
 from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid, sample
+from entwave.specfun import DEFAULT_ORDER_CAP
 from entwave.wavelets import (
     c_psi_prime,
     emhw,
@@ -103,16 +106,41 @@ def test_direct_engine_matches_literal_sum():
             assert coeffs.values[s, i, j] == pytest.approx(ref, abs=1e-13)
 
 
-def test_engines_agree_rectangular_grid():
-    grid = ComplexPlaneGrid(40, 56, -8.0, -10.0, 16.0 / 39, 20.0 / 55)
+def random_admissible_lg(order, seed):
+    # random n! K_n for n >= 1; K_0 then makes sum (-1)^n n! K_n vanish
+    scaled = np.random.default_rng(seed).uniform(-1.0, 1.0, size=order - 1)
+    k0 = -sum((-1) ** n * v for n, v in enumerate(scaled, start=1))
+    return laguerre_gaussian(
+        [k0] + [v / math.factorial(n) for n, v in enumerate(scaled, start=1)]
+    ).normalized()
+
+
+def single_term_lg(n):
+    # psi = e^{-t/2} (L_n(t) - (-1)^n): one Laguerre term made admissible by K_0
+    coeffs = [0.0] * (n + 1)
+    coeffs[0] = -((-1) ** n)
+    coeffs[n] = 1.0 / math.factorial(n)
+    return laguerre_gaussian(coeffs).normalized()
+
+
+@pytest.mark.parametrize("grid", [
+    ComplexPlaneGrid(40, 56, -8.0, -10.0, 16.0 / 39, 20.0 / 55),
+    ComplexPlaneGrid.centered(45, 8.0),
+], ids=["rect", "odd"])
+@pytest.mark.parametrize("w", [
+    emhw(), random_admissible_lg(4, seed=11), single_term_lg(16),
+    single_term_lg(DEFAULT_ORDER_CAP),
+], ids=["emhw", "lg4", "lg16", "lg32"])
+def test_engines_agree_rectangular_grid(grid, w):
+    # guards the FFT engine's separable spectrum against instability at high order
     nodes = grid.nodes()
     g = Field(grid, np.exp(-0.6 * np.abs(nodes) ** 2) * (1 + 0.3j * nodes))
     scales = ScaleGrid.log_spaced(4, 0.5, 2.0)
-    wd = forward(g, emhw(), scales)
-    wf = forward_fast(g, emhw(), scales)
+    wd = forward(g, w, scales)
+    wf = forward_fast(g, w, scales)
     assert np.abs(wd.values - wf.values).max() <= 1e-10 * np.abs(wd.values).max()
-    for (s, i, j) in [(0, 3, 50), (3, 20, 20)]:
-        ref = literal_forward_value(g, emhw(), scales.mu_values[s], nodes[i, j])
+    for (s, i, j) in [(0, 3, grid.ny - 6), (3, 20, 20)]:
+        ref = literal_forward_value(g, w, scales.mu_values[s], nodes[i, j])
         assert wd.values[s, i, j] == pytest.approx(ref, abs=1e-13)
 
 
@@ -252,11 +280,14 @@ def test_threaded_forward_deterministic(monkeypatch):
     grid = ComplexPlaneGrid.centered(64, 8.0)
     g = smooth_random_field(grid, seed=8)
     scales = ScaleGrid.log_spaced(8, 0.5, 4.0)
+    c_prime = c_psi_prime(emhw())
     monkeypatch.setenv("ENTWAVE_THREADS", "1")
     serial = forward_fast(g, emhw(), scales)
+    serial_rec = inverse(serial, emhw(), c_prime)
     monkeypatch.setenv("ENTWAVE_THREADS", "4")
     threaded = forward_fast(g, emhw(), scales)
     assert np.array_equal(serial.values, threaded.values)
+    assert np.array_equal(serial_rec.values, inverse(serial, emhw(), c_prime).values)
 
 
 # 1D baseline
@@ -346,6 +377,8 @@ def test_ewc1_errors(tmp_path):
     path = str(tmp_path / "c.ewc")
     write_coefficients_ewc1(coeffs, path)
     data = open(path, "rb").read()
-    open(bad, "wb").write(data[: len(data) - 10])
-    with pytest.raises(FileFormatError):
-        read_coefficients_ewc1(bad)
+    # inside the magic, the scale count, the scale table, the grid header, the planes
+    for cut in (3, 6, 12, 30, len(data) - 10):
+        open(bad, "wb").write(data[:cut])
+        with pytest.raises(FileFormatError):
+            read_coefficients_ewc1(bad)

@@ -184,6 +184,14 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, f.values)  # repr round-trips floats
 
 
+def test_csv_duplicate_node_rejected(tmp_path):
+    # four rows, so the node count matches, but (0, 0) twice and (1, 0) absent
+    path = str(tmp_path / "f.csv")
+    open(path, "w").write("x,y,re,im\n0,0,1,0\n0,0,2,0\n0,1,3,0\n1,1,4,0\n")
+    with pytest.raises(FileFormatError):
+        read_field_csv(path)
+
+
 def test_csv_bad_header(tmp_path):
     path = str(tmp_path / "f.csv")
     open(path, "w").write("a,b,c\n1,2,3\n")
