@@ -86,6 +86,14 @@ def read_config(path: str) -> dict:
     return out
 
 
+def _check_config_keys(cfg: dict, valid) -> None:
+    """A config key that no setting reads is an error, not a no-op."""
+    unknown = [key for key in cfg if key not in valid]
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}; "
+                         f"valid keys: {', '.join(sorted(valid))}")
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Validated run parameters: config-file values, overridden by flags."""
@@ -105,9 +113,8 @@ class RunConfig:
             "scale_count": int, "mu_min": float, "mu_max": float,
             "engine": str, "wavelet_kind": str, "wavelet_coeffs": str,
         }
+        _check_config_keys(cfg, casts)
         for key, value in cfg.items():
-            if key not in casts:
-                continue
             attr = "scale_count" if key == "scales" else key
             try:
                 setattr(self, attr, casts[key](value))
@@ -289,10 +296,8 @@ def verify_cmd(suite, config, output):
     settings = verify.VerifySettings()
     if config:
         cfg = read_config(config)
-        casts = {f.name: f.type for f in dataclasses.fields(verify.VerifySettings)}
+        _check_config_keys(cfg, {f.name for f in dataclasses.fields(verify.VerifySettings)})
         for key, value in cfg.items():
-            if key not in casts:
-                continue
             current = getattr(settings, key)
             if isinstance(current, tuple):
                 parts = tuple(p.strip() for p in value.split(";") if p.strip())

@@ -3,11 +3,13 @@
 States of two bosonic modes enter the transforms only through their
 plane representation g(eta) = <eta|g>, where <eta| is the common
 eigenbra of relative position and total momentum.  The basis overlaps
-have closed forms in two-variable Hermite polynomials:
+exp(-t/2) (-1)^n H_{m,n}(conj(eta), eta) / sqrt(m! n!), t = |eta|^2, are
+Laguerre functions on each diagonal d = n - m >= 0 (m <-> n, eta -> conj(eta)
+and no sign for m > n):
 
-    <eta|m,n> = exp(-|eta|^2/2) (-1)^n H_{m,n}(conj(eta), eta) / sqrt(m! n!)
+    <eta|m,n> = exp(-t/2) (-1)^d eta^d l_m^(d)(t),   l_k^(d) = sqrt(k!/(k+d)!) L_k^(d).
 
-and the conjugate-basis overlap is the pure phase
+The conjugate-basis overlap is the pure phase
 <xi|eta> = (1/2) exp[(conj(xi) eta - xi conj(eta)) / 2].  The eigenkets
 themselves are non-normalizable and are never materialized; every
 operation here consumes overlaps only.
@@ -22,20 +24,55 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import ComplexPlaneGrid, Field, integrate, sample
-from .specfun import hermite2, hermite2_diagonal_table
+from .specfun import hermite2_diagonal_table
 
 _SERIES_ORDER_CAP = 60
+
+
+def _fock_series(coeffs, eta) -> np.ndarray:
+    """g(eta) = sum_{mn} c_{mn} <eta|m,n>, the one evaluator of the number basis."""
+    c = np.asarray(coeffs, dtype=complex)
+    x = np.ravel(eta).astype(complex)
+    m, n = np.indices(c.shape)
+    plus = _diagonal_horner(np.triu(c) * (-1.0) ** (m + n), x)
+    out = (plus + _diagonal_horner(np.tril(c, -1).T, x.conj())).reshape(np.shape(eta))
+    return complex(out) if np.ndim(eta) == 0 else out
+
+
+def _diagonal_horner(a, x):
+    """sum_{k, d>=0} a[k, k+d] exp(-t/2) x^d l_k^(d)(t), t = |x|^2, by Horner in x.
+
+    Radial sums use sqrt((k+1)(k+1+d)) l_{k+1} = (2k+1+d-t) l_k - sqrt(k(k+d)) l_{k-1}.
+    """
+    t = x.real**2 + x.imag**2
+    gauss = np.exp(-0.5 * t)
+    acc = np.zeros_like(x)
+    ell = np.empty((min(a.shape), t.size))
+    for d in range(a.shape[1] - 1, -1, -1):
+        acc *= x
+        s = np.trim_zeros(np.diagonal(a, d), "b")
+        if not s.size:
+            continue
+        np.multiply(gauss, 1.0 / math.sqrt(math.factorial(d)), out=ell[0])
+        for k in range(s.size - 1):
+            nxt = ell[k + 1]
+            np.subtract(2 * k + 1 + d, t, out=nxt)
+            nxt *= ell[k]
+            if k:
+                nxt -= math.sqrt(k * (k + d)) * ell[k - 1]
+            nxt *= 1.0 / math.sqrt((k + 1) * (k + 1 + d))
+        re, im = np.stack([s.real, s.imag]) @ ell[: s.size]
+        acc += re + 1j * im
+    return acc
 
 
 def number_state_eta(m: int, n: int, eta):
     """Plane representation <eta|m,n> of a two-mode number state."""
     if m < 0 or n < 0:
         raise ValueError(f"number-state indices must be non-negative, got ({m}, {n})")
-    ea = np.asarray(eta, dtype=complex)
-    t = np.abs(ea) ** 2
-    norm = math.sqrt(math.factorial(m) * math.factorial(n))
-    out = np.exp(-0.5 * t) * (-1) ** n * hermite2(m, n, np.conj(ea), ea) / norm
-    return complex(out) if np.ndim(eta) == 0 else out
+    c = np.zeros((m + 1, n + 1), dtype=complex)
+    c[m, n] = 1.0
+    return _fock_series(c, eta)
 
 
 def coherent_state_eta(z1: complex, z2: complex, eta, *, tol: float = 1e-10):
@@ -45,41 +82,19 @@ def coherent_state_eta(z1: complex, z2: complex, eta, *, tol: float = 1e-10):
     sum_{m,n<=N} <eta|m,n> z1^m z2^n exp(-(|z1|^2+|z2|^2)/2) / sqrt(m! n!)
     with N chosen so the dropped tail is below ``tol``.
     """
-    z1 = complex(z1)
-    z2 = complex(z2)
-    order = _coherent_order(abs(z1), abs(z2), tol)
-    ea = np.asarray(eta, dtype=complex)
-    t = np.abs(ea) ** 2
-    pref = np.exp(-0.5 * t) * math.exp(-0.5 * (abs(z1) ** 2 + abs(z2) ** 2))
-
-    # term(m,n) = pref (-1)^n H_{m,n}(eta*, eta) z1^m z2^n / (m! n!); rows of
-    # H are produced by the raising recurrence H_{m+1,n} = x H_{m,n} - n H_{m,n-1}.
-    x = np.conj(ea)
-    y = ea
-    row = np.stack([y**k for k in range(order + 1)])  # H_{0,n}
-    zpow2 = np.array([(-z2) ** k / math.factorial(k) for k in range(order + 1)])
-    zcol = zpow2.reshape((order + 1,) + (1,) * (row.ndim - 1))
-    acc = np.tensordot(zpow2, row, axes=(0, 0))
-    z1_fact = 1.0 + 0.0j
-    edge = 0.0
-    for m in range(order):
-        new = np.empty_like(row)
-        new[0] = x * row[0]
-        for k in range(1, order + 1):
-            new[k] = x * row[k] - k * row[k - 1]
-        row = new
-        z1_fact = z1_fact * z1 / (m + 1)
-        acc = acc + z1_fact * np.tensordot(zpow2, row, axes=(0, 0))
-        # dropped-tail proxy: last-column term of this row, Gaussian-damped
-        edge = max(edge, float(np.max(np.abs(pref * z1_fact * zpow2[order] * row[order]))))
-    # final row is the other truncation edge
-    edge = max(edge, float(np.max(np.abs(pref * z1_fact * zcol * row))))
+    z1, z2 = complex(z1), complex(z2)
+    c = _coherent_coeffs(z1, z2, _coherent_order(abs(z1), abs(z2), tol))
+    # |<eta|m,n>| <= 1 everywhere, so the last row and column bound the dropped tail
+    edge = float(np.abs(c[-1]).sum() + np.abs(c[:, -1]).sum())
     if edge > tol:
-        raise ConvergenceError(
-            f"coherent-state series tail {edge:.2e} above tolerance {tol:.1e}"
-        )
-    out = pref * acc
-    return complex(out) if np.ndim(eta) == 0 else out
+        raise ConvergenceError(f"coherent-state series tail {edge:.2e} above "
+                               f"tolerance {tol:.1e}")
+    return _fock_series(c, eta)
+
+
+def _coherent_coeffs(z1: complex, z2: complex, cutoff: int) -> np.ndarray:
+    amps = [[z**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)] for z in (z1, z2)]
+    return math.exp(-0.5 * (abs(z1) ** 2 + abs(z2) ** 2)) * np.outer(*amps)
 
 
 def _coherent_order(a1: float, a2: float, tol: float) -> int:
@@ -98,9 +113,7 @@ def xi_eta_overlap(xi, eta):
     xa = np.asarray(xi, dtype=complex)
     ea = np.asarray(eta, dtype=complex)
     out = 0.5 * np.exp(0.5 * (np.conj(xa) * ea - xa * np.conj(ea)))
-    if np.ndim(xi) == 0 and np.ndim(eta) == 0:
-        return complex(out)
-    return out
+    return complex(out) if xa.ndim == 0 and ea.ndim == 0 else out
 
 
 def xi_eta_overlap_fock(xi: complex, eta: complex, cutoff: int = 40,
@@ -158,12 +171,8 @@ def completeness_gram(cutoff: int, grid: ComplexPlaneGrid) -> np.ndarray:
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     nodes = grid.nodes()
-    states = [
-        number_state_eta(m, n, nodes).ravel()
-        for m in range(cutoff + 1)
-        for n in range(cutoff + 1)
-    ]
-    mat = np.stack(states)
+    mat = np.stack([number_state_eta(m, n, nodes).ravel()
+                    for m in range(cutoff + 1) for n in range(cutoff + 1)])
     weights = grid.trapezoid_mask().ravel() * (grid.cell_area() / np.pi)
     return (mat.conj() * weights) @ mat.T
 
@@ -201,20 +210,11 @@ class TwoModeFockState:
                  tol: float = 1e-10) -> "TwoModeFockState":
         if cutoff is None:
             cutoff = _coherent_order(abs(z1), abs(z2), tol)
-        amp1 = np.array([z1**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)])
-        amp2 = np.array([z2**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)])
-        c = math.exp(-0.5 * (abs(z1) ** 2 + abs(z2) ** 2)) * np.outer(amp1, amp2)
-        return cls(cutoff, c)
+        return cls(cutoff, _coherent_coeffs(z1, z2, cutoff))
 
     def eta_field(self, grid: ComplexPlaneGrid) -> Field:
         """Sample g(eta) = sum_{mn} c_{mn} <eta|m,n> on a grid."""
-        nodes = grid.nodes()
-        vals = np.zeros_like(nodes)
-        for m in range(self.cutoff + 1):
-            for n in range(self.cutoff + 1):
-                if self.coeffs[m, n] != 0:
-                    vals = vals + self.coeffs[m, n] * number_state_eta(m, n, nodes)
-        return Field(grid, vals)
+        return Field(grid, _fock_series(self.coeffs, grid.nodes()))
 
 
 def parse_state_descriptor(text: str):

@@ -194,6 +194,54 @@ def test_config_flag_precedence(runner, tmp_path):
     assert len(coeffs.scales) == 4
 
 
+def _unknown_key_config(tmp_path, text):
+    cfg = str(tmp_path / "cfg")
+    open(cfg, "w").write(text)
+    return cfg
+
+
+def _assert_unknown_key_rejected(result, key, valid_key):
+    assert result.exit_code == 3, result.output
+    assert repr(key) in result.output
+    assert valid_key in result.output
+
+
+def test_ccwt_forward_rejects_unknown_config_key(runner, tmp_path):
+    vac = str(tmp_path / "vac.ewg")
+    run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "32",
+                    "--grid-extent", "8", "--output", vac])
+    out_path = tmp_path / "c.ewc"
+    cfg = _unknown_key_config(tmp_path, "scales=4\nmu_minimum=0.5\n")
+    result = runner.invoke(main, ["ccwt", "forward", vac, "--config", cfg,
+                                  "--output", str(out_path)])
+    _assert_unknown_key_rejected(result, "mu_minimum", "mu_min")
+    assert not out_path.exists()
+
+
+def test_ccwt_inverse_rejects_unknown_config_key(runner, tmp_path):
+    vac = str(tmp_path / "vac.ewg")
+    coeff = str(tmp_path / "c.ewc")
+    run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "32",
+                    "--grid-extent", "8", "--output", vac])
+    run_ok(runner, ["ccwt", "forward", vac, "--scales", "4", "--output", coeff])
+    out_path = tmp_path / "rec.ewg"
+    cfg = _unknown_key_config(tmp_path, "wavelet=lg\n")
+    result = runner.invoke(main, ["ccwt", "inverse", coeff, "--config", cfg,
+                                  "--output", str(out_path)])
+    _assert_unknown_key_rejected(result, "wavelet", "wavelet_kind")
+    assert not out_path.exists()
+
+
+def test_verify_rejects_unknown_config_key(runner, tmp_path):
+    csv = tmp_path / "report.csv"
+    # a misspelt tolerance used to run at the default tolerance and exit 0
+    cfg = _unknown_key_config(tmp_path, "oracle_draws=2\ntheorem_tolerance=1e-9\n")
+    result = runner.invoke(main, ["verify", "constants", "--config", cfg,
+                                  "--output", str(csv)])
+    _assert_unknown_key_rejected(result, "theorem_tolerance", "theorem_tol")
+    assert not csv.exists()
+
+
 def test_csv_field_output(runner, tmp_path):
     path = str(tmp_path / "f.csv")
     run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "17",

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entwave.ccwt import forward
 from entwave.errors import ConvergenceError
@@ -18,6 +20,7 @@ from entwave.fock import (
     xi_eta_overlap_fock,
 )
 from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid, default_grid, integrate, sample
+from entwave.specfun import hermite2
 from entwave.wavelets import emhw
 
 
@@ -225,6 +228,83 @@ def test_two_mode_state_eta_field():
     f = state.eta_field(grid)
     direct = sample(lambda e: coherent_state_eta(0.4, -0.2 + 0.1j, e), grid)
     assert np.abs(f.values - direct.values).max() <= 1e-9
+
+
+def _random_state(cutoff, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(cutoff + 1,) * 2) + 1j * rng.normal(size=(cutoff + 1,) * 2)
+    return TwoModeFockState(cutoff, c / np.linalg.norm(c))
+
+
+def _eta_series_mpmath(coeffs, eta, dps=60):
+    """sum c_mn <eta|m,n> from the H_{m,n} series, summed with ``dps`` digits."""
+    size = coeffs.shape[0]
+    fact = [math.factorial(k) for k in range(size)]
+    with mpmath.workdps(dps):
+        e = mpmath.mpc(eta.real, eta.imag)
+        xp = [mpmath.conj(e) ** k for k in range(size)]
+        yp = [e**k for k in range(size)]
+        total = mpmath.mpc(0)
+        for m in range(size):
+            for n in range(size):
+                h = mpmath.fsum((-1) ** k * math.comb(m, k) * math.comb(n, k) * fact[k]
+                                * xp[m - k] * yp[n - k] for k in range(min(m, n) + 1))
+                c = mpmath.mpc(coeffs[m, n].real, coeffs[m, n].imag)
+                total += c * (-1) ** n * h / mpmath.sqrt(fact[m] * fact[n])
+        return complex(mpmath.exp(-abs(e) ** 2 / 2) * total)
+
+
+@pytest.mark.parametrize("cutoff", [20, 30])
+def test_eta_field_matches_high_precision_reference(cutoff):
+    # summed in double precision, the H_{m,n} monomial series loses 3e-9
+    # (cutoff 20) and 3e-4 (cutoff 30) of max |g| to cancellation
+    state = _random_state(cutoff, 1000 + cutoff)
+    grid = ComplexPlaneGrid.centered(49, 6.0)
+    picks = np.random.default_rng(cutoff).choice(grid.nx * grid.ny, 20, replace=False)
+    got = state.eta_field(grid).values.ravel()[picks]
+    ref = np.array([_eta_series_mpmath(state.coeffs, e) for e in grid.nodes().ravel()[picks]])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(cutoff=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_eta_field_is_sum_of_number_states(cutoff, seed):
+    grid = ComplexPlaneGrid.centered(9, 5.0)
+    nodes = grid.nodes()
+    state = _random_state(cutoff, seed)
+    total = np.zeros_like(nodes)
+    for m in range(cutoff + 1):
+        for n in range(cutoff + 1):
+            basis = number_state_eta(m, n, nodes)
+            definition = (np.exp(-0.5 * np.abs(nodes) ** 2) * (-1) ** n
+                          * hermite2(m, n, np.conj(nodes), nodes)
+                          / math.sqrt(math.factorial(m) * math.factorial(n)))
+            assert np.abs(basis - definition).max() <= 1e-10
+            total += state.coeffs[m, n] * basis
+    assert np.abs(state.eta_field(grid).values - total).max() <= 1e-12
+
+
+_amplitude = st.builds(lambda r, phase: r * np.exp(1j * phase),
+                       st.floats(0.0, 3.0), st.floats(0.0, 2 * np.pi))
+
+
+@settings(max_examples=20, deadline=None)
+@given(z1=_amplitude, z2=_amplitude)
+def test_coherent_fields_match_closed_form(z1, z2):
+    # |z| <= 3 reaches series orders up to the cap of 60
+    grid = ComplexPlaneGrid.centered(33, 8.0)
+    nodes = grid.nodes()
+    closed = np.exp(z1 * np.conj(nodes) - z2 * nodes + z1 * z2
+                    - 0.5 * (np.abs(nodes) ** 2 + abs(z1) ** 2 + abs(z2) ** 2))
+    assert np.abs(coherent_state_eta(z1, z2, nodes) - closed).max() <= 1e-12
+    field = TwoModeFockState.coherent(z1, z2).eta_field(grid)
+    assert np.abs(field.values - closed).max() <= 1e-12
+
+
+def test_number_state_rejects_negative_indices():
+    for m, n in ((-1, 0), (0, -2)):
+        with pytest.raises(ValueError):
+            number_state_eta(m, n, 0.5)
 
 
 def test_state_descriptors():
