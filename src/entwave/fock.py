@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import ComplexPlaneGrid, Field, integrate, sample
-from .specfun import hermite2_diagonal_table
+from .specfun import _check_order, hermite2_diagonal_table
 
 _SERIES_ORDER_CAP = 60
 
@@ -32,6 +32,9 @@ _SERIES_ORDER_CAP = 60
 def _fock_series(coeffs, eta) -> np.ndarray:
     """g(eta) = sum_{mn} c_{mn} <eta|m,n>, the one evaluator of the number basis."""
     c = np.asarray(coeffs, dtype=complex)
+    rows, cols = np.nonzero(c)
+    _check_order(0, int(np.max(rows + cols, initial=0)))
+    c = c[: np.max(rows, initial=-1) + 1, : np.max(cols, initial=-1) + 1]
     x = np.ravel(eta).astype(complex)
     m, n = np.indices(c.shape)
     plus = _diagonal_horner(np.triu(c) * (-1.0) ** (m + n), x)
@@ -70,6 +73,7 @@ def number_state_eta(m: int, n: int, eta):
     """Plane representation <eta|m,n> of a two-mode number state."""
     if m < 0 or n < 0:
         raise ValueError(f"number-state indices must be non-negative, got ({m}, {n})")
+    _check_order(m, n)
     c = np.zeros((m + 1, n + 1), dtype=complex)
     c[m, n] = 1.0
     return _fock_series(c, eta)
@@ -113,7 +117,9 @@ def xi_eta_overlap(xi, eta):
     xa = np.asarray(xi, dtype=complex)
     ea = np.asarray(eta, dtype=complex)
     out = 0.5 * np.exp(0.5 * (np.conj(xa) * ea - xa * np.conj(ea)))
-    return complex(out) if xa.ndim == 0 and ea.ndim == 0 else out
+    if np.ndim(xi) == 0 and np.ndim(eta) == 0:
+        return complex(out)
+    return out
 
 
 def xi_eta_overlap_fock(xi: complex, eta: complex, cutoff: int = 40,
@@ -171,8 +177,12 @@ def completeness_gram(cutoff: int, grid: ComplexPlaneGrid) -> np.ndarray:
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     nodes = grid.nodes()
-    mat = np.stack([number_state_eta(m, n, nodes).ravel()
-                    for m in range(cutoff + 1) for n in range(cutoff + 1)])
+    states = [
+        number_state_eta(m, n, nodes).ravel()
+        for m in range(cutoff + 1)
+        for n in range(cutoff + 1)
+    ]
+    mat = np.stack(states)
     weights = grid.trapezoid_mask().ravel() * (grid.cell_area() / np.pi)
     return (mat.conj() * weights) @ mat.T
 

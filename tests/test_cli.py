@@ -127,6 +127,15 @@ def test_ccwt_missing_input(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_fock_sample_order_above_cap(runner, tmp_path):
+    out_path = tmp_path / "x.ewg"
+    for state in ("number:121,0", "number:5000,5000"):
+        result = runner.invoke(main, ["fock", "sample", state, "--output", str(out_path)])
+        assert result.exit_code == 3, result.output
+        assert "exceeds the factorial-safe cutoff 120" in result.output
+    assert not out_path.exists()
+
+
 def test_ccwt_precondition_violation(runner, tmp_path):
     vac = str(tmp_path / "vac.ewg")
     run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "32",

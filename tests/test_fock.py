@@ -20,7 +20,7 @@ from entwave.fock import (
     xi_eta_overlap_fock,
 )
 from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid, default_grid, integrate, sample
-from entwave.specfun import hermite2
+from entwave.specfun import HERMITE_ORDER_CAP, OrderOverflowError, hermite2
 from entwave.wavelets import emhw
 
 
@@ -305,6 +305,22 @@ def test_number_state_rejects_negative_indices():
     for m, n in ((-1, 0), (0, -2)):
         with pytest.raises(ValueError):
             number_state_eta(m, n, 0.5)
+
+
+def test_fock_orders_above_cap_rejected():
+    for m, n in ((HERMITE_ORDER_CAP + 1, 0), (0, 200), (5000, 5000)):
+        with pytest.raises(OrderOverflowError):
+            number_state_eta(m, n, 0.5)
+    assert np.isfinite(number_state_eta(HERMITE_ORDER_CAP, 0, 0.5))
+    # a wide coefficient matrix is evaluated on its support only
+    grid = ComplexPlaneGrid.centered(17, 6.0)
+    c = np.zeros((201, 201), dtype=complex)
+    c[:4, :3] = np.arange(12).reshape(4, 3) / 30
+    wide = TwoModeFockState(200, c).eta_field(grid).values
+    assert np.array_equal(wide, TwoModeFockState(3, c[:4, :4]).eta_field(grid).values)
+    c[150, 0] = 0.1
+    with pytest.raises(OrderOverflowError):
+        TwoModeFockState(200, c).eta_field(grid)
 
 
 def test_state_descriptors():
