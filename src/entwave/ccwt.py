@@ -231,8 +231,13 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return ifft(rows, axis=0, overwrite_x=True)[:nx]
 
 
-def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
-                    fast: bool) -> CCWTCoefficients:
+def _forward_planes(g: Field, w: MotherWavelet, scales: ScaleGrid, fast: bool):
+    """Iterator over the forward planes W(mu_s, .) in scale order.
+
+    The field is checked and, for the FFT engine, transformed up front;
+    the planes are computed by ``_imap_scales``, so a caller that reduces
+    them one at a time never holds the (S, nx, ny) cube.
+    """
     _check_transform_input(g, w)
     grid = g.grid
     masked = g.values * grid.trapezoid_mask()
@@ -254,10 +259,16 @@ def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
             plane = _correlate_direct(masked, kernel)
             return plane * (grid.cell_area() / (np.pi * mu[s]))
 
-    out = np.empty((len(mu), grid.nx, grid.ny), dtype=complex)
-    for s, plane in enumerate(_imap_scales(one_scale, len(mu))):
+    return _imap_scales(one_scale, len(mu))
+
+
+def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
+                    fast: bool) -> CCWTCoefficients:
+    planes = _forward_planes(g, w, scales, fast)
+    out = np.empty((len(scales), g.grid.nx, g.grid.ny), dtype=complex)
+    for s, plane in enumerate(planes):
         out[s] = plane
-    return CCWTCoefficients(scales, grid, out)
+    return CCWTCoefficients(scales, g.grid, out)
 
 
 def forward(g: Field, w: MotherWavelet, scales: ScaleGrid) -> CCWTCoefficients:

@@ -260,7 +260,10 @@ def ccwt_inverse(input_path, output, config, fmt, reference, kind, coeffs):
     """Invert an EWC1 coefficient file back to a field."""
     cfg = RunConfig()
     if config:
-        cfg.apply_config(read_config(config))
+        values = read_config(config)
+        # the inverse reads only the wavelet; forward-only keys would be no-ops
+        _check_config_keys(values, ("wavelet_kind", "wavelet_coeffs"))
+        cfg.apply_config(values)
     cfg.apply_flags(wavelet_kind=kind, wavelet_coeffs=coeffs)
     w = cfg.build_wavelet()
     coefficients = ccwt.read_coefficients_ewc1(input_path)

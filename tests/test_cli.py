@@ -241,6 +241,41 @@ def test_ccwt_inverse_rejects_unknown_config_key(runner, tmp_path):
     assert not out_path.exists()
 
 
+def _forward_vacuum(runner, tmp_path, *flags):
+    vac = str(tmp_path / "vac.ewg")
+    coeff = str(tmp_path / "c.ewc")
+    run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "32",
+                    "--grid-extent", "8", "--output", vac])
+    run_ok(runner, ["ccwt", "forward", vac, "--scales", "4", "--output", coeff, *flags])
+    return vac, coeff
+
+
+@pytest.mark.parametrize("text, key", [
+    ("engine=bogus\n", "engine"),
+    ("wavelet_kind=emhw\ngrid_n=7\n", "grid_n"),
+], ids=["engine", "grid_n"])
+def test_ccwt_inverse_rejects_forward_only_config_key(runner, tmp_path, text, key):
+    # valid for ccwt forward, but the inverse never reads them
+    _, coeff = _forward_vacuum(runner, tmp_path)
+    out_path = tmp_path / "rec.ewg"
+    cfg = _unknown_key_config(tmp_path, text)
+    result = runner.invoke(main, ["ccwt", "inverse", coeff, "--config", cfg,
+                                  "--output", str(out_path)])
+    _assert_unknown_key_rejected(result, key, "wavelet_coeffs")
+    assert not out_path.exists()
+
+
+def test_ccwt_inverse_accepts_wavelet_config(runner, tmp_path):
+    _, coeff = _forward_vacuum(runner, tmp_path, "--kind", "lg", "--coeffs", "0.25,0.25")
+    by_flags = tmp_path / "flags.ewg"
+    by_config = tmp_path / "config.ewg"
+    run_ok(runner, ["ccwt", "inverse", coeff, "--kind", "lg", "--coeffs", "0.25,0.25",
+                    "--output", str(by_flags)])
+    cfg = _unknown_key_config(tmp_path, "wavelet_kind=lg\nwavelet_coeffs=0.25,0.25\n")
+    run_ok(runner, ["ccwt", "inverse", coeff, "--config", cfg, "--output", str(by_config)])
+    assert by_config.read_bytes() == by_flags.read_bytes()
+
+
 def test_verify_rejects_unknown_config_key(runner, tmp_path):
     csv = tmp_path / "report.csv"
     # a misspelt tolerance used to run at the default tolerance and exit 0

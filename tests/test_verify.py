@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from entwave import verify
+from entwave.ccwt import forward, forward_fast
 from entwave.fock import unit_norm_field
-from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid
+from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid, scale_weights
 from entwave.verify import (
     CaseResult,
     ParsevalReport,
@@ -21,7 +24,7 @@ from entwave.verify import (
     run_suite,
     write_report_csv,
 )
-from entwave.wavelets import emhw
+from entwave.wavelets import c_psi_prime, emhw, eval_wavelet, laguerre_gaussian
 
 GRID = ComplexPlaneGrid.centered(128, 8.0)
 SCALES = ScaleGrid.log_spaced(32, 0.25, 16.0)
@@ -101,6 +104,102 @@ def test_mu_range_doubling_stability(vacuum):
         vacuum, vacuum, emhw(), ScaleGrid.log_spaced(32, 0.125, 32.0)
     )
     assert abs(doubled.lhs - base.lhs) / abs(base.lhs) < 0.01
+
+
+def cube_pairing(c1, c2, scales):
+    # the pairing reduced from whole (S, n, n) coefficient cubes
+    grid = c1.kappa_grid
+    mask = grid.trapezoid_mask() * (grid.cell_area() / np.pi)
+    per_scale = np.array([np.sum(mask * c1.values[s] * np.conj(c2.values[s]))
+                          for s in range(len(scales))])
+    return complex(np.sum(scale_weights(scales, 3) * per_scale))
+
+
+@pytest.mark.parametrize("engine, run", [("fft", forward_fast), ("direct", forward)])
+def test_streamed_pairing_equals_cube_formula(engine, run):
+    grid = ComplexPlaneGrid.centered(32, 8.0)
+    scales = ScaleGrid.log_spaced(6, 0.5, 4.0)
+    g1 = unit_norm_field("number:0,0", grid)
+    g2 = unit_norm_field("coherent:0.5,0,0.3,0", grid)
+    c1, c2 = run(g1, emhw(), scales), run(g2, emhw(), scales)
+    assert parseval_pairing(g1, g2, emhw(), scales, engine=engine).lhs == \
+        cube_pairing(c1, c2, scales)
+    assert energy_isometry(g2, emhw(), scales, engine=engine).lhs == \
+        cube_pairing(c2, c2, scales)
+
+
+SMALL_SUITE = VerifySettings(grid_n=64, scale_count=12)
+
+
+def test_parseval_suite_rows_thread_independent(monkeypatch):
+    monkeypatch.setenv("ENTWAVE_THREADS", "1")
+    serial = run_suite("parseval", SMALL_SUITE)
+    monkeypatch.setenv("ENTWAVE_THREADS", "4")
+    assert run_suite("parseval", SMALL_SUITE) == serial
+
+
+def test_parseval_suite_transforms_each_field_once(monkeypatch):
+    # vacuum and |1,1> on the scale grid, then the vacuum on the doubled grid
+    original = verify._forward_planes
+    calls = []
+
+    def spy(g, w, scales, fast):
+        calls.append(len(scales))
+        return original(g, w, scales, fast)
+
+    monkeypatch.setattr(verify, "_forward_planes", spy)
+    run_suite("parseval", SMALL_SUITE)
+    assert calls == [12, 12, 12]
+
+
+def literal_kernel(eta, eta_prime, w, scales, grid):
+    # the Riemann sum node by node, with the wavelet evaluated at every kappa
+    nodes = grid.nodes()
+    mask = grid.trapezoid_mask() * (grid.cell_area() / np.pi)
+    weights = scale_weights(scales, 5)
+    total = 0.0 + 0.0j
+    for s, mu in enumerate(scales.mu_values):
+        vals = eval_wavelet(w, (eta_prime - nodes) / mu) * np.conj(
+            eval_wavelet(w, (eta - nodes) / mu)
+        )
+        total += weights[s] * np.sum(mask * vals)
+    return complex(total / c_psi_prime(w))
+
+
+@st.composite
+def admissible_lg(draw):
+    # random n! K_n for 1 <= n <= order; K_0 then makes sum (-1)^n n! K_n vanish
+    order = draw(st.integers(1, 8))
+    scaled = draw(st.lists(st.floats(-1.0, 1.0), min_size=order, max_size=order))
+    assume(max(abs(v) for v in scaled) > 1e-3)
+    k0 = -sum((-1) ** n * v for n, v in enumerate(scaled, start=1))
+    return laguerre_gaussian(
+        [k0] + [v / math.factorial(n) for n, v in enumerate(scaled, start=1)]
+    )
+
+
+KERNEL_GRIDS = [
+    ComplexPlaneGrid.centered(48, 6.0),
+    ComplexPlaneGrid(40, 56, -8.0, -10.0, 16.0 / 39, 20.0 / 55),
+    ComplexPlaneGrid.centered(45, 7.0),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.one_of(st.just(emhw()), admissible_lg()),
+       grid=st.sampled_from(KERNEL_GRIDS),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_kernel_matches_literal_sum(w, grid, fractions):
+    def point(u, v):
+        return complex(grid.x_min + u * (grid.nx - 1) * grid.dx,
+                       grid.y_min + v * (grid.ny - 1) * grid.dy)
+
+    eta, eta_p = point(*fractions[:2]), point(*fractions[2:])
+    scales = ScaleGrid.log_spaced(12, grid.dx, 4.0)
+    gate = 1e-12 * abs(literal_kernel(eta, eta, w, scales, grid))
+    for a, b in [(eta, eta_p), (eta, eta), (eta_p, eta)]:
+        assert abs(reproducing_kernel(a, b, w, scales, grid)
+                   - literal_kernel(a, b, w, scales, grid)) <= gate
 
 
 def test_kernel_conjugate_symmetry():
