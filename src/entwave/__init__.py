@@ -24,10 +24,8 @@ from .grid import (
 )
 from .wavelets import (
     MotherWavelet,
-    RadialProfile,
     WaveletKind,
     admissibility_defect,
-    c_psi_1d,
     c_psi_prime,
     emhw,
     eval_wavelet,

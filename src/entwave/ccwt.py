@@ -40,7 +40,7 @@ from .grid import (
     _EWG1_HEADER,
     EWG1_MAGIC,
 )
-from .wavelets import MotherWavelet, _require_radial, eval_wavelet, require_admissible
+from .wavelets import MotherWavelet, eval_wavelet, require_admissible
 
 #: Largest boundary magnitude accepted for fields entering the transforms.
 TRANSFORM_BOUNDARY_TOL = 1e-8
@@ -163,7 +163,6 @@ def _separable_coeffs(w: MotherWavelet) -> np.ndarray:
     monomials x^{2a} e^{-x^2/2} cancels catastrophically instead (errors
     near 1e-3 at order 32).
     """
-    _require_radial(w, "the FFT engine")
     m = np.zeros((w.order, w.order))
     for n, k_n in enumerate(w.coeffs):
         for a in range(n + 1):
@@ -288,6 +287,13 @@ def forward_fast(g: Field, w: MotherWavelet, scales: ScaleGrid) -> CCWTCoefficie
     built from 1D Hermite-function spectra, never sampled on the lag grid.
     """
     return _forward_engine(g, w, scales, fast=True)
+
+
+def _is_fft_engine(engine: str) -> bool:
+    """True for ``fft``, False for ``direct``; any other name is an error."""
+    if engine not in ("direct", "fft"):
+        raise ValueError(f"unknown engine {engine!r}; choose direct or fft")
+    return engine == "fft"
 
 
 def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,

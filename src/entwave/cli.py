@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import typing
 
 import click
 import numpy as np
@@ -46,30 +47,10 @@ def _guarded(fn):
     return wrapper
 
 
-def _parse_coeffs(text: str) -> tuple:
-    try:
-        return tuple(float(c) for c in text.split(",") if c.strip())
-    except ValueError:
-        raise ValueError(f"bad coefficient list {text!r}")
-
-
-def _build_wavelet(kind: str, coeffs: str | None) -> wavelets.MotherWavelet:
-    kind = kind.lower()
-    if kind == "emhw":
-        if coeffs:
-            parsed = _parse_coeffs(coeffs)
-            if parsed != (0.5, 0.5):
-                raise ValueError("emhw has fixed coefficients (1/2, 1/2)")
-        return wavelets.emhw()
-    if kind == "lg":
-        if not coeffs:
-            raise ValueError("--kind lg needs --coeffs c0,c1,...")
-        return wavelets.laguerre_gaussian(_parse_coeffs(coeffs))
-    raise ValueError(f"unknown wavelet kind {kind!r}; choose emhw or lg")
-
-
-def read_config(path: str) -> dict:
-    """Parse a plain-text key=value configuration file."""
+def read_config(path: str | None) -> dict:
+    """Parse a plain-text key=value configuration file; no path reads as empty."""
+    if not path:
+        return {}
     out = {}
     try:
         with open(path) as fh:
@@ -86,17 +67,48 @@ def read_config(path: str) -> dict:
     return out
 
 
-def _check_config_keys(cfg: dict, valid) -> None:
-    """A config key that no setting reads is an error, not a no-op."""
-    unknown = [key for key in cfg if key not in valid]
+#: Config-file spellings of field names.
+_ALIASES = {"scales": "scale_count"}
+
+
+def _cast(hint, value):
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        # state descriptors contain commas, so tuples of strings split on ';'
+        sep = ";" if item is str else ","
+        return tuple(item(p.strip()) for p in value.split(sep) if p.strip())
+    return hint(value)
+
+
+def load_settings(cls, config: dict, keys=None, **flags):
+    """Settings dataclass ``cls`` from config-file values, overridden by flags.
+
+    ``config`` maps keys to text; each value is cast by its field's type.
+    ``keys`` lists the config keys the command accepts (default: every
+    field); a key outside it is an error, not a no-op.  Flags left at None
+    keep the config or default value.  ``cls.__post_init__`` validates the
+    result, so bad parameters fail before work starts.
+    """
+    hints = typing.get_type_hints(cls)
+    valid = hints if keys is None else keys
+    unknown = [key for key in config if key not in valid]
     if unknown:
         raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}; "
                          f"valid keys: {', '.join(sorted(valid))}")
+    given = [(key, _ALIASES.get(key, key), value) for key, value in config.items()]
+    given += [(name, name, value) for name, value in flags.items() if value is not None]
+    values = {}
+    for key, name, value in given:
+        try:
+            values[name] = _cast(hints[name], value)
+        except ValueError:
+            raise ValueError(f"{key} has bad value {value!r}")
+    return cls(**values)
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Validated run parameters: config-file values, overridden by flags."""
+    """Run parameters of the ``ccwt`` and ``fock`` commands."""
 
     grid_n: int = 256
     grid_extent: float = 8.0
@@ -105,26 +117,14 @@ class RunConfig:
     mu_max: float = 4.0
     engine: str = "fft"
     wavelet_kind: str = "emhw"
-    wavelet_coeffs: str | None = None
+    wavelet_coeffs: tuple[float, ...] = ()
 
-    def apply_config(self, cfg: dict) -> None:
-        casts = {
-            "grid_n": int, "grid_extent": float, "scales": int,
-            "scale_count": int, "mu_min": float, "mu_max": float,
-            "engine": str, "wavelet_kind": str, "wavelet_coeffs": str,
-        }
-        _check_config_keys(cfg, casts)
-        for key, value in cfg.items():
-            attr = "scale_count" if key == "scales" else key
-            try:
-                setattr(self, attr, casts[key](value))
-            except ValueError:
-                raise ValueError(f"config key {key} has bad value {value!r}")
-
-    def apply_flags(self, **flags) -> None:
-        for attr, value in flags.items():
-            if value is not None:
-                setattr(self, attr, value)
+    def __post_init__(self):
+        # Build everything up front so bad parameters fail before work starts.
+        self.build_grid()
+        self.build_scales()
+        self.build_wavelet()
+        ccwt._is_fft_engine(self.engine)
 
     def build_grid(self) -> gridmod.ComplexPlaneGrid:
         return gridmod.ComplexPlaneGrid.centered(self.grid_n, self.grid_extent)
@@ -133,15 +133,12 @@ class RunConfig:
         return gridmod.ScaleGrid.log_spaced(self.scale_count, self.mu_min, self.mu_max)
 
     def build_wavelet(self) -> wavelets.MotherWavelet:
-        return _build_wavelet(self.wavelet_kind, self.wavelet_coeffs)
+        return wavelets.MotherWavelet.from_spec(self.wavelet_kind, self.wavelet_coeffs)
 
-    def validate(self) -> None:
-        # Construct everything up front so bad parameters fail before work starts.
-        self.build_grid()
-        self.build_scales()
-        self.build_wavelet()
-        if self.engine not in ("direct", "fft"):
-            raise ValueError(f"unknown engine {self.engine!r}; choose direct or fft")
+
+#: Config keys of ``ccwt forward`` (every field, and the aliases) and ``ccwt inverse``.
+_FORWARD_KEYS = [*(f.name for f in dataclasses.fields(RunConfig)), *_ALIASES]
+_INVERSE_KEYS = ["wavelet_kind", "wavelet_coeffs"]
 
 
 def _read_field_any(path: str) -> gridmod.Field:
@@ -177,7 +174,7 @@ def wavelet():
 @_guarded
 def wavelet_info(kind, coeffs):
     """Print kind, coefficients, admissibility defect, and C'_psi."""
-    w = _build_wavelet(kind, coeffs)
+    w = wavelets.MotherWavelet.from_spec(kind, coeffs or ())
     defect = wavelets.admissibility_defect(w)
     click.echo(f"kind: {w.kind.value}")
     click.echo("coeffs: " + ",".join(f"{c:g}" for c in w.coeffs))
@@ -232,12 +229,9 @@ def ccwt_group():
 def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
                  kind, coeffs):
     """Transform a field file (EWG1 or CSV) into EWC1 coefficients."""
-    cfg = RunConfig()
-    if config:
-        cfg.apply_config(read_config(config))
-    cfg.apply_flags(engine=engine, scale_count=scales, mu_min=mu_min,
-                    mu_max=mu_max, wavelet_kind=kind, wavelet_coeffs=coeffs)
-    cfg.validate()
+    cfg = load_settings(RunConfig, read_config(config), _FORWARD_KEYS,
+                        engine=engine, scale_count=scales, mu_min=mu_min,
+                        mu_max=mu_max, wavelet_kind=kind, wavelet_coeffs=coeffs)
     field = _read_field_any(input_path)
     run = ccwt.forward_fast if cfg.engine == "fft" else ccwt.forward
     coefficients = run(field, cfg.build_wavelet(), cfg.build_scales())
@@ -258,13 +252,8 @@ def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
 @_guarded
 def ccwt_inverse(input_path, output, config, fmt, reference, kind, coeffs):
     """Invert an EWC1 coefficient file back to a field."""
-    cfg = RunConfig()
-    if config:
-        values = read_config(config)
-        # the inverse reads only the wavelet; forward-only keys would be no-ops
-        _check_config_keys(values, ("wavelet_kind", "wavelet_coeffs"))
-        cfg.apply_config(values)
-    cfg.apply_flags(wavelet_kind=kind, wavelet_coeffs=coeffs)
+    cfg = load_settings(RunConfig, read_config(config), _INVERSE_KEYS,
+                        wavelet_kind=kind, wavelet_coeffs=coeffs)
     w = cfg.build_wavelet()
     coefficients = ccwt.read_coefficients_ewc1(input_path)
     c_prime = wavelets.c_psi_prime(w)
@@ -296,25 +285,7 @@ def verify_cmd(suite, config, output):
             err=True,
         )
         sys.exit(EXIT_PRECONDITION)
-    settings = verify.VerifySettings()
-    if config:
-        cfg = read_config(config)
-        _check_config_keys(cfg, {f.name for f in dataclasses.fields(verify.VerifySettings)})
-        for key, value in cfg.items():
-            current = getattr(settings, key)
-            if isinstance(current, tuple):
-                parts = tuple(p.strip() for p in value.split(";") if p.strip())
-                if key == "wavelet_coeffs":
-                    parts = tuple(float(p) for p in value.split(",") if p.strip())
-                setattr(settings, key, parts)
-            elif isinstance(current, bool):
-                setattr(settings, key, value.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(settings, key, int(value))
-            elif isinstance(current, float):
-                setattr(settings, key, float(value))
-            else:
-                setattr(settings, key, value)
+    settings = load_settings(verify.VerifySettings, read_config(config))
     rows = verify.run_suite(suite, settings)
     click.echo(verify.format_table(rows))
     if output:
@@ -338,8 +309,7 @@ def fock_group():
 @_guarded
 def fock_sample(state, output, fmt, grid_n, grid_extent):
     """Write the plane representation of ``number:m,n`` or ``coherent:...``."""
-    cfg = RunConfig()
-    cfg.apply_flags(grid_n=grid_n, grid_extent=grid_extent)
+    cfg = load_settings(RunConfig, {}, grid_n=grid_n, grid_extent=grid_extent)
     field = fock.state_field(state, cfg.build_grid())
     _write_field(field, output, fmt)
     click.echo(f"wrote {output}")

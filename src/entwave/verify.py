@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .ccwt import _forward_planes, _hermite_functions, _separable_coeffs, _trap_mask_1d
+from .ccwt import (_forward_planes, _hermite_functions, _is_fft_engine, _separable_coeffs,
+                   _trap_mask_1d)
 # The suites stream planes instead; the engines stay in this namespace, where
 # callers such as perfbench's tracer test look them up.
 from .ccwt import forward, forward_fast  # noqa: F401
 from .fock import unit_norm_field
 from .grid import ComplexPlaneGrid, Field, ScaleGrid, integrate, scale_weights, _atomic_write
 from .specfun import hermite2, laguerre
-from .wavelets import MotherWavelet, c_psi_prime, emhw, laguerre_gaussian
+from .wavelets import MotherWavelet, c_psi_prime
 
 _REL_FLOOR = 1e-12
 
@@ -57,10 +58,11 @@ def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
     Each field is transformed once and its planes are reduced a scale at a
     time, so no (S, n, n) coefficient cube is held.
     """
+    fast = _is_fft_engine(engine)
     grid = fields[0].grid
     if not all(grid.same_layout(f.grid) for f in fields[1:]):
         raise ValueError("fields must share a grid")
-    streams = [_forward_planes(f, w, scales, engine == "fft") for f in fields]
+    streams = [_forward_planes(f, w, scales, fast) for f in fields]
     mask = grid.trapezoid_mask() * (grid.cell_area() / np.pi)
     per_scale = np.empty((len(pairs), len(scales)), dtype=complex)
     for s, planes in enumerate(zip(*streams)):
@@ -224,7 +226,7 @@ class VerifySettings:
     mu_max: float = 16.0
     engine: str = "fft"
     wavelet_kind: str = "emhw"
-    wavelet_coeffs: tuple = ()
+    wavelet_coeffs: tuple[float, ...] = ()
     theorem_tol: float = 0.05
     doubling_tol: float = 0.01
     ortho_tol: float = 0.02
@@ -233,7 +235,7 @@ class VerifySettings:
     window_lo: float = 0.475
     window_hi: float = 0.525
     ratio_max: float = 1.05
-    scan_states: tuple = ("number:0,0", "number:1,1", "coherent:0.5,0,0.3,0")
+    scan_states: tuple[str, ...] = ("number:0,0", "number:1,1", "coherent:0.5,0,0.3,0")
     scan_mu_min: float = 0.125
     scan_mu_max: float = 16.0
     scan_scale_count: int = 72
@@ -248,13 +250,15 @@ class VerifySettings:
     identity_max_order: int = 10
     seed: int = 20240801
 
+    def __post_init__(self):
+        # Build everything up front so bad settings fail before any suite runs.
+        self.wavelet()
+        self.grid()
+        self.scales()
+        _is_fft_engine(self.engine)
+
     def wavelet(self) -> MotherWavelet:
-        if self.wavelet_kind == "emhw":
-            return emhw()
-        if self.wavelet_kind == "lg":
-            return laguerre_gaussian(self.wavelet_coeffs)
-        raise ValueError(f"verify suites need an admissible plane wavelet, "
-                         f"got kind {self.wavelet_kind!r}")
+        return MotherWavelet.from_spec(self.wavelet_kind, self.wavelet_coeffs)
 
     def grid(self) -> ComplexPlaneGrid:
         return ComplexPlaneGrid.centered(self.grid_n, self.grid_extent)
@@ -272,6 +276,10 @@ class CaseResult:
     rhs: complex
     rel_error: float
     passed: bool
+
+    def __post_init__(self):
+        # numpy scalars would print their type name in the CSV report
+        object.__setattr__(self, "rel_error", float(self.rel_error))
 
 
 SUITE_NAMES = ("parseval", "kernel", "constants", "oracles", "all")

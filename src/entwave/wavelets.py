@@ -33,7 +33,6 @@ FOURIER_BOUNDARY_TOL = 1e-12
 class WaveletKind(str, enum.Enum):
     LAGUERRE_GAUSSIAN = "lg"
     EMHW = "emhw"
-    MEXICAN_HAT_1D = "mexican_hat_1d"
 
 
 @dataclass(frozen=True)
@@ -49,23 +48,36 @@ class MotherWavelet:
     coeffs: tuple = ()
 
     def __post_init__(self):
-        kind = WaveletKind(self.kind)
+        try:
+            kind = WaveletKind(self.kind)
+        except ValueError:
+            raise ValueError(f"unknown wavelet kind {self.kind!r}; choose emhw or lg")
         object.__setattr__(self, "kind", kind)
         coeffs = tuple(float(c) for c in self.coeffs)
         if kind is WaveletKind.EMHW:
             if coeffs and coeffs != (0.5, 0.5):
                 raise ValueError("emhw has fixed coefficients (1/2, 1/2)")
             coeffs = (0.5, 0.5)
-        elif kind is WaveletKind.LAGUERRE_GAUSSIAN:
-            if not coeffs:
-                raise ValueError("Laguerre-Gaussian wavelet needs coefficients")
-            if len(coeffs) - 1 > DEFAULT_ORDER_CAP:
-                raise ValueError(
-                    f"series order {len(coeffs) - 1} exceeds cap {DEFAULT_ORDER_CAP}"
-                )
-        elif coeffs:
-            raise ValueError(f"{kind.value} takes no coefficients")
+        elif not coeffs:
+            raise ValueError("Laguerre-Gaussian wavelet needs coefficients")
+        elif len(coeffs) - 1 > DEFAULT_ORDER_CAP:
+            raise ValueError(
+                f"series order {len(coeffs) - 1} exceeds cap {DEFAULT_ORDER_CAP}"
+            )
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def from_spec(cls, kind: str, coeffs=()) -> "MotherWavelet":
+        """Wavelet from a case-insensitive kind name, ``emhw`` or ``lg``.
+
+        ``coeffs`` is a sequence of K_n or their comma-separated text.
+        """
+        if isinstance(coeffs, str):
+            try:
+                coeffs = tuple(float(c) for c in coeffs.split(",") if c.strip())
+            except ValueError:
+                raise ValueError(f"bad coefficient list {coeffs!r}")
+        return cls(kind.lower(), coeffs)
 
     @property
     def order(self) -> int:
@@ -106,14 +118,8 @@ def mexican_hat(x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _require_radial(w: MotherWavelet, op: str) -> None:
-    if w.kind not in (WaveletKind.LAGUERRE_GAUSSIAN, WaveletKind.EMHW):
-        raise ValueError(f"{op} supports the radial plane family, not {w.kind.value}")
-
-
 def eval_wavelet(w: MotherWavelet, eta):
     """Evaluate psi(eta); real-valued for the radial family."""
-    _require_radial(w, "eval_wavelet")
     t = np.abs(np.asarray(eta, dtype=complex)) ** 2
     if w.kind is WaveletKind.EMHW:
         out = np.exp(-0.5 * t) * (1.0 - 0.5 * t)
@@ -128,7 +134,6 @@ def eval_wavelet(w: MotherWavelet, eta):
 
 def fourier_closed(w: MotherWavelet, xi):
     """Closed-form symplectic Fourier transform psi(xi); radial in |xi|."""
-    _require_radial(w, "fourier_closed")
     r = np.abs(np.asarray(xi, dtype=complex))
     if w.kind is WaveletKind.EMHW:
         out = 0.5 * r**2 * np.exp(-0.5 * r**2)
@@ -176,7 +181,6 @@ def admissibility_defect(w) -> complex:
         from .grid import integrate
 
         return integrate(w, "d2_over_2pi")
-    _require_radial(w, "admissibility_defect")
     total = sum((-1) ** n * math.factorial(n) * c for n, c in enumerate(w.coeffs))
     return complex(total)
 
@@ -225,48 +229,6 @@ def c_psi_prime(w: MotherWavelet, *, r_min: float = 1e-6, r_max: float = 12.0,
     )
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Samples of a radial function on a uniform grid r0 + k dr, r0 > 0."""
-
-    r0: float
-    dr: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.r0 <= 0:
-            raise ValueError("radial grid must start above 0")
-        if self.dr <= 0:
-            raise ValueError("radius spacing must be positive")
-        vals = np.asarray(self.samples, dtype=complex)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("profile needs a 1D array of at least 2 samples")
-        object.__setattr__(self, "samples", vals)
-
-    @property
-    def radii(self) -> np.ndarray:
-        return self.r0 + self.dr * np.arange(len(self.samples))
-
-
-def c_psi_1d(psi_hat: RadialProfile, *, tail_tol: float = 1e-3) -> float:
-    """1D admissibility constant C_psi = int_0^inf |psi_hat(p)|^2 / p dp.
-
-    Trapezoid over the sampled profile.  Raises if the integrand has not
-    decayed at either end of the sampling window (a sign the improper
-    integral diverges or the window is too short).
-    """
-    r = psi_hat.radii
-    integrand = np.abs(psi_hat.samples) ** 2 / r
-    total = float(np.trapezoid(integrand, dx=psi_hat.dr))
-    if total > 0:
-        edge = max(integrand[0] * r[0], integrand[-1] * psi_hat.dr)
-        if edge > tail_tol * total:
-            raise DivergentIntegralError(
-                "profile has not decayed at the ends of the radial window"
-            )
-    return total
-
-
 def wavelet_to_text(w: MotherWavelet) -> str:
     """Serialize as the plain-text key=value block."""
     lines = [f"kind={w.kind.value}"]
@@ -278,7 +240,7 @@ def wavelet_to_text(w: MotherWavelet) -> str:
 def wavelet_from_text(text: str) -> MotherWavelet:
     """Parse the key=value block produced by :func:`wavelet_to_text`."""
     kind = None
-    coeffs: tuple = ()
+    coeffs = ""
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -289,15 +251,9 @@ def wavelet_from_text(text: str) -> MotherWavelet:
         if key == "kind":
             kind = value
         elif key == "coeffs":
-            try:
-                coeffs = tuple(float(c) for c in value.split(",") if c.strip())
-            except ValueError:
-                raise ValueError(f"bad coefficient list {value!r}")
+            coeffs = value
         else:
             raise ValueError(f"unknown wavelet key {key!r}")
     if kind is None:
         raise ValueError("wavelet text is missing 'kind='")
-    try:
-        return MotherWavelet(WaveletKind(kind), coeffs)
-    except ValueError as exc:
-        raise ValueError(str(exc))
+    return MotherWavelet.from_spec(kind, coeffs)

@@ -1,14 +1,18 @@
 import glob
 import os
 import re
+import tempfile
+import typing
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from entwave.ccwt import read_coefficients_ewc1
-from entwave.cli import main
+from entwave.cli import RunConfig, load_settings, main, read_config
 from entwave.grid import ComplexPlaneGrid, read_field_ewg1, sample
+from entwave.verify import VerifySettings
 
 
 @pytest.fixture()
@@ -165,6 +169,9 @@ def test_verify_oracles_suite(runner, tmp_path):
     lines = open(csv).read().splitlines()
     assert lines[0] == "case,lhs_re,lhs_im,rhs_re,rhs_im,rel_error"
     assert len(lines) == 1 + 11 + 4 + 4
+    for line in lines[1:]:
+        for value in line.split(",")[1:]:
+            float(value)
 
 
 def test_verify_tolerance_failure_exit(runner, tmp_path):
@@ -284,6 +291,78 @@ def test_verify_rejects_unknown_config_key(runner, tmp_path):
                                   "--output", str(csv)])
     _assert_unknown_key_rejected(result, "theorem_tolerance", "theorem_tol")
     assert not csv.exists()
+
+
+def test_verify_rejects_unknown_engine(runner, tmp_path):
+    # engine=FFT used to run the direct engine without a word
+    csv = tmp_path / "report.csv"
+    cfg = _unknown_key_config(tmp_path, "grid_n=32\nscale_count=4\nengine=FFT\n")
+    result = runner.invoke(main, ["verify", "parseval", "--config", cfg,
+                                  "--output", str(csv)])
+    assert result.exit_code == 3, result.output
+    assert "unknown engine 'FFT'" in result.output
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("forward", "grid_n=abc"),
+    ("inverse", "wavelet_coeffs=a,b"),
+    ("verify", "grid_n=abc"),
+])
+def test_config_kind_case_and_bad_value(runner, tmp_path, command, bad):
+    vac, coeff = _forward_vacuum(runner, tmp_path)
+    out_path = str(tmp_path / "out")
+    args, extra = {
+        "forward": (["ccwt", "forward", vac, "--output", out_path], "scales=4\n"),
+        "inverse": (["ccwt", "inverse", coeff, "--output", out_path], ""),
+        "verify": (["verify", "oracles", "--output", out_path], "oracle_draws=2\n"),
+    }[command]
+    cfg = _unknown_key_config(tmp_path, extra + "wavelet_kind=EMHW\n")
+    run_ok(runner, args + ["--config", cfg])
+    cfg = _unknown_key_config(tmp_path, bad + "\n")
+    result = runner.invoke(main, args + ["--config", cfg])
+    key, _, value = bad.partition("=")
+    assert result.exit_code == 3, result.output
+    assert f"{key} has bad value {value!r}" in result.output
+
+
+def _setting_values(cls):
+    """Random valid field values of a settings dataclass, any subset of fields."""
+    hints = typing.get_type_hints(cls)
+    generic = {int: st.integers(2, 4096),
+               float: st.floats(1e-3, 1e3),
+               tuple[str, ...]: st.lists(st.sampled_from(
+                   ["number:0,0", "number:2,1", "coherent:0.5,0,0.3,0"]), min_size=1
+               ).map(tuple)}
+    fields = {name: generic[hint] for name, hint in hints.items() if hint in generic}
+    fields.update(mu_min=st.floats(1e-3, 0.2), mu_max=st.floats(20.0, 64.0),
+                  engine=st.sampled_from(["direct", "fft"]))
+    wavelet = st.one_of(
+        st.tuples(st.sampled_from(["emhw", "EMHW"]), st.sampled_from([(), (0.5, 0.5)])),
+        st.tuples(st.sampled_from(["lg", "Lg"]),
+                  st.lists(st.floats(-10, 10), min_size=1, max_size=6).map(tuple)),
+    )
+    return st.tuples(st.fixed_dictionaries({}, optional=fields), wavelet)
+
+
+def _as_text(value):
+    if isinstance(value, tuple):
+        return (";" if value and isinstance(value[0], str) else ",").join(map(str, value))
+    return str(value)
+
+
+@pytest.mark.parametrize("cls", [RunConfig, VerifySettings])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_loader_round_trips_config_text(cls, data):
+    values, (kind, coeffs) = data.draw(_setting_values(cls))
+    values.update(wavelet_kind=kind, wavelet_coeffs=coeffs)
+    text = "".join(f"{key}={_as_text(value)}\n" for key, value in values.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert load_settings(cls, read_config(path)) == cls(**values)
 
 
 def test_csv_field_output(runner, tmp_path):

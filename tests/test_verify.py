@@ -128,6 +128,22 @@ def test_streamed_pairing_equals_cube_formula(engine, run):
         cube_pairing(c2, c2, scales)
 
 
+def test_unknown_engine_rejected():
+    # any name but "fft" used to pick the direct engine without a word
+    grid = ComplexPlaneGrid.centered(16, 8.0)
+    scales = ScaleGrid.log_spaced(3, 0.5, 2.0)
+    g = unit_norm_field("number:0,0", grid)
+    calls = [
+        lambda: parseval_pairing(g, g, emhw(), scales, engine="bogus"),
+        lambda: energy_isometry(g, emhw(), scales, engine="FFT"),
+        lambda: constant_scan(["number:0,0"], emhw(), scales, grid, engine="bogus"),
+        lambda: VerifySettings(engine="FFT"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown engine"):
+            call()
+
+
 SMALL_SUITE = VerifySettings(grid_n=64, scale_count=12)
 
 

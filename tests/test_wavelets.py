@@ -5,17 +5,14 @@ import pytest
 
 from entwave.errors import (
     BoundaryDecayError,
-    DivergentIntegralError,
     NonAdmissibleError,
 )
 from entwave.grid import ComplexPlaneGrid, integrate, sample
 from entwave.verify import oracle_gaussian_integral
 from entwave.wavelets import (
     MotherWavelet,
-    RadialProfile,
     WaveletKind,
     admissibility_defect,
-    c_psi_1d,
     c_psi_prime,
     emhw,
     eval_wavelet,
@@ -74,11 +71,6 @@ def test_fourier_closed_emhw_nonnegative():
     r = np.linspace(0.01, 10, 500)
     vals = fourier_closed(emhw(), r).real
     assert np.all(vals > 0)
-
-
-def test_fourier_closed_rejects_1d_kind():
-    with pytest.raises(ValueError):
-        fourier_closed(MotherWavelet(WaveletKind.MEXICAN_HAT_1D), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -167,29 +159,6 @@ def test_c_psi_prime_rejects_nonadmissible():
         c_psi_prime(laguerre_gaussian([1.0]))
 
 
-def test_c_psi_1d_mexican_hat_profile():
-    # |psi_hat|^2/p = p^3 e^{-p^2}: integral 1/2 by the Gamma oracle
-    p = np.linspace(1e-4, 10, 20000)
-    prof = RadialProfile(p[0], p[1] - p[0], p**2 * np.exp(-0.5 * p**2))
-    assert abs(c_psi_1d(prof) - 0.5) <= 1e-6
-
-
-def test_c_psi_1d_zero_and_scaling():
-    p = np.linspace(1e-3, 8, 2000)
-    zero = RadialProfile(p[0], p[1] - p[0], np.zeros_like(p))
-    assert c_psi_1d(zero) == 0.0
-    base = RadialProfile(p[0], p[1] - p[0], p**2 * np.exp(-0.5 * p**2))
-    scaled = RadialProfile(p[0], p[1] - p[0], 3.0 * base.samples)
-    assert c_psi_1d(scaled) == pytest.approx(9.0 * c_psi_1d(base), rel=1e-12)
-
-
-def test_c_psi_1d_divergent_profile():
-    p = np.linspace(1e-4, 8, 2000)
-    flat = RadialProfile(p[0], p[1] - p[0], np.ones_like(p))
-    with pytest.raises(DivergentIntegralError):
-        c_psi_1d(flat)
-
-
 def test_wavelet_text_round_trip():
     for w in [emhw(), laguerre_gaussian([0.25, -0.125, 1.0 / 3.0])]:
         back = wavelet_from_text(wavelet_to_text(w))
@@ -219,6 +188,24 @@ def test_normalized_unit_energy():
 def test_emhw_coeffs_are_fixed():
     with pytest.raises(ValueError):
         MotherWavelet(WaveletKind.EMHW, (1.0, 2.0))
+    with pytest.raises(ValueError, match="fixed coefficients"):
+        MotherWavelet.from_spec("EMHW", "1,2")
+    # only the radial plane family has a descriptor
+    for build in (MotherWavelet, MotherWavelet.from_spec):
+        with pytest.raises(ValueError, match="unknown wavelet kind"):
+            build("mexican_hat_1d")
+
+
+def test_from_spec_kinds_and_coeffs():
+    assert MotherWavelet.from_spec("EMHW") == emhw()
+    assert MotherWavelet.from_spec("emhw", "0.5, 0.5") == emhw()
+    lg = laguerre_gaussian([0.25, -0.125])
+    assert MotherWavelet.from_spec("Lg", "0.25,-0.125") == lg
+    assert MotherWavelet.from_spec("lg", [0.25, -0.125]) == lg
+    with pytest.raises(ValueError, match="bad coefficient list"):
+        MotherWavelet.from_spec("lg", "0.25,x")
+    with pytest.raises(ValueError, match="needs coefficients"):
+        MotherWavelet.from_spec("lg", "")
 
 
 def test_mexican_hat_values():
