@@ -10,13 +10,18 @@ functions, since every radial wavelet is a short sum of products
 h_2a(x) h_2b(y), and inverse-transforms only the retained n x n block.
 The inverse integrates dmu/mu^4 of per-scale correlations with the
 (unconjugated) wavelet; on the coefficients' own grid it sums the
-per-scale products in the Fourier domain and takes one inverse FFT.  A 1D
-transform pair over the real line is included as a baseline, with
-per-scale translation grids sized to the dilated wavelet.
+per-scale products in the Fourier domain and takes one inverse FFT.
+Both directions work one scale plane at a time: the forward planes can be
+streamed into an EWC1 file as they are produced, and the inverse can read
+each plane from the file inside its per-scale task, so neither needs the
+(S, nx, ny) cube.  A 1D transform pair over the real line is included as
+a baseline, with per-scale translation grids sized to the dilated wavelet.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 import struct
@@ -61,12 +66,18 @@ class CCWTCoefficients:
         expected = (len(self.scales), self.kappa_grid.nx, self.kappa_grid.ny)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape}, expected {expected}")
-        if not np.all(np.isfinite(vals.view(float))):
-            raise ValueError("coefficients contain non-finite values")
+        _require_finite(vals)
         object.__setattr__(self, "values", vals)
 
     def plane(self, index: int) -> Field:
         return Field(self.kappa_grid, self.values[index])
+
+
+def _require_finite(values: np.ndarray) -> np.ndarray:
+    """``values`` (contiguous complex) unchanged, or ValueError on inf/NaN."""
+    if not np.all(np.isfinite(values.view(float))):
+        raise ValueError("coefficients contain non-finite values")
+    return values
 
 
 def worker_count(n_tasks: int) -> int:
@@ -224,10 +235,11 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """Leading (nx, ny) block of ifft2(spectrum); overwrites ``spectrum``.
 
     Transforms along y first, so only the ny columns kept go through the
-    transform along x.
+    transform along x.  The block is returned as its own contiguous
+    array: a view would keep the whole (px, ny) buffer alive.
     """
     rows = ifft(spectrum, axis=1, overwrite_x=True)[:, :ny]
-    return ifft(rows, axis=0, overwrite_x=True)[:nx]
+    return ifft(rows, axis=0, overwrite_x=True)[:nx].copy()
 
 
 def _forward_planes(g: Field, w: MotherWavelet, scales: ScaleGrid, fast: bool):
@@ -249,7 +261,9 @@ def _forward_planes(g: Field, w: MotherWavelet, scales: ScaleGrid, fast: bool):
         def one_scale(s: int) -> np.ndarray:
             measure = grid.cell_area() / (np.pi * mu[s])
             khat = _kernel_spectrum(m * measure, mu[s], grid, shape)
-            return _cropped_ifft2(f_values * khat, grid.nx, grid.ny)
+            spectrum = f_values * khat
+            del khat  # not alive next to the inverse FFT's (px, ny) buffer
+            return _cropped_ifft2(spectrum, grid.nx, grid.ny)
 
     else:
 
@@ -306,13 +320,24 @@ def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,
     kappa grid's own layout the scale sum is taken in the Fourier domain,
     so one inverse FFT serves every scale.
     """
+    return _inverse_planes(coeffs.values.__getitem__, coeffs.scales, coeffs.kappa_grid,
+                           w, c_prime, out_grid)
+
+
+def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: MotherWavelet,
+                    c_prime: float, out_grid: ComplexPlaneGrid | None = None) -> Field:
+    """The scale reduction of :func:`inverse`; ``plane(s)`` gives W(mu_s, .).
+
+    ``plane`` is called inside the per-scale task, in scale order, so a
+    getter that reads the plane from a file keeps only the planes in
+    flight in memory.
+    """
     if not np.isfinite(c_prime) or c_prime <= 0:
         raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
-    kgrid = coeffs.kappa_grid
     if out_grid is None:
         out_grid = kgrid
-    mu = coeffs.scales.mu_values
-    weights = scale_weights(coeffs.scales, 4)
+    mu = scales.mu_values
+    weights = scale_weights(scales, 4)
     mask = kgrid.trapezoid_mask()
     shared = out_grid.same_layout(kgrid)
     if shared:
@@ -320,9 +345,10 @@ def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,
         m = _separable_coeffs(w)
 
         def one_scale(s: int) -> np.ndarray:
-            khat = _kernel_spectrum(m * weights[s], mu[s], kgrid, shape)
-            spectrum = _padded_fft2(coeffs.values[s] * mask, shape)
-            spectrum *= khat
+            # The kernel spectrum is made after the padded FFT, so the two
+            # largest temporaries are never alive at once.
+            spectrum = _padded_fft2(plane(s) * mask, shape)
+            spectrum *= _kernel_spectrum(m * weights[s], mu[s], kgrid, shape)
             return spectrum
 
     else:
@@ -330,18 +356,19 @@ def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,
         eta_rows = out_grid.nodes()
 
         def one_scale(s: int) -> np.ndarray:
-            wm = (coeffs.values[s] * mask).ravel()
-            plane = np.empty((out_grid.nx, out_grid.ny), dtype=complex)
+            wm = (plane(s) * mask).ravel()
+            out = np.empty((out_grid.nx, out_grid.ny), dtype=complex)
             for i in range(out_grid.nx):
                 shifted = (eta_rows[i][:, None] - kappa[None, :]) / mu[s]
-                plane[i] = eval_wavelet(w, shifted) @ wm
-            plane *= weights[s]
-            return plane
+                out[i] = eval_wavelet(w, shifted) @ wm
+            out *= weights[s]
+            return out
 
     parts = _imap_scales(one_scale, len(mu))
     total = next(parts)
     for part in parts:
         total += part
+        del part  # otherwise held while the next scale is awaited
     if shared:
         total = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
     return Field(out_grid, total * (kgrid.cell_area() / (np.pi * c_prime)))
@@ -459,31 +486,50 @@ def icwt1d(coeffs: Cwt1dCoefficients, psi, c_psi: float, x_grid) -> Signal1D:
 # ---------------------------------------------------------------------------
 
 
-def write_coefficients_ewc1(coeffs: CCWTCoefficients, path: str) -> None:
-    """Write coefficients in the EWC1 binary format."""
-    g = coeffs.kappa_grid
-    mu = coeffs.scales.mu_values
-    _atomic_write(
-        path,
+def _write_ewc1(path: str, scales: ScaleGrid, grid: ComplexPlaneGrid, planes) -> None:
+    """Write an EWC1 file whose planes come from the iterable ``planes``.
+
+    Each plane is checked and written as it arrives, so a generator such
+    as :func:`_forward_planes` is never held whole.  A non-finite plane
+    raises ValueError and leaves no file behind.
+    """
+    mu = scales.mu_values
+    header = [
         EWC1_MAGIC,
         struct.pack("<I", len(mu)),
         mu.astype("<f8"),
-        _EWG1_HEADER.pack(EWG1_MAGIC, g.nx, g.ny, g.x_min, g.y_min, g.dx, g.dy),
-        np.ascontiguousarray(coeffs.values, dtype="<c16"),
-    )
+        _EWG1_HEADER.pack(EWG1_MAGIC, grid.nx, grid.ny, grid.x_min, grid.y_min,
+                          grid.dx, grid.dy),
+    ]
+    body = (_require_finite(np.ascontiguousarray(p, dtype="<c16")) for p in planes)
+    _atomic_write(path, itertools.chain(header, body))
 
 
-def read_coefficients_ewc1(path: str) -> CCWTCoefficients:
-    """Read coefficients from the EWC1 binary format."""
+def write_coefficients_ewc1(coeffs: CCWTCoefficients, path: str) -> None:
+    """Write coefficients in the EWC1 binary format."""
+    _write_ewc1(path, coeffs.scales, coeffs.kappa_grid, coeffs.values)
+
+
+@contextlib.contextmanager
+def _ewc1_planes(path: str):
+    """Open an EWC1 file as ``(scales, grid, plane)``; ``plane(s)`` reads plane s.
+
+    The file size is checked against the header first, so a truncated
+    file fails before any plane is read.  Each plane is read with
+    ``os.preadv`` at its own offset, so worker threads can read planes
+    concurrently, and is checked for finiteness as it is read.  Reading
+    into an array, not a bytes object per plane, keeps the allocator from
+    returning and re-faulting the pages every scale.  Only the planes
+    asked for are ever in memory (a memory map would count every page
+    touched toward the resident set).
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(8)
         if len(head) < 8:
             raise FileFormatError(f"{path}: truncated EWC1 header")
         if head[:4] != EWC1_MAGIC:
-            raise FileFormatError(
-                f"{path}: bad magic {head[:4]!r}, expected {EWC1_MAGIC!r}"
-            )
+            raise FileFormatError(f"{path}: bad magic {head[:4]!r}, expected {EWC1_MAGIC!r}")
         (n_scales,) = struct.unpack_from("<I", head, 4)
         offset = 8 + 8 * n_scales
         if size < offset:
@@ -495,13 +541,28 @@ def read_coefficients_ewc1(path: str) -> CCWTCoefficients:
             raise FileFormatError(f"{path}: invalid scale table ({exc})")
         grid, end = _parse_ewg1_header(fh.read(_EWG1_HEADER.size), 0, path)
         offset += end
-        count = n_scales * grid.nx * grid.ny
-        if size - offset < count * 16:
+        nbytes = grid.nx * grid.ny * 16
+        if size - offset < n_scales * nbytes:
             raise FileFormatError(
-                f"{path}: truncated planes ({size - offset} of {count * 16} bytes)"
+                f"{path}: truncated planes ({size - offset} of {n_scales * nbytes} bytes)"
             )
-        vals = np.fromfile(fh, dtype="<c16", count=count)
-    try:
-        return CCWTCoefficients(scales, grid, vals.reshape(n_scales, grid.nx, grid.ny))
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}")
+
+        def plane(s: int) -> np.ndarray:
+            values = np.empty((grid.nx, grid.ny), dtype="<c16")
+            if os.preadv(fh.fileno(), [values], offset + s * nbytes) < nbytes:
+                raise FileFormatError(f"{path}: truncated plane {s}")
+            try:
+                return _require_finite(values)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}: {exc}")
+
+        yield scales, grid, plane
+
+
+def read_coefficients_ewc1(path: str) -> CCWTCoefficients:
+    """Read coefficients from the EWC1 binary format."""
+    with _ewc1_planes(path) as (scales, grid, plane):
+        values = np.empty((len(scales), grid.nx, grid.ny), dtype=complex)
+        for s in range(len(scales)):
+            values[s] = plane(s)
+    return CCWTCoefficients(scales, grid, values)

@@ -136,8 +136,10 @@ class RunConfig:
         return wavelets.MotherWavelet.from_spec(self.wavelet_kind, self.wavelet_coeffs)
 
 
-#: Config keys of ``ccwt forward`` (every field, and the aliases) and ``ccwt inverse``.
-_FORWARD_KEYS = [*(f.name for f in dataclasses.fields(RunConfig)), *_ALIASES]
+#: Config keys of ``ccwt forward`` and ``ccwt inverse``.  The forward transform
+#: takes its grid from the input file, so the grid keys are not among them.
+_FORWARD_KEYS = [*(f.name for f in dataclasses.fields(RunConfig)
+                   if f.name not in ("grid_n", "grid_extent")), *_ALIASES]
 _INVERSE_KEYS = ["wavelet_kind", "wavelet_coeffs"]
 
 
@@ -233,11 +235,13 @@ def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
                         engine=engine, scale_count=scales, mu_min=mu_min,
                         mu_max=mu_max, wavelet_kind=kind, wavelet_coeffs=coeffs)
     field = _read_field_any(input_path)
-    run = ccwt.forward_fast if cfg.engine == "fft" else ccwt.forward
-    coefficients = run(field, cfg.build_wavelet(), cfg.build_scales())
-    ccwt.write_coefficients_ewc1(coefficients, output)
-    click.echo(f"wrote {output}: {len(coefficients.scales)} scales on "
-               f"{coefficients.kappa_grid.nx}x{coefficients.kappa_grid.ny} grid")
+    scales = cfg.build_scales()
+    # Each plane goes to the file as it is made; the (S, n, n) cube never exists.
+    planes = ccwt._forward_planes(field, cfg.build_wavelet(), scales,
+                                  ccwt._is_fft_engine(cfg.engine))
+    ccwt._write_ewc1(output, scales, field.grid, planes)
+    click.echo(f"wrote {output}: {len(scales)} scales on "
+               f"{field.grid.nx}x{field.grid.ny} grid")
 
 
 @ccwt_group.command("inverse")
@@ -255,9 +259,10 @@ def ccwt_inverse(input_path, output, config, fmt, reference, kind, coeffs):
     cfg = load_settings(RunConfig, read_config(config), _INVERSE_KEYS,
                         wavelet_kind=kind, wavelet_coeffs=coeffs)
     w = cfg.build_wavelet()
-    coefficients = ccwt.read_coefficients_ewc1(input_path)
-    c_prime = wavelets.c_psi_prime(w)
-    field = ccwt.inverse(coefficients, w, c_prime)
+    # Planes are read one at a time inside the per-scale tasks.
+    with ccwt._ewc1_planes(input_path) as (scales, kgrid, plane):
+        c_prime = wavelets.c_psi_prime(w)
+        field = ccwt._inverse_planes(plane, scales, kgrid, w, c_prime)
     _write_field(field, output, fmt)
     click.echo(f"wrote {output}")
     if reference:

@@ -205,11 +205,13 @@ def scale_weights(scales: ScaleGrid, power: int) -> np.ndarray:
     return log_trapezoid_weights(scales.mu_values, power)
 
 
-def _atomic_write(path: str, *buffers) -> None:
-    """Write the bytes-like ``buffers`` to ``path``, one after another.
+def _atomic_write(path: str, buffers) -> None:
+    """Write the iterable of bytes-like ``buffers`` to ``path``, in order.
 
     Write-temp-then-rename keeps interrupted runs from leaving partial
     files; contiguous arrays are written in place, without a bytes copy.
+    ``buffers`` is consumed lazily, so a generator of planes is written
+    as it is produced and never held whole.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".entwave-")
@@ -228,7 +230,7 @@ def write_field_ewg1(f: Field, path: str) -> None:
     """Write a field in the EWG1 binary format."""
     g = f.grid
     header = _EWG1_HEADER.pack(EWG1_MAGIC, g.nx, g.ny, g.x_min, g.y_min, g.dx, g.dy)
-    _atomic_write(path, header, np.ascontiguousarray(f.values, dtype="<c16"))
+    _atomic_write(path, [header, np.ascontiguousarray(f.values, dtype="<c16")])
 
 
 def _parse_ewg1_header(buf: bytes, offset: int, path: str):
@@ -263,18 +265,18 @@ def read_field_ewg1(path: str) -> Field:
 
 
 def write_field_csv(f: Field, path: str) -> None:
-    """Write a field as CSV rows ``x,y,re,im``, one node per row."""
-    g = f.grid
-    lines = ["x,y,re,im"]
-    xs = g.x
-    ys = g.y
-    for i in range(g.nx):
-        for j in range(g.ny):
-            v = f.values[i, j]
-            lines.append(
-                f"{float(xs[i])!r},{float(ys[j])!r},{float(v.real)!r},{float(v.imag)!r}"
-            )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    """Write a field as CSV rows ``x,y,re,im``, one node per row (x outer)."""
+    ys = [repr(y) for y in f.grid.y.tolist()]
+    rows = zip(f.grid.x.tolist(), f.values.real.tolist(), f.values.imag.tolist())
+
+    def chunks():
+        yield b"x,y,re,im\n"
+        for x, re_row, im_row in rows:
+            x = repr(x)
+            lines = [f"{x},{y},{a!r},{b!r}\n" for y, a, b in zip(ys, re_row, im_row)]
+            yield "".join(lines).encode()
+
+    _atomic_write(path, chunks())
 
 
 def read_field_csv(path: str) -> Field:

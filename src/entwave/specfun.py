@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .errors import EntwaveError
+
 # Individual series terms of H_{m,n} reach ~max(m,n)! in magnitude; beyond
 # this total order they can leave double-precision range.
 HERMITE_ORDER_CAP = 120
@@ -22,7 +24,7 @@ HERMITE_ORDER_CAP = 120
 DEFAULT_ORDER_CAP = 32
 
 
-class OrderOverflowError(ValueError):
+class OrderOverflowError(EntwaveError, ValueError):
     """Polynomial order too large for double-precision evaluation."""
 
 

@@ -20,7 +20,7 @@ from .ccwt import (_forward_planes, _hermite_functions, _is_fft_engine, _separab
 # The suites stream planes instead; the engines stay in this namespace, where
 # callers such as perfbench's tracer test look them up.
 from .ccwt import forward, forward_fast  # noqa: F401
-from .fock import unit_norm_field
+from .fock import parse_state_descriptor, unit_norm_field
 from .grid import ComplexPlaneGrid, Field, ScaleGrid, integrate, scale_weights, _atomic_write
 from .specfun import hermite2, laguerre
 from .wavelets import MotherWavelet, c_psi_prime
@@ -256,6 +256,8 @@ class VerifySettings:
         self.grid()
         self.scales()
         _is_fft_engine(self.engine)
+        for state in self.scan_states:
+            parse_state_descriptor(state)
 
     def wavelet(self) -> MotherWavelet:
         return MotherWavelet.from_spec(self.wavelet_kind, self.wavelet_coeffs)
@@ -431,4 +433,4 @@ def write_report_csv(rows, path: str) -> None:
         lines.append(
             f"{r.case},{lhs.real!r},{lhs.imag!r},{rhs.real!r},{rhs.imag!r},{r.rel_error!r}"
         )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write(path, [("\n".join(lines) + "\n").encode()])

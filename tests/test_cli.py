@@ -1,18 +1,27 @@
 import glob
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from entwave.ccwt import read_coefficients_ewc1
+import entwave
+from entwave import verify
+from entwave.ccwt import (forward, forward_fast, inverse, read_coefficients_ewc1,
+                          write_coefficients_ewc1)
 from entwave.cli import RunConfig, load_settings, main, read_config
-from entwave.grid import ComplexPlaneGrid, read_field_ewg1, sample
+from entwave.errors import FileFormatError
+from entwave.grid import (ComplexPlaneGrid, ScaleGrid, read_field_csv, read_field_ewg1, sample,
+                          write_field_ewg1)
 from entwave.verify import VerifySettings
+from entwave.wavelets import c_psi_prime, emhw
 
 
 @pytest.fixture()
@@ -305,7 +314,7 @@ def test_verify_rejects_unknown_engine(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command, bad", [
-    ("forward", "grid_n=abc"),
+    ("forward", "mu_min=abc"),
     ("inverse", "wavelet_coeffs=a,b"),
     ("verify", "grid_n=abc"),
 ])
@@ -370,3 +379,142 @@ def test_csv_field_output(runner, tmp_path):
     run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "17",
                     "--grid-extent", "6", "--output", path, "--format", "csv"])
     assert open(path).readline().strip() == "x,y,re,im"
+
+
+@pytest.mark.parametrize("text, key", [
+    ("grid_n=7\ngrid_extent=99\nscales=4\n", "grid_n"),
+    ("grid_extent=99\nscales=4\n", "grid_extent"),
+], ids=["grid_n", "grid_extent"])
+def test_ccwt_forward_rejects_grid_config_key(runner, tmp_path, text, key):
+    # the grid comes from the input file; these keys used to be silent no-ops
+    vac = str(tmp_path / "vac.ewg")
+    run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "32",
+                    "--grid-extent", "8", "--output", vac])
+    out_path = tmp_path / "c.ewc"
+    cfg = _unknown_key_config(tmp_path, text)
+    result = runner.invoke(main, ["ccwt", "forward", vac, "--config", cfg,
+                                  "--output", str(out_path)])
+    _assert_unknown_key_rejected(result, key, "mu_min")
+    assert "valid keys: engine, mu_max, mu_min, scale_count, scales" in result.output
+    assert not out_path.exists()
+
+
+def test_verify_bad_scan_state_fails_before_any_suite(runner, tmp_path, monkeypatch):
+    called = []
+    spies = {name: (lambda settings, name=name: called.append(name) or [])
+             for name in verify._SUITES}
+    monkeypatch.setattr(verify, "_SUITES", spies)
+    csv = tmp_path / "report.csv"
+    cfg = _unknown_key_config(tmp_path, "scan_states=number:0,0;bogus:1\n")
+    result = runner.invoke(main, ["verify", "all", "--config", cfg, "--output", str(csv)])
+    assert result.exit_code == 3, result.output
+    assert "unknown state kind 'bogus'" in result.output
+    assert called == [] and not csv.exists()
+
+
+def _small_coefficients(runner, tmp_path):
+    field = str(tmp_path / "f.ewg")
+    coeff = str(tmp_path / "c.ewc")
+    run_ok(runner, ["fock", "sample", "coherent:0.3,0.1,0,0.2", "--grid-n", "16",
+                    "--grid-extent", "8", "--output", field])
+    run_ok(runner, ["ccwt", "forward", field, "--scales", "3", "--output", coeff])
+    return field, coeff
+
+
+def _assert_no_output(path):
+    assert not os.path.exists(path)
+    assert not glob.glob(os.path.join(os.path.dirname(path), ".entwave-*"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_truncated_ewc1_is_a_file_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        runner = CliRunner()
+        _, coeff = _small_coefficients(runner, Path(tmp))
+        whole = open(coeff, "rb").read()
+        cut = data.draw(st.integers(0, len(whole) - 1), label="cut")
+        bad = os.path.join(tmp, "bad.ewc")
+        with open(bad, "wb") as fh:
+            fh.write(whole[:cut])
+        with pytest.raises(FileFormatError):
+            read_coefficients_ewc1(bad)
+        out_path = os.path.join(tmp, "rec.ewg")
+        result = runner.invoke(main, ["ccwt", "inverse", bad, "--output", out_path])
+        assert result.exit_code == 2, result.output
+        _assert_no_output(out_path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_ccwt_inverse_non_finite_last_plane(runner, tmp_path, value):
+    _, coeff = _small_coefficients(runner, tmp_path)
+    data = bytearray(open(coeff, "rb").read())
+    data[-16:] = np.array([complex(1.0, value)], dtype="<c16").tobytes()
+    open(coeff, "wb").write(bytes(data))
+    for threads in ("1", "4"):
+        out_path = str(tmp_path / "rec.ewg")
+        result = runner.invoke(main, ["ccwt", "inverse", coeff, "--output", out_path],
+                               env={"ENTWAVE_THREADS": threads})
+        assert result.exit_code == 2, result.output
+        assert "non-finite" in result.output
+        _assert_no_output(out_path)
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("engine", ["fft", "direct"])
+def test_streamed_cli_matches_cube_functions(runner, tmp_path, monkeypatch, engine, threads):
+    monkeypatch.setenv("ENTWAVE_THREADS", threads)
+    field_path = str(tmp_path / "f.csv")
+    run_ok(runner, ["fock", "sample", "coherent:0.4,-0.1,0.2,0.3", "--grid-n", "24",
+                    "--grid-extent", "9", "--format", "csv", "--output", field_path])
+    coeff, rec = str(tmp_path / "c.ewc"), str(tmp_path / "rec.ewg")
+    run_ok(runner, ["ccwt", "forward", field_path, "--scales", "5", "--mu-min", "0.4",
+                    "--mu-max", "3", "--engine", engine, "--output", coeff])
+    run_ok(runner, ["ccwt", "inverse", coeff, "--output", rec])
+
+    w, scales = emhw(), ScaleGrid.log_spaced(5, 0.4, 3.0)
+    run = forward_fast if engine == "fft" else forward
+    cube = run(read_field_csv(field_path), w, scales)
+    ref_coeff, ref_rec = str(tmp_path / "ref.ewc"), str(tmp_path / "ref.ewg")
+    write_coefficients_ewc1(cube, ref_coeff)
+    write_field_ewg1(inverse(cube, w, c_psi_prime(w)), ref_rec)
+    assert open(coeff, "rb").read() == open(ref_coeff, "rb").read()
+    assert open(rec, "rb").read() == open(ref_rec, "rb").read()
+
+
+_PEAK_RSS_SCRIPT = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "entwave.cli", *sys.argv[1:]], check=True,
+               stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024)
+"""
+
+
+def _peak_rss_bytes(tmp_path, *args):
+    """Peak resident set of one ``entwave`` command, in bytes (Linux kB units).
+
+    The command runs as a grandchild: a process forked from this large
+    test process would inherit its peak through fork and exec.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entwave.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, *map(str, args)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB on Linux")
+def test_cli_round_trip_peak_below_cube(tmp_path):
+    n, count = 256, 192
+    cube_bytes = count * n * n * 16  # 201 MB
+    field, coeff = tmp_path / "f.ewg", tmp_path / "c.ewc"
+    _peak_rss_bytes(tmp_path, "fock", "sample", "number:0,0", "--grid-n", n,
+                    "--grid-extent", 32, "--output", field)
+    forward_peak = _peak_rss_bytes(tmp_path, "ccwt", "forward", field, "--scales", count,
+                                   "--mu-min", 0.25, "--mu-max", 32, "--output", coeff)
+    assert os.path.getsize(coeff) > cube_bytes
+    inverse_peak = _peak_rss_bytes(tmp_path, "ccwt", "inverse", coeff,
+                                   "--output", tmp_path / "rec.ewg")
+    assert forward_peak < cube_bytes, forward_peak
+    assert inverse_peak < cube_bytes, inverse_peak

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entwave.ccwt import forward
-from entwave.errors import ConvergenceError
+from entwave.errors import ConvergenceError, EntwaveError
 from entwave.fock import (
     TwoModeFockState,
     coherent_state_eta,
@@ -308,6 +308,9 @@ def test_number_state_rejects_negative_indices():
 
 
 def test_fock_orders_above_cap_rejected():
+    # a library error (exit 3 through the CLI) that existing ValueError handlers still catch
+    assert issubclass(OrderOverflowError, EntwaveError)
+    assert issubclass(OrderOverflowError, ValueError)
     for m, n in ((HERMITE_ORDER_CAP + 1, 0), (0, 200), (5000, 5000)):
         with pytest.raises(OrderOverflowError):
             number_state_eta(m, n, 0.5)

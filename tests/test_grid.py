@@ -184,6 +184,37 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, f.values)  # repr round-trips floats
 
 
+def _per_node_csv(f):
+    """The original one-node-at-a-time CSV formatter, kept as the byte reference."""
+    g = f.grid
+    lines = ["x,y,re,im"]
+    for i in range(g.nx):
+        for j in range(g.ny):
+            v = f.values[i, j]
+            lines.append(
+                f"{float(g.x[i])!r},{float(g.y[j])!r},{float(v.real)!r},{float(v.imag)!r}"
+            )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_writer_matches_per_node_reference(tmp_path):
+    grid = ComplexPlaneGrid(5, 3, -1.5, -0.1, 0.7, 0.1)  # rectangular, inexact nodes
+    rng = np.random.default_rng(9)
+    re = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-20, 20, (5, 3))
+    im = rng.standard_normal((5, 3))
+    re[0, :] = [-0.0, 5e-324, -2.2e-310]  # signed zero and subnormals
+    im[1, :] = [1e300, -1e300, 0.0]
+    im[4, 2] = -0.0
+    values = np.empty((5, 3), dtype=complex)
+    values.real, values.imag = re, im
+    f = Field(grid, values)
+    path = tmp_path / "f.csv"
+    write_field_csv(f, str(path))
+    data = path.read_bytes()
+    assert data == _per_node_csv(f)
+    assert b",-0.0," in data and b"5e-324" in data and b"-1e+300" in data
+
+
 def test_csv_duplicate_node_rejected(tmp_path):
     # four rows, so the node count matches, but (0, 0) twice and (1, 0) absent
     path = str(tmp_path / "f.csv")
