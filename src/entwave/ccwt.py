@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft, rfft
 
 from .errors import BoundaryDecayError, FileFormatError
 from .grid import (
@@ -207,7 +207,10 @@ def _axis_spectra(terms: int, n: int, step: float, p: int) -> np.ndarray:
     seq = np.zeros((terms, p))
     seq[:, :n] = h
     seq[:, p - n + 1:] = h[:, :0:-1]
-    return fft(seq, axis=1).real
+    # The DFT of a real even sequence is real and even: bins past p // 2
+    # mirror those below it.
+    half = rfft(seq, axis=1).real
+    return np.concatenate([half, half[:, (p - 1) // 2:0:-1]], axis=1)
 
 
 def _kernel_spectrum(m: np.ndarray, mu: float, grid: ComplexPlaneGrid,
@@ -219,16 +222,36 @@ def _kernel_spectrum(m: np.ndarray, mu: float, grid: ComplexPlaneGrid,
     return (u.T @ m) @ v
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest n >= target with no prime factor above 11, a fast pocketfft length."""
+    n = target
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _padded_shape(grid: ComplexPlaneGrid) -> tuple:
     # With P >= 2n - 1 per axis the circular product holds the full linear
     # correlation, and its leading n x n block is the one retained.
-    return next_fast_len(2 * grid.nx - 1), next_fast_len(2 * grid.ny - 1)
+    return _next_fast_len(2 * grid.nx - 1), _next_fast_len(2 * grid.ny - 1)
 
 
 def _padded_fft2(values: np.ndarray, shape: tuple) -> np.ndarray:
-    """fft2 of ``values`` zero-padded to ``shape``, skipping the all-zero rows."""
-    px, py = shape
-    return fft(fft(values, n=py, axis=1), n=px, axis=0, overwrite_x=True)
+    """fft2 of ``values`` zero-padded to ``shape``, skipping the all-zero rows.
+
+    Both passes run in place in the one padded buffer; padding with
+    ``n=`` would allocate a new array per pass.
+    """
+    nx, ny = values.shape
+    buf = np.zeros(shape, dtype=complex)
+    buf[:nx, :ny] = values
+    fft(buf[:nx], axis=1, out=buf[:nx])
+    return fft(buf, axis=0, out=buf)
 
 
 def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
@@ -236,10 +259,11 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
 
     Transforms along y first, so only the ny columns kept go through the
     transform along x.  The block is returned as its own contiguous
-    array: a view would keep the whole (px, ny) buffer alive.
+    array: a view would keep the whole (px, py) buffer alive.
     """
-    rows = ifft(spectrum, axis=1, overwrite_x=True)[:, :ny]
-    return ifft(rows, axis=0, overwrite_x=True)[:nx].copy()
+    ifft(spectrum, axis=1, out=spectrum)
+    rows = spectrum[:, :ny]
+    return ifft(rows, axis=0, out=rows)[:nx].copy()
 
 
 def _forward_planes(g: Field, w: MotherWavelet, scales: ScaleGrid, fast: bool):

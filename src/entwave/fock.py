@@ -28,6 +28,9 @@ from .specfun import _check_order, hermite2_diagonal_table
 
 _SERIES_ORDER_CAP = 60
 
+#: Points per block of :func:`_fock_series`; bounds its (order, points) scratch.
+_BLOCK_POINTS = 1 << 16
+
 
 def _fock_series(coeffs, eta) -> np.ndarray:
     """g(eta) = sum_{mn} c_{mn} <eta|m,n>, the one evaluator of the number basis."""
@@ -37,8 +40,14 @@ def _fock_series(coeffs, eta) -> np.ndarray:
     c = c[: np.max(rows, initial=-1) + 1, : np.max(cols, initial=-1) + 1]
     x = np.ravel(eta).astype(complex)
     m, n = np.indices(c.shape)
-    plus = _diagonal_horner(np.triu(c) * (-1.0) ** (m + n), x)
-    out = (plus + _diagonal_horner(np.tril(c, -1).T, x.conj())).reshape(np.shape(eta))
+    upper = np.triu(c) * (-1.0) ** (m + n)
+    lower = np.tril(c, -1).T
+    out = np.empty_like(x)
+    for lo in range(0, x.size, _BLOCK_POINTS):
+        block = x[lo:lo + _BLOCK_POINTS]
+        out[lo:lo + _BLOCK_POINTS] = (_diagonal_horner(upper, block)
+                                      + _diagonal_horner(lower, block.conj()))
+    out = out.reshape(np.shape(eta))
     return complex(out) if np.ndim(eta) == 0 else out
 
 

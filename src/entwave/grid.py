@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,10 +210,12 @@ def _atomic_write(path: str, buffers) -> None:
     Write-temp-then-rename keeps interrupted runs from leaving partial
     files; contiguous arrays are written in place, without a bytes copy.
     ``buffers`` is consumed lazily, so a generator of planes is written
-    as it is produced and never held whole.
+    as it is produced and never held whole.  The temp file is created
+    with mode 0666 less the umask, as ``open`` would create ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".entwave-")
+    tmp = os.path.join(directory, f".entwave-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for buf in buffers:

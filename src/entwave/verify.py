@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ccwt import (_forward_planes, _hermite_functions, _is_fft_engine, _separable_coeffs,
                    _trap_mask_1d)
@@ -192,16 +191,16 @@ def oracle_scale_integral(x: float, y: float) -> float:
 
 
 def oracle_scale_integral_quadrature(x: float, y: float) -> float:
-    """Adaptive 1D quadrature check of :func:`oracle_scale_integral`."""
+    """Gauss-Laguerre quadrature check of :func:`oracle_scale_integral`.
+
+    With u = 2t/s the integrand is (4/s^2) t (1 - t x^2/s)(1 - t y^2/s) e^-t,
+    a cubic in t times e^-t, so the 4-node rule integrates it exactly.
+    """
     s = x * x + y * y
     if s <= 0:
         raise ValueError("need x^2 + y^2 > 0")
-
-    def integrand(u):
-        return u * (1 - u * x * x / 2) * (1 - u * y * y / 2) * math.exp(-u * s / 2)
-
-    value, _ = quad(integrand, 0.0, np.inf, limit=200)
-    return value
+    t, weights = np.polynomial.laguerre.laggauss(4)
+    return float(weights @ (t * (1 - t * x * x / s) * (1 - t * y * y / s))) * 4.0 / (s * s)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from entwave.ccwt import (
     CCWTCoefficients,
     Signal1D,
+    _axis_spectra,
+    _cropped_ifft2,
+    _hermite_functions,
+    _next_fast_len,
+    _padded_fft2,
+    _padded_shape,
     cwt1d,
     cwt1d_grid,
     forward,
@@ -382,3 +389,49 @@ def test_ewc1_errors(tmp_path):
         open(bad, "wb").write(data[:cut])
         with pytest.raises(FileFormatError):
             read_coefficients_ewc1(bad)
+
+
+# The scipy.fft forms of the FFT kernels, kept as references for the numpy.fft ones.
+
+
+def _scipy_axis_spectra(terms, n, step, p):
+    h = _hermite_functions(np.arange(n) * step, 2 * terms - 1)[::2]
+    seq = np.zeros((terms, p))
+    seq[:, :n] = h
+    seq[:, p - n + 1:] = h[:, :0:-1]
+    return scipy.fft.fft(seq, axis=1).real
+
+
+def _scipy_padded_fft2(values, shape):
+    px, py = shape
+    return scipy.fft.fft(scipy.fft.fft(values, n=py, axis=1), n=px, axis=0, overwrite_x=True)
+
+
+def _scipy_cropped_ifft2(spectrum, nx, ny):
+    rows = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)[:, :ny]
+    return scipy.fft.ifft(rows, axis=0, overwrite_x=True)[:nx].copy()
+
+
+def test_next_fast_len_matches_scipy():
+    for n in range(1, 4097):
+        assert _next_fast_len(n) == scipy.fft.next_fast_len(n), n
+
+
+def _assert_close(new, ref):
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (256, 256), (48, 80), (33, 17), (2, 5)])
+def test_fft_kernels_match_scipy_references(nx, ny):
+    rng = np.random.default_rng(nx * 1000 + ny)
+    shape = _padded_shape(ComplexPlaneGrid(nx, ny, -4.0, -4.0, 0.1, 0.1))
+    for terms in (1, 4, 17):
+        for n, p in zip((nx, ny), shape):
+            _assert_close(_axis_spectra(terms, n, 0.37, p), _scipy_axis_spectra(terms, n, 0.37, p))
+    values = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+    _assert_close(_padded_fft2(values, shape), _scipy_padded_fft2(values, shape))
+    spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cropped = _cropped_ifft2(spectrum.copy(), nx, ny)
+    _assert_close(cropped, _scipy_cropped_ifft2(spectrum, nx, ny))
+    assert cropped.flags.c_contiguous

@@ -518,3 +518,22 @@ def test_cli_round_trip_peak_below_cube(tmp_path):
                                    "--output", tmp_path / "rec.ewg")
     assert forward_peak < cube_bytes, forward_peak
     assert inverse_peak < cube_bytes, inverse_peak
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB on Linux")
+def test_fock_sample_peak_bounded(tmp_path):
+    # The 1024^2 field is 16.8 MB; an (order, points) scratch over the whole grid takes 20x that.
+    peak = _peak_rss_bytes(tmp_path, "fock", "sample", "coherent:0.4,0.1,-0.2,0.3", "--grid-n",
+                           1024, "--grid-extent", 32, "--output", tmp_path / "f.ewg")
+    assert peak < 200e6, peak
+
+
+def test_cli_imports_no_scipy():
+    code = ("import sys; from entwave.cli import main; "
+            "main(['wavelet', 'info'], standalone_mode=False); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entwave.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert "c_psi_prime: 0.5" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,8 +1,13 @@
 import math
+import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import entwave
 from entwave.errors import FileFormatError
 from entwave.grid import (
     ComplexPlaneGrid,
@@ -238,3 +243,22 @@ def test_field_shape_and_finiteness():
     bad[3, 3] = np.nan
     with pytest.raises(ValueError):
         Field(g, bad)
+
+
+_UMASK_WRITE_SCRIPT = """
+import os, sys
+os.umask(int(sys.argv[1], 8))
+from entwave.grid import ComplexPlaneGrid, Field, write_field_ewg1
+write_field_ewg1(Field(ComplexPlaneGrid.centered(4, 1.0), [[0j] * 4] * 4), sys.argv[2])
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask, mode", [("022", 0o644), ("077", 0o600)])
+def test_output_mode_follows_umask(tmp_path, umask, mode):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entwave.__file__)))
+    path = tmp_path / "f.ewg"
+    subprocess.run([sys.executable, "-c", _UMASK_WRITE_SCRIPT, umask, str(path)], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+    assert os.listdir(tmp_path) == ["f.ewg"]

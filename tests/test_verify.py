@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -290,6 +291,18 @@ def test_oracle_scale_integral_quadrature_agreement():
         closed = oracle_scale_integral(x, y)
         numeric = oracle_scale_integral_quadrature(x, y)
         assert abs(numeric - closed) / max(abs(closed), 1.0) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(0.3, 2.5), y=st.floats(0.3, 2.5))
+def test_oracle_scale_integral_quadrature_matches_mpmath(x, y):
+    # Error relative to max(|value|, 1), as the oracle suite measures it.
+    with mpmath.workdps(30):
+        xm, ym = mpmath.mpf(x), mpmath.mpf(y)
+        exact = float(mpmath.quad(
+            lambda u: u * (1 - u * xm**2 / 2) * (1 - u * ym**2 / 2)
+            * mpmath.exp(-u * (xm**2 + ym**2) / 2), [0, mpmath.inf]))
+    assert abs(oracle_scale_integral_quadrature(x, y) - exact) <= 1e-14 * max(abs(exact), 1.0)
 
 
 def test_run_suite_unknown():
