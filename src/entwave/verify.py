@@ -9,13 +9,15 @@ demonstrated by range-doubling rather than asserted.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ccwt import (_forward_planes, _hermite_functions, _is_fft_engine, _separable_coeffs,
-                   _trap_mask_1d)
+from .ccwt import (_check_transform_input, _forward_planes, _hermite_functions, _is_fft_engine,
+                   _separable_coeffs, _trap_mask_1d)
 # The suites stream planes instead; the engines stay in this namespace, where
 # callers such as perfbench's tracer test look them up.
 from .ccwt import forward, forward_fast  # noqa: F401
@@ -50,21 +52,54 @@ class ParsevalReport:
                    (scales.mu_min, scales.mu_max), summary)
 
 
+def _field_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
+    """Per scale, the list of forward planes of ``fields`` in field order.
+
+    The kernel is real, so W(a + ib) = W(a) + i W(b) for real fields a and
+    b: the real fields are paired up in order and each pair is streamed as
+    one complex transform, whose real and imaginary parts are the two
+    planes.  The pair is packed at half amplitude, an exact scaling, so the
+    packed field passes the boundary check whenever both fields do.
+    Complex fields and a leftover real field are transformed alone.
+    """
+    for f in fields:
+        _check_transform_input(f, w)
+    real = [i for i, f in enumerate(fields) if not f.values.imag.any()]
+    groups = [real[k:k + 2] for k in range(0, len(real) - 1, 2)]
+    packed = {i for group in groups for i in group}
+    groups += [[i] for i in range(len(fields)) if i not in packed]
+    streams = []
+    for group in groups:
+        if len(group) == 2:
+            a, b = (fields[i].values.real for i in group)
+            g = Field(fields[group[0]].grid, 0.5 * (a + 1j * b))
+        else:
+            g = fields[group[0]]
+        streams.append(_forward_planes(g, w, scales, fast))
+    for per_group in zip(*streams):
+        planes = [None] * len(fields)
+        for group, plane in zip(groups, per_group):
+            parts = (2 * plane.real, 2 * plane.imag) if len(group) == 2 else (plane,)
+            for i, part in zip(group, parts):
+                planes[i] = part
+        yield planes
+
+
 def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
                      engine: str) -> list:
     """Parseval reports for each index pair (i, j) of ``fields``.
 
-    Each field is transformed once and its planes are reduced a scale at a
-    time, so no (S, n, n) coefficient cube is held.
+    Each field is transformed once, two real fields sharing one transform,
+    and its planes are reduced a scale at a time, so no (S, n, n)
+    coefficient cube is held.
     """
     fast = _is_fft_engine(engine)
     grid = fields[0].grid
     if not all(grid.same_layout(f.grid) for f in fields[1:]):
         raise ValueError("fields must share a grid")
-    streams = [_forward_planes(f, w, scales, fast) for f in fields]
     mask = grid.trapezoid_mask() * (grid.cell_area() / np.pi)
     per_scale = np.empty((len(pairs), len(scales)), dtype=complex)
-    for s, planes in enumerate(zip(*streams)):
+    for s, planes in enumerate(_field_planes(fields, w, scales, fast)):
         for k, (i, j) in enumerate(pairs):
             per_scale[k, s] = np.sum(mask * planes[i] * np.conj(planes[j]))
     weights = scale_weights(scales, 3)
@@ -142,11 +177,10 @@ def constant_scan(states, w: MotherWavelet, scales: ScaleGrid,
         from .grid import default_grid
 
         grid = default_grid()
-    out = []
-    for descriptor in states:
-        f = unit_norm_field(descriptor, grid)
-        out.append(energy_isometry(f, w, scales, engine=engine).lhs.real)
-    return out
+    fields = [unit_norm_field(descriptor, grid) for descriptor in states]
+    reports = _pairing_reports(fields, [(k, k) for k in range(len(fields))],
+                               w, scales, engine)
+    return [rep.lhs.real for rep in reports]
 
 
 def oracle_gaussian_integral(zeta: complex, xi: complex, eta_c: complex) -> complex:
@@ -164,8 +198,12 @@ def oracle_gaussian_integral_quadrature(zeta: complex, xi: complex, eta_c: compl
                                         n: int = 384) -> complex:
     """Plane-quadrature check of :func:`oracle_gaussian_integral`.
 
-    The grid extent solves |zeta| R^2 - (|xi|+|eta|) R = 40 so the
-    integrand is below e^-40 at the boundary.
+    The trapezoid sum over an n x n grid of z = x + iy.  The grid extent
+    solves |zeta| R^2 - (|xi|+|eta|) R = 40 so the integrand is below e^-40
+    at the boundary.  The exponent splits as
+    [zeta x^2 + (xi + eta) x] + [zeta y^2 + i (xi - eta) y] and the mask
+    is wx (x) wy, so the plane sum is the product of two axis sums: the
+    same Riemann sum, still independent of the closed form.
     """
     zeta = complex(zeta)
     if zeta.real >= 0:
@@ -174,9 +212,10 @@ def oracle_gaussian_integral_quadrature(zeta: complex, xi: complex, eta_c: compl
     lin = abs(xi) + abs(eta_c)
     extent = (lin + math.sqrt(lin * lin + 160.0 * a)) / (2.0 * a)
     grid = ComplexPlaneGrid.centered(n, extent)
-    z = grid.nodes()
-    vals = np.exp(zeta * np.abs(z) ** 2 + xi * z + eta_c * np.conj(z))
-    return complex(np.sum(grid.trapezoid_mask() * vals) * grid.cell_area() / np.pi)
+    x, y = grid.x, grid.y
+    sum_x = _trap_mask_1d(grid.nx) @ np.exp(zeta * x * x + (xi + eta_c) * x)
+    sum_y = _trap_mask_1d(grid.ny) @ np.exp(zeta * y * y + 1j * (xi - eta_c) * y)
+    return complex(sum_x * sum_y * grid.cell_area() / np.pi)
 
 
 def oracle_scale_integral(x: float, y: float) -> float:
@@ -424,12 +463,17 @@ def format_table(rows) -> str:
 
 
 def write_report_csv(rows, path: str) -> None:
-    """CSV report: case,lhs_re,lhs_im,rhs_re,rhs_im,rel_error."""
-    lines = ["case,lhs_re,lhs_im,rhs_re,rhs_im,rel_error"]
+    """CSV report: case,lhs_re,lhs_im,rhs_re,rhs_im,rel_error.
+
+    Case names such as ``constant[number:1,1]`` hold commas, so they are
+    quoted; the numbers are written as ``repr`` of each float.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["case", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "rel_error"])
     for r in rows:
         lhs = complex(r.lhs)
         rhs = complex(r.rhs)
-        lines.append(
-            f"{r.case},{lhs.real!r},{lhs.imag!r},{rhs.real!r},{rhs.imag!r},{r.rel_error!r}"
-        )
-    _atomic_write(path, [("\n".join(lines) + "\n").encode()])
+        writer.writerow([r.case] + [repr(v) for v in
+                                    (lhs.real, lhs.imag, rhs.real, rhs.imag, r.rel_error)])
+    _atomic_write(path, [out.getvalue().encode()])

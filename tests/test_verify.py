@@ -1,3 +1,4 @@
+import csv
 import math
 
 import mpmath
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from entwave import verify
-from entwave.ccwt import forward, forward_fast
+from entwave.ccwt import TRANSFORM_BOUNDARY_TOL, forward, forward_fast
+from entwave.errors import BoundaryDecayError
 from entwave.fock import unit_norm_field
 from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid, scale_weights
 from entwave.verify import (
@@ -123,10 +125,35 @@ def test_streamed_pairing_equals_cube_formula(engine, run):
     g1 = unit_norm_field("number:0,0", grid)
     g2 = unit_norm_field("coherent:0.5,0,0.3,0", grid)
     c1, c2 = run(g1, emhw(), scales), run(g2, emhw(), scales)
+    # a real and a complex field are transformed alone: bit-identical
     assert parseval_pairing(g1, g2, emhw(), scales, engine=engine).lhs == \
         cube_pairing(c1, c2, scales)
     assert energy_isometry(g2, emhw(), scales, engine=engine).lhs == \
         cube_pairing(c2, c2, scales)
+    # two real fields share one complex transform: equal to rounding
+    g3 = unit_norm_field("number:1,1", grid)
+    c3 = run(g3, emhw(), scales)
+    for a, b, ca, cb in [(g1, g3, c1, c3), (g3, g1, c3, c1)]:
+        cube = cube_pairing(ca, cb, scales)
+        packed = parseval_pairing(a, b, emhw(), scales, engine=engine).lhs
+        assert abs(packed - cube) <= 1e-14 * abs(cube)
+
+
+def test_packed_pairing_keeps_boundary_check():
+    # Each field is checked on its own, whether or not it shares a transform.
+    grid = ComplexPlaneGrid.centered(32, 8.0)
+    scales = ScaleGrid.log_spaced(3, 0.5, 2.0)
+    corner = np.zeros((grid.nx, grid.ny))
+    corner[0, 0] = TRANSFORM_BOUNDARY_TOL
+    vac = unit_norm_field("number:0,0", grid).values.real
+    # both pass, though |a + ib| = 1.27 tol at the corner
+    a, b = Field(grid, vac + 0.9 * corner), Field(grid, vac - 0.9 * corner)
+    parseval_pairing(a, b, emhw(), scales)
+    bad = Field(grid, vac + 1.5 * corner)
+    zero = Field(grid, np.zeros_like(vac))
+    for f, g in [(bad, zero), (zero, bad)]:
+        with pytest.raises(BoundaryDecayError):
+            parseval_pairing(f, g, emhw(), scales)
 
 
 def test_unknown_engine_rejected():
@@ -156,7 +183,8 @@ def test_parseval_suite_rows_thread_independent(monkeypatch):
 
 
 def test_parseval_suite_transforms_each_field_once(monkeypatch):
-    # vacuum and |1,1> on the scale grid, then the vacuum on the doubled grid
+    # vacuum and |1,1> share one transform on the scale grid, then the
+    # vacuum alone on the doubled grid
     original = verify._forward_planes
     calls = []
 
@@ -166,7 +194,7 @@ def test_parseval_suite_transforms_each_field_once(monkeypatch):
 
     monkeypatch.setattr(verify, "_forward_planes", spy)
     run_suite("parseval", SMALL_SUITE)
-    assert calls == [12, 12, 12]
+    assert calls == [12, 12]
 
 
 def literal_kernel(eta, eta_prime, w, scales, grid):
@@ -244,11 +272,14 @@ def test_kernel_dichotomy_quick():
     assert abs(k_sep) <= 0.01 * abs(k_coarse)
 
 
-def test_constant_scan_single_vacuum_matches_isometry(vacuum):
+def test_constant_scan_matches_isometry():
+    states = VerifySettings().scan_states
     scales = ScaleGrid.log_spaced(16, 0.25, 8.0)
-    scan = constant_scan(["number:0,0"], emhw(), scales, GRID)
-    rep = energy_isometry(vacuum, emhw(), scales)
-    assert scan[0] == pytest.approx(rep.lhs.real, rel=1e-12)
+    scan = constant_scan(list(states), emhw(), scales, GRID)
+    assert len(scan) == len(states)
+    for state, value in zip(states, scan):
+        rep = energy_isometry(unit_norm_field(state, GRID), emhw(), scales)
+        assert value == pytest.approx(rep.lhs.real, rel=1e-12)
 
 
 def test_oracle_gaussian_integral_values():
@@ -263,15 +294,28 @@ def test_oracle_gaussian_integral_values():
         oracle_gaussian_integral_quadrature(1.0, 0.0, 0.0)
 
 
+def literal_gaussian_quadrature(zeta, xi, eta_c, n=384):
+    # the trapezoid sum over every node of the n x n plane
+    a = -zeta.real
+    lin = abs(xi) + abs(eta_c)
+    grid = ComplexPlaneGrid.centered(n, (lin + math.sqrt(lin * lin + 160.0 * a)) / (2.0 * a))
+    z = grid.nodes()
+    vals = np.exp(zeta * np.abs(z) ** 2 + xi * z + eta_c * np.conj(z))
+    return complex(np.sum(grid.trapezoid_mask() * vals) * grid.cell_area() / np.pi)
+
+
 def test_oracle_gaussian_integral_quadrature_agreement():
+    # the oracle suite's ranges; the separable sum is the literal plane sum
     rng = np.random.default_rng(30)
-    for _ in range(10):
+    for _ in range(50):
         zeta = complex(rng.uniform(-2.0, -0.8), rng.uniform(-0.4, 0.4))
         xi = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         eta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         closed = oracle_gaussian_integral(zeta, xi, eta)
         numeric = oracle_gaussian_integral_quadrature(zeta, xi, eta)
-        assert abs(numeric - closed) / max(abs(closed), 1.0) <= 1e-6
+        scale = max(abs(closed), 1.0)
+        assert abs(numeric - closed) <= 1e-6 * scale
+        assert abs(numeric - literal_gaussian_quadrature(zeta, xi, eta)) <= 1e-14 * scale
 
 
 def test_oracle_scale_integral_values():
@@ -319,12 +363,17 @@ def test_suite_oracles_passes():
 
 
 def test_report_csv_schema(tmp_path):
-    rows = [CaseResult("demo", 1.0 + 2.0j, 1.0, 0.1, True)]
+    rows = [CaseResult("demo", 1.0 + 2.0j, 1.0, 0.1, True),
+            CaseResult("constant[number:1,1]", 0.5, 0.5, 0.0, True)]
     path = str(tmp_path / "r.csv")
     write_report_csv(rows, path)
     lines = open(path).read().splitlines()
     assert lines[0] == "case,lhs_re,lhs_im,rhs_re,rhs_im,rel_error"
     assert lines[1].startswith("demo,1.0,2.0,1.0,0.0,0.1")
+    with open(path, newline="") as fh:
+        parsed = list(csv.reader(fh))
+    assert [len(row) for row in parsed] == [6, 6, 6]
+    assert parsed[2] == ["constant[number:1,1]", "0.5", "0.0", "0.5", "0.0", "0.0"]
 
 
 def test_settings_wavelet_choices():
