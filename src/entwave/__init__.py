@@ -3,7 +3,6 @@
 from .errors import (
     BoundaryDecayError,
     ConvergenceError,
-    DivergentIntegralError,
     EntwaveError,
     FileFormatError,
     NonAdmissibleError,

@@ -9,10 +9,6 @@ class NonAdmissibleError(EntwaveError):
     """Wavelet fails the zero-mean admissibility condition."""
 
 
-class DivergentIntegralError(EntwaveError):
-    """An improper integral did not converge under refinement."""
-
-
 class BoundaryDecayError(EntwaveError):
     """Field magnitude at the grid boundary exceeds the decay threshold."""
 

@@ -36,6 +36,8 @@ class ComplexPlaneGrid:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        if not np.all(np.isfinite([self.x_min, self.y_min, self.dx, self.dy])):
+            raise ValueError("grid origin and spacing must be finite")
         if self.dx <= 0 or self.dy <= 0:
             raise ValueError("grid spacing must be positive")
 
@@ -120,8 +122,8 @@ class ScaleGrid:
         mu = np.asarray(self.mu_values, dtype=float)
         if mu.size == 0:
             raise ValueError("scale grid is empty")
-        if np.any(mu <= 0):
-            raise ValueError("scales must be positive")
+        if not np.all(np.isfinite(mu) & (mu > 0)):
+            raise ValueError("scales must be positive and finite")
         if mu.size > 1:
             if np.any(np.diff(mu) <= 0):
                 raise ValueError("scales must be strictly increasing")
@@ -134,8 +136,8 @@ class ScaleGrid:
     def log_spaced(cls, count: int, mu_min: float, mu_max: float) -> "ScaleGrid":
         if count < 2:
             raise ValueError("scale grid needs at least 2 nodes")
-        if mu_min <= 0 or mu_max <= mu_min:
-            raise ValueError("require 0 < mu_min < mu_max")
+        if not 0 < mu_min < mu_max < np.inf:
+            raise ValueError("require 0 < mu_min < mu_max < inf")
         return cls(np.geomspace(mu_min, mu_max, count))
 
     @property
@@ -292,6 +294,8 @@ def read_field_csv(path: str) -> Field:
             raise FileFormatError(f"{path}: malformed CSV ({exc})")
     if rows.size == 0 or rows.shape[1] != 4:
         raise FileFormatError(f"{path}: expected 4 columns")
+    if not np.all(np.isfinite(rows[:, :2])):
+        raise FileFormatError(f"{path}: node coordinates must be finite")
     xs = np.unique(rows[:, 0])
     ys = np.unique(rows[:, 1])
     nx, ny = len(xs), len(ys)

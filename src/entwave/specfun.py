@@ -1,7 +1,8 @@
 """Special functions behind the radial wavelet family.
 
-Two-variable Hermite polynomials H_{m,n}(x, y) and Laguerre polynomials
-L_n(x).  On the diagonal they are tied together by
+Two-variable Hermite polynomials H_{m,n}(x, y), Laguerre polynomials
+L_n(x) and their series sum_n w_n L_n(x).  On the diagonal they are tied
+together by
 
     (-1)^n H_{n,n}(eta, conj(eta)) = n! L_n(|eta|^2),
 
@@ -61,26 +62,27 @@ def hermite2(m: int, n: int, x, y):
 
 
 def laguerre(n: int, x):
-    """Laguerre polynomial L_n(x) via the stable three-term recurrence.
+    """Laguerre polynomial L_n(x), the one-hot case of :func:`laguerre_series`."""
+    _check_order(n, 0)
+    return laguerre_series([0] * n + [1], x)
 
-    (k+1) L_{k+1}(x) = (2k+1-x) L_k(x) - k L_{k-1}(x), with L_0 = 1 and
-    L_1 = 1 - x.  ``x`` may be a scalar or an array.
+
+def laguerre_series(weights, x):
+    """sum_n w_n L_n(x), in one pass of the stable three-term recurrence
+
+        (k+1) L_{k+1}(x) = (2k+1-x) L_k(x) - k L_{k-1}(x),  L_{-1} = 0, L_0 = 1.
+
+    Terms are added in increasing n and zero weights are skipped.  ``x``
+    may be a scalar or an array.
     """
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got {n}")
-    if n > HERMITE_ORDER_CAP:
-        raise OrderOverflowError(
-            f"order {n} exceeds the factorial-safe cutoff {HERMITE_ORDER_CAP}"
-        )
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    prev = np.ones_like(xa)
-    if n == 0:
-        return float(prev) if scalar else prev
-    cur = 1.0 - xa
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - xa) * cur - k * prev) / (k + 1)
-    return float(cur) if scalar else cur
+    prev, cur, total = np.zeros_like(xa), np.ones_like(xa), np.zeros_like(xa)
+    for n, w in enumerate(weights):
+        if n:
+            prev, cur = cur, ((2 * n - 1 - xa) * cur - (n - 1) * prev) / n
+        if w:
+            total += w * cur
+    return float(total) if xa.ndim == 0 else total
 
 
 def hermite2_diagonal_table(x, y, order: int) -> np.ndarray:

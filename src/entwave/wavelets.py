@@ -4,9 +4,12 @@ The admissible radial family is
 
     psi(eta) = exp(-|eta|^2/2) sum_n n! K_n L_n(|eta|^2),
 
-admissible iff sum_n (-1)^n n! K_n = 0.  Its symplectic Fourier transform
-has the closed form exp(-|xi|^2/2) sum_n K_n H_{n,n}(|xi|, |xi|).  The
-two-term member with K = (1/2, 1/2) is the entangled Mexican hat wavelet
+admissible iff sum_n (-1)^n n! K_n = 0.  Each exp(-t/2) L_n(t) is an
+eigenfunction of the radial 2-D Fourier transform with eigenvalue (-1)^n,
+so the symplectic Fourier transform is the same series with K_n replaced
+by (-1)^n K_n, and the normalization constant C'_psi is the integral of a
+polynomial against exp(-u), which a Gauss-Laguerre rule gives exactly.
+The two-term member with K = (1/2, 1/2) is the entangled Mexican hat wavelet
 (EMHW), psi(eta) = exp(-|eta|^2/2)(1 - |eta|^2/2).
 """
 
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryDecayError, DivergentIntegralError, NonAdmissibleError
+from .errors import BoundaryDecayError, NonAdmissibleError
 from .grid import ComplexPlaneGrid, Field
-from .specfun import DEFAULT_ORDER_CAP, hermite2, laguerre
+from .specfun import DEFAULT_ORDER_CAP, laguerre_series
 
 #: Tolerance on the closed-form admissibility defect of coefficient wavelets.
 COEFF_ADMISSIBILITY_TOL = 1e-12
@@ -54,6 +57,8 @@ class MotherWavelet:
             raise ValueError(f"unknown wavelet kind {self.kind!r}; choose emhw or lg")
         object.__setattr__(self, "kind", kind)
         coeffs = tuple(float(c) for c in self.coeffs)
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"wavelet coefficients K_n must be finite, got {coeffs}")
         if kind is WaveletKind.EMHW:
             if coeffs and coeffs != (0.5, 0.5):
                 raise ValueError("emhw has fixed coefficients (1/2, 1/2)")
@@ -124,25 +129,26 @@ def eval_wavelet(w: MotherWavelet, eta):
     if w.kind is WaveletKind.EMHW:
         out = np.exp(-0.5 * t) * (1.0 - 0.5 * t)
     else:
-        series = np.zeros_like(t)
-        for n, c in enumerate(w.coeffs):
-            if c:
-                series += math.factorial(n) * c * laguerre(n, t)
-        out = np.exp(-0.5 * t) * series
+        weights = [math.factorial(n) * c for n, c in enumerate(w.coeffs)]
+        out = np.exp(-0.5 * t) * laguerre_series(weights, t)
     return complex(out) if np.ndim(eta) == 0 else out.astype(complex)
 
 
+def _fourier_series(w: MotherWavelet, u):
+    """p(u) = sum_n (-1)^n n! K_n L_n(u), the transform's radial series in u = |xi|^2."""
+    return laguerre_series([(-1) ** n * math.factorial(n) * c
+                            for n, c in enumerate(w.coeffs)], u)
+
+
 def fourier_closed(w: MotherWavelet, xi):
-    """Closed-form symplectic Fourier transform psi(xi); radial in |xi|."""
-    r = np.abs(np.asarray(xi, dtype=complex))
-    if w.kind is WaveletKind.EMHW:
-        out = 0.5 * r**2 * np.exp(-0.5 * r**2)
-    else:
-        series = np.zeros_like(r)
-        for n, c in enumerate(w.coeffs):
-            if c:
-                series += c * hermite2(n, n, r, r).real
-        out = np.exp(-0.5 * r**2) * series
+    """Closed-form symplectic Fourier transform psi(xi); radial in |xi|.
+
+    psi(xi) = exp(-|xi|^2/2) sum_n (-1)^n n! K_n L_n(|xi|^2): the wavelet's
+    own series with K_n -> (-1)^n K_n, since exp(-t/2) L_n(t) is a radial
+    Fourier eigenfunction with eigenvalue (-1)^n.
+    """
+    t = np.abs(np.asarray(xi, dtype=complex)) ** 2
+    out = np.exp(-0.5 * t) * _fourier_series(w, t)
     return complex(out) if np.ndim(xi) == 0 else out.astype(complex)
 
 
@@ -197,36 +203,22 @@ def require_admissible(w: MotherWavelet, tol: float = COEFF_ADMISSIBILITY_TOL) -
         )
 
 
-def c_psi_prime(w: MotherWavelet, *, r_min: float = 1e-6, r_max: float = 12.0,
-                tol: float = 1e-9, max_nodes: int = 1 << 20) -> float:
+def c_psi_prime(w: MotherWavelet) -> float:
     """Normalization constant C'_psi = 4 int_0^inf d|xi|/|xi| |psi(xi)|^2.
 
-    Adaptive log-spaced radial trapezoid on the closed-form profile with
-    Richardson refinement; admissibility makes the integrand ~ r^3 near
-    the origin and the Gaussian envelope cuts it beyond r ~ 12.
+    With u = |xi|^2 and psi(xi) = exp(-u/2) p(u) (see :func:`fourier_closed`),
+    C'_psi = 2 int_0^inf exp(-u) p(u)^2/u du.  Admissibility is p(0) = 0, so
+    for N coefficients p^2/u is a polynomial of degree 2N - 3, and the
+    N-node Gauss-Laguerre rule, exact through degree 2N - 1 (Golub & Welsch,
+    Math. Comp. 23, 1969), gives the integral exactly.  A zero wavelet is
+    admissible but has C'_psi = 0, which raises ValueError.
     """
     require_admissible(w)
-
-    def quad(n: int) -> float:
-        r = np.geomspace(r_min, r_max, n)
-        vals = 4.0 * np.abs(fourier_closed(w, r)) ** 2  # integrand of d(ln r)
-        h = math.log(r_max / r_min) / (n - 1)
-        return float(np.trapezoid(vals, dx=h))
-
-    n = 512
-    prev = quad(n)
-    while n <= max_nodes:
-        n *= 2
-        cur = quad(n)
-        if abs(cur - prev) <= tol * max(abs(cur), 1.0):
-            refined = cur + (cur - prev) / 3.0
-            if refined <= 0:
-                raise DivergentIntegralError("radial integral did not stay positive")
-            return refined
-        prev = cur
-    raise DivergentIntegralError(
-        f"radial quadrature did not converge below {tol:.1e} at {max_nodes} nodes"
-    )
+    u, weights = np.polynomial.laguerre.laggauss(w.order)
+    value = 2.0 * float(np.sum(weights * _fourier_series(w, u) ** 2 / u))
+    if not value > 0:
+        raise ValueError(f"C'_psi is {value!r}, not positive: the wavelet is zero")
+    return value
 
 
 def wavelet_to_text(w: MotherWavelet) -> str:

@@ -1,6 +1,8 @@
 import glob
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -13,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import entwave
-from entwave import verify
+from entwave import ccwt, verify
 from entwave.ccwt import (forward, forward_fast, inverse, read_coefficients_ewc1,
                           write_coefficients_ewc1)
 from entwave.cli import RunConfig, load_settings, main, read_config
@@ -21,7 +23,7 @@ from entwave.errors import FileFormatError
 from entwave.grid import (ComplexPlaneGrid, ScaleGrid, read_field_csv, read_field_ewg1, sample,
                           write_field_ewg1)
 from entwave.verify import VerifySettings
-from entwave.wavelets import c_psi_prime, emhw
+from entwave.wavelets import c_psi_prime, emhw, laguerre_gaussian
 
 
 @pytest.fixture()
@@ -53,6 +55,14 @@ def test_wavelet_info_nonadmissible(runner):
     out = run_ok(runner, ["wavelet", "info", "--kind", "lg", "--coeffs", "1,0"])
     assert "NonAdmissible" in out
     assert "admissibility_defect: 1" in out
+
+
+def test_wavelet_info_order_32(runner):
+    # K_n = 1/n! for n = 1..32 is admissible: sum_n (-1)^n n! K_n = 0.
+    coeffs = [0.0] + [1.0 / math.factorial(n) for n in range(1, 33)]
+    out = run_ok(runner, ["wavelet", "info", "--kind", "lg",
+                          "--coeffs", ",".join(map(repr, coeffs))])
+    assert f"c_psi_prime: {c_psi_prime(laguerre_gaussian(coeffs)):.12g}\n" in out
 
 
 def test_wavelet_info_parse_failure(runner):
@@ -537,3 +547,56 @@ def test_cli_imports_no_scipy():
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert "c_psi_prime: 0.5" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_nonfinite_wavelet_coefficients_fail_before_any_transform(runner, tmp_path,
+                                                                  monkeypatch):
+    field, coeff = _small_coefficients(runner, tmp_path)
+    calls = []
+    for name in ("_forward_planes", "_inverse_planes"):
+        monkeypatch.setattr(ccwt, name, lambda *args, name=name: calls.append(name))
+    out_path = str(tmp_path / "out")
+    for command in (["wavelet", "info"], ["ccwt", "forward", field, "--output", out_path],
+                    ["ccwt", "inverse", coeff, "--output", out_path]):
+        for coeffs in ("nan,0.5", "nan,nan", "0.5,inf"):
+            result = runner.invoke(main, [*command, "--kind", "lg", "--coeffs", coeffs])
+            assert result.exit_code == 3, result.output
+            assert "must be finite" in result.output
+    assert calls == []
+    _assert_no_output(out_path)
+
+
+@pytest.mark.parametrize("flag, value", [("--mu-max", "inf"), ("--mu-min", "nan")])
+def test_ccwt_forward_rejects_nonfinite_scale_range(runner, tmp_path, flag, value):
+    field, _ = _small_coefficients(runner, tmp_path)
+    out_path = str(tmp_path / "bad.ewc")
+    result = runner.invoke(main, ["ccwt", "forward", field, flag, value, "--output", out_path])
+    assert result.exit_code == 3, result.output
+    _assert_no_output(out_path)
+
+
+def _poke_nan(path, offset):
+    data = bytearray(open(path, "rb").read())
+    data[offset:offset + 8] = struct.pack("<d", math.nan)
+    open(path, "wb").write(bytes(data))
+
+
+def test_ccwt_inverse_nan_scale_is_a_file_format_error(runner, tmp_path):
+    _, coeff = _small_coefficients(runner, tmp_path)
+    _poke_nan(coeff, 8 + 8)  # second entry of the scale table after magic and count
+    out_path = str(tmp_path / "rec.ewg")
+    result = runner.invoke(main, ["ccwt", "inverse", coeff, "--output", out_path])
+    assert result.exit_code == 2, result.output
+    assert "invalid scale table" in result.output
+    _assert_no_output(out_path)
+
+
+@pytest.mark.parametrize("offset", [12, 28])  # x_min and dx in the EWG1 header
+def test_ewg1_nan_header_is_a_file_format_error(runner, tmp_path, offset):
+    field, _ = _small_coefficients(runner, tmp_path)
+    _poke_nan(field, offset)
+    out_path = str(tmp_path / "bad.ewc")
+    result = runner.invoke(main, ["ccwt", "forward", field, "--output", out_path])
+    assert result.exit_code == 2, result.output
+    assert "invalid grid header" in result.output
+    _assert_no_output(out_path)

@@ -38,6 +38,19 @@ def test_grid_validation():
         ComplexPlaneGrid(1, 4, 0.0, 0.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         ComplexPlaneGrid(4, 4, 0.0, 0.0, -0.1, 0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field_index in range(4):
+            params = [0.0, 0.0, 0.1, 0.1]
+            params[field_index] = bad
+            with pytest.raises(ValueError):
+                ComplexPlaneGrid(4, 4, *params)
+
+
+def test_csv_nonfinite_node_coordinate_is_a_file_format_error(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("x,y,re,im\n0,0,1,0\n0,1,1,0\ninf,0,1,0\ninf,1,1,0\n")
+    with pytest.raises(FileFormatError, match="finite"):
+        read_field_csv(str(path))
 
 
 def test_sample_constant():
@@ -113,6 +126,12 @@ def test_scale_grid_validation():
         ScaleGrid(np.array([-1.0, 1.0]))
     with pytest.raises(ValueError):
         ScaleGrid(np.array([1.0, 2.0, 3.0]))  # linear, not log spaced
+    for bad in ([0.25, np.inf], [np.nan], [0.25, np.nan, 1.0], [np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            ScaleGrid(np.array(bad))
+    for lo, hi in ((0.25, np.inf), (np.nan, 4.0), (0.25, np.nan)):
+        with pytest.raises(ValueError):
+            ScaleGrid.log_spaced(8, lo, hi)
     sg = ScaleGrid.log_spaced(64, 0.25, 4.0)
     ratios = sg.mu_values[1:] / sg.mu_values[:-1]
     assert ratios.max() - ratios.min() <= 1e-12 * ratios.max()

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -144,8 +145,8 @@ def test_admissibility_defect_quadrature_agreement():
 
 
 def test_c_psi_prime_emhw():
-    # int_0^inf t^3 e^{-t^2} dt = 1/2 (Gamma oracle)
-    assert abs(c_psi_prime(emhw()) - 0.5) <= 1e-6
+    # int_0^inf t^3 e^{-t^2} dt = 1/2 (Gamma oracle); the two-node rule hits it exactly
+    assert c_psi_prime(emhw()) == 0.5
 
 
 def test_c_psi_prime_quadratic_scaling():
@@ -157,6 +158,93 @@ def test_c_psi_prime_quadratic_scaling():
 def test_c_psi_prime_rejects_nonadmissible():
     with pytest.raises(NonAdmissibleError):
         c_psi_prime(laguerre_gaussian([1.0]))
+
+
+def _c_psi_prime_mpmath(coeffs, dps=80):
+    """2 sum_{i,j>=1} b_i b_j (i+j-1)!, where b_j is the u^j coefficient of
+    p(u) = sum_n (-1)^n n! K_n L_n(u) and L_n(u) = sum_j (-1)^j C(n,j) u^j/j!.
+
+    The u^0 coefficient is the admissibility defect (rounding-sized for
+    admissible float K_n) and is dropped.
+    """
+    with mpmath.workdps(dps):
+        a = [(-1) ** n * mpmath.factorial(n) * mpmath.mpf(c) for n, c in enumerate(coeffs)]
+        b = [mpmath.fsum(a[n] * (-1) ** j * math.comb(n, j) for n in range(j, len(a)))
+             / mpmath.factorial(j) for j in range(len(a))]
+        return float(2 * mpmath.fsum(b[i] * b[j] * mpmath.factorial(i + j - 1)
+                                     for i in range(1, len(b)) for j in range(1, len(b))))
+
+
+def test_c_psi_prime_matches_mpmath_through_order_32():
+    rng = np.random.default_rng(2024)
+    for order in range(1, 33):
+        for _ in range(2):
+            w = random_admissible(rng, order)
+            exact = _c_psi_prime_mpmath(w.coeffs)
+            assert c_psi_prime(w) == pytest.approx(exact, rel=1e-13), order
+
+
+def test_c_psi_prime_rejects_zero_wavelet():
+    for coeffs in ([0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="not positive"):
+            c_psi_prime(laguerre_gaussian(coeffs))
+
+
+def test_nonfinite_coefficients_rejected():
+    for coeffs in ([math.nan, 0.5], [0.5, math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="must be finite"):
+            laguerre_gaussian(coeffs)
+    with pytest.raises(ValueError, match="must be finite"):
+        MotherWavelet.from_spec("lg", "nan,nan")
+
+
+@pytest.mark.parametrize("order", [8, 16, 24, 32])
+def test_fourier_closed_matches_mpmath_hermite_series(order):
+    # psi(xi) = exp(-r^2/2) sum_n K_n H_{n,n}(r, r), r = |xi|, with the
+    # monomial series H_{n,n}(r, r) = sum_k (-1)^k C(n,k)^2 k! r^(2(n-k)).
+    w = random_admissible(np.random.default_rng(order), order)
+    r = np.linspace(0.0, 9.0, 61)
+    with mpmath.workdps(60):
+        ref = []
+        for rv in r:
+            t = mpmath.mpf(rv) ** 2
+            series = mpmath.fsum(
+                mpmath.mpf(c) * (-1) ** k * math.comb(n, k) ** 2 * math.factorial(k)
+                * t ** (n - k) for n, c in enumerate(w.coeffs) for k in range(n + 1))
+            ref.append(float(mpmath.exp(-t / 2) * series))
+    ref = np.array(ref)
+    closed = fourier_closed(w, r * np.exp(0.3j))
+    assert np.max(np.abs(closed - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _laguerre_recurrence(n, x):
+    """L_n(x) by the three-term recurrence started from L_0 = 1, L_1 = 1 - x."""
+    prev = np.ones_like(x)
+    if n == 0:
+        return prev
+    cur = 1.0 - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+    return cur
+
+
+def _eval_wavelet_per_order(w, eta):
+    """psi(eta) as one recurrence run and one array update per non-zero K_n."""
+    t = np.abs(eta) ** 2
+    series = np.zeros_like(t)
+    for n, c in enumerate(w.coeffs):
+        if c:
+            series += math.factorial(n) * c * _laguerre_recurrence(n, t)
+    return (np.exp(-0.5 * t) * series).astype(complex)
+
+
+def test_eval_wavelet_single_pass_is_bit_identical_to_per_order_sum():
+    rng = np.random.default_rng(5)
+    eta = 3 * rng.normal(size=5000) + 3j * rng.normal(size=5000)
+    cases = [laguerre_gaussian([0.5, 0.5]), laguerre_gaussian([0.0, 0.0, 0.25, 0.0, 0.0])]
+    cases += [random_admissible(rng, order) for order in range(1, 33)]
+    for w in cases:
+        assert np.array_equal(eval_wavelet(w, eta), _eval_wavelet_per_order(w, eta))
 
 
 def test_wavelet_text_round_trip():
