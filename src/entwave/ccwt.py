@@ -10,12 +10,15 @@ functions, since every radial wavelet is a short sum of products
 h_2a(x) h_2b(y), and inverse-transforms only the retained n x n block.
 The inverse integrates dmu/mu^4 of per-scale correlations with the
 (unconjugated) wavelet; on the coefficients' own grid it sums the
-per-scale products in the Fourier domain and takes one inverse FFT.
-Both directions work one scale plane at a time: the forward planes can be
-streamed into an EWC1 file as they are produced, and the inverse can read
-each plane from the file inside its per-scale task, so neither needs the
-(S, nx, ny) cube.  A 1D transform pair over the real line is included as
-a baseline, with per-scale translation grids sized to the dilated wavelet.
+per-scale products in the Fourier domain and takes one inverse FFT, and
+onto any other grid each scale is the separable contraction
+sum_ab M_ab X_a V Y_b^T over per-axis Hermite matrices.  Both directions
+work one scale plane at a time: one ``_forward_planes`` call serves a list
+of fields with one worker pool and one kernel per scale, and its planes
+can be streamed into an EWC1 file as they are produced; the inverse reads
+each plane inside its per-scale task, so neither needs the (S, nx, ny)
+cube.  A 1D transform pair over the real line is included as a baseline,
+with per-scale translation grids sized to the dilated wavelet.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .grid import (
     _atomic_write,
     _parse_ewg1_header,
     _EWG1_HEADER,
+    _trap_mask_1d,
     EWG1_MAGIC,
 )
 from .wavelets import MotherWavelet, eval_wavelet, require_admissible
@@ -197,6 +201,25 @@ def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
     return h
 
 
+def _axis_hermite(dst, src: np.ndarray, mu: float, terms: int) -> np.ndarray:
+    """X[a, i, k] = h_2a((dst_i - src_k)/mu) for a < terms, shape (terms, len(dst), len(src))."""
+    lag = (np.asarray(dst, dtype=float)[:, None] - src[None, :]) / mu
+    return _hermite_functions(lag.ravel(), 2 * terms - 1)[::2].reshape(terms, *lag.shape)
+
+
+def _separable_correlate(values, w: MotherWavelet, mu: float, src_axes, dst_axes) -> np.ndarray:
+    """out[i, j] = sum_kl values[k, l] psi((x'_i - x_k)/mu + i (y'_j - y_l)/mu).
+
+    ``values`` sits on the axes (x, y) = ``src_axes``, ``out`` on (x', y') =
+    ``dst_axes``; the sum is sum_ab M_ab X_a V Y_b^T (:func:`_axis_hermite`).
+    """
+    m = _separable_coeffs(w)
+    x = _axis_hermite(dst_axes[0], src_axes[0], mu, len(m))
+    y = _axis_hermite(dst_axes[1], src_axes[1], mu, len(m))
+    xv = np.tensordot(m, x, axes=(0, 0)) @ values  # sum_a M_ab X_a V, shape (b, i, l)
+    return np.tensordot(xv, y, axes=([0, 2], [0, 2]))
+
+
 def _axis_spectra(terms: int, n: int, step: float, p: int) -> np.ndarray:
     """Length-p DFTs of h_0, h_2, ..., h_{2 terms - 2} sampled at lags l * step.
 
@@ -266,44 +289,43 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return ifft(rows, axis=0, out=rows)[:nx].copy()
 
 
-def _forward_planes(g: Field, w: MotherWavelet, scales: ScaleGrid, fast: bool):
-    """Iterator over the forward planes W(mu_s, .) in scale order.
+def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
+    """Per scale in order, the list of forward planes W(mu_s, .) of ``fields``.
 
-    The field is checked and, for the FFT engine, transformed up front;
-    the planes are computed by ``_imap_scales``, so a caller that reduces
-    them one at a time never holds the (S, nx, ny) cube.
+    The fields share one grid; each is checked and, for the FFT engine,
+    transformed up front.  One ``_imap_scales`` task per scale builds the
+    kernel once for every field, and a caller that reduces the planes a
+    scale at a time never holds an (S, nx, ny) cube.
     """
-    _check_transform_input(g, w)
-    grid = g.grid
-    masked = g.values * grid.trapezoid_mask()
+    for g in fields:
+        _check_transform_input(g, w)
+    grid = fields[0].grid
+    masked = [g.values * grid.trapezoid_mask() for g in fields]
     mu = scales.mu_values
+    measure = grid.cell_area() / (np.pi * mu)
     if fast:
         shape = _padded_shape(grid)
-        f_values = _padded_fft2(masked, shape)
+        f_values = [_padded_fft2(v, shape) for v in masked]
         m = _separable_coeffs(w)
 
-        def one_scale(s: int) -> np.ndarray:
-            measure = grid.cell_area() / (np.pi * mu[s])
-            khat = _kernel_spectrum(m * measure, mu[s], grid, shape)
-            spectrum = f_values * khat
-            del khat  # not alive next to the inverse FFT's (px, ny) buffer
-            return _cropped_ifft2(spectrum, grid.nx, grid.ny)
+        def one_scale(s: int) -> list:
+            khat = _kernel_spectrum(m * measure[s], mu[s], grid, shape)
+            return [_cropped_ifft2(f * khat, grid.nx, grid.ny) for f in f_values]
 
     else:
 
-        def one_scale(s: int) -> np.ndarray:
+        def one_scale(s: int) -> list:
             kernel = _lag_kernel(w, mu[s], grid)
-            plane = _correlate_direct(masked, kernel)
-            return plane * (grid.cell_area() / (np.pi * mu[s]))
+            return [_correlate_direct(v, kernel) * measure[s] for v in masked]
 
     return _imap_scales(one_scale, len(mu))
 
 
 def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
                     fast: bool) -> CCWTCoefficients:
-    planes = _forward_planes(g, w, scales, fast)
+    planes = _forward_planes([g], w, scales, fast)
     out = np.empty((len(scales), g.grid.nx, g.grid.ny), dtype=complex)
-    for s, plane in enumerate(planes):
+    for s, (plane,) in enumerate(planes):
         out[s] = plane
     return CCWTCoefficients(scales, g.grid, out)
 
@@ -342,7 +364,8 @@ def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,
              W(mu, kappa) psi((eta - kappa)/mu)
     over the truncated scale range and the translation grid.  On the
     kappa grid's own layout the scale sum is taken in the Fourier domain,
-    so one inverse FFT serves every scale.
+    so one inverse FFT serves every scale; onto any other grid each scale
+    is a separable contraction (:func:`_separable_correlate`).
     """
     return _inverse_planes(coeffs.values.__getitem__, coeffs.scales, coeffs.kappa_grid,
                            w, c_prime, out_grid)
@@ -376,17 +399,10 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
             return spectrum
 
     else:
-        kappa = kgrid.nodes().ravel()
-        eta_rows = out_grid.nodes()
+        axes = (kgrid.x, kgrid.y), (out_grid.x, out_grid.y)
 
         def one_scale(s: int) -> np.ndarray:
-            wm = (plane(s) * mask).ravel()
-            out = np.empty((out_grid.nx, out_grid.ny), dtype=complex)
-            for i in range(out_grid.nx):
-                shifted = (eta_rows[i][:, None] - kappa[None, :]) / mu[s]
-                out[i] = eval_wavelet(w, shifted) @ wm
-            out *= weights[s]
-            return out
+            return _separable_correlate(plane(s) * mask, w, mu[s], *axes) * weights[s]
 
     parts = _imap_scales(one_scale, len(mu))
     total = next(parts)
@@ -424,12 +440,6 @@ class Signal1D:
     @property
     def x(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(len(self.samples))
-
-
-def _trap_mask_1d(n: int) -> np.ndarray:
-    m = np.ones(n)
-    m[0] = m[-1] = 0.5
-    return m
 
 
 def cwt1d(f: Signal1D, psi, mu: float, s: float) -> complex:

@@ -237,9 +237,9 @@ def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
     field = _read_field_any(input_path)
     scales = cfg.build_scales()
     # Each plane goes to the file as it is made; the (S, n, n) cube never exists.
-    planes = ccwt._forward_planes(field, cfg.build_wavelet(), scales,
+    planes = ccwt._forward_planes([field], cfg.build_wavelet(), scales,
                                   ccwt._is_fft_engine(cfg.engine))
-    ccwt._write_ewc1(output, scales, field.grid, planes)
+    ccwt._write_ewc1(output, scales, field.grid, (plane for (plane,) in planes))
     click.echo(f"wrote {output}: {len(scales)} scales on "
                f"{field.grid.nx}x{field.grid.ny} grid")
 

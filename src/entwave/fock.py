@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ccwt import _separable_correlate
 from .errors import ConvergenceError
 from .grid import ComplexPlaneGrid, Field, integrate, sample
 from .specfun import _check_order, hermite2_diagonal_table
@@ -126,9 +127,7 @@ def xi_eta_overlap(xi, eta):
     xa = np.asarray(xi, dtype=complex)
     ea = np.asarray(eta, dtype=complex)
     out = 0.5 * np.exp(0.5 * (np.conj(xa) * ea - xa * np.conj(ea)))
-    if np.ndim(xi) == 0 and np.ndim(eta) == 0:
-        return complex(out)
-    return out
+    return complex(out) if out.ndim == 0 else out
 
 
 def xi_eta_overlap_fock(xi: complex, eta: complex, cutoff: int = 40,
@@ -164,17 +163,15 @@ def u2_matrix_element(w, g: Field, mu: float, kappa: complex) -> complex:
     """Matrix element <psi| U2(mu, kappa) |g> through the plane representation.
 
     Identical quadrature to the forward transform at a single translation:
-    (1/mu) int d2eta/pi psi*((eta - kappa)/mu) g(eta).
+    (1/mu) int d2eta/pi psi*((eta - kappa)/mu) g(eta), the separable
+    contraction onto the one node kappa (the radial wavelet is real).
     """
-    from .wavelets import eval_wavelet
-
     if mu <= 0:
         raise ValueError(f"scale must be positive, got {mu}")
     grid = g.grid
-    shifted = (grid.nodes() - kappa) / mu
-    kernel = np.conj(eval_wavelet(w, shifted))
-    total = np.sum(grid.trapezoid_mask() * g.values * kernel)
-    return complex(total * grid.cell_area() / (np.pi * mu))
+    total = _separable_correlate(g.values * grid.trapezoid_mask(), w, mu, (grid.x, grid.y),
+                                 ([np.real(kappa)], [np.imag(kappa)]))
+    return complex(total[0, 0] * grid.cell_area() / (np.pi * mu))
 
 
 def completeness_gram(cutoff: int, grid: ComplexPlaneGrid) -> np.ndarray:

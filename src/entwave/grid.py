@@ -22,6 +22,12 @@ EWG1_MAGIC = b"EWG1"
 _EWG1_HEADER = struct.Struct("<4sII4d")
 
 
+def _trap_mask_1d(n: int) -> np.ndarray:
+    m = np.ones(n)
+    m[0] = m[-1] = 0.5
+    return m
+
+
 @dataclass(frozen=True)
 class ComplexPlaneGrid:
     """Uniform rectangular sampling of the complex plane."""
@@ -61,11 +67,7 @@ class ComplexPlaneGrid:
 
     def trapezoid_mask(self) -> np.ndarray:
         """Trapezoid quadrature weights (1/2 on edges, 1/4 at corners)."""
-        wx = np.ones(self.nx)
-        wx[0] = wx[-1] = 0.5
-        wy = np.ones(self.ny)
-        wy[0] = wy[-1] = 0.5
-        return wx[:, None] * wy[None, :]
+        return _trap_mask_1d(self.nx)[:, None] * _trap_mask_1d(self.ny)[None, :]
 
     def cell_area(self) -> float:
         return self.dx * self.dy
@@ -102,14 +104,7 @@ class Field:
     def boundary_max(self) -> float:
         """Largest magnitude on the outermost node ring."""
         v = self.values
-        return float(
-            max(
-                np.abs(v[0, :]).max(),
-                np.abs(v[-1, :]).max(),
-                np.abs(v[:, 0]).max(),
-                np.abs(v[:, -1]).max(),
-            )
-        )
+        return float(max(np.abs(edge).max() for edge in (v[0], v[-1], v[:, 0], v[:, -1])))
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccwt import (_check_transform_input, _forward_planes, _hermite_functions, _is_fft_engine,
-                   _separable_coeffs, _trap_mask_1d)
+from .ccwt import (_axis_hermite, _check_transform_input, _forward_planes, _is_fft_engine,
+                   _separable_coeffs)
 # The suites stream planes instead; the engines stay in this namespace, where
 # callers such as perfbench's tracer test look them up.
 from .ccwt import forward, forward_fast  # noqa: F401
 from .fock import parse_state_descriptor, unit_norm_field
-from .grid import ComplexPlaneGrid, Field, ScaleGrid, integrate, scale_weights, _atomic_write
+from .grid import (ComplexPlaneGrid, Field, ScaleGrid, integrate, scale_weights, _atomic_write,
+                   _trap_mask_1d)
 from .specfun import hermite2, laguerre
 from .wavelets import MotherWavelet, c_psi_prime
 
@@ -56,11 +57,11 @@ def _field_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
     """Per scale, the list of forward planes of ``fields`` in field order.
 
     The kernel is real, so W(a + ib) = W(a) + i W(b) for real fields a and
-    b: the real fields are paired up in order and each pair is streamed as
-    one complex transform, whose real and imaginary parts are the two
-    planes.  The pair is packed at half amplitude, an exact scaling, so the
-    packed field passes the boundary check whenever both fields do.
-    Complex fields and a leftover real field are transformed alone.
+    b: the real fields are paired up in order, and each pair is one complex
+    input whose plane's real and imaginary parts are the two planes.  The
+    pair is packed at half amplitude, an exact scaling, so the packed field
+    passes the boundary check whenever both fields do.  Complex fields and
+    a leftover real field go in alone, all in one ``_forward_planes`` call.
     """
     for f in fields:
         _check_transform_input(f, w)
@@ -68,15 +69,11 @@ def _field_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
     groups = [real[k:k + 2] for k in range(0, len(real) - 1, 2)]
     packed = {i for group in groups for i in group}
     groups += [[i] for i in range(len(fields)) if i not in packed]
-    streams = []
+    inputs = []
     for group in groups:
-        if len(group) == 2:
-            a, b = (fields[i].values.real for i in group)
-            g = Field(fields[group[0]].grid, 0.5 * (a + 1j * b))
-        else:
-            g = fields[group[0]]
-        streams.append(_forward_planes(g, w, scales, fast))
-    for per_group in zip(*streams):
+        a, *b = (fields[i] for i in group)
+        inputs.append(Field(a.grid, 0.5 * (a.values.real + 1j * b[0].values.real)) if b else a)
+    for per_group in _forward_planes(inputs, w, scales, fast):
         planes = [None] * len(fields)
         for group, plane in zip(groups, per_group):
             parts = (2 * plane.real, 2 * plane.imag) if len(group) == 2 else (plane,)
@@ -130,12 +127,9 @@ def energy_isometry(g: Field, w: MotherWavelet, scales: ScaleGrid,
     return parseval_pairing(g, g, w, scales, engine=engine)
 
 
-def _axis_gram(m_terms: int, pos: float, pos_prime: float, nodes: np.ndarray,
-               mu: float) -> np.ndarray:
+def _axis_gram(m_terms: int, pos: float, pos_prime: float, nodes, mu: float) -> np.ndarray:
     """G[a, c] = sum_i w_i h_2a((pos' - x_i)/mu) h_2c((pos - x_i)/mu), trapezoid w_i."""
-    count = 2 * m_terms - 1
-    h_prime = _hermite_functions((pos_prime - nodes) / mu, count)[::2]
-    h = _hermite_functions((pos - nodes) / mu, count)[::2]
+    h, h_prime = _axis_hermite([pos, pos_prime], nodes, mu, m_terms).transpose(1, 0, 2)
     return (h_prime * _trap_mask_1d(nodes.size)) @ h.T
 
 

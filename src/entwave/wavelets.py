@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryDecayError, NonAdmissibleError
-from .grid import ComplexPlaneGrid, Field
+from .grid import ComplexPlaneGrid, Field, integrate
 from .specfun import DEFAULT_ORDER_CAP, laguerre_series
 
-#: Tolerance on the closed-form admissibility defect of coefficient wavelets.
+#: Tolerance on the closed-form admissibility defect of coefficient wavelets,
+#: relative to the series norm sqrt(sum_n (n! K_n)^2), so rescaling cannot change it.
 COEFF_ADMISSIBILITY_TOL = 1e-12
 #: Tolerance when the defect is recomputed by plane quadrature.
 QUADRATURE_ADMISSIBILITY_TOL = 1e-8
@@ -100,10 +101,15 @@ class MotherWavelet:
         the energy.  The named wavelets keep their literal coefficients;
         call this explicitly when a unit-energy convention is wanted.
         """
-        energy = sum((math.factorial(n) * c) ** 2 for n, c in enumerate(self.coeffs))
-        if energy <= 0:
+        norm = _series_norm(self)
+        if norm <= 0:
             raise ValueError("cannot normalize a zero wavelet")
-        return self.scaled(1.0 / math.sqrt(energy))
+        return self.scaled(1.0 / norm)
+
+
+def _series_norm(w: MotherWavelet) -> float:
+    """sqrt(sum_n (n! K_n)^2), the square root of the plane energy of psi."""
+    return math.sqrt(sum((math.factorial(n) * c) ** 2 for n, c in enumerate(w.coeffs)))
 
 
 def emhw() -> MotherWavelet:
@@ -184,23 +190,21 @@ def admissibility_defect(w) -> complex:
     sampled :class:`Field` it is computed by plane quadrature.
     """
     if isinstance(w, Field):
-        from .grid import integrate
-
         return integrate(w, "d2_over_2pi")
     total = sum((-1) ** n * math.factorial(n) * c for n, c in enumerate(w.coeffs))
     return complex(total)
 
 
 def is_admissible(w: MotherWavelet, tol: float = COEFF_ADMISSIBILITY_TOL) -> bool:
-    return abs(admissibility_defect(w)) <= tol
+    """|defect| <= tol * sqrt(sum_n (n! K_n)^2): rescaling the K_n cannot change the answer."""
+    return abs(admissibility_defect(w)) <= tol * _series_norm(w)
 
 
 def require_admissible(w: MotherWavelet, tol: float = COEFF_ADMISSIBILITY_TOL) -> None:
-    defect = admissibility_defect(w)
-    if abs(defect) > tol:
-        raise NonAdmissibleError(
-            f"wavelet is not admissible: defect {defect.real:.6g} exceeds {tol:.1e}"
-        )
+    if not is_admissible(w, tol):
+        defect = admissibility_defect(w).real
+        raise NonAdmissibleError(f"wavelet is not admissible: defect {defect:.6g} "
+                                 f"exceeds {tol:.1e} of its norm")
 
 
 def c_psi_prime(w: MotherWavelet) -> float:

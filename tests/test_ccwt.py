@@ -9,6 +9,7 @@ from entwave.ccwt import (
     Signal1D,
     _axis_spectra,
     _cropped_ifft2,
+    _forward_planes,
     _hermite_functions,
     _next_fast_len,
     _padded_fft2,
@@ -241,24 +242,37 @@ def test_inverse_rejects_bad_constant():
         inverse(zeros, emhw(), -1.0)
 
 
+def off_centre_field(grid):
+    # neither radial nor symmetric under x <-> y, so an axis swap changes it
+    return sample(lambda e: (1 + 0.3 * e) * np.exp(-0.5 * np.abs(e - (1.2 - 0.7j)) ** 2), grid)
+
+
 def test_inverse_on_distinct_grid_matches_literal():
-    kgrid = ComplexPlaneGrid.centered(48, 8.0)
-    g = gaussian_field(kgrid)
-    scales = ScaleGrid.log_spaced(8, 0.5, 4.0)
-    coeffs = forward_fast(g, emhw(), scales)
-    out_grid = ComplexPlaneGrid.centered(5, 1.0)
-    rec = inverse(coeffs, emhw(), 0.5, out_grid)
-    # literal evaluation of the truncated inversion integral at one point
     from entwave.grid import scale_weights
 
-    eta = out_grid.nodes()[2, 3]
-    mask = kgrid.trapezoid_mask() * kgrid.cell_area() / np.pi
-    total = 0.0
-    for s, mu in enumerate(scales.mu_values):
-        total += scale_weights(scales, 4)[s] * np.sum(
-            mask * coeffs.values[s] * eval_wavelet(emhw(), (eta - kgrid.nodes()) / mu)
-        )
-    assert rec.values[2, 3] == pytest.approx(total / 0.5, rel=1e-12)
+    scales = ScaleGrid.log_spaced(8, 0.5, 4.0)
+    square = ComplexPlaneGrid.centered(48, 8.0)
+    rect = ComplexPlaneGrid(44, 52, -8.0, -9.0, 17.0 / 43, 17.0 / 51)
+    cases = [
+        (gaussian_field(square), ComplexPlaneGrid.centered(5, 1.0), [(2, 3)]),
+        # rectangular kappa and out grids, offset from each other
+        (off_centre_field(rect), ComplexPlaneGrid(40, 56, -2.5, -4.0, 6.0 / 39, 8.5 / 55),
+         [(0, 0), (3, 50), (39, 7), (21, 33), (39, 55)]),
+    ]
+    for g, out_grid, points in cases:
+        kgrid = g.grid
+        coeffs = forward_fast(g, emhw(), scales)
+        rec = inverse(coeffs, emhw(), 0.5, out_grid)
+        mask = kgrid.trapezoid_mask() * kgrid.cell_area() / np.pi
+        for i, j in points:
+            # literal evaluation of the truncated inversion integral at one point
+            eta = out_grid.nodes()[i, j]
+            total = 0.0
+            for s, mu in enumerate(scales.mu_values):
+                total += scale_weights(scales, 4)[s] * np.sum(
+                    mask * coeffs.values[s] * eval_wavelet(emhw(), (eta - kgrid.nodes()) / mu)
+                )
+            assert rec.values[i, j] == pytest.approx(total / 0.5, rel=1e-12)
 
 
 def test_round_trip_2d_quick():
@@ -281,6 +295,19 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("ENTWAVE_THREADS", "zap")
     with pytest.raises(ValueError):
         worker_count(4)
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_multi_field_planes_match_single_field_calls(fast):
+    grid = ComplexPlaneGrid(24, 30, -8.0, -9.0, 16.0 / 23, 17.0 / 29)
+    fields = [gaussian_field(grid), off_centre_field(grid), smooth_random_field(grid, seed=3)]
+    scales = ScaleGrid.log_spaced(5, 0.5, 4.0)
+    together = list(_forward_planes(fields, emhw(), scales, fast))
+    assert [len(planes) for planes in together] == [3] * len(scales)
+    for k, g in enumerate(fields):
+        alone = [plane for (plane,) in _forward_planes([g], emhw(), scales, fast)]
+        for s in range(len(scales)):
+            assert np.array_equal(together[s][k], alone[s])
 
 
 def test_threaded_forward_deterministic(monkeypatch):

@@ -180,20 +180,24 @@ def test_u2_matrix_element_values():
 
 
 def test_u2_equals_forward_at_nodes():
-    grid = ComplexPlaneGrid.centered(64, 8.0)
-    vac = sample(lambda e: np.exp(-0.5 * np.abs(e) ** 2), grid)
+    square = ComplexPlaneGrid.centered(64, 8.0)
+    vac = sample(lambda e: np.exp(-0.5 * np.abs(e) ** 2), square)
+    # off-centre and asymmetric under x <-> y on a rectangular, offset grid
+    rect = ComplexPlaneGrid(40, 56, -8.0, -9.0, 17.0 / 39, 17.0 / 55)
+    skew = sample(lambda e: (1 + 0.3 * e) * np.exp(-0.5 * np.abs(e - (1.2 - 0.7j)) ** 2), rect)
     rng = np.random.default_rng(16)
     scales = ScaleGrid(np.geomspace(0.5, 4.0, 4))
-    coeffs = forward(vac, emhw(), scales)
-    nodes = grid.nodes()
-    plane_scale = np.abs(coeffs.values).max(axis=(1, 2))
-    for _ in range(100):
-        s = rng.integers(0, 4)
-        i = rng.integers(0, 64)
-        j = rng.integers(0, 64)
-        direct = u2_matrix_element(emhw(), vac, scales.mu_values[s], nodes[i, j])
-        engine = coeffs.values[s, i, j]
-        assert abs(direct - engine) <= 1e-14 * plane_scale[s]
+    for g in (vac, skew):
+        coeffs = forward(g, emhw(), scales)
+        nodes = g.grid.nodes()
+        plane_scale = np.abs(coeffs.values).max(axis=(1, 2))
+        for _ in range(100):
+            s = rng.integers(0, 4)
+            i = rng.integers(0, g.grid.nx)
+            j = rng.integers(0, g.grid.ny)
+            direct = u2_matrix_element(emhw(), g, scales.mu_values[s], nodes[i, j])
+            engine = coeffs.values[s, i, j]
+            assert abs(direct - engine) <= 1e-14 * plane_scale[s]
 
 
 def test_u2_large_scale_dilution():

@@ -1,12 +1,13 @@
 import csv
 import math
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from entwave import verify
+from entwave import ccwt, verify
 from entwave.ccwt import TRANSFORM_BOUNDARY_TOL, forward, forward_fast
 from entwave.errors import BoundaryDecayError
 from entwave.fock import unit_norm_field
@@ -188,13 +189,45 @@ def test_parseval_suite_transforms_each_field_once(monkeypatch):
     original = verify._forward_planes
     calls = []
 
-    def spy(g, w, scales, fast):
+    def spy(fields, w, scales, fast):
         calls.append(len(scales))
-        return original(g, w, scales, fast)
+        return original(fields, w, scales, fast)
 
     monkeypatch.setattr(verify, "_forward_planes", spy)
     run_suite("parseval", SMALL_SUITE)
     assert calls == [12, 12]
+
+
+def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
+    # the packed (vacuum, |1,1>) pair and the coherent state share one call,
+    # hence one worker pool of worker_count threads
+    monkeypatch.setenv("ENTWAVE_THREADS", "2")
+    original = verify._forward_planes
+    calls, pools, threads = [], [], set()
+
+    def spy(fields, w, scales, fast):
+        calls.append(len(fields))
+        return original(fields, w, scales, fast)
+
+    class SpyPool(ccwt.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def kernel_spectrum(*args):
+        threads.add(threading.get_ident())
+        return kernel_spectrum.original(*args)
+
+    kernel_spectrum.original = ccwt._kernel_spectrum
+    monkeypatch.setattr(verify, "_forward_planes", spy)
+    monkeypatch.setattr(ccwt, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(ccwt, "_kernel_spectrum", kernel_spectrum)
+    scales = ScaleGrid.log_spaced(8, 0.25, 8.0)
+    constant_scan(list(VerifySettings().scan_states), emhw(), scales,
+                  ComplexPlaneGrid.centered(64, 8.0))
+    assert calls == [2]
+    assert pools == [ccwt.worker_count(len(scales))] == [2]
+    assert 1 <= len(threads) <= 2
 
 
 def literal_kernel(eta, eta_prime, w, scales, grid):

@@ -155,6 +155,26 @@ def test_c_psi_prime_quadratic_scaling():
     assert c_psi_prime(w.scaled(a)) == pytest.approx(a * a * c_psi_prime(w), rel=1e-9)
 
 
+def test_rescaled_admissible_wavelet_is_admissible_and_transforms():
+    from entwave.ccwt import forward_fast
+    from entwave.grid import ScaleGrid
+
+    w = random_admissible(np.random.default_rng(4), 8)
+    big = w.scaled(1e4)
+    # the defect scales with K_n: an absolute 1e-12 would refuse this wavelet
+    assert abs(admissibility_defect(big)) > 1e-12
+    assert is_admissible(big)
+    assert c_psi_prime(big) == pytest.approx(1e8 * c_psi_prime(w), rel=1e-12)
+    grid = ComplexPlaneGrid.centered(32, 8.0)
+    g = sample(lambda e: np.exp(-0.5 * np.abs(e) ** 2), grid)
+    scales = ScaleGrid.log_spaced(4, 0.5, 2.0)
+    small, large = (forward_fast(g, v, scales).values for v in (w, big))
+    assert np.abs(large - 1e4 * small).max() <= 1e-12 * np.abs(large).max()
+    # a non-admissible wavelet stays refused at any scale
+    for a in (1e-20, 1.0, 1e20):
+        assert not is_admissible(laguerre_gaussian([1.0]).scaled(a))
+
+
 def test_c_psi_prime_rejects_nonadmissible():
     with pytest.raises(NonAdmissibleError):
         c_psi_prime(laguerre_gaussian([1.0]))
