@@ -25,16 +25,21 @@ import numpy as np
 from .ccwt import _separable_correlate
 from .errors import ConvergenceError
 from .grid import ComplexPlaneGrid, Field, integrate, sample
-from .specfun import _check_order, hermite2_diagonal_table
+from .specfun import HERMITE_ORDER_CAP, _check_order
 
 _SERIES_ORDER_CAP = 60
+
+# Recurrence constants of _laguerre_rows, indexed [k, d] and [d] for k, d <= HERMITE_ORDER_CAP.
+_K, _D = np.indices((HERMITE_ORDER_CAP + 1,) * 2)
+_DOWN, _UP = np.sqrt(_K * (_K + _D)), 1.0 / np.sqrt((_K + 1) * (_K + 1 + _D))
+_INV_ROOT_FACT = np.array([1 / math.sqrt(math.factorial(d)) for d in range(HERMITE_ORDER_CAP + 1)])
 
 #: Points per block of :func:`_fock_series`; bounds its (order, points) scratch.
 _BLOCK_POINTS = 1 << 16
 
 
 def _fock_series(coeffs, eta) -> np.ndarray:
-    """g(eta) = sum_{mn} c_{mn} <eta|m,n>, the one evaluator of the number basis."""
+    """g(eta) = sum_{mn} c_{mn} <eta|m,n>, by Horner over diagonals: no plane per basis state."""
     c = np.asarray(coeffs, dtype=complex)
     rows, cols = np.nonzero(c)
     _check_order(0, int(np.max(rows + cols, initial=0)))
@@ -53,10 +58,7 @@ def _fock_series(coeffs, eta) -> np.ndarray:
 
 
 def _diagonal_horner(a, x):
-    """sum_{k, d>=0} a[k, k+d] exp(-t/2) x^d l_k^(d)(t), t = |x|^2, by Horner in x.
-
-    Radial sums use sqrt((k+1)(k+1+d)) l_{k+1} = (2k+1+d-t) l_k - sqrt(k(k+d)) l_{k-1}.
-    """
+    """sum_{k, d>=0} a[k, k+d] exp(-t/2) x^d l_k^(d)(t), t = |x|^2, by Horner in x."""
     t = x.real**2 + x.imag**2
     gauss = np.exp(-0.5 * t)
     acc = np.zeros_like(x)
@@ -66,17 +68,45 @@ def _diagonal_horner(a, x):
         s = np.trim_zeros(np.diagonal(a, d), "b")
         if not s.size:
             continue
-        np.multiply(gauss, 1.0 / math.sqrt(math.factorial(d)), out=ell[0])
-        for k in range(s.size - 1):
-            nxt = ell[k + 1]
-            np.subtract(2 * k + 1 + d, t, out=nxt)
-            nxt *= ell[k]
-            if k:
-                nxt -= math.sqrt(k * (k + d)) * ell[k - 1]
-            nxt *= 1.0 / math.sqrt((k + 1) * (k + 1 + d))
-        re, im = np.stack([s.real, s.imag]) @ ell[: s.size]
+        re, im = np.stack([s.real, s.imag]) @ _laguerre_rows(t, gauss, d, ell[: s.size])
         acc += re + 1j * im
     return acc
+
+
+def _laguerre_rows(t, gauss, d, out):
+    """Fill out[k] = exp(-t/2) l_k^(d)(t) for k < len(out), the one radial recurrence
+
+        sqrt((k+1)(k+1+d)) l_{k+1} = (2k+1+d-t) l_k - sqrt(k(k+d)) l_{k-1},  l_0 = 1/sqrt(d!).
+
+    ``d`` is one diagonal or an integer array of them broadcasting against ``t``.
+    """
+    np.multiply(gauss, _INV_ROOT_FACT[d], out=out[0])
+    for k in range(len(out) - 1):
+        nxt = out[k + 1]
+        np.subtract(2 * k + 1 + d, t, out=nxt)
+        nxt *= out[k]
+        if k:
+            nxt -= _DOWN[k, d] * out[k - 1]
+        nxt *= _UP[k, d]
+    return out
+
+
+def _basis_table(eta, cutoff: int) -> np.ndarray:
+    """B[m, n, p] = <eta_p|m,n> for 0 <= m, n <= cutoff, every diagonal at once."""
+    _check_order(cutoff, cutoff)
+    x = np.ravel(eta).astype(complex)
+    t = x.real**2 + x.imag**2
+    size = cutoff + 1
+    radial = _laguerre_rows(t, np.exp(-0.5 * t), np.arange(size)[:, None],
+                            np.empty((size, size, x.size)))
+    table = np.empty((size, size, x.size), dtype=complex)
+    upper, lower = np.ones_like(x), np.ones_like(x)  # (-x)^d and conj(x)^d
+    for d in range(size):
+        k = np.arange(size - d)
+        table[k, k + d] = upper * radial[: size - d, d]
+        table[k + d, k] = lower * radial[: size - d, d]
+        upper, lower = -x * upper, x.conj() * lower
+    return table
 
 
 def number_state_eta(m: int, n: int, eta):
@@ -145,14 +175,9 @@ def xi_eta_overlap_fock(xi: complex, eta: complex, cutoff: int = 40,
         raise ValueError("cutoff must be at least 1")
     if not 0 <= averaging <= cutoff:
         raise ValueError("averaging passes must lie in [0, cutoff]")
-    xi = complex(xi)
-    eta = complex(eta)
-    hx = hermite2_diagonal_table(np.conj(xi), xi, cutoff)
-    he = hermite2_diagonal_table(eta, np.conj(eta), cutoff)
-    fact = np.array([math.factorial(k) for k in range(cutoff + 1)], dtype=float)
-    signs = (-1.0) ** np.arange(cutoff + 1)
-    pref = math.exp(-0.5 * (abs(xi) ** 2 + abs(eta) ** 2))
-    terms = pref * (hx / fact[:, None]) * (he * signs[None, :] / fact[None, :])
+    basis = _basis_table([xi, eta], cutoff)
+    signs = (-1.0) ** np.arange(cutoff + 1)  # <xi|m,n> is (-1)^n times the eta-basis value
+    terms = signs * basis[..., 0] * basis[..., 1].conj()
     partial = np.cumsum(np.cumsum(terms, axis=0), axis=1).diagonal()
     for _ in range(averaging):
         partial = 0.5 * (partial[1:] + partial[:-1])
@@ -180,17 +205,9 @@ def completeness_gram(cutoff: int, grid: ComplexPlaneGrid) -> np.ndarray:
     Approximates the identity when the grid resolves and contains the
     sampled states; states are ordered lexicographically by (m, n).
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    nodes = grid.nodes()
-    states = [
-        number_state_eta(m, n, nodes).ravel()
-        for m in range(cutoff + 1)
-        for n in range(cutoff + 1)
-    ]
-    mat = np.stack(states)
+    basis = _basis_table(grid.nodes(), cutoff).reshape((cutoff + 1) ** 2, -1)
     weights = grid.trapezoid_mask().ravel() * (grid.cell_area() / np.pi)
-    return (mat.conj() * weights) @ mat.T
+    return (basis.conj() * weights) @ basis.T
 
 
 @dataclass(frozen=True)

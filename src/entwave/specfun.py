@@ -84,19 +84,3 @@ def laguerre_series(weights, x):
             total += w * cur
     return float(total) if xa.ndim == 0 else total
 
-
-def hermite2_diagonal_table(x, y, order: int) -> np.ndarray:
-    """Table of H_{m,n}(x, y) for all 0 <= m, n <= order at scalar x, y.
-
-    Built with the raising recurrences H_{m+1,n} = x H_{m,n} - n H_{m,n-1}
-    and H_{0,n} = y^n; used where whole blocks of orders are consumed at
-    once (Fock-basis resummations).
-    """
-    _check_order(order, order)
-    table = np.empty((order + 1, order + 1), dtype=complex)
-    table[0, :] = [complex(y) ** k for k in range(order + 1)]
-    for m in range(order):
-        table[m + 1, 0] = x * table[m, 0]
-        for n in range(1, order + 1):
-            table[m + 1, n] = x * table[m, n] - n * table[m, n - 1]
-    return table

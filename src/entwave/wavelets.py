@@ -132,11 +132,8 @@ def mexican_hat(x):
 def eval_wavelet(w: MotherWavelet, eta):
     """Evaluate psi(eta); real-valued for the radial family."""
     t = np.abs(np.asarray(eta, dtype=complex)) ** 2
-    if w.kind is WaveletKind.EMHW:
-        out = np.exp(-0.5 * t) * (1.0 - 0.5 * t)
-    else:
-        weights = [math.factorial(n) * c for n, c in enumerate(w.coeffs)]
-        out = np.exp(-0.5 * t) * laguerre_series(weights, t)
+    weights = [math.factorial(n) * c for n, c in enumerate(w.coeffs)]
+    out = np.exp(-0.5 * t) * laguerre_series(weights, t)
     return complex(out) if np.ndim(eta) == 0 else out.astype(complex)
 
 

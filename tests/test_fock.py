@@ -10,6 +10,7 @@ from entwave.errors import ConvergenceError, EntwaveError
 from entwave.fock import (
     TwoModeFockState,
     coherent_state_eta,
+    _basis_table,
     completeness_gram,
     number_state_eta,
     parse_state_descriptor,
@@ -171,6 +172,66 @@ def test_xi_eta_fock_guards():
         xi_eta_overlap_fock(0.0, 0.0, 10, 11)
 
 
+def _basis_mpmath(eta, cutoff):
+    """<eta|m,n> for m, n <= cutoff from the raising recurrence of H_{m,n}(conj(eta), eta).
+
+    H_{0,n} = y^n and H_{m+1,n} = x H_{m,n} - n H_{m,n-1}, run at the working
+    precision of mpmath; it cancels badly in double precision.
+    """
+    e = mpmath.mpc(eta)
+    x = mpmath.conj(e)
+    h = [[e**n for n in range(cutoff + 1)]]
+    for _ in range(cutoff):
+        h.append([x * h[-1][n] - (n * h[-1][n - 1] if n else 0) for n in range(cutoff + 1)])
+    gauss = mpmath.exp(-abs(e) ** 2 / 2)
+    root = [mpmath.sqrt(mpmath.factorial(k)) for k in range(cutoff + 1)]
+    return [[gauss * (-1) ** n * h[m][n] / (root[m] * root[n]) for n in range(cutoff + 1)]
+            for m in range(cutoff + 1)]
+
+
+def _xi_eta_resummation_mpmath(xi, eta, cutoff, averaging, dps=60):
+    """The square partial sums and iterated means of xi_eta_overlap_fock, in mpmath."""
+    with mpmath.workdps(dps):
+        bx, be = _basis_mpmath(xi, cutoff), _basis_mpmath(eta, cutoff)
+
+        def term(m, n):
+            return (-1) ** n * bx[m][n] * mpmath.conj(be[m][n])
+
+        partial, total = [], mpmath.mpc(0)
+        for size in range(cutoff + 1):
+            total += term(size, size) + mpmath.fsum(term(m, size) + term(size, m)
+                                                    for m in range(size))
+            partial.append(total)
+        for _ in range(averaging):
+            partial = [(a + b) / 2 for a, b in zip(partial[1:], partial[:-1])]
+        return complex(partial[-1])
+
+
+def _radial_draws(seed, count, radius):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, radius, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+def test_basis_table_matches_high_precision_reference():
+    etas = _radial_draws(3, 6, 4.5)
+    table = _basis_table(etas, 60)
+    assert table.shape == (61, 61, 6)
+    for p, eta in enumerate(etas):
+        with mpmath.workdps(60):
+            ref = np.array([[complex(v) for v in row] for row in _basis_mpmath(eta, 60)])
+        assert np.abs(table[..., p] - ref).max() <= 1e-13
+
+
+def test_xi_eta_fock_resummation_matches_high_precision_reference():
+    # the raw H_{m,n} tables the resummation used to multiply lost up to
+    # 1e-7 of the truncated, averaged sum to cancellation at these radii
+    xis, etas = _radial_draws(0, 4, 4.5), _radial_draws(1, 4, 4.5)
+    pairs = [*zip(xis, etas), (4.2 * np.exp(0.3j), 3.9 * np.exp(2.1j))]
+    for xi, eta in pairs:
+        ref = _xi_eta_resummation_mpmath(xi, eta, 60, 24)
+        assert abs(xi_eta_overlap_fock(xi, eta, 60, 24) - ref) <= 1e-13
+
+
 def test_u2_matrix_element_values():
     grid = ComplexPlaneGrid.centered(128, 8.0)
     vac = sample(lambda e: np.exp(-0.5 * np.abs(e) ** 2), grid)
@@ -215,6 +276,14 @@ def test_completeness_gram_cutoff3():
     assert np.abs(np.diag(gram) - 1.0).max() <= 1e-6
     # (0,0) state against (1,1) state sits at flat index 5
     assert abs(gram[0, 5]) <= 1e-6
+
+
+def test_completeness_gram_order_cap():
+    # cutoff 61 reaches m + n = 122 > HERMITE_ORDER_CAP; it is refused before any grid work
+    with pytest.raises(OrderOverflowError):
+        completeness_gram(61, ComplexPlaneGrid.centered(9, 4.0))
+    with pytest.raises(ValueError):
+        completeness_gram(-1, ComplexPlaneGrid.centered(9, 4.0))
 
 
 def test_two_mode_state_validation():

@@ -9,7 +9,6 @@ from entwave.specfun import (
     HERMITE_ORDER_CAP,
     OrderOverflowError,
     hermite2,
-    hermite2_diagonal_table,
     laguerre,
 )
 
@@ -112,12 +111,3 @@ def test_order_guards():
     with pytest.raises(OrderOverflowError):
         laguerre(HERMITE_ORDER_CAP + 1, 1.0)
 
-
-def test_diagonal_table_matches_direct():
-    rng = np.random.default_rng(8)
-    x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    table = hermite2_diagonal_table(x, y, 12)
-    for m in (0, 1, 5, 12):
-        for n in (0, 3, 12):
-            assert table[m, n] == pytest.approx(hermite2(m, n, x, y), rel=1e-11)

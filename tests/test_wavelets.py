@@ -43,12 +43,16 @@ def test_emhw_values():
 
 
 def test_lg_half_half_equals_emhw():
-    # (1/2) L_0 + (1/2) 1! L_1(t) = 1 - t/2
+    # (1/2) L_0 + (1/2) 1! L_1(t) = 1 - t/2; EMHW is summed by the same series path
     w_lg = laguerre_gaussian([0.5, 0.5])
     w_m = emhw()
     rng = np.random.default_rng(0)
     eta = rng.uniform(-3, 3, size=50) + 1j * rng.uniform(-3, 3, size=50)
-    assert np.allclose(eval_wavelet(w_lg, eta), eval_wavelet(w_m, eta),
+    radial = np.sqrt(np.linspace(0.0, 50.0, 200_001))
+    for points in (eta, radial):
+        assert np.array_equal(eval_wavelet(w_lg, points), eval_wavelet(w_m, points))
+    t = np.abs(radial) ** 2
+    assert np.allclose(eval_wavelet(w_m, radial), np.exp(-0.5 * t) * (1.0 - 0.5 * t),
                        rtol=1e-13, atol=1e-16)
     assert np.allclose(fourier_closed(w_lg, eta), fourier_closed(w_m, eta),
                        rtol=1e-13, atol=1e-16)
