@@ -14,11 +14,12 @@ per-scale products in the Fourier domain and takes one inverse FFT, and
 onto any other grid each scale is the separable contraction
 sum_ab M_ab X_a V Y_b^T over per-axis Hermite matrices.  Both directions
 work one scale plane at a time: one ``_forward_planes`` call serves a list
-of fields with one worker pool and one kernel per scale, and its planes
-can be streamed into an EWC1 file as they are produced; the inverse reads
-each plane inside its per-scale task, so neither needs the (S, nx, ny)
-cube.  A 1D transform pair over the real line is included as a baseline,
-with per-scale translation grids sized to the dilated wavelet.
+of fields with one worker pool and one kernel per scale, two real fields
+sharing one complex transform, and its planes can be streamed into an
+EWC1 file as they are produced; the inverse reads each plane inside its
+per-scale task, so neither needs the (S, nx, ny) cube.  A 1D transform
+pair over the real line is included as a baseline, with per-scale
+translation grids sized to the dilated wavelet.
 """
 
 from __future__ import annotations
@@ -72,9 +73,6 @@ class CCWTCoefficients:
             raise ValueError(f"values shape {vals.shape}, expected {expected}")
         _require_finite(vals)
         object.__setattr__(self, "values", vals)
-
-    def plane(self, index: int) -> Field:
-        return Field(self.kappa_grid, self.values[index])
 
 
 def _require_finite(values: np.ndarray) -> np.ndarray:
@@ -292,15 +290,29 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
 def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
     """Per scale in order, the list of forward planes W(mu_s, .) of ``fields``.
 
-    The fields share one grid; each is checked and, for the FFT engine,
-    transformed up front.  One ``_imap_scales`` task per scale builds the
-    kernel once for every field, and a caller that reduces the planes a
-    scale at a time never holds an (S, nx, ny) cube.
+    The fields must share one grid, and each is checked up front.  The
+    kernel is real, so W(a + ib) = W(a) + i W(b) for real fields a and b:
+    the real fields are paired up in order, and each pair is one complex
+    input whose plane's 2 Re and 2 Im are the two planes.  The pair is
+    packed at half amplitude, an exact scaling, so the packed field passes
+    the boundary check whenever both fields do.  Complex fields and a
+    leftover real field, such as a lone one, go in alone.  For the FFT
+    engine each input is transformed up front.  One ``_imap_scales`` task
+    per scale builds the kernel once, applies it to every input and
+    unpacks the pairs, and a caller that reduces the planes a scale at a
+    time never holds an (S, nx, ny) cube.
     """
+    grid = fields[0].grid
+    if not all(grid.same_layout(g.grid) for g in fields[1:]):
+        raise ValueError("fields must share a grid")
     for g in fields:
         _check_transform_input(g, w)
-    grid = fields[0].grid
-    masked = [g.values * grid.trapezoid_mask() for g in fields]
+    real = [i for i, g in enumerate(fields) if not g.values.imag.any()]
+    pairs = list(zip(real[0::2], real[1::2]))
+    alone = [i for i in range(len(fields)) if i not in real[:2 * len(pairs)]]
+    inputs = [0.5 * (fields[i].values.real + 1j * fields[j].values.real) for i, j in pairs]
+    inputs += [fields[i].values for i in alone]
+    masked = [v * grid.trapezoid_mask() for v in inputs]
     mu = scales.mu_values
     measure = grid.cell_area() / (np.pi * mu)
     if fast:
@@ -308,15 +320,24 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
         f_values = [_padded_fft2(v, shape) for v in masked]
         m = _separable_coeffs(w)
 
-        def one_scale(s: int) -> list:
+        def transform(s: int) -> list:
             khat = _kernel_spectrum(m * measure[s], mu[s], grid, shape)
             return [_cropped_ifft2(f * khat, grid.nx, grid.ny) for f in f_values]
 
     else:
 
-        def one_scale(s: int) -> list:
+        def transform(s: int) -> list:
             kernel = _lag_kernel(w, mu[s], grid)
             return [_correlate_direct(v, kernel) * measure[s] for v in masked]
+
+    def one_scale(s: int) -> list:
+        planes = transform(s)
+        out = [None] * len(fields)
+        for (i, j), plane in zip(pairs, planes):
+            out[i], out[j] = 2 * plane.real, 2 * plane.imag
+        for i, plane in zip(alone, planes[len(pairs):]):
+            out[i] = plane
+        return out
 
     return _imap_scales(one_scale, len(mu))
 
@@ -354,6 +375,40 @@ def _is_fft_engine(engine: str) -> bool:
     if engine not in ("direct", "fft"):
         raise ValueError(f"unknown engine {engine!r}; choose direct or fft")
     return engine == "fft"
+
+
+@dataclass
+class RunConfig:
+    """Run parameters of a transform: grid, scale range, engine and wavelet.
+
+    The ``ccwt`` and ``fock`` commands read it as is; the verify suites
+    extend it with their own settings.
+    """
+
+    grid_n: int = 256
+    grid_extent: float = 8.0
+    scale_count: int = 64
+    mu_min: float = 0.25
+    mu_max: float = 4.0
+    engine: str = "fft"
+    wavelet_kind: str = "emhw"
+    wavelet_coeffs: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        # Build everything up front so bad parameters fail before work starts.
+        self.grid()
+        self.scales()
+        self.wavelet()
+        _is_fft_engine(self.engine)
+
+    def grid(self) -> ComplexPlaneGrid:
+        return ComplexPlaneGrid.centered(self.grid_n, self.grid_extent)
+
+    def scales(self) -> ScaleGrid:
+        return ScaleGrid.log_spaced(self.scale_count, self.mu_min, self.mu_max)
+
+    def wavelet(self) -> MotherWavelet:
+        return MotherWavelet.from_spec(self.wavelet_kind, self.wavelet_coeffs)
 
 
 def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,

@@ -51,20 +51,11 @@ def read_config(path: str | None) -> dict:
     """Parse a plain-text key=value configuration file; no path reads as empty."""
     if not path:
         return {}
-    out = {}
     try:
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise FileFormatError(f"{path}:{lineno}: expected key=value")
-                out[key.strip()] = value.strip()
+            return wavelets._read_key_values(fh, path)
     except OSError as exc:
         raise FileFormatError(f"cannot read config {path}: {exc}")
-    return out
 
 
 #: Config-file spellings of field names.
@@ -106,39 +97,9 @@ def load_settings(cls, config: dict, keys=None, **flags):
     return cls(**values)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Run parameters of the ``ccwt`` and ``fock`` commands."""
-
-    grid_n: int = 256
-    grid_extent: float = 8.0
-    scale_count: int = 64
-    mu_min: float = 0.25
-    mu_max: float = 4.0
-    engine: str = "fft"
-    wavelet_kind: str = "emhw"
-    wavelet_coeffs: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        # Build everything up front so bad parameters fail before work starts.
-        self.build_grid()
-        self.build_scales()
-        self.build_wavelet()
-        ccwt._is_fft_engine(self.engine)
-
-    def build_grid(self) -> gridmod.ComplexPlaneGrid:
-        return gridmod.ComplexPlaneGrid.centered(self.grid_n, self.grid_extent)
-
-    def build_scales(self) -> gridmod.ScaleGrid:
-        return gridmod.ScaleGrid.log_spaced(self.scale_count, self.mu_min, self.mu_max)
-
-    def build_wavelet(self) -> wavelets.MotherWavelet:
-        return wavelets.MotherWavelet.from_spec(self.wavelet_kind, self.wavelet_coeffs)
-
-
 #: Config keys of ``ccwt forward`` and ``ccwt inverse``.  The forward transform
 #: takes its grid from the input file, so the grid keys are not among them.
-_FORWARD_KEYS = [*(f.name for f in dataclasses.fields(RunConfig)
+_FORWARD_KEYS = [*(f.name for f in dataclasses.fields(ccwt.RunConfig)
                    if f.name not in ("grid_n", "grid_extent")), *_ALIASES]
 _INVERSE_KEYS = ["wavelet_kind", "wavelet_coeffs"]
 
@@ -231,13 +192,13 @@ def ccwt_group():
 def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
                  kind, coeffs):
     """Transform a field file (EWG1 or CSV) into EWC1 coefficients."""
-    cfg = load_settings(RunConfig, read_config(config), _FORWARD_KEYS,
+    cfg = load_settings(ccwt.RunConfig, read_config(config), _FORWARD_KEYS,
                         engine=engine, scale_count=scales, mu_min=mu_min,
                         mu_max=mu_max, wavelet_kind=kind, wavelet_coeffs=coeffs)
     field = _read_field_any(input_path)
-    scales = cfg.build_scales()
+    scales = cfg.scales()
     # Each plane goes to the file as it is made; the (S, n, n) cube never exists.
-    planes = ccwt._forward_planes([field], cfg.build_wavelet(), scales,
+    planes = ccwt._forward_planes([field], cfg.wavelet(), scales,
                                   ccwt._is_fft_engine(cfg.engine))
     ccwt._write_ewc1(output, scales, field.grid, (plane for (plane,) in planes))
     click.echo(f"wrote {output}: {len(scales)} scales on "
@@ -256,9 +217,9 @@ def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
 @_guarded
 def ccwt_inverse(input_path, output, config, fmt, reference, kind, coeffs):
     """Invert an EWC1 coefficient file back to a field."""
-    cfg = load_settings(RunConfig, read_config(config), _INVERSE_KEYS,
+    cfg = load_settings(ccwt.RunConfig, read_config(config), _INVERSE_KEYS,
                         wavelet_kind=kind, wavelet_coeffs=coeffs)
-    w = cfg.build_wavelet()
+    w = cfg.wavelet()
     # Planes are read one at a time inside the per-scale tasks.
     with ccwt._ewc1_planes(input_path) as (scales, kgrid, plane):
         c_prime = wavelets.c_psi_prime(w)
@@ -314,8 +275,8 @@ def fock_group():
 @_guarded
 def fock_sample(state, output, fmt, grid_n, grid_extent):
     """Write the plane representation of ``number:m,n`` or ``coherent:...``."""
-    cfg = load_settings(RunConfig, {}, grid_n=grid_n, grid_extent=grid_extent)
-    field = fock.state_field(state, cfg.build_grid())
+    cfg = load_settings(ccwt.RunConfig, {}, grid_n=grid_n, grid_extent=grid_extent)
+    field = fock.state_field(state, cfg.grid())
     _write_field(field, output, fmt)
     click.echo(f"wrote {output}")
 

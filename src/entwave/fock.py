@@ -218,6 +218,8 @@ class TwoModeFockState:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        if self.cutoff < 0:
+            raise ValueError(f"cutoff must be non-negative, got {self.cutoff}")
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (self.cutoff + 1, self.cutoff + 1):
             raise ValueError(
@@ -234,6 +236,8 @@ class TwoModeFockState:
     def number(cls, m: int, n: int, cutoff: int | None = None) -> "TwoModeFockState":
         if cutoff is None:
             cutoff = max(m, n)
+        if not (0 <= m <= cutoff and 0 <= n <= cutoff):
+            raise ValueError(f"number-state indices ({m}, {n}) must lie in [0, {cutoff}]")
         c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
         c[m, n] = 1.0
         return cls(cutoff, c)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccwt import (_axis_hermite, _check_transform_input, _forward_planes, _is_fft_engine,
-                   _separable_coeffs)
+from .ccwt import RunConfig, _axis_hermite, _forward_planes, _is_fft_engine, _separable_coeffs
 # The suites stream planes instead; the engines stay in this namespace, where
 # callers such as perfbench's tracer test look them up.
 from .ccwt import forward, forward_fast  # noqa: F401
@@ -53,50 +52,19 @@ class ParsevalReport:
                    (scales.mu_min, scales.mu_max), summary)
 
 
-def _field_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
-    """Per scale, the list of forward planes of ``fields`` in field order.
-
-    The kernel is real, so W(a + ib) = W(a) + i W(b) for real fields a and
-    b: the real fields are paired up in order, and each pair is one complex
-    input whose plane's real and imaginary parts are the two planes.  The
-    pair is packed at half amplitude, an exact scaling, so the packed field
-    passes the boundary check whenever both fields do.  Complex fields and
-    a leftover real field go in alone, all in one ``_forward_planes`` call.
-    """
-    for f in fields:
-        _check_transform_input(f, w)
-    real = [i for i, f in enumerate(fields) if not f.values.imag.any()]
-    groups = [real[k:k + 2] for k in range(0, len(real) - 1, 2)]
-    packed = {i for group in groups for i in group}
-    groups += [[i] for i in range(len(fields)) if i not in packed]
-    inputs = []
-    for group in groups:
-        a, *b = (fields[i] for i in group)
-        inputs.append(Field(a.grid, 0.5 * (a.values.real + 1j * b[0].values.real)) if b else a)
-    for per_group in _forward_planes(inputs, w, scales, fast):
-        planes = [None] * len(fields)
-        for group, plane in zip(groups, per_group):
-            parts = (2 * plane.real, 2 * plane.imag) if len(group) == 2 else (plane,)
-            for i, part in zip(group, parts):
-                planes[i] = part
-        yield planes
-
-
 def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
                      engine: str) -> list:
     """Parseval reports for each index pair (i, j) of ``fields``.
 
-    Each field is transformed once, two real fields sharing one transform,
-    and its planes are reduced a scale at a time, so no (S, n, n)
-    coefficient cube is held.
+    Every field goes through one forward call, which checks that they
+    share a grid and transforms two real fields as one, and its planes
+    are reduced a scale at a time, so no (S, n, n) coefficient cube is held.
     """
     fast = _is_fft_engine(engine)
     grid = fields[0].grid
-    if not all(grid.same_layout(f.grid) for f in fields[1:]):
-        raise ValueError("fields must share a grid")
     mask = grid.trapezoid_mask() * (grid.cell_area() / np.pi)
     per_scale = np.empty((len(pairs), len(scales)), dtype=complex)
-    for s, planes in enumerate(_field_planes(fields, w, scales, fast)):
+    for s, planes in enumerate(_forward_planes(fields, w, scales, fast)):
         for k, (i, j) in enumerate(pairs):
             per_scale[k, s] = np.sum(mask * planes[i] * np.conj(planes[j]))
     weights = scale_weights(scales, 3)
@@ -242,8 +210,8 @@ def oracle_scale_integral_quadrature(x: float, y: float) -> float:
 
 
 @dataclass
-class VerifySettings:
-    """Grids, scale ranges, and tolerances for the named suites.
+class VerifySettings(RunConfig):
+    """The transform settings of :class:`RunConfig` plus the suites' own.
 
     The theorem suites stack three truncations (eta grid, kappa grid,
     mu range), hence the 5% default; closed-form oracle rows are held to
@@ -251,14 +219,7 @@ class VerifySettings:
     those budgets (checked by the mu-doubling case).
     """
 
-    grid_n: int = 256
-    grid_extent: float = 8.0
-    scale_count: int = 64
-    mu_min: float = 0.25
     mu_max: float = 16.0
-    engine: str = "fft"
-    wavelet_kind: str = "emhw"
-    wavelet_coeffs: tuple[float, ...] = ()
     theorem_tol: float = 0.05
     doubling_tol: float = 0.01
     ortho_tol: float = 0.02
@@ -283,22 +244,9 @@ class VerifySettings:
     seed: int = 20240801
 
     def __post_init__(self):
-        # Build everything up front so bad settings fail before any suite runs.
-        self.wavelet()
-        self.grid()
-        self.scales()
-        _is_fft_engine(self.engine)
+        super().__post_init__()
         for state in self.scan_states:
             parse_state_descriptor(state)
-
-    def wavelet(self) -> MotherWavelet:
-        return MotherWavelet.from_spec(self.wavelet_kind, self.wavelet_coeffs)
-
-    def grid(self) -> ComplexPlaneGrid:
-        return ComplexPlaneGrid.centered(self.grid_n, self.grid_extent)
-
-    def scales(self) -> ScaleGrid:
-        return ScaleGrid.log_spaced(self.scale_count, self.mu_min, self.mu_max)
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryDecayError, NonAdmissibleError
+from .errors import BoundaryDecayError, FileFormatError, NonAdmissibleError
 from .grid import ComplexPlaneGrid, Field, integrate
 from .specfun import DEFAULT_ORDER_CAP, laguerre_series
 
 #: Tolerance on the closed-form admissibility defect of coefficient wavelets,
 #: relative to the series norm sqrt(sum_n (n! K_n)^2), so rescaling cannot change it.
 COEFF_ADMISSIBILITY_TOL = 1e-12
-#: Tolerance when the defect is recomputed by plane quadrature.
-QUADRATURE_ADMISSIBILITY_TOL = 1e-8
 #: Boundary decay required of fields entering the symplectic Fourier transform.
 FOURIER_BOUNDARY_TOL = 1e-12
 
@@ -230,23 +228,29 @@ def wavelet_to_text(w: MotherWavelet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_key_values(lines, source: str) -> dict:
+    """Values of the ``key=value`` lines; blank lines and ``#`` comments are skipped.
+
+    A later key overrides an earlier one.  A line without ``=`` raises
+    FileFormatError naming ``source`` and the line number.
+    """
+    out = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise FileFormatError(f"{source}:{lineno}: expected key=value")
+            out[key.strip()] = value.strip()
+    return out
+
+
 def wavelet_from_text(text: str) -> MotherWavelet:
     """Parse the key=value block produced by :func:`wavelet_to_text`."""
-    kind = None
-    coeffs = ""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "kind":
-            kind = value
-        elif key == "coeffs":
-            coeffs = value
-        else:
-            raise ValueError(f"unknown wavelet key {key!r}")
-    if kind is None:
+    values = _read_key_values(text.splitlines(), "wavelet text")
+    unknown = [key for key in values if key not in ("kind", "coeffs")]
+    if unknown:
+        raise ValueError(f"unknown wavelet key {unknown[0]!r}")
+    if "kind" not in values:
         raise ValueError("wavelet text is missing 'kind='")
-    return MotherWavelet.from_spec(kind, coeffs)
+    return MotherWavelet.from_spec(values["kind"], values.get("coeffs", ""))

@@ -310,6 +310,37 @@ def test_multi_field_planes_match_single_field_calls(fast):
             assert np.array_equal(together[s][k], alone[s])
 
 
+@pytest.mark.parametrize("fast", [False, True])
+def test_forward_planes_packs_real_pairs(fast):
+    # W(a + ib) = W(a) + i W(b): fields 0 and 2 share one input, field 3 is
+    # the leftover real field and goes in alone like the complex field 1
+    grid = ComplexPlaneGrid.centered(24, 8.0)
+    real = [gaussian_field(grid), Field(grid, off_centre_field(grid).values.real),
+            Field(grid, smooth_random_field(grid, seed=3).values.real)]
+    fields = [real[0], off_centre_field(grid), real[1], real[2]]
+    scales = ScaleGrid.log_spaced(4, 0.5, 4.0)
+    together = list(_forward_planes(fields, emhw(), scales, fast))
+    for k, g in enumerate(fields):
+        alone = [plane for (plane,) in _forward_planes([g], emhw(), scales, fast)]
+        for s in range(len(scales)):
+            if k in (0, 2):
+                assert together[s][k].dtype == float
+                assert np.allclose(together[s][k], alone[s], rtol=0, atol=1e-15)
+            else:
+                assert np.array_equal(together[s][k], alone[s])
+
+
+def test_forward_planes_rejects_fields_on_different_grids():
+    # same shape, different extents: the first field's grid used to be
+    # applied to both without a word
+    scales = ScaleGrid.log_spaced(3, 0.5, 2.0)
+    fields = [gaussian_field(ComplexPlaneGrid.centered(32, 8.0)),
+              gaussian_field(ComplexPlaneGrid.centered(32, 10.0))]
+    for fast in (False, True):
+        with pytest.raises(ValueError, match="fields must share a grid"):
+            _forward_planes(fields, emhw(), scales, fast)
+
+
 def test_threaded_forward_deterministic(monkeypatch):
     grid = ComplexPlaneGrid.centered(64, 8.0)
     g = smooth_random_field(grid, seed=8)

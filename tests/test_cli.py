@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import math
 import os
@@ -15,10 +16,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import entwave
-from entwave import ccwt, verify
-from entwave.ccwt import (forward, forward_fast, inverse, read_coefficients_ewc1,
+from entwave import ccwt, cli, verify
+from entwave.ccwt import (RunConfig, forward, forward_fast, inverse, read_coefficients_ewc1,
                           write_coefficients_ewc1)
-from entwave.cli import RunConfig, load_settings, main, read_config
+from entwave.cli import load_settings, main, read_config
 from entwave.errors import FileFormatError
 from entwave.grid import (ComplexPlaneGrid, ScaleGrid, read_field_csv, read_field_ewg1, sample,
                           write_field_ewg1)
@@ -321,6 +322,46 @@ def test_verify_rejects_unknown_engine(runner, tmp_path):
     assert result.exit_code == 3, result.output
     assert "unknown engine 'FFT'" in result.output
     assert not csv.exists()
+
+
+def test_ccwt_forward_rejects_unknown_engine_config(runner, tmp_path):
+    # the same schema as verify validates it, so both commands exit 3
+    vac = str(tmp_path / "vac.ewg")
+    run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "32",
+                    "--grid-extent", "8", "--output", vac])
+    out_path = tmp_path / "c.ewc"
+    cfg = _unknown_key_config(tmp_path, "scales=4\nengine=FFT\n")
+    result = runner.invoke(main, ["ccwt", "forward", vac, "--config", cfg,
+                                  "--output", str(out_path)])
+    assert result.exit_code == 3, result.output
+    assert "unknown engine 'FFT'" in result.output
+    assert not out_path.exists()
+
+
+def test_command_config_key_sets():
+    # one run-settings schema; each command keeps its own keys
+    run_keys = [f.name for f in dataclasses.fields(RunConfig)]
+    assert run_keys == ["grid_n", "grid_extent", "scale_count", "mu_min", "mu_max", "engine",
+                        "wavelet_kind", "wavelet_coeffs"]
+    assert cli._FORWARD_KEYS == [*run_keys[2:], "scales"]
+    assert cli._INVERSE_KEYS == ["wavelet_kind", "wavelet_coeffs"]
+    verify_keys = [f.name for f in dataclasses.fields(VerifySettings)]
+    assert verify_keys == run_keys + [
+        "theorem_tol", "doubling_tol", "ortho_tol", "oracle_tol", "identity_tol", "window_lo",
+        "window_hi", "ratio_max", "scan_states", "scan_mu_min", "scan_mu_max",
+        "scan_scale_count", "kernel_grid_n", "kernel_grid_extent", "kernel_mu_max",
+        "kernel_scale_count", "kernel_separation", "kernel_sep_frac", "kernel_growth_min",
+        "oracle_draws", "identity_max_order", "seed"]
+    assert (RunConfig().mu_max, VerifySettings().mu_max) == (4.0, 16.0)
+
+
+def test_config_line_without_equals_names_path_and_line(runner, tmp_path):
+    cfg = _unknown_key_config(tmp_path, "# comment\n\noracle_draws=2\noracle_tol 1e-6\n")
+    with pytest.raises(FileFormatError, match=re.escape(f"{cfg}:4: expected key=value")):
+        read_config(cfg)
+    result = runner.invoke(main, ["verify", "oracles", "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert f"{cfg}:4: expected key=value" in result.output
 
 
 @pytest.mark.parametrize("command, bad", [

@@ -295,6 +295,25 @@ def test_two_mode_state_validation():
         TwoModeFockState(2, np.zeros((2, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TwoModeFockState.number(-1, 0),  # c[-1, 0] used to wrap round to the vacuum
+    lambda: TwoModeFockState.number(0, -2, cutoff=3),
+    lambda: TwoModeFockState.number(2, 3, cutoff=1),  # used to raise IndexError
+    lambda: TwoModeFockState.number(0, 0, cutoff=-1),
+    lambda: TwoModeFockState.coherent(0.5, 0.3, cutoff=-1),  # used to be an empty state
+    lambda: TwoModeFockState(-1, np.zeros((0, 0))),
+], ids=["negative-m", "negative-n", "above-cutoff", "number-cutoff", "coherent-cutoff",
+        "bare-cutoff"])
+def test_two_mode_state_rejects_bad_indices_and_cutoffs(make):
+    with pytest.raises(ValueError, match="cutoff|indices"):
+        make()
+
+
+def test_two_mode_number_state_at_the_cutoff_edge():
+    state = TwoModeFockState.number(0, 3, cutoff=3)
+    assert state.coeffs.shape == (4, 4) and state.coeffs[0, 3] == 1.0
+
+
 def test_two_mode_state_eta_field():
     grid = ComplexPlaneGrid.centered(48, 8.0)
     state = TwoModeFockState.coherent(0.4, -0.2 + 0.1j)

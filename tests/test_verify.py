@@ -199,11 +199,12 @@ def test_parseval_suite_transforms_each_field_once(monkeypatch):
 
 
 def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
-    # the packed (vacuum, |1,1>) pair and the coherent state share one call,
-    # hence one worker pool of worker_count threads
+    # the three fields share one call, hence one worker pool of worker_count
+    # threads; inside it the real (vacuum, |1,1>) pair is packed into one
+    # input, so the coherent state makes the second and last padded FFT
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
     original = verify._forward_planes
-    calls, pools, threads = [], [], set()
+    calls, pools, threads, ffts = [], [], set(), []
 
     def spy(fields, w, scales, fast):
         calls.append(len(fields))
@@ -218,14 +219,21 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
         threads.add(threading.get_ident())
         return kernel_spectrum.original(*args)
 
+    def padded_fft2(*args):
+        ffts.append(args[0].shape)
+        return padded_fft2.original(*args)
+
     kernel_spectrum.original = ccwt._kernel_spectrum
+    padded_fft2.original = ccwt._padded_fft2
     monkeypatch.setattr(verify, "_forward_planes", spy)
     monkeypatch.setattr(ccwt, "ThreadPoolExecutor", SpyPool)
     monkeypatch.setattr(ccwt, "_kernel_spectrum", kernel_spectrum)
+    monkeypatch.setattr(ccwt, "_padded_fft2", padded_fft2)
     scales = ScaleGrid.log_spaced(8, 0.25, 8.0)
     constant_scan(list(VerifySettings().scan_states), emhw(), scales,
                   ComplexPlaneGrid.centered(64, 8.0))
-    assert calls == [2]
+    assert calls == [3]
+    assert ffts == [(64, 64)] * 2
     assert pools == [ccwt.worker_count(len(scales))] == [2]
     assert 1 <= len(threads) <= 2
 

@@ -6,6 +6,7 @@ import pytest
 
 from entwave.errors import (
     BoundaryDecayError,
+    FileFormatError,
     NonAdmissibleError,
 )
 from entwave.grid import ComplexPlaneGrid, integrate, sample
@@ -285,6 +286,13 @@ def test_wavelet_text_errors():
         wavelet_from_text("kind=lg\ncoeffs=a,b\n")
     with pytest.raises(ValueError):
         wavelet_from_text("kind=lg\nstuff=1\n")
+    with pytest.raises(FileFormatError, match="wavelet text:2: expected key=value"):
+        wavelet_from_text("kind=lg\nlg\n")
+
+
+def test_wavelet_text_skips_comments_and_blank_lines():
+    text = "# a wavelet\n\n  kind = lg \ncoeffs=0.25,0.25\n"
+    assert wavelet_from_text(text) == laguerre_gaussian([0.25, 0.25])
 
 
 def test_normalized_unit_energy():
