@@ -52,9 +52,9 @@ def read_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return wavelets._read_key_values(fh, path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read config {path}: {exc}")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ccwt import _separable_correlate
 from .errors import ConvergenceError
-from .grid import ComplexPlaneGrid, Field, integrate, sample
+from .grid import ComplexPlaneGrid, Field, integrate
 from .specfun import HERMITE_ORDER_CAP, _check_order
 
 _SERIES_ORDER_CAP = 60
@@ -111,34 +111,12 @@ def _basis_table(eta, cutoff: int) -> np.ndarray:
 
 def number_state_eta(m: int, n: int, eta):
     """Plane representation <eta|m,n> of a two-mode number state."""
-    if m < 0 or n < 0:
-        raise ValueError(f"number-state indices must be non-negative, got ({m}, {n})")
-    _check_order(m, n)
-    c = np.zeros((m + 1, n + 1), dtype=complex)
-    c[m, n] = 1.0
-    return _fock_series(c, eta)
+    return _fock_series(TwoModeFockState.number(m, n).coeffs, eta)
 
 
 def coherent_state_eta(z1: complex, z2: complex, eta, *, tol: float = 1e-10):
-    """Plane representation <eta|z1,z2> of a two-mode coherent state.
-
-    Summed as the truncated number-basis series
-    sum_{m,n<=N} <eta|m,n> z1^m z2^n exp(-(|z1|^2+|z2|^2)/2) / sqrt(m! n!)
-    with N chosen so the dropped tail is below ``tol``.
-    """
-    z1, z2 = complex(z1), complex(z2)
-    c = _coherent_coeffs(z1, z2, _coherent_order(abs(z1), abs(z2), tol))
-    # |<eta|m,n>| <= 1 everywhere, so the last row and column bound the dropped tail
-    edge = float(np.abs(c[-1]).sum() + np.abs(c[:, -1]).sum())
-    if edge > tol:
-        raise ConvergenceError(f"coherent-state series tail {edge:.2e} above "
-                               f"tolerance {tol:.1e}")
-    return _fock_series(c, eta)
-
-
-def _coherent_coeffs(z1: complex, z2: complex, cutoff: int) -> np.ndarray:
-    amps = [[z**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)] for z in (z1, z2)]
-    return math.exp(-0.5 * (abs(z1) ** 2 + abs(z2) ** 2)) * np.outer(*amps)
+    """Plane representation <eta|z1,z2>, its series truncated below ``tol``."""
+    return _fock_series(TwoModeFockState.coherent(z1, z2, tol=tol).coeffs, eta)
 
 
 def _coherent_order(a1: float, a2: float, tol: float) -> int:
@@ -238,6 +216,7 @@ class TwoModeFockState:
             cutoff = max(m, n)
         if not (0 <= m <= cutoff and 0 <= n <= cutoff):
             raise ValueError(f"number-state indices ({m}, {n}) must lie in [0, {cutoff}]")
+        _check_order(m, n)
         c = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
         c[m, n] = 1.0
         return cls(cutoff, c)
@@ -245,17 +224,30 @@ class TwoModeFockState:
     @classmethod
     def coherent(cls, z1: complex, z2: complex, cutoff: int | None = None,
                  tol: float = 1e-10) -> "TwoModeFockState":
-        if cutoff is None:
+        """c_mn = z1^m z2^n exp(-(|z1|^2+|z2|^2)/2) / sqrt(m! n!) for m, n <= cutoff.
+
+        With no ``cutoff``, the first one whose dropped tail is below ``tol``.
+        """
+        z1, z2 = complex(z1), complex(z2)
+        chosen = cutoff is None
+        if chosen:
             cutoff = _coherent_order(abs(z1), abs(z2), tol)
-        return cls(cutoff, _coherent_coeffs(z1, z2, cutoff))
+        amps = [[z**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)] for z in (z1, z2)]
+        state = cls(cutoff, math.exp(-0.5 * (abs(z1) ** 2 + abs(z2) ** 2)) * np.outer(*amps))
+        # |<eta|m,n>| <= 1 everywhere, so the last row and column bound the dropped tail
+        edge = np.abs(state.coeffs[-1]).sum() + np.abs(state.coeffs[:, -1]).sum()
+        if chosen and edge > tol:
+            raise ConvergenceError(f"coherent-state series tail {edge:.2e} above "
+                                   f"tolerance {tol:.1e}")
+        return state
 
     def eta_field(self, grid: ComplexPlaneGrid) -> Field:
         """Sample g(eta) = sum_{mn} c_{mn} <eta|m,n> on a grid."""
         return Field(grid, _fock_series(self.coeffs, grid.nodes()))
 
 
-def parse_state_descriptor(text: str):
-    """Parse ``number:m,n`` or ``coherent:re1,im1,re2,im2`` descriptors."""
+def parse_state_descriptor(text: str) -> TwoModeFockState:
+    """The state of a ``number:m,n`` or ``coherent:re1,im1,re2,im2`` descriptor."""
     kind, _, rest = text.strip().partition(":")
     parts = [p.strip() for p in rest.split(",")] if rest else []
     if kind == "number":
@@ -267,7 +259,7 @@ def parse_state_descriptor(text: str):
             raise ValueError(f"bad number-state indices in {text!r}")
         if m < 0 or n < 0:
             raise ValueError(f"number-state indices must be non-negative in {text!r}")
-        return ("number", m, n)
+        return TwoModeFockState.number(m, n)
     if kind == "coherent":
         if len(parts) != 4:
             raise ValueError(
@@ -277,18 +269,13 @@ def parse_state_descriptor(text: str):
             vals = [float(p) for p in parts]
         except ValueError:
             raise ValueError(f"bad coherent-state amplitudes in {text!r}")
-        return ("coherent", complex(vals[0], vals[1]), complex(vals[2], vals[3]))
+        return TwoModeFockState.coherent(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
     raise ValueError(f"unknown state kind {kind!r} in {text!r}")
 
 
 def state_field(descriptor: str, grid: ComplexPlaneGrid) -> Field:
     """Sample the plane representation of a described state on a grid."""
-    parsed = parse_state_descriptor(descriptor)
-    if parsed[0] == "number":
-        _, m, n = parsed
-        return sample(lambda eta: number_state_eta(m, n, eta), grid)
-    _, z1, z2 = parsed
-    return sample(lambda eta: coherent_state_eta(z1, z2, eta), grid)
+    return parse_state_descriptor(descriptor).eta_field(grid)
 
 
 def unit_norm_field(descriptor: str, grid: ComplexPlaneGrid) -> Field:

@@ -50,6 +50,8 @@ class ComplexPlaneGrid:
     @classmethod
     def centered(cls, n: int = 256, extent: float = 8.0) -> "ComplexPlaneGrid":
         """Square grid symmetric about the origin covering [-extent, extent]^2."""
+        if n < 2:
+            raise ValueError("grid needs at least 2 nodes per axis")
         d = 2.0 * extent / (n - 1)
         return cls(nx=n, ny=n, x_min=-extent, y_min=-extent, dx=d, dy=d)
 
@@ -279,11 +281,11 @@ def write_field_csv(f: Field, path: str) -> None:
 
 def read_field_csv(path: str) -> Field:
     """Read a field from the ``x,y,re,im`` CSV layout."""
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != "x,y,re,im":
-            raise FileFormatError(f"{path}: expected header 'x,y,re,im', got {header!r}")
-        try:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:  # a UnicodeDecodeError is a ValueError, in the header as in the rows
+            header = fh.readline().strip()
+            if header != "x,y,re,im":
+                raise FileFormatError(f"{path}: expected header 'x,y,re,im', got {header!r}")
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise FileFormatError(f"{path}: malformed CSV ({exc})")

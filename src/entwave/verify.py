@@ -135,6 +135,8 @@ def constant_scan(states, w: MotherWavelet, scales: ScaleGrid,
     Every descriptor is resolved to a unit-norm field, so each value
     estimates C'_psi independently of the state.
     """
+    if not states:
+        raise ValueError("constant scan needs at least one state descriptor")
     if grid is None:
         from .grid import default_grid
 
@@ -244,9 +246,27 @@ class VerifySettings(RunConfig):
     seed: int = 20240801
 
     def __post_init__(self):
-        super().__post_init__()
+        super().__post_init__()  # then the suites' own inputs, before any suite runs
+        if not self.scan_states:
+            raise ValueError("scan_states needs at least one state descriptor")
         for state in self.scan_states:
             parse_state_descriptor(state)
+        self.scan_scales()
+        for grid in self.kernel_grids():
+            self.kernel_scales(grid)
+
+    def scan_scales(self) -> ScaleGrid:
+        return ScaleGrid.log_spaced(self.scan_scale_count, self.scan_mu_min, self.scan_mu_max)
+
+    def kernel_grids(self) -> tuple:
+        """The coarse kappa grid and the fine one at half its spacing."""
+        return (ComplexPlaneGrid.centered(self.kernel_grid_n, self.kernel_grid_extent),
+                ComplexPlaneGrid.centered(2 * self.kernel_grid_n - 1, self.kernel_grid_extent))
+
+    def kernel_scales(self, grid: ComplexPlaneGrid) -> ScaleGrid:
+        # The resolvable scale floor is the grid spacing; tying mu_min to it
+        # regularizes the coincident divergence.
+        return ScaleGrid.log_spaced(self.kernel_scale_count, grid.dx, self.kernel_mu_max)
 
 
 @dataclass(frozen=True)
@@ -292,8 +312,7 @@ def _suite_parseval(s: VerifySettings) -> list:
 
 def _suite_constants(s: VerifySettings) -> list:
     w = s.wavelet()
-    scales = ScaleGrid.log_spaced(s.scan_scale_count, s.scan_mu_min, s.scan_mu_max)
-    values = constant_scan(list(s.scan_states), w, scales, s.grid(), engine=s.engine)
+    values = constant_scan(list(s.scan_states), w, s.scan_scales(), s.grid(), engine=s.engine)
     target = c_psi_prime(w)
     rows = []
     for descriptor, value in zip(s.scan_states, values):
@@ -306,20 +325,12 @@ def _suite_constants(s: VerifySettings) -> list:
     return rows
 
 
-def _kernel_scales(grid: ComplexPlaneGrid, s: VerifySettings) -> ScaleGrid:
-    # The resolvable scale floor is the grid spacing; tying mu_min to it
-    # regularizes the coincident divergence.
-    return ScaleGrid.log_spaced(s.kernel_scale_count, grid.dx, s.kernel_mu_max)
-
-
 def _suite_kernel(s: VerifySettings) -> list:
     w = s.wavelet()
-    coarse = ComplexPlaneGrid.centered(s.kernel_grid_n, s.kernel_grid_extent)
-    fine = ComplexPlaneGrid.centered(2 * s.kernel_grid_n - 1, s.kernel_grid_extent)
-    k_coarse = reproducing_kernel(0.0, 0.0, w, _kernel_scales(coarse, s), coarse)
-    k_fine = reproducing_kernel(0.0, 0.0, w, _kernel_scales(fine, s), fine)
-    k_sep = reproducing_kernel(0.0, s.kernel_separation, w,
-                               _kernel_scales(coarse, s), coarse)
+    coarse, fine = s.kernel_grids()
+    k_coarse = reproducing_kernel(0.0, 0.0, w, s.kernel_scales(coarse), coarse)
+    k_fine = reproducing_kernel(0.0, 0.0, w, s.kernel_scales(fine), fine)
+    k_sep = reproducing_kernel(0.0, s.kernel_separation, w, s.kernel_scales(coarse), coarse)
     rows = [
         CaseResult("kernel_separation_fraction", k_sep, k_coarse,
                    abs(k_sep) / abs(k_coarse),

@@ -395,7 +395,13 @@ def _setting_values(cls):
                    ["number:0,0", "number:2,1", "coherent:0.5,0,0.3,0"]), min_size=1
                ).map(tuple)}
     fields = {name: generic[hint] for name, hint in hints.items() if hint in generic}
-    fields.update(mu_min=st.floats(1e-3, 0.2), mu_max=st.floats(20.0, 64.0),
+    # Each scale range must increase, and the kernel scales start at the kernel
+    # grid spacing, at most 2 here, below every kernel_mu_max drawn (default 4).
+    ranges = dict(mu_min=st.floats(1e-3, 0.2), mu_max=st.floats(20.0, 64.0),
+                  scan_mu_min=st.floats(1e-3, 0.2), scan_mu_max=st.floats(20.0, 64.0),
+                  kernel_grid_n=st.integers(9, 4096), kernel_grid_extent=st.floats(1e-3, 8.0),
+                  kernel_mu_max=st.floats(4.0, 64.0))
+    fields.update({name: draw for name, draw in ranges.items() if name in hints},
                   engine=st.sampled_from(["direct", "fft"]))
     wavelet = st.one_of(
         st.tuples(st.sampled_from(["emhw", "EMHW"]), st.sampled_from([(), (0.5, 0.5)])),
@@ -456,11 +462,44 @@ def test_verify_bad_scan_state_fails_before_any_suite(runner, tmp_path, monkeypa
              for name in verify._SUITES}
     monkeypatch.setattr(verify, "_SUITES", spies)
     csv = tmp_path / "report.csv"
-    cfg = _unknown_key_config(tmp_path, "scan_states=number:0,0;bogus:1\n")
-    result = runner.invoke(main, ["verify", "all", "--config", cfg, "--output", str(csv)])
+    bad = {"scan_states=number:0,0;bogus:1": "unknown state kind 'bogus'",
+           "scan_states=": "scan_states needs at least one state",
+           "scan_states=number:0,0;coherent:9,0,0,0": "too large for the series cap",
+           "scan_scale_count=1": "scale grid needs at least 2 nodes",
+           "kernel_mu_max=0.01": "require 0 < mu_min < mu_max",
+           "kernel_grid_n=1": "grid needs at least 2 nodes per axis",
+           "grid_n=1": "grid needs at least 2 nodes per axis"}
+    for line, message in bad.items():
+        cfg = _unknown_key_config(tmp_path, line + "\n")
+        result = runner.invoke(main, ["verify", "all", "--config", cfg, "--output", str(csv)])
+        assert result.exit_code == 3, (line, result.output)
+        assert message in result.output, line
+        assert called == [] and not csv.exists()
+
+
+def test_fock_sample_one_node_grid_exits_3(runner, tmp_path):
+    out = tmp_path / "g.ewg"
+    result = runner.invoke(main, ["fock", "sample", "number:0,0", "--grid-n", "1",
+                                  "--output", str(out)])
     assert result.exit_code == 3, result.output
-    assert "unknown state kind 'bogus'" in result.output
-    assert called == [] and not csv.exists()
+    assert "grid needs at least 2 nodes per axis" in result.output
+    assert not out.exists()
+
+
+def test_text_input_that_is_not_utf8_exits_2(runner, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed=\xff\xfe\n")
+    with pytest.raises(FileFormatError, match=str(cfg)):
+        read_config(str(cfg))
+    result = runner.invoke(main, ["verify", "oracles", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert str(cfg) in result.output
+    field = tmp_path / "f.csv"
+    field.write_bytes(b"x,y,re,im\n\xff,0,1,0\n")
+    out = tmp_path / "c.ewc"
+    result = runner.invoke(main, ["ccwt", "forward", str(field), "--output", str(out)])
+    assert result.exit_code == 2, result.output
+    assert str(field) in result.output and not out.exists()
 
 
 def _small_coefficients(runner, tmp_path):

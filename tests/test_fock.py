@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entwave import fock
 from entwave.ccwt import forward
 from entwave.errors import ConvergenceError, EntwaveError
 from entwave.fock import (
@@ -127,6 +128,8 @@ def test_coherent_origin_magnitude():
 def test_coherent_series_cap():
     with pytest.raises(ConvergenceError):
         coherent_state_eta(9.0, 0.0, 0.0)
+    with pytest.raises(ConvergenceError):
+        parse_state_descriptor("coherent:9,0,0,0")
 
 
 def test_xi_eta_overlap_values():
@@ -406,6 +409,8 @@ def test_fock_orders_above_cap_rejected():
     for m, n in ((HERMITE_ORDER_CAP + 1, 0), (0, 200), (5000, 5000)):
         with pytest.raises(OrderOverflowError):
             number_state_eta(m, n, 0.5)
+    with pytest.raises(OrderOverflowError):  # before the 10^12-entry matrix is allocated
+        TwoModeFockState.number(10**6, 0)
     assert np.isfinite(number_state_eta(HERMITE_ORDER_CAP, 0, 0.5))
     # a wide coefficient matrix is evaluated on its support only
     grid = ComplexPlaneGrid.centered(17, 6.0)
@@ -419,13 +424,42 @@ def test_fock_orders_above_cap_rejected():
 
 
 def test_state_descriptors():
-    assert parse_state_descriptor("number:2,3") == ("number", 2, 3)
-    kind, z1, z2 = parse_state_descriptor("coherent:0.5,0,0.3,0")
-    assert kind == "coherent" and z1 == 0.5 and z2 == 0.3
+    number = parse_state_descriptor("number:2,3")
+    assert isinstance(number, TwoModeFockState) and number.cutoff == 3
+    assert np.array_equal(number.coeffs, np.outer(np.eye(4)[2], np.eye(4)[3]))
+    coherent = parse_state_descriptor("coherent:0.5,0,0.3,0")
+    assert coherent.cutoff == TwoModeFockState.coherent(0.5, 0.3).cutoff
+    size = coherent.cutoff + 1
+    closed = [[math.exp(-0.17) * 0.5**m * 0.3**n / math.sqrt(math.factorial(m) * math.factorial(n))
+               for n in range(size)] for m in range(size)]
+    assert np.abs(coherent.coeffs - closed).max() <= 1e-15
     for bad in ("number:1", "number:a,b", "number:-1,0", "coherent:1,2",
                 "squeezed:1,2", "number"):
         with pytest.raises(ValueError):
             parse_state_descriptor(bad)
+
+
+def test_coherent_tail_checked_only_for_a_chosen_cutoff(monkeypatch):
+    monkeypatch.setattr(fock, "_coherent_order", lambda a1, a2, tol: 2)
+    with pytest.raises(ConvergenceError, match="series tail"):
+        TwoModeFockState.coherent(0.5, 0.3)
+    with pytest.raises(ConvergenceError, match="series tail"):
+        coherent_state_eta(0.5, 0.3, 0.0)
+    assert TwoModeFockState.coherent(0.5, 0.3, cutoff=2).cutoff == 2
+
+
+def test_state_field_samples_the_parsed_state():
+    grid = ComplexPlaneGrid.centered(33, 6.0)
+    for descriptor in ("number:2,3", "coherent:0.31,-0.2,0.1,0.44"):
+        state = parse_state_descriptor(descriptor)
+        field = state_field(descriptor, grid)
+        assert field.grid == grid
+        assert np.array_equal(field.values, state.eta_field(grid).values)
+    eta = grid.nodes()
+    assert np.array_equal(number_state_eta(2, 3, eta),
+                          TwoModeFockState.number(2, 3).eta_field(grid).values)
+    assert np.array_equal(coherent_state_eta(0.5, 0.3, eta),
+                          TwoModeFockState.coherent(0.5, 0.3).eta_field(grid).values)
 
 
 def test_state_field_and_unit_norm():

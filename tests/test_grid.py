@@ -36,6 +36,9 @@ def test_centered_grid_symmetric():
 def test_grid_validation():
     with pytest.raises(ValueError):
         ComplexPlaneGrid(1, 4, 0.0, 0.0, 0.1, 0.1)
+    for n in (1, 0, -3):  # checked before the spacing 2 extent / (n - 1) is taken
+        with pytest.raises(ValueError, match="at least 2 nodes per axis"):
+            ComplexPlaneGrid.centered(n, 8.0)
     with pytest.raises(ValueError):
         ComplexPlaneGrid(4, 4, 0.0, 0.0, -0.1, 0.1)
     for bad in (math.nan, math.inf, -math.inf):
@@ -252,6 +255,15 @@ def test_csv_bad_header(tmp_path):
     open(path, "w").write("a,b,c\n1,2,3\n")
     with pytest.raises(FileFormatError):
         read_field_csv(path)
+
+
+def test_csv_that_is_not_utf8_is_a_file_format_error(tmp_path):
+    # a bad byte in the header's read buffer used to escape as a bare UnicodeDecodeError
+    path = tmp_path / "f.csv"
+    for text in (b"x,y,re,im\n\xff,0,1,0\n", b"x,y,\xfere,im\n0,0,1,0\n"):
+        path.write_bytes(text)
+        with pytest.raises(FileFormatError, match=str(path)):
+            read_field_csv(str(path))
 
 
 def test_field_shape_and_finiteness():

@@ -157,6 +157,14 @@ def test_packed_pairing_keeps_boundary_check():
             parseval_pairing(f, g, emhw(), scales)
 
 
+def test_constant_scan_needs_a_state():
+    scales = ScaleGrid.log_spaced(3, 0.5, 2.0)
+    with pytest.raises(ValueError, match="at least one state"):
+        constant_scan([], emhw(), scales, ComplexPlaneGrid.centered(16, 8.0))
+    with pytest.raises(ValueError, match="at least one state"):
+        VerifySettings(scan_states=())
+
+
 def test_unknown_engine_rejected():
     # any name but "fft" used to pick the direct engine without a word
     grid = ComplexPlaneGrid.centered(16, 8.0)
