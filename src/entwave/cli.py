@@ -65,9 +65,7 @@ _ALIASES = {"scales": "scale_count"}
 def _cast(hint, value):
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
-        # state descriptors contain commas, so tuples of strings split on ';'
-        sep = ";" if item is str else ","
-        return tuple(item(p.strip()) for p in value.split(sep) if p.strip())
+        return tuple(item(p.strip()) for p in value.split(",") if p.strip())
     return hint(value)
 
 

@@ -214,6 +214,8 @@ class TwoModeFockState:
     def number(cls, m: int, n: int, cutoff: int | None = None) -> "TwoModeFockState":
         if cutoff is None:
             cutoff = max(m, n)
+        elif cutoff >= 0:
+            _check_order(cutoff, cutoff)  # an explicit cutoff, before its matrix is allocated
         if not (0 <= m <= cutoff and 0 <= n <= cutoff):
             raise ValueError(f"number-state indices ({m}, {n}) must lie in [0, {cutoff}]")
         _check_order(m, n)
@@ -229,9 +231,13 @@ class TwoModeFockState:
         With no ``cutoff``, the first one whose dropped tail is below ``tol``.
         """
         z1, z2 = complex(z1), complex(z2)
+        if not np.isfinite([z1, z2]).all():
+            raise ValueError(f"coherent amplitudes must be finite, got ({z1}, {z2})")
         chosen = cutoff is None
         if chosen:
             cutoff = _coherent_order(abs(z1), abs(z2), tol)
+        elif cutoff >= 0:
+            _check_order(cutoff, cutoff)
         amps = [[z**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)] for z in (z1, z2)]
         state = cls(cutoff, math.exp(-0.5 * (abs(z1) ** 2 + abs(z2) ** 2)) * np.outer(*amps))
         # |<eta|m,n>| <= 1 everywhere, so the last row and column bound the dropped tail

@@ -20,7 +20,7 @@ from .ccwt import RunConfig, _axis_hermite, _forward_planes, _is_fft_engine, _se
 # The suites stream planes instead; the engines stay in this namespace, where
 # callers such as perfbench's tracer test look them up.
 from .ccwt import forward, forward_fast  # noqa: F401
-from .fock import parse_state_descriptor, unit_norm_field
+from .fock import unit_norm_field
 from .grid import (ComplexPlaneGrid, Field, ScaleGrid, integrate, scale_weights, _atomic_write,
                    _trap_mask_1d)
 from .specfun import hermite2, laguerre
@@ -211,62 +211,58 @@ def oracle_scale_integral_quadrature(x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The suites' gates and grids are the values of the acceptance criteria they
+# mirror, fixed so that no config can loosen a gate.  The theorem rows stack
+# three truncations (eta grid, kappa grid, mu range), hence 5%; the scale
+# ranges keep the tails inside it (checked by the mu-doubling row).
+# Criterion 4, the Parseval theorem and the isometry of energy.
+THEOREM_TOL = 0.05
+DOUBLING_TOL = 0.01
+ORTHO_TOL = 0.02
+# Criterion 6, the state independence of C'_psi.
+SCAN_STATES = ("number:0,0", "number:1,1", "coherent:0.5,0,0.3,0")
+SCAN_SCALES = ScaleGrid.log_spaced(72, 0.125, 16.0)
+WINDOW_LO, WINDOW_HI = 0.475, 0.525
+RATIO_MAX = 1.05
+# Criterion 7, the reproducing kernel: a coarse kappa grid and the fine one
+# at half its spacing.
+KERNEL_GRIDS = (ComplexPlaneGrid.centered(257, 8.0), ComplexPlaneGrid.centered(513, 8.0))
+KERNEL_MU_MAX = 4.0
+KERNEL_SCALE_COUNT = 80
+KERNEL_SEPARATION = 3.0
+KERNEL_SEP_FRAC = 0.01
+KERNEL_GROWTH_MIN = 3.0
+# Criterion 8, the oracle identities.
+ORACLE_DRAWS = 50
+ORACLE_TOL = 1e-6
+IDENTITY_MAX_ORDER = 10
+IDENTITY_TOL = 1e-10
+
+
+def _kernel_scales(grid: ComplexPlaneGrid) -> ScaleGrid:
+    # mu_min at the grid spacing, the resolvable floor, regularizes the coincident divergence
+    return ScaleGrid.log_spaced(KERNEL_SCALE_COUNT, grid.dx, KERNEL_MU_MAX)
+
+
 @dataclass
 class VerifySettings(RunConfig):
-    """The transform settings of :class:`RunConfig` plus the suites' own.
+    """The transform under test, as :class:`RunConfig`, plus the oracle seed.
 
-    The theorem suites stack three truncations (eta grid, kappa grid,
-    mu range), hence the 5% default; closed-form oracle rows are held to
-    1e-6.  The scale ranges are sized so the truncated tails stay inside
-    those budgets (checked by the mu-doubling case).
+    ``mu_max`` defaults to 16, so the Parseval rows meet their 5% gate.
     """
 
     mu_max: float = 16.0
-    theorem_tol: float = 0.05
-    doubling_tol: float = 0.01
-    ortho_tol: float = 0.02
-    oracle_tol: float = 1e-6
-    identity_tol: float = 1e-10
-    window_lo: float = 0.475
-    window_hi: float = 0.525
-    ratio_max: float = 1.05
-    scan_states: tuple[str, ...] = ("number:0,0", "number:1,1", "coherent:0.5,0,0.3,0")
-    scan_mu_min: float = 0.125
-    scan_mu_max: float = 16.0
-    scan_scale_count: int = 72
-    kernel_grid_n: int = 257
-    kernel_grid_extent: float = 8.0
-    kernel_mu_max: float = 4.0
-    kernel_scale_count: int = 80
-    kernel_separation: float = 3.0
-    kernel_sep_frac: float = 0.01
-    kernel_growth_min: float = 3.0
-    oracle_draws: int = 50
-    identity_max_order: int = 10
     seed: int = 20240801
+    # Not a field: the constants suite's scale count, read by perfbench.
+    scan_scale_count = len(SCAN_SCALES)
 
     def __post_init__(self):
-        super().__post_init__()  # then the suites' own inputs, before any suite runs
-        if not self.scan_states:
-            raise ValueError("scan_states needs at least one state descriptor")
-        for state in self.scan_states:
-            parse_state_descriptor(state)
-        self.scan_scales()
-        for grid in self.kernel_grids():
-            self.kernel_scales(grid)
+        super().__post_init__()
+        self.doubled_scales()  # the one suite input built from the settings
 
-    def scan_scales(self) -> ScaleGrid:
-        return ScaleGrid.log_spaced(self.scan_scale_count, self.scan_mu_min, self.scan_mu_max)
-
-    def kernel_grids(self) -> tuple:
-        """The coarse kappa grid and the fine one at half its spacing."""
-        return (ComplexPlaneGrid.centered(self.kernel_grid_n, self.kernel_grid_extent),
-                ComplexPlaneGrid.centered(2 * self.kernel_grid_n - 1, self.kernel_grid_extent))
-
-    def kernel_scales(self, grid: ComplexPlaneGrid) -> ScaleGrid:
-        # The resolvable scale floor is the grid spacing; tying mu_min to it
-        # regularizes the coincident divergence.
-        return ScaleGrid.log_spaced(self.kernel_scale_count, grid.dx, self.kernel_mu_max)
+    def doubled_scales(self) -> ScaleGrid:
+        """The scale range doubled at both ends, for the mu-doubling row."""
+        return ScaleGrid.log_spaced(self.scale_count, self.mu_min / 2, self.mu_max * 2)
 
 
 @dataclass(frozen=True)
@@ -296,48 +292,47 @@ def _suite_parseval(s: VerifySettings) -> list:
     rep, cross, rep11 = _pairing_reports([vac, one_one], [(0, 0), (0, 1), (1, 1)],
                                          w, scales, s.engine)
     rows = [CaseResult("parseval_vacuum", rep.lhs, rep.rhs, rep.rel_error,
-                       rep.rel_error <= s.theorem_tol)]
+                       rep.rel_error <= THEOREM_TOL)]
 
-    doubled = ScaleGrid.log_spaced(s.scale_count, s.mu_min / 2, s.mu_max * 2)
-    rep2 = parseval_pairing(vac, vac, w, doubled, engine=s.engine)
+    rep2 = parseval_pairing(vac, vac, w, s.doubled_scales(), engine=s.engine)
     change = abs(rep2.lhs - rep.lhs) / max(abs(rep.lhs), _REL_FLOOR)
     rows.append(CaseResult("parseval_mu_doubling", rep2.lhs, rep.lhs, change,
-                           change <= s.doubling_tol))
+                           change <= DOUBLING_TOL))
     rows.append(CaseResult("parseval_orthogonal_states", cross.lhs, 0.0,
-                           abs(cross.lhs), abs(cross.lhs) <= s.ortho_tol))
+                           abs(cross.lhs), abs(cross.lhs) <= ORTHO_TOL))
     rows.append(CaseResult("isometry_number_1_1", rep11.lhs, rep11.rhs,
-                           rep11.rel_error, rep11.rel_error <= s.theorem_tol))
+                           rep11.rel_error, rep11.rel_error <= THEOREM_TOL))
     return rows
 
 
 def _suite_constants(s: VerifySettings) -> list:
     w = s.wavelet()
-    values = constant_scan(list(s.scan_states), w, s.scan_scales(), s.grid(), engine=s.engine)
+    values = constant_scan(SCAN_STATES, w, SCAN_SCALES, s.grid(), engine=s.engine)
     target = c_psi_prime(w)
     rows = []
-    for descriptor, value in zip(s.scan_states, values):
+    for descriptor, value in zip(SCAN_STATES, values):
         rel = abs(value - target) / max(abs(target), _REL_FLOOR)
-        ok = s.window_lo <= value <= s.window_hi
+        ok = WINDOW_LO <= value <= WINDOW_HI
         rows.append(CaseResult(f"constant[{descriptor}]", value, target, rel, ok))
     ratio = max(values) / min(values)
     rows.append(CaseResult("constant_max_min_ratio", ratio, 1.0, ratio - 1.0,
-                           ratio <= s.ratio_max))
+                           ratio <= RATIO_MAX))
     return rows
 
 
 def _suite_kernel(s: VerifySettings) -> list:
     w = s.wavelet()
-    coarse, fine = s.kernel_grids()
-    k_coarse = reproducing_kernel(0.0, 0.0, w, s.kernel_scales(coarse), coarse)
-    k_fine = reproducing_kernel(0.0, 0.0, w, s.kernel_scales(fine), fine)
-    k_sep = reproducing_kernel(0.0, s.kernel_separation, w, s.kernel_scales(coarse), coarse)
+    coarse, fine = KERNEL_GRIDS
+    k_coarse = reproducing_kernel(0.0, 0.0, w, _kernel_scales(coarse), coarse)
+    k_fine = reproducing_kernel(0.0, 0.0, w, _kernel_scales(fine), fine)
+    k_sep = reproducing_kernel(0.0, KERNEL_SEPARATION, w, _kernel_scales(coarse), coarse)
     rows = [
         CaseResult("kernel_separation_fraction", k_sep, k_coarse,
                    abs(k_sep) / abs(k_coarse),
-                   abs(k_sep) <= s.kernel_sep_frac * abs(k_coarse)),
+                   abs(k_sep) <= KERNEL_SEP_FRAC * abs(k_coarse)),
         CaseResult("kernel_coincident_growth", k_fine, k_coarse,
                    abs(k_fine) / abs(k_coarse),
-                   abs(k_fine) >= s.kernel_growth_min * abs(k_coarse)),
+                   abs(k_fine) >= KERNEL_GROWTH_MIN * abs(k_coarse)),
     ]
     return rows
 
@@ -345,7 +340,7 @@ def _suite_kernel(s: VerifySettings) -> list:
 def _suite_oracles(s: VerifySettings) -> list:
     rng = np.random.default_rng(s.seed)
     rows = []
-    for n in range(s.identity_max_order + 1):
+    for n in range(IDENTITY_MAX_ORDER + 1):
         worst = (0.0, 0.0, 0.0)
         for _ in range(20):
             eta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 2.1
@@ -355,8 +350,8 @@ def _suite_oracles(s: VerifySettings) -> list:
             if rel >= worst[2]:
                 worst = (lhs, rhs, rel)
         rows.append(CaseResult(f"hermite_laguerre_diag[n={n}]", worst[0], worst[1],
-                               worst[2], worst[2] <= s.identity_tol))
-    for k in range(s.oracle_draws):
+                               worst[2], worst[2] <= IDENTITY_TOL))
+    for k in range(ORACLE_DRAWS):
         zeta = complex(rng.uniform(-2.0, -0.8), rng.uniform(-0.4, 0.4))
         xi = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         eta_c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -364,15 +359,15 @@ def _suite_oracles(s: VerifySettings) -> list:
         numeric = oracle_gaussian_integral_quadrature(zeta, xi, eta_c)
         err = abs(numeric - closed) / max(abs(closed), 1.0)
         rows.append(CaseResult(f"gaussian_integral[{k}]", numeric, closed, err,
-                               err <= s.oracle_tol))
-    for k in range(s.oracle_draws):
+                               err <= ORACLE_TOL))
+    for k in range(ORACLE_DRAWS):
         x = rng.uniform(0.3, 2.5)
         y = rng.uniform(0.3, 2.5)
         closed = oracle_scale_integral(x, y)
         numeric = oracle_scale_integral_quadrature(x, y)
         err = abs(numeric - closed) / max(abs(closed), 1.0)
         rows.append(CaseResult(f"scale_integral[{k}]", numeric, closed, err,
-                               err <= s.oracle_tol))
+                               err <= ORACLE_TOL))
     return rows
 
 

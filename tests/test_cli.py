@@ -102,9 +102,14 @@ def test_fock_sample_number11_origin(runner, tmp_path):
 
 
 def test_fock_sample_bad_state(runner, tmp_path):
-    result = runner.invoke(main, ["fock", "sample", "wigner:1",
-                                  "--output", str(tmp_path / "x.ewg")])
-    assert result.exit_code == 3
+    out_path = tmp_path / "x.ewg"
+    # a NaN amplitude used to be reported as too large for the series cap
+    for state, message in [("wigner:1", "unknown state kind"),
+                           ("coherent:nan,0,0,0", "coherent amplitudes must be finite")]:
+        result = runner.invoke(main, ["fock", "sample", state, "--output", str(out_path)])
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+    assert not out_path.exists()
 
 
 def test_ccwt_engines_agree_via_files(runner, tmp_path):
@@ -183,12 +188,12 @@ def test_verify_unknown_suite(runner):
 def test_verify_oracles_suite(runner, tmp_path):
     csv = str(tmp_path / "report.csv")
     cfg = str(tmp_path / "cfg")
-    open(cfg, "w").write("oracle_draws=4\n")
+    open(cfg, "w").write("seed=20240801\n")
     out = run_ok(runner, ["verify", "oracles", "--config", cfg, "--output", csv])
     assert "FAIL" not in out
     lines = open(csv).read().splitlines()
     assert lines[0] == "case,lhs_re,lhs_im,rhs_re,rhs_im,rel_error"
-    assert len(lines) == 1 + 11 + 4 + 4
+    assert len(lines) == 1 + 11 + 50 + 50
     for line in lines[1:]:
         for value in line.split(",")[1:]:
             float(value)
@@ -197,12 +202,26 @@ def test_verify_oracles_suite(runner, tmp_path):
 def test_verify_tolerance_failure_exit(runner, tmp_path):
     csv = str(tmp_path / "report.csv")
     cfg = str(tmp_path / "cfg")
-    # impossible tolerance forces rows to fail; the report is still written
-    open(cfg, "w").write("oracle_draws=2\nidentity_tol=1e-30\noracle_tol=1e-30\n")
-    result = runner.invoke(main, ["verify", "oracles", "--config", cfg,
+    # mu_max = 4 truncates the scale integral beyond the 5% Parseval gate; the
+    # failing rows still reach the report
+    open(cfg, "w").write("grid_n=64\nscale_count=12\nmu_max=4\n")
+    result = runner.invoke(main, ["verify", "parseval", "--config", cfg,
                                   "--output", csv])
-    assert result.exit_code == 1
+    assert result.exit_code == 1, result.output
+    rows = {line.split()[0]: line.split()[-1] for line in result.output.splitlines()[1:-1]}
+    assert rows == dict.fromkeys(["parseval_vacuum", "parseval_mu_doubling",
+                                  "parseval_orthogonal_states", "isometry_number_1_1"], "FAIL")
     assert os.path.exists(csv)
+
+
+def test_verify_rejects_a_gate_in_the_config(runner, tmp_path):
+    # seed 40 fails one Hermite/Laguerre row; a looser gate used to make it pass
+    csv = tmp_path / "report.csv"
+    cfg = _unknown_key_config(tmp_path, "seed=40\nidentity_tol=1e-9\n")
+    result = runner.invoke(main, ["verify", "oracles", "--config", cfg,
+                                  "--output", str(csv)])
+    _assert_unknown_key_rejected(result, "identity_tol", "seed")
+    assert not csv.exists()
 
 
 def test_outputs_deterministic(runner, tmp_path):
@@ -306,10 +325,10 @@ def test_ccwt_inverse_accepts_wavelet_config(runner, tmp_path):
 def test_verify_rejects_unknown_config_key(runner, tmp_path):
     csv = tmp_path / "report.csv"
     # a misspelt tolerance used to run at the default tolerance and exit 0
-    cfg = _unknown_key_config(tmp_path, "oracle_draws=2\ntheorem_tolerance=1e-9\n")
+    cfg = _unknown_key_config(tmp_path, "seed=2\ntheorem_tolerance=1e-9\n")
     result = runner.invoke(main, ["verify", "constants", "--config", cfg,
                                   "--output", str(csv)])
-    _assert_unknown_key_rejected(result, "theorem_tolerance", "theorem_tol")
+    _assert_unknown_key_rejected(result, "theorem_tolerance", "seed")
     assert not csv.exists()
 
 
@@ -345,13 +364,9 @@ def test_command_config_key_sets():
                         "wavelet_kind", "wavelet_coeffs"]
     assert cli._FORWARD_KEYS == [*run_keys[2:], "scales"]
     assert cli._INVERSE_KEYS == ["wavelet_kind", "wavelet_coeffs"]
+    # verify takes the transform under test and the oracle seed; its gates are fixed
     verify_keys = [f.name for f in dataclasses.fields(VerifySettings)]
-    assert verify_keys == run_keys + [
-        "theorem_tol", "doubling_tol", "ortho_tol", "oracle_tol", "identity_tol", "window_lo",
-        "window_hi", "ratio_max", "scan_states", "scan_mu_min", "scan_mu_max",
-        "scan_scale_count", "kernel_grid_n", "kernel_grid_extent", "kernel_mu_max",
-        "kernel_scale_count", "kernel_separation", "kernel_sep_frac", "kernel_growth_min",
-        "oracle_draws", "identity_max_order", "seed"]
+    assert verify_keys == run_keys + ["seed"]
     assert (RunConfig().mu_max, VerifySettings().mu_max) == (4.0, 16.0)
 
 
@@ -375,7 +390,7 @@ def test_config_kind_case_and_bad_value(runner, tmp_path, command, bad):
     args, extra = {
         "forward": (["ccwt", "forward", vac, "--output", out_path], "scales=4\n"),
         "inverse": (["ccwt", "inverse", coeff, "--output", out_path], ""),
-        "verify": (["verify", "oracles", "--output", out_path], "oracle_draws=2\n"),
+        "verify": (["verify", "oracles", "--output", out_path], ""),
     }[command]
     cfg = _unknown_key_config(tmp_path, extra + "wavelet_kind=EMHW\n")
     run_ok(runner, args + ["--config", cfg])
@@ -389,19 +404,10 @@ def test_config_kind_case_and_bad_value(runner, tmp_path, command, bad):
 def _setting_values(cls):
     """Random valid field values of a settings dataclass, any subset of fields."""
     hints = typing.get_type_hints(cls)
-    generic = {int: st.integers(2, 4096),
-               float: st.floats(1e-3, 1e3),
-               tuple[str, ...]: st.lists(st.sampled_from(
-                   ["number:0,0", "number:2,1", "coherent:0.5,0,0.3,0"]), min_size=1
-               ).map(tuple)}
+    generic = {int: st.integers(2, 4096), float: st.floats(1e-3, 1e3)}
     fields = {name: generic[hint] for name, hint in hints.items() if hint in generic}
-    # Each scale range must increase, and the kernel scales start at the kernel
-    # grid spacing, at most 2 here, below every kernel_mu_max drawn (default 4).
-    ranges = dict(mu_min=st.floats(1e-3, 0.2), mu_max=st.floats(20.0, 64.0),
-                  scan_mu_min=st.floats(1e-3, 0.2), scan_mu_max=st.floats(20.0, 64.0),
-                  kernel_grid_n=st.integers(9, 4096), kernel_grid_extent=st.floats(1e-3, 8.0),
-                  kernel_mu_max=st.floats(4.0, 64.0))
-    fields.update({name: draw for name, draw in ranges.items() if name in hints},
+    # the scale range must increase
+    fields.update(mu_min=st.floats(1e-3, 0.2), mu_max=st.floats(20.0, 64.0),
                   engine=st.sampled_from(["direct", "fft"]))
     wavelet = st.one_of(
         st.tuples(st.sampled_from(["emhw", "EMHW"]), st.sampled_from([(), (0.5, 0.5)])),
@@ -412,9 +418,7 @@ def _setting_values(cls):
 
 
 def _as_text(value):
-    if isinstance(value, tuple):
-        return (";" if value and isinstance(value[0], str) else ",").join(map(str, value))
-    return str(value)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 @pytest.mark.parametrize("cls", [RunConfig, VerifySettings])
@@ -462,13 +466,17 @@ def test_verify_bad_scan_state_fails_before_any_suite(runner, tmp_path, monkeypa
              for name in verify._SUITES}
     monkeypatch.setattr(verify, "_SUITES", spies)
     csv = tmp_path / "report.csv"
-    bad = {"scan_states=number:0,0;bogus:1": "unknown state kind 'bogus'",
-           "scan_states=": "scan_states needs at least one state",
-           "scan_states=number:0,0;coherent:9,0,0,0": "too large for the series cap",
-           "scan_scale_count=1": "scale grid needs at least 2 nodes",
-           "kernel_mu_max=0.01": "require 0 < mu_min < mu_max",
-           "kernel_grid_n=1": "grid needs at least 2 nodes per axis",
-           "grid_n=1": "grid needs at least 2 nodes per axis"}
+    # the suites' gates and grids are fixed, so a config naming one is refused
+    removed = ["theorem_tol", "doubling_tol", "ortho_tol", "oracle_tol", "identity_tol",
+               "window_lo", "window_hi", "ratio_max", "scan_states", "scan_mu_min",
+               "scan_mu_max", "scan_scale_count", "kernel_grid_n", "kernel_grid_extent",
+               "kernel_mu_max", "kernel_scale_count", "kernel_separation", "kernel_sep_frac",
+               "kernel_growth_min", "oracle_draws", "identity_max_order"]
+    bad = {f"{key}=1": f"unknown config key {key!r}" for key in removed}
+    bad.update({"scan_states=number:0,0": "unknown config key 'scan_states'",
+                "grid_n=1": "grid needs at least 2 nodes per axis",
+                # the mu-doubling grid would reach mu_max * 2 = inf
+                "mu_max=1e308": "require 0 < mu_min < mu_max < inf"})
     for line, message in bad.items():
         cfg = _unknown_key_config(tmp_path, line + "\n")
         result = runner.invoke(main, ["verify", "all", "--config", cfg, "--output", str(csv)])

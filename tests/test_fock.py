@@ -305,10 +305,13 @@ def test_two_mode_state_validation():
     lambda: TwoModeFockState.number(0, 0, cutoff=-1),
     lambda: TwoModeFockState.coherent(0.5, 0.3, cutoff=-1),  # used to be an empty state
     lambda: TwoModeFockState(-1, np.zeros((0, 0))),
+    # non-finite amplitudes used to be reported as too large for the series cap
+    lambda: TwoModeFockState.coherent(math.nan, 0.3),
+    lambda: TwoModeFockState.coherent(0.5, complex(0, -math.inf), cutoff=4),
 ], ids=["negative-m", "negative-n", "above-cutoff", "number-cutoff", "coherent-cutoff",
-        "bare-cutoff"])
+        "bare-cutoff", "nan-amplitude", "inf-amplitude"])
 def test_two_mode_state_rejects_bad_indices_and_cutoffs(make):
-    with pytest.raises(ValueError, match="cutoff|indices"):
+    with pytest.raises(ValueError, match="cutoff|indices|amplitudes must be finite"):
         make()
 
 
@@ -411,6 +414,15 @@ def test_fock_orders_above_cap_rejected():
             number_state_eta(m, n, 0.5)
     with pytest.raises(OrderOverflowError):  # before the 10^12-entry matrix is allocated
         TwoModeFockState.number(10**6, 0)
+    # an explicit cutoff is checked too: it used to end in a MemoryError (14.6 TiB)
+    # or, for a coherent state, a bare OverflowError; a chosen one is sized by the state
+    cap = HERMITE_ORDER_CAP // 2
+    for cutoff in (cap + 1, 200, 10**6):
+        for make in (TwoModeFockState.number, TwoModeFockState.coherent):
+            with pytest.raises(OrderOverflowError):
+                make(0, 0, cutoff=cutoff)
+    assert TwoModeFockState.coherent(0.5, 0.3, cutoff=cap).cutoff == cap
+    assert TwoModeFockState.number(100, 0).cutoff == 100
     assert np.isfinite(number_state_eta(HERMITE_ORDER_CAP, 0, 0.5))
     # a wide coefficient matrix is evaluated on its support only
     grid = ComplexPlaneGrid.centered(17, 6.0)

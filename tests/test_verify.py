@@ -161,8 +161,6 @@ def test_constant_scan_needs_a_state():
     scales = ScaleGrid.log_spaced(3, 0.5, 2.0)
     with pytest.raises(ValueError, match="at least one state"):
         constant_scan([], emhw(), scales, ComplexPlaneGrid.centered(16, 8.0))
-    with pytest.raises(ValueError, match="at least one state"):
-        VerifySettings(scan_states=())
 
 
 def test_unknown_engine_rejected():
@@ -238,7 +236,7 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     monkeypatch.setattr(ccwt, "_kernel_spectrum", kernel_spectrum)
     monkeypatch.setattr(ccwt, "_padded_fft2", padded_fft2)
     scales = ScaleGrid.log_spaced(8, 0.25, 8.0)
-    constant_scan(list(VerifySettings().scan_states), emhw(), scales,
+    constant_scan(verify.SCAN_STATES, emhw(), scales,
                   ComplexPlaneGrid.centered(64, 8.0))
     assert calls == [3]
     assert ffts == [(64, 64)] * 2
@@ -322,9 +320,9 @@ def test_kernel_dichotomy_quick():
 
 
 def test_constant_scan_matches_isometry():
-    states = VerifySettings().scan_states
+    states = verify.SCAN_STATES
     scales = ScaleGrid.log_spaced(16, 0.25, 8.0)
-    scan = constant_scan(list(states), emhw(), scales, GRID)
+    scan = constant_scan(states, emhw(), scales, GRID)
     assert len(scan) == len(states)
     for state, value in zip(states, scan):
         rep = energy_isometry(unit_norm_field(state, GRID), emhw(), scales)
@@ -404,8 +402,7 @@ def test_run_suite_unknown():
 
 
 def test_suite_oracles_passes():
-    settings = VerifySettings(oracle_draws=5)
-    rows = run_suite("oracles", settings)
+    rows = run_suite("oracles", VerifySettings())
     assert all(r.passed for r in rows)
     table = format_table(rows)
     assert "PASS" in table and "FAIL" not in table
