@@ -23,7 +23,6 @@ from .grid import (
 )
 from .wavelets import (
     MotherWavelet,
-    WaveletKind,
     admissibility_defect,
     c_psi_prime,
     emhw,

@@ -42,7 +42,6 @@ from .grid import (
     ComplexPlaneGrid,
     Field,
     ScaleGrid,
-    log_trapezoid_weights,
     scale_weights,
     _atomic_write,
     _parse_ewg1_header,
@@ -130,7 +129,7 @@ def _lag_kernel(w: MotherWavelet, mu: float, grid: ComplexPlaneGrid) -> np.ndarr
     lx = np.arange(-(grid.nx - 1), grid.nx) * grid.dx
     ly = np.arange(-(grid.ny - 1), grid.ny) * grid.dy
     lag = (lx[:, None] + 1j * ly[None, :]) / mu
-    return eval_wavelet(w, lag).real  # radial family is real-valued
+    return eval_wavelet(w, lag)
 
 
 def _toeplitz_rows(kernel: np.ndarray, ny: int) -> np.ndarray:
@@ -559,7 +558,7 @@ def icwt1d(coeffs: Cwt1dCoefficients, psi, c_psi: float, x_grid) -> Signal1D:
     x0, dx, n = x_grid
     x = x0 + dx * np.arange(n)
     mu = coeffs.scales.mu_values
-    weights = log_trapezoid_weights(mu, 2.0) / np.sqrt(mu)
+    weights = scale_weights(coeffs.scales, 2) / np.sqrt(mu)
     out = np.zeros(n, dtype=complex)
     for s_idx in range(len(mu)):
         row = coeffs.rows[s_idx]

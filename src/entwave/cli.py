@@ -137,7 +137,7 @@ def wavelet_info(kind, coeffs):
     """Print kind, coefficients, admissibility defect, and C'_psi."""
     w = wavelets.MotherWavelet.from_spec(kind, coeffs or ())
     defect = wavelets.admissibility_defect(w)
-    click.echo(f"kind: {w.kind.value}")
+    click.echo(f"kind: {kind.lower()}")
     click.echo("coeffs: " + ",".join(f"{c:g}" for c in w.coeffs))
     click.echo(f"admissibility_defect: {defect.real:.12g}")
     if wavelets.is_admissible(w):

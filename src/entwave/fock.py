@@ -53,8 +53,7 @@ def _fock_series(coeffs, eta) -> np.ndarray:
         block = x[lo:lo + _BLOCK_POINTS]
         out[lo:lo + _BLOCK_POINTS] = (_diagonal_horner(upper, block)
                                       + _diagonal_horner(lower, block.conj()))
-    out = out.reshape(np.shape(eta))
-    return complex(out) if np.ndim(eta) == 0 else out
+    return out.reshape(np.shape(eta))[()]
 
 
 def _diagonal_horner(a, x):
@@ -134,8 +133,7 @@ def xi_eta_overlap(xi, eta):
     """Overlap <xi|eta> = (1/2) exp[(conj(xi) eta - xi conj(eta)) / 2]."""
     xa = np.asarray(xi, dtype=complex)
     ea = np.asarray(eta, dtype=complex)
-    out = 0.5 * np.exp(0.5 * (np.conj(xa) * ea - xa * np.conj(ea)))
-    return complex(out) if out.ndim == 0 else out
+    return (0.5 * np.exp(0.5 * (np.conj(xa) * ea - xa * np.conj(ea))))[()]
 
 
 def xi_eta_overlap_fock(xi: complex, eta: complex, cutoff: int = 40,

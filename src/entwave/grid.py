@@ -177,9 +177,18 @@ def integrate(f: Field, measure: str = "d2_over_pi") -> complex:
     return complex(total * f.grid.cell_area() * scale)
 
 
-def log_trapezoid_weights(mu: np.ndarray, power: float) -> np.ndarray:
-    """Trapezoid weights in log(mu) for int dmu mu^(-power) f(mu)."""
-    mu = np.asarray(mu, dtype=float)
+def scale_weights(scales: ScaleGrid, power: int) -> np.ndarray:
+    """Trapezoid weights in log(mu) for int_{mu_min}^{mu_max} dmu/mu^power f(mu).
+
+    Returns w such that sum_i w_i f(mu_i) approximates the integral.  The
+    supported powers are the ones appearing in the transform formulas
+    (Parseval dmu/mu^3, inversion dmu/mu^4, parameter-space kernel
+    dmu/mu^5, the 1D inversion dmu/mu^2, and the scale form of the
+    normalization constant dmu/mu).
+    """
+    if power not in (1, 2, 3, 4, 5):
+        raise ValueError(f"unsupported power {power}; expected one of 1, 2, 3, 4, 5")
+    mu = scales.mu_values
     if mu.size < 2:
         raise ValueError("need at least 2 scale nodes")
     w = np.empty_like(mu)
@@ -188,19 +197,6 @@ def log_trapezoid_weights(mu: np.ndarray, power: float) -> np.ndarray:
     w[0] = 0.5 * (lm[1] - lm[0])
     w[-1] = 0.5 * (lm[-1] - lm[-2])
     return w * mu ** (1.0 - power)
-
-
-def scale_weights(scales: ScaleGrid, power: int) -> np.ndarray:
-    """Quadrature weights for int_{mu_min}^{mu_max} dmu/mu^power f(mu).
-
-    Returns w such that sum_i w_i f(mu_i) approximates the integral.  The
-    supported powers are the ones appearing in the transform formulas
-    (Parseval dmu/mu^3, inversion dmu/mu^4, parameter-space kernel
-    dmu/mu^5, and the scale form of the normalization constant dmu/mu).
-    """
-    if power not in (1, 3, 4, 5):
-        raise ValueError(f"unsupported power {power}; expected one of 1, 3, 4, 5")
-    return log_trapezoid_weights(scales.mu_values, power)
 
 
 def _atomic_write(path: str, buffers) -> None:

@@ -51,14 +51,13 @@ def hermite2(m: int, n: int, x, y):
     _check_order(m, n)
     xa = np.asarray(x, dtype=complex)
     ya = np.asarray(y, dtype=complex)
-    scalar = xa.ndim == 0 and ya.ndim == 0
     acc = np.zeros(np.broadcast(xa, ya).shape, dtype=complex)
     for k in range(min(m, n) + 1):
         coef = math.comb(m, k) * math.comb(n, k) * math.factorial(k)
         if k % 2:
             coef = -coef
         acc += float(coef) * xa ** (m - k) * ya ** (n - k)
-    return complex(acc) if scalar else acc
+    return acc[()]
 
 
 def laguerre(n: int, x):
@@ -82,5 +81,5 @@ def laguerre_series(weights, x):
             prev, cur = cur, ((2 * n - 1 - xa) * cur - (n - 1) * prev) / n
         if w:
             total += w * cur
-    return float(total) if xa.ndim == 0 else total
+    return total[()]
 

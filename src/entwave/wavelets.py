@@ -15,7 +15,6 @@ The two-term member with K = (1/2, 1/2) is the entangled Mexican hat wavelet
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -32,56 +31,53 @@ COEFF_ADMISSIBILITY_TOL = 1e-12
 FOURIER_BOUNDARY_TOL = 1e-12
 
 
-class WaveletKind(str, enum.Enum):
-    LAGUERRE_GAUSSIAN = "lg"
-    EMHW = "emhw"
-
-
 @dataclass(frozen=True)
 class MotherWavelet:
-    """Analytic wavelet descriptor; sampled on demand.
+    """Laguerre-Gaussian wavelet, described by its series coefficients K_n alone.
 
-    ``coeffs`` holds the Laguerre-series coefficients K_n.  The named EMHW
-    carries its literal coefficients (1/2, 1/2) so that every closed form
-    of the two-term family applies to it unchanged.
+    Two wavelets with equal K_n are equal; the EMHW is K = (1/2, 1/2).  The
+    constructor takes 1 to DEFAULT_ORDER_CAP + 1 finite K_n whose energy
+    sum_n (n! K_n)^2 is positive and finite, so a zero wavelet, or one whose
+    energy overflows, is refused before any transform sees it.
     """
 
-    kind: WaveletKind
-    coeffs: tuple = ()
+    coeffs: tuple
 
     def __post_init__(self):
-        try:
-            kind = WaveletKind(self.kind)
-        except ValueError:
-            raise ValueError(f"unknown wavelet kind {self.kind!r}; choose emhw or lg")
-        object.__setattr__(self, "kind", kind)
         coeffs = tuple(float(c) for c in self.coeffs)
+        if not coeffs:
+            raise ValueError("Laguerre-Gaussian wavelet needs coefficients")
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"wavelet coefficients K_n must be finite, got {coeffs}")
-        if kind is WaveletKind.EMHW:
-            if coeffs and coeffs != (0.5, 0.5):
-                raise ValueError("emhw has fixed coefficients (1/2, 1/2)")
-            coeffs = (0.5, 0.5)
-        elif not coeffs:
-            raise ValueError("Laguerre-Gaussian wavelet needs coefficients")
-        elif len(coeffs) - 1 > DEFAULT_ORDER_CAP:
+        if len(coeffs) - 1 > DEFAULT_ORDER_CAP:
             raise ValueError(
                 f"series order {len(coeffs) - 1} exceeds cap {DEFAULT_ORDER_CAP}"
             )
         object.__setattr__(self, "coeffs", coeffs)
+        if not 0 < _series_norm(self) < math.inf:
+            raise ValueError(f"wavelet energy sum_n (n! K_n)^2 must be positive and "
+                             f"finite, got K = {coeffs}")
 
     @classmethod
     def from_spec(cls, kind: str, coeffs=()) -> "MotherWavelet":
-        """Wavelet from a case-insensitive kind name, ``emhw`` or ``lg``.
+        """Wavelet from a case-insensitive kind name.
 
-        ``coeffs`` is a sequence of K_n or their comma-separated text.
+        ``emhw`` names K = (1/2, 1/2) and accepts no other ``coeffs``;
+        ``lg`` takes ``coeffs``, a sequence of K_n or their comma-separated text.
         """
         if isinstance(coeffs, str):
             try:
                 coeffs = tuple(float(c) for c in coeffs.split(",") if c.strip())
             except ValueError:
                 raise ValueError(f"bad coefficient list {coeffs!r}")
-        return cls(kind.lower(), coeffs)
+        kind = kind.lower()
+        if kind == "emhw":
+            if tuple(map(float, coeffs)) not in ((), (0.5, 0.5)):
+                raise ValueError("emhw has fixed coefficients (1/2, 1/2)")
+            return cls((0.5, 0.5))
+        if kind != "lg":
+            raise ValueError(f"unknown wavelet kind {kind!r}; choose emhw or lg")
+        return cls(coeffs)
 
     @property
     def order(self) -> int:
@@ -89,50 +85,47 @@ class MotherWavelet:
 
     def scaled(self, a: float) -> "MotherWavelet":
         """Wavelet with every coefficient multiplied by ``a``."""
-        return MotherWavelet(WaveletKind.LAGUERRE_GAUSSIAN,
-                             tuple(a * c for c in self.coeffs))
+        return MotherWavelet(tuple(a * c for c in self.coeffs))
 
     def normalized(self) -> "MotherWavelet":
         """Rescale so the plane energy int d2eta/pi |psi|^2 equals 1.
 
         Uses the Laguerre orthogonality closed form sum_n (n! K_n)^2 for
-        the energy.  The named wavelets keep their literal coefficients;
-        call this explicitly when a unit-energy convention is wanted.
+        the energy.  ``emhw()`` keeps its literal coefficients; call this
+        explicitly when a unit-energy convention is wanted.
         """
-        norm = _series_norm(self)
-        if norm <= 0:
-            raise ValueError("cannot normalize a zero wavelet")
-        return self.scaled(1.0 / norm)
+        return self.scaled(1.0 / _series_norm(self))
 
 
 def _series_norm(w: MotherWavelet) -> float:
-    """sqrt(sum_n (n! K_n)^2), the square root of the plane energy of psi."""
-    return math.sqrt(sum((math.factorial(n) * c) ** 2 for n, c in enumerate(w.coeffs)))
+    """sqrt(sum_n (n! K_n)^2), the square root of the plane energy of psi; inf on overflow."""
+    try:
+        return math.sqrt(sum((math.factorial(n) * c) ** 2 for n, c in enumerate(w.coeffs)))
+    except OverflowError:
+        return math.inf
 
 
 def emhw() -> MotherWavelet:
     """The entangled Mexican hat wavelet."""
-    return MotherWavelet(WaveletKind.EMHW)
+    return MotherWavelet.from_spec("emhw")
 
 
 def laguerre_gaussian(coeffs) -> MotherWavelet:
     """Laguerre-Gaussian wavelet with series coefficients K_n."""
-    return MotherWavelet(WaveletKind.LAGUERRE_GAUSSIAN, tuple(coeffs))
+    return MotherWavelet(coeffs)
 
 
 def mexican_hat(x):
     """1D Mexican hat wavelet (1 - x^2) exp(-x^2 / 2)."""
     xa = np.asarray(x, dtype=float)
-    out = (1.0 - xa**2) * np.exp(-0.5 * xa**2)
-    return float(out) if np.ndim(x) == 0 else out
+    return ((1.0 - xa**2) * np.exp(-0.5 * xa**2))[()]
 
 
 def eval_wavelet(w: MotherWavelet, eta):
     """Evaluate psi(eta); real-valued for the radial family."""
     t = np.abs(np.asarray(eta, dtype=complex)) ** 2
     weights = [math.factorial(n) * c for n, c in enumerate(w.coeffs)]
-    out = np.exp(-0.5 * t) * laguerre_series(weights, t)
-    return complex(out) if np.ndim(eta) == 0 else out.astype(complex)
+    return (np.exp(-0.5 * t) * laguerre_series(weights, t))[()]
 
 
 def _fourier_series(w: MotherWavelet, u):
@@ -149,8 +142,7 @@ def fourier_closed(w: MotherWavelet, xi):
     Fourier eigenfunction with eigenvalue (-1)^n.
     """
     t = np.abs(np.asarray(xi, dtype=complex)) ** 2
-    out = np.exp(-0.5 * t) * _fourier_series(w, t)
-    return complex(out) if np.ndim(xi) == 0 else out.astype(complex)
+    return (np.exp(-0.5 * t) * _fourier_series(w, t))[()]
 
 
 def symplectic_fourier(w_samples: Field, xi_grid: ComplexPlaneGrid) -> Field:
@@ -190,16 +182,16 @@ def admissibility_defect(w) -> complex:
     return complex(total)
 
 
-def is_admissible(w: MotherWavelet, tol: float = COEFF_ADMISSIBILITY_TOL) -> bool:
-    """|defect| <= tol * sqrt(sum_n (n! K_n)^2): rescaling the K_n cannot change the answer."""
-    return abs(admissibility_defect(w)) <= tol * _series_norm(w)
+def is_admissible(w: MotherWavelet) -> bool:
+    """|defect| <= COEFF_ADMISSIBILITY_TOL * sqrt(sum_n (n! K_n)^2): immune to rescaling K_n."""
+    return abs(admissibility_defect(w)) <= COEFF_ADMISSIBILITY_TOL * _series_norm(w)
 
 
-def require_admissible(w: MotherWavelet, tol: float = COEFF_ADMISSIBILITY_TOL) -> None:
-    if not is_admissible(w, tol):
+def require_admissible(w: MotherWavelet) -> None:
+    if not is_admissible(w):
         defect = admissibility_defect(w).real
         raise NonAdmissibleError(f"wavelet is not admissible: defect {defect:.6g} "
-                                 f"exceeds {tol:.1e} of its norm")
+                                 f"exceeds {COEFF_ADMISSIBILITY_TOL:.1e} of its norm")
 
 
 def c_psi_prime(w: MotherWavelet) -> float:
@@ -209,23 +201,16 @@ def c_psi_prime(w: MotherWavelet) -> float:
     C'_psi = 2 int_0^inf exp(-u) p(u)^2/u du.  Admissibility is p(0) = 0, so
     for N coefficients p^2/u is a polynomial of degree 2N - 3, and the
     N-node Gauss-Laguerre rule, exact through degree 2N - 1 (Golub & Welsch,
-    Math. Comp. 23, 1969), gives the integral exactly.  A zero wavelet is
-    admissible but has C'_psi = 0, which raises ValueError.
+    Math. Comp. 23, 1969), gives the integral exactly.
     """
     require_admissible(w)
     u, weights = np.polynomial.laguerre.laggauss(w.order)
-    value = 2.0 * float(np.sum(weights * _fourier_series(w, u) ** 2 / u))
-    if not value > 0:
-        raise ValueError(f"C'_psi is {value!r}, not positive: the wavelet is zero")
-    return value
+    return 2.0 * float(np.sum(weights * _fourier_series(w, u) ** 2 / u))
 
 
 def wavelet_to_text(w: MotherWavelet) -> str:
     """Serialize as the plain-text key=value block."""
-    lines = [f"kind={w.kind.value}"]
-    if w.coeffs:
-        lines.append("coeffs=" + ",".join(repr(c) for c in w.coeffs))
-    return "\n".join(lines) + "\n"
+    return "kind=lg\ncoeffs=" + ",".join(repr(c) for c in w.coeffs) + "\n"
 
 
 def _read_key_values(lines, source: str) -> dict:

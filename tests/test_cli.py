@@ -112,6 +112,23 @@ def test_fock_sample_bad_state(runner, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("coeffs", ["0,0", "1e200,1e200"], ids=["zero", "overflow"])
+@pytest.mark.parametrize("command", ["forward", "inverse", "info"])
+def test_zero_or_overflowing_wavelet_exits_3_up_front(runner, tmp_path, command, coeffs):
+    # the input file is never opened: the wavelet is refused with the other settings
+    out_path = tmp_path / "out"
+    args = {"forward": ["ccwt", "forward", str(tmp_path / "field.csv")],
+            "inverse": ["ccwt", "inverse", str(tmp_path / "coeffs.ewc")],
+            "info": ["wavelet", "info"]}[command] + ["--kind", "lg", "--coeffs", coeffs]
+    if command != "info":
+        args += ["--output", str(out_path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "wavelet energy sum_n (n! K_n)^2 must be positive and finite" in result.output
+    assert not out_path.exists()
+
+
 def test_ccwt_engines_agree_via_files(runner, tmp_path):
     vac = str(tmp_path / "vac.ewg")
     run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "48",
@@ -432,7 +449,15 @@ def test_loader_round_trips_config_text(cls, data):
         path = os.path.join(tmp, "cfg")
         with open(path, "w") as fh:
             fh.write(text)
-        assert load_settings(cls, read_config(path)) == cls(**values)
+        energy = sum((math.factorial(n) * c) ** 2 for n, c in enumerate(coeffs))
+        if kind.lower() == "lg" and energy == 0:
+            # zero K_n, or K_n so small that the energy underflows, make no wavelet;
+            # the settings refuse them whichever way they are built
+            for build in (lambda: cls(**values), lambda: load_settings(cls, read_config(path))):
+                with pytest.raises(ValueError, match="must be positive and finite"):
+                    build()
+        else:
+            assert load_settings(cls, read_config(path)) == cls(**values)
 
 
 def test_csv_field_output(runner, tmp_path):

@@ -142,7 +142,7 @@ def test_scale_grid_validation():
     assert default_scale_grid().mu_max == pytest.approx(4.0)
 
 
-@pytest.mark.parametrize("p", [1, 3, 4, 5])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_scale_weights_constant_log_integrand(p):
     # f = mu^(p-1) makes the integrand d(ln mu): integral = ln(mu_max/mu_min)
     sg = ScaleGrid.log_spaced(33, 1.0, math.e)
@@ -151,7 +151,7 @@ def test_scale_weights_constant_log_integrand(p):
     assert abs(val - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("p", [1, 3, 4, 5])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_scale_weights_linear_integrand(p):
     # f = mu^p: integral is mu_max - mu_min; trapezoid in log mu at 200 nodes
     sg = ScaleGrid.log_spaced(200, 1.0, 1.5)
@@ -162,7 +162,9 @@ def test_scale_weights_linear_integrand(p):
 
 def test_scale_weights_guards():
     with pytest.raises(ValueError):
-        scale_weights(ScaleGrid.log_spaced(8, 1, 2), 2)
+        scale_weights(ScaleGrid.log_spaced(8, 1, 2), 6)
+    with pytest.raises(ValueError, match="at least 2 scale nodes"):
+        scale_weights(ScaleGrid(np.array([1.0])), 2)  # an EWC1 file can hold one scale
     with pytest.raises(ValueError):
         ScaleGrid.log_spaced(1, 1.0, 2.0)
 

@@ -423,7 +423,7 @@ def test_report_csv_schema(tmp_path):
 
 
 def test_settings_wavelet_choices():
-    assert VerifySettings().wavelet().kind.value == "emhw"
+    assert VerifySettings().wavelet() == emhw()
     s = VerifySettings(wavelet_kind="lg", wavelet_coeffs=(0.5, 0.5))
     assert s.wavelet().coeffs == (0.5, 0.5)
     with pytest.raises(ValueError):

@@ -1,19 +1,22 @@
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entwave.errors import (
     BoundaryDecayError,
     FileFormatError,
     NonAdmissibleError,
 )
+from entwave.fock import number_state_eta, xi_eta_overlap
 from entwave.grid import ComplexPlaneGrid, integrate, sample
+from entwave.specfun import hermite2, laguerre_series
 from entwave.verify import oracle_gaussian_integral
 from entwave.wavelets import (
     MotherWavelet,
-    WaveletKind,
     admissibility_defect,
     c_psi_prime,
     emhw,
@@ -210,9 +213,10 @@ def test_c_psi_prime_matches_mpmath_through_order_32():
 
 
 def test_c_psi_prime_rejects_zero_wavelet():
-    for coeffs in ([0.0], [0.0, 0.0, 0.0]):
-        with pytest.raises(ValueError, match="not positive"):
-            c_psi_prime(laguerre_gaussian(coeffs))
+    # a zero wavelet has C'_psi = 0 and an overflowing one no finite energy: both are refused
+    for coeffs in ([0.0], [0.0, 0.0, 0.0], [1e-200, -1e-200], [1e200, 1e200], [0.0] * 32 + [1e300]):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            laguerre_gaussian(coeffs)
 
 
 def test_nonfinite_coefficients_rejected():
@@ -260,7 +264,7 @@ def _eval_wavelet_per_order(w, eta):
     for n, c in enumerate(w.coeffs):
         if c:
             series += math.factorial(n) * c * _laguerre_recurrence(n, t)
-    return (np.exp(-0.5 * t) * series).astype(complex)
+    return np.exp(-0.5 * t) * series
 
 
 def test_eval_wavelet_single_pass_is_bit_identical_to_per_order_sum():
@@ -275,8 +279,29 @@ def test_eval_wavelet_single_pass_is_bit_identical_to_per_order_sum():
 def test_wavelet_text_round_trip():
     for w in [emhw(), laguerre_gaussian([0.25, -0.125, 1.0 / 3.0])]:
         back = wavelet_from_text(wavelet_to_text(w))
-        assert back.kind == w.kind
-        assert back.coeffs == w.coeffs
+        assert back == w and hash(back) == hash(w)
+    assert wavelet_to_text(emhw()) == "kind=lg\ncoeffs=0.5,0.5\n"
+    # the emhw name is still read
+    assert wavelet_from_text("kind=emhw\n") == emhw()
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_COEFF, min_size=1, max_size=33).map(tuple))
+def test_any_coefficient_tuple_constructs_or_raises_value_error(coeffs):
+    # a zero or overflowing energy is refused up front, never by a later OverflowError
+    try:
+        w = laguerre_gaussian(coeffs)
+    except ValueError:  # an OverflowError is not one, so it fails the test
+        return
+    back = wavelet_from_text(wavelet_to_text(w))
+    assert back == w and hash(back) == hash(w)
+    try:
+        c_psi_prime(w)
+    except NonAdmissibleError:
+        pass
 
 
 def test_wavelet_text_errors():
@@ -306,14 +331,30 @@ def test_normalized_unit_energy():
 
 
 def test_emhw_coeffs_are_fixed():
-    with pytest.raises(ValueError):
-        MotherWavelet(WaveletKind.EMHW, (1.0, 2.0))
-    with pytest.raises(ValueError, match="fixed coefficients"):
-        MotherWavelet.from_spec("EMHW", "1,2")
+    for coeffs in ((1.0, 2.0), "1,2", (0.5,)):
+        with pytest.raises(ValueError, match="fixed coefficients"):
+            MotherWavelet.from_spec("EMHW", coeffs)
     # only the radial plane family has a descriptor
-    for build in (MotherWavelet, MotherWavelet.from_spec):
-        with pytest.raises(ValueError, match="unknown wavelet kind"):
-            build("mexican_hat_1d")
+    with pytest.raises(ValueError, match="unknown wavelet kind"):
+        MotherWavelet.from_spec("mexican_hat_1d")
+    with pytest.raises(ValueError):
+        MotherWavelet("mexican_hat_1d")
+
+
+def test_a_wavelet_is_its_coefficients():
+    named = [MotherWavelet.from_spec("EMHW"), MotherWavelet.from_spec("lg", "0.5,0.5"),
+             emhw(), laguerre_gaussian([0.5, 0.5]), MotherWavelet((0.5, 0.5))]
+    assert all(w == named[0] and hash(w) == hash(named[0]) for w in named)
+    assert [f.name for f in dataclasses.fields(MotherWavelet)] == ["coeffs"]
+
+
+def test_normalized_keeps_the_squared_factorial_sum():
+    # the energy is the sum of (n! K_n) ** 2 in increasing n; x * x or hypot move last bits
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k = rng.uniform(-1, 1, size=rng.integers(1, 34)) * 10.0 ** rng.uniform(-50, 50)
+        norm = math.sqrt(sum((math.factorial(n) * c) ** 2 for n, c in enumerate(k)))
+        assert laguerre_gaussian(k).normalized().coeffs == tuple((1.0 / norm) * c for c in k)
 
 
 def test_from_spec_kinds_and_coeffs():
@@ -326,6 +367,29 @@ def test_from_spec_kinds_and_coeffs():
         MotherWavelet.from_spec("lg", "0.25,x")
     with pytest.raises(ValueError, match="needs coefficients"):
         MotherWavelet.from_spec("lg", "")
+
+
+@pytest.mark.parametrize("fn, dtype", [
+    (mexican_hat, float),
+    (lambda z: eval_wavelet(laguerre_gaussian([0.25, 0.5, 0.125]), z), float),
+    (lambda z: fourier_closed(laguerre_gaussian([0.25, 0.5, 0.125]), z), float),
+    (lambda z: hermite2(3, 2, z, np.conj(z)), complex),
+    (lambda z: laguerre_series([0.5, -1.0, 2.0], np.abs(z)), float),
+    (lambda z: number_state_eta(2, 1, z), complex),
+    (lambda z: xi_eta_overlap(0.3 - 0.2j, z), complex),
+], ids=["mexican_hat", "eval_wavelet", "fourier_closed", "hermite2", "laguerre_series",
+        "fock_series", "xi_eta_overlap"])
+def test_scalar_in_scalar_out(fn, dtype):
+    # one idiom: a 0-d result comes back as a numpy scalar, equal to the array element
+    points = np.array([0.7, -1.2])
+    if dtype is complex:
+        points = points + 0.4j
+    arr = fn(points)
+    assert isinstance(arr, np.ndarray) and arr.dtype == dtype
+    for z, expected in zip(points, arr):
+        value = fn(z if dtype is complex else float(z))
+        assert not isinstance(value, np.ndarray) and isinstance(value, dtype)
+        assert value == expected
 
 
 def test_mexican_hat_values():
