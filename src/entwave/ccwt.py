@@ -13,18 +13,21 @@ The inverse integrates dmu/mu^4 of per-scale correlations with the
 per-scale products in the Fourier domain and takes one inverse FFT, and
 onto any other grid each scale is the separable contraction
 sum_ab M_ab X_a V Y_b^T over per-axis Hermite matrices.  Both directions
-work one scale plane at a time: one ``_forward_planes`` call serves a list
-of fields with one worker pool and one kernel per scale, two real fields
-sharing one complex transform, and its planes can be streamed into an
-EWC1 file as they are produced; the inverse reads each plane inside its
-per-scale task, so neither needs the (S, nx, ny) cube.  A 1D transform
-pair over the real line is included as a baseline, with per-scale
-translation grids sized to the dilated wavelet.
+work one scale plane at a time on the process's one worker pool: one
+``_forward_planes`` call serves a list of fields with one table of axis
+spectra and one kernel per scale, two real fields sharing one complex
+transform, and its planes can be streamed into an EWC1 file as they are
+produced; the inverse reads each plane inside its per-scale task, so
+neither needs the (S, nx, ny) cube.  A 1D transform pair over the real
+line is included as a baseline, with per-scale translation grids sized
+to the dilated wavelet.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import functools
 import itertools
 import math
 import os
@@ -49,7 +52,7 @@ from .grid import (
     _trap_mask_1d,
     EWG1_MAGIC,
 )
-from .wavelets import MotherWavelet, eval_wavelet, require_admissible
+from .wavelets import MotherWavelet, c_psi_prime, eval_wavelet, is_admissible, require_admissible
 
 #: Largest boundary magnitude accepted for fields entering the transforms.
 TRANSFORM_BOUNDARY_TOL = 1e-8
@@ -93,25 +96,39 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(limit, n_tasks))
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads, made on first use and anew after a fork."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _imap_scales(fn, n_scales: int):
     """Yield fn(0), fn(1), ... in scale order, computed on worker threads.
 
     At most two scales per worker are in flight, so the caller holds a
     bounded number of results; consuming them in order keeps every
-    reduction independent of the schedule and of ENTWAVE_THREADS.
+    reduction independent of the schedule and of ENTWAVE_THREADS.  Tasks
+    run in a copy of the caller's context; closing early cancels those not started.
     """
     workers = worker_count(n_scales)
     if workers == 1:
         yield from map(fn, range(n_scales))
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
+    pool = _pool(workers)
+    pending = deque()
+    try:
         for s in range(n_scales):
-            pending.append(pool.submit(fn, s))
+            pending.append(pool.submit(contextvars.copy_context().run, fn, s))
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _check_transform_input(g: Field, w: MotherWavelet) -> None:
@@ -185,11 +202,11 @@ def _separable_coeffs(w: MotherWavelet) -> np.ndarray:
 
 
 def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
-    """Orthonormal Hermite functions h_0 .. h_{count-1} at ``x``, shape (count, len(x)).
+    """Orthonormal Hermite functions h_0 .. h_{count-1} at ``x``, shape (count, *x.shape).
 
     h_{k+1} = sqrt(2/(k+1)) x h_k - sqrt(k/(k+1)) h_{k-1}, h_0 = pi^{-1/4} e^{-x^2/2}.
     """
-    h = np.empty((count, x.size))
+    h = np.empty((count, *x.shape))
     h[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
     if count > 1:
         h[1] = math.sqrt(2.0) * x * h[0]
@@ -201,7 +218,7 @@ def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
 def _axis_hermite(dst, src: np.ndarray, mu: float, terms: int) -> np.ndarray:
     """X[a, i, k] = h_2a((dst_i - src_k)/mu) for a < terms, shape (terms, len(dst), len(src))."""
     lag = (np.asarray(dst, dtype=float)[:, None] - src[None, :]) / mu
-    return _hermite_functions(lag.ravel(), 2 * terms - 1)[::2].reshape(terms, *lag.shape)
+    return _hermite_functions(lag, 2 * terms - 1)[::2]
 
 
 def _separable_correlate(values, w: MotherWavelet, mu: float, src_axes, dst_axes) -> np.ndarray:
@@ -217,29 +234,34 @@ def _separable_correlate(values, w: MotherWavelet, mu: float, src_axes, dst_axes
     return np.tensordot(xv, y, axes=([0, 2], [0, 2]))
 
 
-def _axis_spectra(terms: int, n: int, step: float, p: int) -> np.ndarray:
-    """Length-p DFTs of h_0, h_2, ..., h_{2 terms - 2} sampled at lags l * step.
+def _axis_spectra(terms: int, n: int, steps, p: int) -> np.ndarray:
+    """Length-p DFTs of h_0, h_2, ..., h_{2 terms - 2} at lags l * step, for every step.
 
+    Shape (*steps.shape, terms, p), from one recurrence and one ``rfft``.
     Lag l sits at index l mod p, as in the zero-padded circular product;
     the samples are even in l, so each DFT is real.
     """
-    h = _hermite_functions(np.arange(n) * step, 2 * terms - 1)[::2]
-    seq = np.zeros((terms, p))
-    seq[:, :n] = h
-    seq[:, p - n + 1:] = h[:, :0:-1]
+    lags = np.multiply.outer(steps, np.arange(n))
+    h = np.moveaxis(_hermite_functions(lags, 2 * terms - 1)[::2], 0, -2)
+    seq = np.zeros((*h.shape[:-1], p))
+    seq[..., :n] = h
+    seq[..., p - n + 1:] = h[..., :0:-1]
     # The DFT of a real even sequence is real and even: bins past p // 2
     # mirror those below it.
-    half = rfft(seq, axis=1).real
-    return np.concatenate([half, half[:, (p - 1) // 2:0:-1]], axis=1)
+    half = rfft(seq, axis=-1).real
+    return np.concatenate([half, half[..., (p - 1) // 2:0:-1]], axis=-1)
 
 
-def _kernel_spectrum(m: np.ndarray, mu: float, grid: ComplexPlaneGrid,
-                     shape: tuple) -> np.ndarray:
-    """Real (px, py) DFT of the padded lag kernel sum_ab m[a, b] h_2a(x/mu) h_2b(y/mu)."""
+def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shape: tuple):
+    """``kernel(s, c)``: real (px, py) DFT of the padded lag kernel of ``c * m`` at mu[s].
+
+    Every scale's axis tables are made here, once; one serves both axes when they match.
+    """
     px, py = shape
     u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
-    v = _axis_spectra(len(m), grid.ny, grid.dy / mu, py)
-    return (u.T @ m) @ v
+    v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
+         else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
+    return lambda s, c: (u[s].T @ (m * c)) @ v[s]
 
 
 def _next_fast_len(target: int) -> int:
@@ -296,10 +318,10 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
     packed at half amplitude, an exact scaling, so the packed field passes
     the boundary check whenever both fields do.  Complex fields and a
     leftover real field, such as a lone one, go in alone.  For the FFT
-    engine each input is transformed up front.  One ``_imap_scales`` task
-    per scale builds the kernel once, applies it to every input and
-    unpacks the pairs, and a caller that reduces the planes a scale at a
-    time never holds an (S, nx, ny) cube.
+    engine the inputs and the axis spectra are transformed up front.  One
+    ``_imap_scales`` task per scale builds the kernel once, applies it to
+    every input and unpacks the pairs, and a caller that reduces the
+    planes a scale at a time never holds an (S, nx, ny) cube.
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
@@ -317,10 +339,10 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
     if fast:
         shape = _padded_shape(grid)
         f_values = [_padded_fft2(v, shape) for v in masked]
-        m = _separable_coeffs(w)
+        kernel = _kernel_spectrum(_separable_coeffs(w), mu, grid, shape)
 
         def transform(s: int) -> list:
-            khat = _kernel_spectrum(m * measure[s], mu[s], grid, shape)
+            khat = kernel(s, measure[s])
             return [_cropped_ifft2(f * khat, grid.nx, grid.ny) for f in f_values]
 
     else:
@@ -394,10 +416,12 @@ class RunConfig:
     wavelet_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        # Build everything up front so bad parameters fail before work starts.
+        # Build everything up front, C'_psi too, so bad parameters fail before work starts.
         self.grid()
         self.scales()
-        self.wavelet()
+        w = self.wavelet()
+        if is_admissible(w):
+            c_psi_prime(w)
         _is_fft_engine(self.engine)
 
     def grid(self) -> ComplexPlaneGrid:
@@ -443,13 +467,13 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     shared = out_grid.same_layout(kgrid)
     if shared:
         shape = _padded_shape(kgrid)
-        m = _separable_coeffs(w)
+        kernel = _kernel_spectrum(_separable_coeffs(w), mu, kgrid, shape)
 
         def one_scale(s: int) -> np.ndarray:
             # The kernel spectrum is made after the padded FFT, so the two
             # largest temporaries are never alive at once.
             spectrum = _padded_fft2(plane(s) * mask, shape)
-            spectrum *= _kernel_spectrum(m * weights[s], mu[s], kgrid, shape)
+            spectrum *= kernel(s, weights[s])
             return spectrum
 
     else:

@@ -137,11 +137,12 @@ def wavelet_info(kind, coeffs):
     """Print kind, coefficients, admissibility defect, and C'_psi."""
     w = wavelets.MotherWavelet.from_spec(kind, coeffs or ())
     defect = wavelets.admissibility_defect(w)
+    c_prime = wavelets.c_psi_prime(w) if wavelets.is_admissible(w) else None  # before any output
     click.echo(f"kind: {kind.lower()}")
     click.echo("coeffs: " + ",".join(f"{c:g}" for c in w.coeffs))
     click.echo(f"admissibility_defect: {defect.real:.12g}")
-    if wavelets.is_admissible(w):
-        click.echo(f"c_psi_prime: {wavelets.c_psi_prime(w):.12g}")
+    if c_prime is not None:
+        click.echo(f"c_psi_prime: {c_prime:.12g}")
     else:
         click.echo("c_psi_prime: undefined")
         click.echo(

@@ -16,6 +16,7 @@ The two-term member with K = (1/2, 1/2) is the entangled Mexican hat wavelet
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,11 +202,15 @@ def c_psi_prime(w: MotherWavelet) -> float:
     C'_psi = 2 int_0^inf exp(-u) p(u)^2/u du.  Admissibility is p(0) = 0, so
     for N coefficients p^2/u is a polynomial of degree 2N - 3, and the
     N-node Gauss-Laguerre rule, exact through degree 2N - 1 (Golub & Welsch,
-    Math. Comp. 23, 1969), gives the integral exactly.
+    Math. Comp. 23, 1969), gives the integral exactly; ValueError if it is not a normal float.
     """
     require_admissible(w)
     u, weights = np.polynomial.laguerre.laggauss(w.order)
-    return 2.0 * float(np.sum(weights * _fourier_series(w, u) ** 2 / u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 2.0 * float(np.sum(weights * _fourier_series(w, u) ** 2 / u))
+    if not sys.float_info.min <= c < math.inf:
+        raise ValueError(f"C'_psi = {c:g} is not a finite normal float; rescale K = {w.coeffs}")
+    return c
 
 
 def wavelet_to_text(w: MotherWavelet) -> str:

@@ -1,9 +1,12 @@
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 import scipy.fft
 
+from entwave import ccwt
 from entwave.ccwt import (
     CCWTCoefficients,
     Signal1D,
@@ -11,6 +14,7 @@ from entwave.ccwt import (
     _cropped_ifft2,
     _forward_planes,
     _hermite_functions,
+    _imap_scales,
     _next_fast_len,
     _padded_fft2,
     _padded_shape,
@@ -353,6 +357,91 @@ def test_threaded_forward_deterministic(monkeypatch):
     threaded = forward_fast(g, emhw(), scales)
     assert np.array_equal(serial.values, threaded.values)
     assert np.array_equal(serial_rec.values, inverse(serial, emhw(), c_prime).values)
+
+
+def test_closing_a_plane_stream_cancels_the_tasks_not_started(monkeypatch):
+    # A consumer that stops after one plane, as _write_ewc1 does on a
+    # non-finite one, must not wait for the tasks in flight or leave the
+    # queued ones to run: of 2 x workers tasks submitted, only those the
+    # two workers had taken (0, 1 and at most 2) ever start.
+    monkeypatch.setenv("ENTWAVE_THREADS", "2")
+    release, started = threading.Event(), []
+
+    def task(s):
+        started.append(s)
+        if s:
+            release.wait(timeout=30)
+        return s
+
+    stream = _imap_scales(task, 40)
+    assert next(stream) == 0
+    stream.close()
+    release.set()
+    # once both workers meet here, every task queued before has run or been cancelled
+    barrier = threading.Barrier(2)
+    for done in [ccwt._pool(2).submit(barrier.wait, 30) for _ in range(2)]:
+        done.result(timeout=30)
+    assert set(started) <= {0, 1, 2}
+    assert len(started) <= 2 * ccwt.worker_count(40)
+
+
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_forked_child_runs_forward_fast_on_its_own_pool(monkeypatch):
+    # the parent's pool has live threads; a fork-started child must not wait on their copies
+    monkeypatch.setenv("ENTWAVE_THREADS", "2")
+    g = smooth_random_field(ComplexPlaneGrid.centered(32, 8.0), seed=2)
+    scales = ScaleGrid.log_spaced(6, 0.5, 4.0)
+    expected = forward_fast(g, emhw(), scales).values
+
+    def child():
+        assert np.array_equal(forward_fast(g, emhw(), scales).values, expected)
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    process.join(timeout=60)
+    if process.is_alive():
+        process.kill()
+        process.join()
+        pytest.fail("forked child hung in forward_fast")
+    assert process.exitcode == 0
+
+
+def test_axis_table_over_steps_equals_single_step_calls():
+    steps = np.array([0.37, 0.05, 1.3, 4.0, 0.11])
+    for terms, n, p in [(1, 5, 9), (2, 2, 3), (4, 96, 192), (17, 33, 66)]:
+        table = _axis_spectra(terms, n, steps, p)
+        assert table.shape == (len(steps), terms, p)
+        assert np.array_equal(table, np.stack([_axis_spectra(terms, n, s, p) for s in steps]))
+
+
+@pytest.mark.parametrize("grid", [
+    ComplexPlaneGrid(40, 40, -8.0, -9.0, 16.0 / 39, 18.0 / 39),
+    ComplexPlaneGrid(36, 44, -8.0, -9.0, 16.0 / 35, 18.0 / 43),
+], ids=["same-size-other-step", "other-size"])
+def test_fast_engine_makes_a_y_table_unless_the_axes_match(grid, monkeypatch):
+    tables = []
+
+    def axis_spectra(terms, n, steps, p):
+        tables.append((n, steps, p))
+        return axis_spectra.original(terms, n, steps, p)
+
+    axis_spectra.original = ccwt._axis_spectra
+    monkeypatch.setattr(ccwt, "_axis_spectra", axis_spectra)
+    w = random_admissible_lg(4, seed=11)
+    nodes = grid.nodes()
+    g = Field(grid, np.exp(-0.6 * np.abs(nodes) ** 2) * (1 + 0.3j * nodes))
+    scales = ScaleGrid.log_spaced(5, 0.5, 2.0)
+    wf = forward_fast(g, w, scales)
+    wd = forward(g, w, scales)
+    assert np.abs(wd.values - wf.values).max() <= 1e-10 * np.abs(wd.values).max()
+    # one table per axis, each on its own size and step
+    px, py = _padded_shape(grid)
+    assert [(n, p) for n, _, p in tables] == [(grid.nx, px), (grid.ny, py)]
+    assert np.array_equal(tables[1][1], grid.dy / scales.mu_values)
+    # on a square grid with one step the x table serves both axes
+    tables.clear()
+    forward_fast(gaussian_field(ComplexPlaneGrid.centered(40, 8.0)), w, scales)
+    assert len(tables) == 1
 
 
 # 1D baseline

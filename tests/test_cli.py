@@ -129,6 +129,28 @@ def test_zero_or_overflowing_wavelet_exits_3_up_front(runner, tmp_path, command,
     assert not out_path.exists()
 
 
+# admissible wavelets whose C'_psi is subnormal, or overflows at the largest quadrature node
+_SUBNORMAL_C_PSI = "1e-160,1e-160"
+_OVERFLOWING_C_PSI = ",".join(["-1e140"] + ["0"] * 31 + [repr(1e140 / math.factorial(32))])
+
+
+@pytest.mark.parametrize("coeffs", [_SUBNORMAL_C_PSI, _OVERFLOWING_C_PSI],
+                         ids=["subnormal", "overflow"])
+@pytest.mark.parametrize("command", ["forward", "info"])
+def test_out_of_range_c_psi_prime_exits_3_up_front(runner, tmp_path, command, coeffs):
+    # refused with the other settings: the input file does not exist and is never opened
+    out_path = tmp_path / "out"
+    args = {"forward": ["ccwt", "forward", str(tmp_path / "field.csv"),
+                        "--output", str(out_path)],
+            "info": ["wavelet", "info"]}[command] + ["--kind", "lg", f"--coeffs={coeffs}"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "is not a finite normal float" in result.output
+    assert "kind:" not in result.output
+    assert not out_path.exists()
+
+
 def test_ccwt_engines_agree_via_files(runner, tmp_path):
     vac = str(tmp_path / "vac.ewg")
     run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "48",

@@ -205,12 +205,13 @@ def test_parseval_suite_transforms_each_field_once(monkeypatch):
 
 
 def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
-    # the three fields share one call, hence one worker pool of worker_count
-    # threads; inside it the real (vacuum, |1,1>) pair is packed into one
-    # input, so the coherent state makes the second and last padded FFT
+    # the three fields share one call; inside it the real (vacuum, |1,1>) pair
+    # is packed into one input, so the coherent state makes the second and last
+    # padded FFT.  Each call builds its kernel spectra once, and the worker
+    # pool belongs to the process: two scans make at most one pool between them.
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
     original = verify._forward_planes
-    calls, pools, threads, ffts = [], [], set(), []
+    calls, pools, tables, threads, ffts = [], [], [], set(), []
 
     def spy(fields, w, scales, fast):
         calls.append(len(fields))
@@ -222,8 +223,14 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
             super().__init__(max_workers)
 
     def kernel_spectrum(*args):
-        threads.add(threading.get_ident())
-        return kernel_spectrum.original(*args)
+        tables.append(threading.get_ident())
+        kernel = kernel_spectrum.original(*args)
+
+        def one_scale(s, c):
+            threads.add(threading.get_ident())
+            return kernel(s, c)
+
+        return one_scale
 
     def padded_fft2(*args):
         ffts.append(args[0].shape)
@@ -236,11 +243,14 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     monkeypatch.setattr(ccwt, "_kernel_spectrum", kernel_spectrum)
     monkeypatch.setattr(ccwt, "_padded_fft2", padded_fft2)
     scales = ScaleGrid.log_spaced(8, 0.25, 8.0)
-    constant_scan(verify.SCAN_STATES, emhw(), scales,
-                  ComplexPlaneGrid.centered(64, 8.0))
-    assert calls == [3]
-    assert ffts == [(64, 64)] * 2
+    ccwt._pool.cache_clear()
+    for _ in range(2):
+        constant_scan(verify.SCAN_STATES, emhw(), scales,
+                      ComplexPlaneGrid.centered(64, 8.0))
+    assert calls == [3, 3]
+    assert ffts == [(64, 64)] * 4
     assert pools == [ccwt.worker_count(len(scales))] == [2]
+    assert tables == [threading.get_ident()] * 2
     assert 1 <= len(threads) <= 2
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -299,9 +301,29 @@ def test_any_coefficient_tuple_constructs_or_raises_value_error(coeffs):
     back = wavelet_from_text(wavelet_to_text(w))
     assert back == w and hash(back) == hash(w)
     try:
-        c_psi_prime(w)
+        c = c_psi_prime(w)
     except NonAdmissibleError:
-        pass
+        return
+    except ValueError as exc:  # raised only for a C'_psi out of the normal float range
+        assert "is not a finite normal float" in str(exc)
+        return
+    assert sys.float_info.min <= c < math.inf
+
+
+def test_c_psi_prime_refuses_an_overflowing_or_subnormal_value():
+    # At 1e140 times unit energy, p(u)^2 overflows at the largest Gauss-Laguerre
+    # node of an order-32 wavelet; K = (1e-160, 1e-160) gives C'_psi = 2e-320,
+    # below the smallest normal float.  Both are admissible with a finite energy.
+    unit = random_admissible(np.random.default_rng(0), 32)
+    for w in (unit.scaled(1e140), laguerre_gaussian([1e-160, 1e-160])):
+        assert is_admissible(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="is not a finite normal float"):
+                c_psi_prime(w)
+    # in range, C'_psi keeps its quadratic scaling
+    for a in (1e120, 1e-150):
+        assert c_psi_prime(unit.scaled(a)) == pytest.approx(a * a * c_psi_prime(unit), rel=1e-12)
 
 
 def test_wavelet_text_errors():
