@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import itertools
 import math
 import os
 import struct
@@ -46,11 +45,10 @@ from .grid import (
     Field,
     ScaleGrid,
     scale_weights,
-    _atomic_write,
-    _parse_ewg1_header,
-    _EWG1_HEADER,
+    _read_planes,
+    _require_finite,
     _trap_mask_1d,
-    EWG1_MAGIC,
+    _write_planes,
 )
 from .wavelets import MotherWavelet, c_psi_prime, eval_wavelet, is_admissible, require_admissible
 
@@ -73,15 +71,7 @@ class CCWTCoefficients:
         expected = (len(self.scales), self.kappa_grid.nx, self.kappa_grid.ny)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape}, expected {expected}")
-        _require_finite(vals)
-        object.__setattr__(self, "values", vals)
-
-
-def _require_finite(values: np.ndarray) -> np.ndarray:
-    """``values`` (contiguous complex) unchanged, or ValueError on inf/NaN."""
-    if not np.all(np.isfinite(values.view(float))):
-        raise ValueError("coefficients contain non-finite values")
-    return values
+        object.__setattr__(self, "values", _require_finite(vals, "coefficients"))
 
 
 def worker_count(n_tasks: int) -> int:
@@ -511,9 +501,7 @@ class Signal1D:
             raise ValueError("signal needs a 1D array of at least 2 samples")
         if self.dx <= 0:
             raise ValueError("sample spacing must be positive")
-        if not np.all(np.isfinite(vals.view(float))):
-            raise ValueError("signal contains non-finite values")
-        object.__setattr__(self, "samples", vals)
+        object.__setattr__(self, "samples", _require_finite(vals, "signal"))
 
     @property
     def x(self) -> np.ndarray:
@@ -599,22 +587,13 @@ def icwt1d(coeffs: Cwt1dCoefficients, psi, c_psi: float, x_grid) -> Signal1D:
 
 
 def _write_ewc1(path: str, scales: ScaleGrid, grid: ComplexPlaneGrid, planes) -> None:
-    """Write an EWC1 file whose planes come from the iterable ``planes``.
+    """Write an EWC1 file: magic, u32 scale count and ``<f8`` scale table, then an EWG1 body.
 
-    Each plane is checked and written as it arrives, so a generator such
-    as :func:`_forward_planes` is never held whole.  A non-finite plane
-    raises ValueError and leaves no file behind.
+    The body's planes come from the iterable ``planes``; each is written as it arrives.
     """
     mu = scales.mu_values
-    header = [
-        EWC1_MAGIC,
-        struct.pack("<I", len(mu)),
-        mu.astype("<f8"),
-        _EWG1_HEADER.pack(EWG1_MAGIC, grid.nx, grid.ny, grid.x_min, grid.y_min,
-                          grid.dx, grid.dy),
-    ]
-    body = (_require_finite(np.ascontiguousarray(p, dtype="<c16")) for p in planes)
-    _atomic_write(path, itertools.chain(header, body))
+    prefix = EWC1_MAGIC + struct.pack("<I", len(mu)) + mu.astype("<f8").tobytes()
+    _write_planes(path, prefix, grid, planes)
 
 
 def write_coefficients_ewc1(coeffs: CCWTCoefficients, path: str) -> None:
@@ -626,17 +605,9 @@ def write_coefficients_ewc1(coeffs: CCWTCoefficients, path: str) -> None:
 def _ewc1_planes(path: str):
     """Open an EWC1 file as ``(scales, grid, plane)``; ``plane(s)`` reads plane s.
 
-    The file size is checked against the header first, so a truncated
-    file fails before any plane is read.  Each plane is read with
-    ``os.preadv`` at its own offset, so worker threads can read planes
-    concurrently, and is checked for finiteness as it is read.  Reading
-    into an array, not a bytes object per plane, keeps the allocator from
-    returning and re-faulting the pages every scale.  Only the planes
-    asked for are ever in memory (a memory map would count every page
-    touched toward the resident set).
+    The EWG1 body after the scale table is read by :func:`grid._read_planes`.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         head = fh.read(8)
         if len(head) < 8:
             raise FileFormatError(f"{path}: truncated EWC1 header")
@@ -644,31 +615,14 @@ def _ewc1_planes(path: str):
             raise FileFormatError(f"{path}: bad magic {head[:4]!r}, expected {EWC1_MAGIC!r}")
         (n_scales,) = struct.unpack_from("<I", head, 4)
         offset = 8 + 8 * n_scales
-        if size < offset:
+        if os.fstat(fh.fileno()).st_size < offset:
             raise FileFormatError(f"{path}: truncated scale table")
         mu = np.frombuffer(fh.read(8 * n_scales), dtype="<f8").astype(float)
         try:
             scales = ScaleGrid(mu)
         except ValueError as exc:
             raise FileFormatError(f"{path}: invalid scale table ({exc})")
-        grid, end = _parse_ewg1_header(fh.read(_EWG1_HEADER.size), 0, path)
-        offset += end
-        nbytes = grid.nx * grid.ny * 16
-        if size - offset < n_scales * nbytes:
-            raise FileFormatError(
-                f"{path}: truncated planes ({size - offset} of {n_scales * nbytes} bytes)"
-            )
-
-        def plane(s: int) -> np.ndarray:
-            values = np.empty((grid.nx, grid.ny), dtype="<c16")
-            if os.preadv(fh.fileno(), [values], offset + s * nbytes) < nbytes:
-                raise FileFormatError(f"{path}: truncated plane {s}")
-            try:
-                return _require_finite(values)
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: {exc}")
-
-        yield scales, grid, plane
+        yield (scales, *_read_planes(fh, offset, n_scales, path))
 
 
 def read_coefficients_ewc1(path: str) -> CCWTCoefficients:

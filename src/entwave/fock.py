@@ -24,7 +24,7 @@ import numpy as np
 
 from .ccwt import _separable_correlate
 from .errors import ConvergenceError
-from .grid import ComplexPlaneGrid, Field, integrate
+from .grid import ComplexPlaneGrid, Field, _require_finite, integrate
 from .specfun import HERMITE_ORDER_CAP, _check_order
 
 _SERIES_ORDER_CAP = 60
@@ -201,8 +201,7 @@ class TwoModeFockState:
             raise ValueError(
                 f"coefficient matrix shape {c.shape} does not match cutoff {self.cutoff}"
             )
-        if not np.all(np.isfinite(c.view(float))):
-            raise ValueError("coefficients contain non-finite values")
+        _require_finite(c, "coefficients")
         norm = np.sum(np.abs(c) ** 2)
         if norm > 1.0 + 1e-9:
             raise ValueError(f"squared norm {norm:.12f} exceeds 1 beyond truncation slack")

@@ -8,6 +8,7 @@ done by the trapezoid rule in log(mu).
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -20,6 +21,13 @@ _MEASURES = {"d2_over_pi": 1.0 / np.pi, "d2_over_2pi": 0.5 / np.pi, "plain": 1.0
 
 EWG1_MAGIC = b"EWG1"
 _EWG1_HEADER = struct.Struct("<4sII4d")
+
+
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """Complex ``values`` of any strides unchanged, or ValueError naming ``what`` on inf/NaN."""
+    if not np.all(np.isfinite(np.ascontiguousarray(values).view(float))):
+        raise ValueError(f"non-finite values in {what}")
+    return values
 
 
 def _trap_mask_1d(n: int) -> np.ndarray:
@@ -99,9 +107,7 @@ class Field:
                 f"values shape {vals.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny})"
             )
-        if not np.all(np.isfinite(vals.view(float))):
-            raise ValueError("field contains non-finite values")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _require_finite(vals, "field"))
 
     def boundary_max(self) -> float:
         """Largest magnitude on the outermost node ring."""
@@ -161,10 +167,7 @@ def default_scale_grid() -> ScaleGrid:
 
 def sample(f, grid: ComplexPlaneGrid) -> Field:
     """Sample a function of a complex variable on every grid node."""
-    vals = np.asarray(f(grid.nodes()), dtype=complex)
-    if not np.all(np.isfinite(vals.view(float))):
-        raise ValueError("sampled function produced non-finite values")
-    return Field(grid, vals)
+    return Field(grid, f(grid.nodes()))
 
 
 def integrate(f: Field, measure: str = "d2_over_pi") -> complex:
@@ -222,42 +225,69 @@ def _atomic_write(path: str, buffers) -> None:
         raise
 
 
-def write_field_ewg1(f: Field, path: str) -> None:
-    """Write a field in the EWG1 binary format."""
-    g = f.grid
-    header = _EWG1_HEADER.pack(EWG1_MAGIC, g.nx, g.ny, g.x_min, g.y_min, g.dx, g.dy)
-    _atomic_write(path, [header, np.ascontiguousarray(f.values, dtype="<c16")])
+def _write_planes(path: str, prefix: bytes, grid: ComplexPlaneGrid, planes) -> None:
+    """Write ``prefix``, the EWG1 header of ``grid``, then each of ``planes`` to ``path``.
+
+    Only this writer and :func:`_read_planes` know the EWG1 layout.  Each
+    plane is checked and written as it arrives, so a generator is never held
+    whole; a non-finite plane raises ValueError and leaves no file behind.
+    """
+    header = _EWG1_HEADER.pack(EWG1_MAGIC, grid.nx, grid.ny, grid.x_min, grid.y_min,
+                               grid.dx, grid.dy)
+    body = (_require_finite(np.ascontiguousarray(p, dtype="<c16"), f"plane {s}")
+            for s, p in enumerate(planes))
+    _atomic_write(path, itertools.chain([prefix, header], body))
 
 
-def _parse_ewg1_header(buf: bytes, offset: int, path: str):
-    end = offset + _EWG1_HEADER.size
-    if len(buf) < end:
+def _read_planes(fh, offset: int, count: int, path: str):
+    """``(grid, plane)`` of the EWG1 header at ``offset`` in ``fh`` and its ``count`` planes.
+
+    The file size is checked first, so a truncated file fails before any
+    plane is read; bytes after the last plane are ignored.  ``plane(s)``
+    reads plane s into a new array with ``os.preadv`` at its own offset, so
+    threads can read planes concurrently and only those asked for are in
+    memory (a memory map would count every page touched toward the resident
+    set), and checks it for finiteness.
+    """
+    fd = fh.fileno()
+    head = os.pread(fd, _EWG1_HEADER.size, offset)
+    if len(head) < _EWG1_HEADER.size:
         raise FileFormatError(f"{path}: truncated EWG1 header")
-    magic, nx, ny, x_min, y_min, dx, dy = _EWG1_HEADER.unpack(buf[offset:end])
+    magic, nx, ny, *origin_and_steps = _EWG1_HEADER.unpack(head)
     if magic != EWG1_MAGIC:
         raise FileFormatError(f"{path}: bad magic {magic!r}, expected {EWG1_MAGIC!r}")
     try:
-        grid = ComplexPlaneGrid(nx, ny, x_min, y_min, dx, dy)
+        grid = ComplexPlaneGrid(nx, ny, *origin_and_steps)
     except ValueError as exc:
         raise FileFormatError(f"{path}: invalid grid header ({exc})")
-    return grid, end
+    offset += _EWG1_HEADER.size
+    nbytes = nx * ny * 16
+    available = os.fstat(fd).st_size - offset
+    if available < count * nbytes:
+        raise FileFormatError(f"{path}: truncated planes ({available} of {count * nbytes} bytes)")
+
+    def plane(s: int) -> np.ndarray:
+        values = np.empty((nx, ny), dtype="<c16")
+        if os.preadv(fd, [values], offset + s * nbytes) < nbytes:
+            raise FileFormatError(f"{path}: truncated plane {s}")
+        try:
+            return _require_finite(values, f"plane {s}")
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}")
+
+    return grid, plane
+
+
+def write_field_ewg1(f: Field, path: str) -> None:
+    """Write a field in the EWG1 binary format."""
+    _write_planes(path, b"", f.grid, [f.values])
 
 
 def read_field_ewg1(path: str) -> Field:
     """Read a field from the EWG1 binary format."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    grid, offset = _parse_ewg1_header(buf, 0, path)
-    expected = grid.nx * grid.ny * 16
-    if len(buf) - offset < expected:
-        raise FileFormatError(
-            f"{path}: truncated payload ({len(buf) - offset} of {expected} bytes)"
-        )
-    vals = np.frombuffer(buf, dtype="<c16", count=grid.nx * grid.ny, offset=offset)
-    try:
-        return Field(grid, vals.reshape(grid.nx, grid.ny).astype(complex))
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}")
+        grid, plane = _read_planes(fh, 0, 1, path)
+        return Field(grid, plane(0))
 
 
 def write_field_csv(f: Field, path: str) -> None:

@@ -203,11 +203,14 @@ def c_psi_prime(w: MotherWavelet) -> float:
     for N coefficients p^2/u is a polynomial of degree 2N - 3, and the
     N-node Gauss-Laguerre rule, exact through degree 2N - 1 (Golub & Welsch,
     Math. Comp. 23, 1969), gives the integral exactly; ValueError if it is not a normal float.
+    The sum is taken for p / 2^e, 2^e > max |n! K_n|, an exact scaling that keeps p^2 finite.
     """
     require_admissible(w)
+    e = max(0, math.frexp(max(abs(math.factorial(n) * c) for n, c in enumerate(w.coeffs)))[1])
     u, weights = np.polynomial.laguerre.laggauss(w.order)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = 2.0 * float(np.sum(weights * _fourier_series(w, u) ** 2 / u))
+        c = 2.0 * float(np.sum(weights * _fourier_series(w.scaled(2.0 ** -e), u) ** 2 / u))
+        c = float(np.ldexp(c, 2 * e))
     if not sys.float_info.min <= c < math.inf:
         raise ValueError(f"C'_psi = {c:g} is not a finite normal float; rescale K = {w.coeffs}")
     return c

@@ -29,7 +29,8 @@ from entwave.ccwt import (
     write_coefficients_ewc1,
 )
 from entwave.errors import BoundaryDecayError, FileFormatError, NonAdmissibleError
-from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid, sample
+from entwave.grid import (ComplexPlaneGrid, Field, ScaleGrid, read_field_ewg1, sample,
+                          write_field_ewg1)
 from entwave.specfun import DEFAULT_ORDER_CAP
 from entwave.wavelets import (
     c_psi_prime,
@@ -536,6 +537,26 @@ def test_ewc1_errors(tmp_path):
         open(bad, "wb").write(data[:cut])
         with pytest.raises(FileFormatError):
             read_coefficients_ewc1(bad)
+
+
+def test_ewc1_is_a_scale_table_and_an_ewg1_body(tmp_path):
+    grid = ComplexPlaneGrid.centered(12, 8.0)
+    coeffs = forward_fast(gaussian_field(grid), emhw(), ScaleGrid.log_spaced(3, 0.5, 2.0))
+    path, plane0, ref = (str(tmp_path / name) for name in ("c.ewc", "p.ewg", "ref.ewg"))
+    write_coefficients_ewc1(coeffs, path)
+    write_field_ewg1(Field(grid, coeffs.values[0]), ref)
+    # after the magic, the scale count and the scale table: an EWG1 file cut to one plane
+    data = open(path, "rb").read()
+    body = data[8 + 8 * 3:]
+    open(plane0, "wb").write(body[:len(body) - 2 * grid.nx * grid.ny * 16])
+    assert open(plane0, "rb").read() == open(ref, "rb").read()
+    back = read_field_ewg1(plane0)
+    assert back.grid == grid and np.array_equal(back.values, coeffs.values[0])
+    # both readers ignore bytes after the last plane
+    for name, read, values in ((path, read_coefficients_ewc1, coeffs.values),
+                               (plane0, read_field_ewg1, coeffs.values[0])):
+        open(name, "ab").write(b"trailing bytes")
+        assert np.array_equal(read(name).values, values)
 
 
 # The scipy.fft forms of the FFT kernels, kept as references for the numpy.fft ones.

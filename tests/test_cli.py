@@ -129,9 +129,9 @@ def test_zero_or_overflowing_wavelet_exits_3_up_front(runner, tmp_path, command,
     assert not out_path.exists()
 
 
-# admissible wavelets whose C'_psi is subnormal, or overflows at the largest quadrature node
+# admissible wavelets of finite energy whose C'_psi is subnormal, or above the largest float
 _SUBNORMAL_C_PSI = "1e-160,1e-160"
-_OVERFLOWING_C_PSI = ",".join(["-1e140"] + ["0"] * 31 + [repr(1e140 / math.factorial(32))])
+_OVERFLOWING_C_PSI = ",".join(["-7e153"] + ["0"] * 31 + [repr(7e153 / math.factorial(32))])
 
 
 @pytest.mark.parametrize("coeffs", [_SUBNORMAL_C_PSI, _OVERFLOWING_C_PSI],
@@ -574,20 +574,31 @@ def _assert_no_output(path):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_truncated_ewc1_is_a_file_format_error(data):
+    # An EWC1 file and the EWG1 field it came from share one plane reader:
+    # cut anywhere, or with an inf or NaN in any value, each is refused.
     with tempfile.TemporaryDirectory() as tmp:
         runner = CliRunner()
-        _, coeff = _small_coefficients(runner, Path(tmp))
-        whole = open(coeff, "rb").read()
+        field, coeff = _small_coefficients(runner, Path(tmp))
+        path, read, command = data.draw(st.sampled_from(
+            [(coeff, read_coefficients_ewc1, "inverse"), (field, read_field_ewg1, "forward")]))
+        whole = open(path, "rb").read()
         cut = data.draw(st.integers(0, len(whole) - 1), label="cut")
-        bad = os.path.join(tmp, "bad.ewc")
-        with open(bad, "wb") as fh:
-            fh.write(whole[:cut])
-        with pytest.raises(FileFormatError):
-            read_coefficients_ewc1(bad)
-        out_path = os.path.join(tmp, "rec.ewg")
-        result = runner.invoke(main, ["ccwt", "inverse", bad, "--output", out_path])
-        assert result.exit_code == 2, result.output
-        _assert_no_output(out_path)
+        # the planes end the file: 16 x 16 values each, 3 for the coefficients, 1 for the field
+        back = data.draw(st.integers(1, 2 * 256 * (3 if path == coeff else 1)), label="double")
+        poison = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        poisoned = bytearray(whole)
+        poisoned[len(whole) - 8 * back:len(whole) - 8 * (back - 1)] = struct.pack("<d", poison)
+        for bad_bytes, message in ((whole[:cut], None), (bytes(poisoned), "non-finite")):
+            bad = os.path.join(tmp, "bad")
+            with open(bad, "wb") as fh:
+                fh.write(bad_bytes)
+            with pytest.raises(FileFormatError, match=message):
+                read(bad)
+            out_path = os.path.join(tmp, "out")
+            result = runner.invoke(main, ["ccwt", command, bad, "--output", out_path])
+            assert result.exit_code == 2, result.output
+            assert message is None or message in result.output and bad in result.output
+            _assert_no_output(out_path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

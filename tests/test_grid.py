@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import entwave
+from entwave.ccwt import Signal1D
 from entwave.errors import FileFormatError
 from entwave.grid import (
     ComplexPlaneGrid,
@@ -23,6 +24,7 @@ from entwave.grid import (
     write_field_csv,
     write_field_ewg1,
 )
+from entwave.fock import TwoModeFockState
 from entwave.wavelets import emhw, eval_wavelet
 
 
@@ -79,6 +81,24 @@ def test_sample_rejects_nonfinite():
     g = ComplexPlaneGrid.centered(17, 2.0)  # odd: contains the origin
     with np.errstate(divide="ignore"), pytest.raises(ValueError):
         sample(lambda e: 1.0 / np.abs(e) ** 2, g)
+
+
+def test_finite_check_accepts_any_strides():
+    rng = np.random.default_rng(7)
+    grid = ComplexPlaneGrid.centered(6, 2.0)
+    v, x, c = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in ((6, 6), (12,), (3, 3)))
+    assert Field(grid, v).values is v  # a contiguous array is checked in place
+    cases = [(lambda a: Field(grid, a).values, v, np.transpose),
+             (lambda a: Field(grid, a).values, v, lambda b: b[:, ::-1]),
+             (lambda a: Signal1D(a, 0.0, 0.5).samples, x, lambda b: b[::2]),
+             (lambda a: TwoModeFockState(2, a).coeffs, 0.1 * c, np.transpose)]
+    for build, base, view in cases:
+        assert np.array_equal(build(view(base)), view(base))
+        for bad in (complex(np.nan, 1), complex(1, np.nan), complex(-np.inf, 1), complex(1, np.inf)):
+            poisoned = base.copy()
+            poisoned.flat[0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                build(view(poisoned))
 
 
 def test_integrate_gaussian_unit():

@@ -311,18 +311,20 @@ def test_any_coefficient_tuple_constructs_or_raises_value_error(coeffs):
 
 
 def test_c_psi_prime_refuses_an_overflowing_or_subnormal_value():
-    # At 1e140 times unit energy, p(u)^2 overflows at the largest Gauss-Laguerre
-    # node of an order-32 wavelet; K = (1e-160, 1e-160) gives C'_psi = 2e-320,
+    # K_0 = -a, K_32 = a / 32! has energy 2 a^2 = 9.8e307 and C'_psi near 4e308,
+    # above the largest float; K = (1e-160, 1e-160) gives C'_psi = 2e-320,
     # below the smallest normal float.  Both are admissible with a finite energy.
-    unit = random_admissible(np.random.default_rng(0), 32)
-    for w in (unit.scaled(1e140), laguerre_gaussian([1e-160, 1e-160])):
+    a = 7e153
+    overflowing = laguerre_gaussian([-a] + [0.0] * 31 + [a / math.factorial(32)])
+    for w in (overflowing, laguerre_gaussian([1e-160, 1e-160])):
         assert is_admissible(w)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="is not a finite normal float"):
                 c_psi_prime(w)
-    # in range, C'_psi keeps its quadratic scaling
-    for a in (1e120, 1e-150):
+    # in range, C'_psi keeps its quadratic scaling, also where p(u)^2 would overflow
+    unit = random_admissible(np.random.default_rng(0), 32)
+    for a in (1e120, 1e150, 1e-150):
         assert c_psi_prime(unit.scaled(a)) == pytest.approx(a * a * c_psi_prime(unit), rel=1e-12)
 
 
