@@ -10,6 +10,7 @@ identical inputs and flags.  ENTWAVE_THREADS caps internal parallelism.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 import typing
 
@@ -32,6 +33,7 @@ def _fail(code: int, message: str):
 def _guarded(fn):
     """Translate library errors into the documented exit codes."""
 
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -42,8 +44,6 @@ def _guarded(fn):
         except (EntwaveError, ValueError) as exc:
             _fail(EXIT_PRECONDITION, str(exc))
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
@@ -105,18 +105,23 @@ _INVERSE_KEYS = ["wavelet_kind", "wavelet_coeffs"]
 def _read_field_any(path: str) -> gridmod.Field:
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == gridmod.EWG1_MAGIC:
+    # A cut EWG1 header goes to the EWG1 reader, which names the cut.
+    if head and gridmod.EWG1_MAGIC.startswith(head):
         return gridmod.read_field_ewg1(path)
     return gridmod.read_field_csv(path)
 
 
-def _write_field(f: gridmod.Field, path: str, fmt: str) -> None:
-    if fmt == "ewg":
-        gridmod.write_field_ewg1(f, path)
-    elif fmt == "csv":
-        gridmod.write_field_csv(f, path)
-    else:
-        raise ValueError(f"unknown field format {fmt!r}; choose ewg or csv")
+#: Field writers by ``--format`` name.
+_FIELD_WRITERS = {"ewg": gridmod.write_field_ewg1, "csv": gridmod.write_field_csv}
+
+_format_option = click.option("--format", "fmt", type=click.Choice(list(_FIELD_WRITERS)),
+                              default="ewg", show_default=True)
+
+
+def _wavelet_options(fn):
+    """``--kind`` and ``--coeffs``; unset, they keep the config or RunConfig value."""
+    fn = click.option("--coeffs", help="comma-separated K_n for --kind lg")(fn)
+    return click.option("--kind", help="wavelet kind: emhw or lg")(fn)
 
 
 @click.group()
@@ -130,15 +135,15 @@ def wavelet():
 
 
 @wavelet.command("info")
-@click.option("--kind", default="emhw", show_default=True, help="emhw or lg")
-@click.option("--coeffs", default=None, help="comma-separated K_n for --kind lg")
+@_wavelet_options
 @_guarded
 def wavelet_info(kind, coeffs):
     """Print kind, coefficients, admissibility defect, and C'_psi."""
-    w = wavelets.MotherWavelet.from_spec(kind, coeffs or ())
+    cfg = load_settings(ccwt.RunConfig, {}, wavelet_kind=kind, wavelet_coeffs=coeffs)
+    w = cfg.wavelet()
     defect = wavelets.admissibility_defect(w)
     c_prime = wavelets.c_psi_prime(w) if wavelets.is_admissible(w) else None  # before any output
-    click.echo(f"kind: {kind.lower()}")
+    click.echo(f"kind: {cfg.wavelet_kind.lower()}")
     click.echo("coeffs: " + ",".join(f"{c:g}" for c in w.coeffs))
     click.echo(f"admissibility_defect: {defect.real:.12g}")
     if c_prime is not None:
@@ -151,30 +156,6 @@ def wavelet_info(kind, coeffs):
         )
 
 
-_common_grid_options = [
-    click.option("--grid-n", type=int, default=None, help="nodes per axis"),
-    click.option("--grid-extent", type=float, default=None, help="half-width of the grid"),
-]
-_common_scale_options = [
-    click.option("--scales", type=int, default=None, help="number of scale nodes"),
-    click.option("--mu-min", type=float, default=None),
-    click.option("--mu-max", type=float, default=None),
-]
-_wavelet_options = [
-    click.option("--kind", default=None, help="wavelet kind (emhw or lg)"),
-    click.option("--coeffs", default=None, help="comma-separated K_n for lg"),
-]
-
-
-def _add_options(options):
-    def deco(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return deco
-
-
 @main.group("ccwt")
 def ccwt_group():
     """Forward and inverse transforms on field files."""
@@ -184,9 +165,11 @@ def ccwt_group():
 @click.argument("input_path", metavar="INPUT")
 @click.option("--output", required=True, help="EWC1 output path")
 @click.option("--config", default=None, help="key=value config file")
-@click.option("--engine", type=click.Choice(["direct", "fft"]), default=None)
-@_add_options(_common_scale_options)
-@_add_options(_wavelet_options)
+@click.option("--engine", help="transform engine")
+@click.option("--scales", help="number of scale nodes")
+@click.option("--mu-min")
+@click.option("--mu-max")
+@_wavelet_options
 @_guarded
 def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
                  kind, coeffs):
@@ -208,11 +191,10 @@ def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
 @click.argument("input_path", metavar="INPUT")
 @click.option("--output", required=True, help="field output path")
 @click.option("--config", default=None, help="key=value config file")
-@click.option("--format", "fmt", type=click.Choice(["ewg", "csv"]), default="ewg",
-              show_default=True)
+@_format_option
 @click.option("--reference", default=None,
               help="original field file; prints a reconstruction report")
-@_add_options(_wavelet_options)
+@_wavelet_options
 @_guarded
 def ccwt_inverse(input_path, output, config, fmt, reference, kind, coeffs):
     """Invert an EWC1 coefficient file back to a field."""
@@ -223,7 +205,7 @@ def ccwt_inverse(input_path, output, config, fmt, reference, kind, coeffs):
     with ccwt._ewc1_planes(input_path) as (scales, kgrid, plane):
         c_prime = wavelets.c_psi_prime(w)
         field = ccwt._inverse_planes(plane, scales, kgrid, w, c_prime)
-    _write_field(field, output, fmt)
+    _FIELD_WRITERS[fmt](field, output)
     click.echo(f"wrote {output}")
     if reference:
         ref = _read_field_any(reference)
@@ -268,15 +250,15 @@ def fock_group():
 @fock_group.command("sample")
 @click.argument("state", metavar="STATE")
 @click.option("--output", required=True, help="field output path")
-@click.option("--format", "fmt", type=click.Choice(["ewg", "csv"]), default="ewg",
-              show_default=True)
-@_add_options(_common_grid_options)
+@_format_option
+@click.option("--grid-n", help="nodes per axis")
+@click.option("--grid-extent", help="half-width of the grid")
 @_guarded
 def fock_sample(state, output, fmt, grid_n, grid_extent):
     """Write the plane representation of ``number:m,n`` or ``coherent:...``."""
     cfg = load_settings(ccwt.RunConfig, {}, grid_n=grid_n, grid_extent=grid_extent)
     field = fock.state_field(state, cfg.grid())
-    _write_field(field, output, fmt)
+    _FIELD_WRITERS[fmt](field, output)
     click.echo(f"wrote {output}")
 
 

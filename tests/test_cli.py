@@ -39,10 +39,13 @@ def run_ok(runner, args):
 
 
 def test_wavelet_info_emhw(runner):
-    out = run_ok(runner, ["wavelet", "info", "--kind", "emhw"])
-    cpsi = float(re.search(r"c_psi_prime: ([\d.eE+-]+)", out).group(1))
-    assert abs(cpsi - 0.5) <= 1e-3
-    assert "admissibility_defect: 0" in out
+    # with no flags the wavelet is RunConfig's default
+    for flags in (["--kind", "emhw"], []):
+        out = run_ok(runner, ["wavelet", "info", *flags])
+        assert out.startswith("kind: emhw\ncoeffs: 0.5,0.5\n")
+        cpsi = float(re.search(r"c_psi_prime: ([\d.eE+-]+)", out).group(1))
+        assert abs(cpsi - 0.5) <= 1e-3
+        assert "admissibility_defect: 0" in out
 
 
 def test_wavelet_info_lg_equivalent(runner):
@@ -440,6 +443,37 @@ def test_config_kind_case_and_bad_value(runner, tmp_path, command, bad):
     assert f"{key} has bad value {value!r}" in result.output
 
 
+@pytest.mark.parametrize("command, flags, line, message", [
+    ("forward", ["--engine", "FFT"], "engine=FFT", "unknown engine 'FFT'; choose direct or fft"),
+    ("forward", ["--scales", "abc"], "scale_count=abc", "scale_count has bad value 'abc'"),
+    ("forward", ["--mu-min", "x"], "mu_min=x", "mu_min has bad value 'x'"),
+    ("forward", ["--kind", "lg", "--coeffs", "a,b"], "wavelet_coeffs=a,b",
+     "wavelet_coeffs has bad value 'a,b'"),
+    ("inverse", ["--kind", "lg", "--coeffs", "a,b"], "wavelet_coeffs=a,b",
+     "wavelet_coeffs has bad value 'a,b'"),
+    ("fock", ["--grid-n", "x"], None, "grid_n has bad value 'x'"),
+    ("info", ["--kind", "lg", "--coeffs", "a,b"], None, "wavelet_coeffs has bad value 'a,b'"),
+], ids=["engine", "scales", "mu_min", "forward_coeffs", "inverse_coeffs", "grid_n", "info"])
+def test_bad_setting_flag_exits_3_like_its_config_line(runner, tmp_path, command, flags, line,
+                                                       message):
+    # a flag is cast and checked by the same loader as its config line; wavelet info
+    # reads --coeffs as ccwt forward does
+    field, coeff = _small_coefficients(runner, tmp_path)
+    out_path = str(tmp_path / "out")
+    args = {"forward": ["ccwt", "forward", field, "--output", out_path],
+            "inverse": ["ccwt", "inverse", coeff, "--output", out_path],
+            "fock": ["fock", "sample", "number:0,0", "--output", out_path],
+            "info": ["wavelet", "info"]}[command]
+    results = [runner.invoke(main, args + flags)]
+    if line is not None:
+        cfg = _unknown_key_config(tmp_path, line + "\n")
+        results.append(runner.invoke(main, args + ["--config", cfg]))
+    for result in results:
+        assert result.exit_code == 3, result.output
+        assert result.output == f"entwave: {message}\n"
+        _assert_no_output(out_path)
+
+
 def _setting_values(cls):
     """Random valid field values of a settings dataclass, any subset of fields."""
     hints = typing.get_type_hints(cls)
@@ -599,6 +633,23 @@ def test_truncated_ewc1_is_a_file_format_error(data):
             assert result.exit_code == 2, result.output
             assert message is None or message in result.output and bad in result.output
             _assert_no_output(out_path)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("role", ["input", "reference"])
+def test_cut_ewg1_magic_is_a_truncated_header(runner, tmp_path, role, size):
+    # a cut of the magic is a cut EWG1 file, not a malformed CSV one
+    field, coeff = _small_coefficients(runner, tmp_path)
+    bad = tmp_path / "cut.ewg"
+    bad.write_bytes(open(field, "rb").read()[:size])
+    out_path = str(tmp_path / "out")
+    args = {"input": ["ccwt", "forward", str(bad)],
+            "reference": ["ccwt", "inverse", coeff, "--reference", str(bad)]}[role]
+    result = runner.invoke(main, args + ["--output", out_path])
+    assert result.exit_code == 2, result.output
+    assert f"entwave: {bad}: truncated EWG1 header\n" in result.output
+    if role == "input":
+        _assert_no_output(out_path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
