@@ -11,8 +11,6 @@ from .grid import (
     ComplexPlaneGrid,
     Field,
     ScaleGrid,
-    default_grid,
-    default_scale_grid,
     integrate,
     read_field_csv,
     read_field_ewg1,
@@ -32,14 +30,11 @@ from .wavelets import (
     laguerre_gaussian,
     mexican_hat,
     symplectic_fourier,
-    wavelet_from_text,
-    wavelet_to_text,
 )
 from .ccwt import (
     CCWTCoefficients,
     Cwt1dCoefficients,
     Signal1D,
-    cwt1d,
     cwt1d_grid,
     forward,
     forward_fast,

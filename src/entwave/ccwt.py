@@ -50,7 +50,9 @@ from .grid import (
     _trap_mask_1d,
     _write_planes,
 )
-from .wavelets import MotherWavelet, c_psi_prime, eval_wavelet, is_admissible, require_admissible
+from .specfun import hermite_functions, separable_correlate
+from .wavelets import (MotherWavelet, c_psi_prime, eval_wavelet, is_admissible,
+                       require_admissible, separable_coeffs)
 
 #: Largest boundary magnitude accepted for fields entering the transforms.
 TRANSFORM_BOUNDARY_TOL = 1e-8
@@ -173,57 +175,6 @@ def _correlate_direct(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _separable_coeffs(w: MotherWavelet) -> np.ndarray:
-    """M with psi(x + iy) = sum_{a,b} M[a, b] h_{2a}(x) h_{2b}(y).
-
-    From L_n(x^2 + y^2) = (-1)^n / (4^n n!) sum_m C(n, m) H_{2m}(x) H_{2n-2m}(y)
-    and e^{-x^2/2} H_k(x) = sqrt(2^k k! sqrt(pi)) h_k(x).  The orthonormal
-    Hermite functions stay bounded at every order; an expansion in
-    monomials x^{2a} e^{-x^2/2} cancels catastrophically instead (errors
-    near 1e-3 at order 32).
-    """
-    m = np.zeros((w.order, w.order))
-    for n, k_n in enumerate(w.coeffs):
-        for a in range(n + 1):
-            b = n - a
-            root = math.sqrt(math.factorial(2 * a) * math.factorial(2 * b))
-            m[a, b] = k_n * (-1) ** n * math.sqrt(math.pi) * 2.0 ** -n * math.comb(n, a) * root
-    return m
-
-
-def _hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
-    """Orthonormal Hermite functions h_0 .. h_{count-1} at ``x``, shape (count, *x.shape).
-
-    h_{k+1} = sqrt(2/(k+1)) x h_k - sqrt(k/(k+1)) h_{k-1}, h_0 = pi^{-1/4} e^{-x^2/2}.
-    """
-    h = np.empty((count, *x.shape))
-    h[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if count > 1:
-        h[1] = math.sqrt(2.0) * x * h[0]
-    for k in range(1, count - 1):
-        h[k + 1] = math.sqrt(2.0 / (k + 1)) * x * h[k] - math.sqrt(k / (k + 1)) * h[k - 1]
-    return h
-
-
-def _axis_hermite(dst, src: np.ndarray, mu: float, terms: int) -> np.ndarray:
-    """X[a, i, k] = h_2a((dst_i - src_k)/mu) for a < terms, shape (terms, len(dst), len(src))."""
-    lag = (np.asarray(dst, dtype=float)[:, None] - src[None, :]) / mu
-    return _hermite_functions(lag, 2 * terms - 1)[::2]
-
-
-def _separable_correlate(values, w: MotherWavelet, mu: float, src_axes, dst_axes) -> np.ndarray:
-    """out[i, j] = sum_kl values[k, l] psi((x'_i - x_k)/mu + i (y'_j - y_l)/mu).
-
-    ``values`` sits on the axes (x, y) = ``src_axes``, ``out`` on (x', y') =
-    ``dst_axes``; the sum is sum_ab M_ab X_a V Y_b^T (:func:`_axis_hermite`).
-    """
-    m = _separable_coeffs(w)
-    x = _axis_hermite(dst_axes[0], src_axes[0], mu, len(m))
-    y = _axis_hermite(dst_axes[1], src_axes[1], mu, len(m))
-    xv = np.tensordot(m, x, axes=(0, 0)) @ values  # sum_a M_ab X_a V, shape (b, i, l)
-    return np.tensordot(xv, y, axes=([0, 2], [0, 2]))
-
-
 def _axis_spectra(terms: int, n: int, steps, p: int) -> np.ndarray:
     """Length-p DFTs of h_0, h_2, ..., h_{2 terms - 2} at lags l * step, for every step.
 
@@ -232,7 +183,7 @@ def _axis_spectra(terms: int, n: int, steps, p: int) -> np.ndarray:
     the samples are even in l, so each DFT is real.
     """
     lags = np.multiply.outer(steps, np.arange(n))
-    h = np.moveaxis(_hermite_functions(lags, 2 * terms - 1)[::2], 0, -2)
+    h = np.moveaxis(hermite_functions(lags, 2 * terms - 1)[::2], 0, -2)
     seq = np.zeros((*h.shape[:-1], p))
     seq[..., :n] = h
     seq[..., p - n + 1:] = h[..., :0:-1]
@@ -329,7 +280,7 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
     if fast:
         shape = _padded_shape(grid)
         f_values = [_padded_fft2(v, shape) for v in masked]
-        kernel = _kernel_spectrum(_separable_coeffs(w), mu, grid, shape)
+        kernel = _kernel_spectrum(separable_coeffs(w), mu, grid, shape)
 
         def transform(s: int) -> list:
             khat = kernel(s, measure[s])
@@ -433,7 +384,7 @@ def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,
     over the truncated scale range and the translation grid.  On the
     kappa grid's own layout the scale sum is taken in the Fourier domain,
     so one inverse FFT serves every scale; onto any other grid each scale
-    is a separable contraction (:func:`_separable_correlate`).
+    is a separable contraction (:func:`specfun.separable_correlate`).
     """
     return _inverse_planes(coeffs.values.__getitem__, coeffs.scales, coeffs.kappa_grid,
                            w, c_prime, out_grid)
@@ -454,10 +405,11 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     mu = scales.mu_values
     weights = scale_weights(scales, 4)
     mask = kgrid.trapezoid_mask()
+    m = separable_coeffs(w)
     shared = out_grid.same_layout(kgrid)
     if shared:
         shape = _padded_shape(kgrid)
-        kernel = _kernel_spectrum(_separable_coeffs(w), mu, kgrid, shape)
+        kernel = _kernel_spectrum(m, mu, kgrid, shape)
 
         def one_scale(s: int) -> np.ndarray:
             # The kernel spectrum is made after the padded FFT, so the two
@@ -470,7 +422,7 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         axes = (kgrid.x, kgrid.y), (out_grid.x, out_grid.y)
 
         def one_scale(s: int) -> np.ndarray:
-            return _separable_correlate(plane(s) * mask, w, mu[s], *axes) * weights[s]
+            return separable_correlate(plane(s) * mask, m, mu[s], *axes) * weights[s]
 
     parts = _imap_scales(one_scale, len(mu))
     total = next(parts)
@@ -506,15 +458,6 @@ class Signal1D:
     @property
     def x(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(len(self.samples))
-
-
-def cwt1d(f: Signal1D, psi, mu: float, s: float) -> complex:
-    """1D wavelet coefficient (1/sqrt(mu)) int f(x) psi*((x - s)/mu) dx."""
-    if mu <= 0:
-        raise ValueError(f"scale must be positive, got {mu}")
-    kernel = np.conj(psi((f.x - s) / mu))
-    total = np.sum(_trap_mask_1d(len(f.samples)) * f.samples * kernel)
-    return complex(total * f.dx / math.sqrt(mu))
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,30 @@ def _guarded(fn):
     return wrapper
 
 
+def _read_key_values(lines, source: str) -> dict:
+    """Values of the ``key=value`` lines; blank lines and ``#`` comments are skipped.
+
+    A later key overrides an earlier one.  A line without ``=`` raises
+    FileFormatError naming ``source`` and the line number.
+    """
+    out = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise FileFormatError(f"{source}:{lineno}: expected key=value")
+            out[key.strip()] = value.strip()
+    return out
+
+
 def read_config(path: str | None) -> dict:
     """Parse a plain-text key=value configuration file; no path reads as empty."""
     if not path:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            return wavelets._read_key_values(fh, path)
+            return _read_key_values(fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read config {path}: {exc}")
 
@@ -203,14 +220,15 @@ def ccwt_inverse(input_path, output, config, fmt, reference, kind, coeffs):
     w = cfg.wavelet()
     # Planes are read one at a time inside the per-scale tasks.
     with ccwt._ewc1_planes(input_path) as (scales, kgrid, plane):
+        # A missing, cut or mismatched reference fails before any work or output.
+        ref = _read_field_any(reference) if reference else None
+        if ref is not None and not ref.grid.same_layout(kgrid):
+            raise ValueError("reference grid does not match the reconstruction grid")
         c_prime = wavelets.c_psi_prime(w)
         field = ccwt._inverse_planes(plane, scales, kgrid, w, c_prime)
     _FIELD_WRITERS[fmt](field, output)
     click.echo(f"wrote {output}")
-    if reference:
-        ref = _read_field_any(reference)
-        if not ref.grid.same_layout(field.grid):
-            raise ValueError("reference grid does not match the reconstruction grid")
+    if ref is not None:
         num = np.sqrt(np.sum(np.abs(field.values - ref.values) ** 2))
         den = np.sqrt(np.sum(np.abs(ref.values) ** 2))
         rel = num / den if den > 0 else np.inf

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccwt import _separable_correlate
 from .errors import ConvergenceError
 from .grid import ComplexPlaneGrid, Field, _require_finite, integrate
-from .specfun import HERMITE_ORDER_CAP, _check_order
+from .specfun import HERMITE_ORDER_CAP, _check_order, separable_correlate
+from .wavelets import separable_coeffs
 
 _SERIES_ORDER_CAP = 60
 
@@ -170,8 +170,8 @@ def u2_matrix_element(w, g: Field, mu: float, kappa: complex) -> complex:
     if mu <= 0:
         raise ValueError(f"scale must be positive, got {mu}")
     grid = g.grid
-    total = _separable_correlate(g.values * grid.trapezoid_mask(), w, mu, (grid.x, grid.y),
-                                 ([np.real(kappa)], [np.imag(kappa)]))
+    total = separable_correlate(g.values * grid.trapezoid_mask(), separable_coeffs(w), mu,
+                                (grid.x, grid.y), ([np.real(kappa)], [np.imag(kappa)]))
     return complex(total[0, 0] * grid.cell_area() / (np.pi * mu))
 
 

@@ -56,7 +56,7 @@ class ComplexPlaneGrid:
             raise ValueError("grid spacing must be positive")
 
     @classmethod
-    def centered(cls, n: int = 256, extent: float = 8.0) -> "ComplexPlaneGrid":
+    def centered(cls, n: int, extent: float) -> "ComplexPlaneGrid":
         """Square grid symmetric about the origin covering [-extent, extent]^2."""
         if n < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
@@ -153,16 +153,6 @@ class ScaleGrid:
 
     def __len__(self) -> int:
         return len(self.mu_values)
-
-
-def default_grid() -> ComplexPlaneGrid:
-    """256 x 256 nodes covering |eta_1|, |eta_2| <= 8."""
-    return ComplexPlaneGrid.centered(256, 8.0)
-
-
-def default_scale_grid() -> ScaleGrid:
-    """64 log-spaced scales on [0.25, 4]."""
-    return ScaleGrid.log_spaced(64, 0.25, 4.0)
 
 
 def sample(f, grid: ComplexPlaneGrid) -> Field:

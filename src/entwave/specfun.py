@@ -6,7 +6,10 @@ together by
 
     (-1)^n H_{n,n}(eta, conj(eta)) = n! L_n(|eta|^2),
 
-which the test suite exercises as an invariant.
+which the test suite exercises as an invariant.  The orthonormal Hermite
+functions h_k(x) and the separable contraction built on them are the one
+home of the Gaussian-Hermite algebra: every radial wavelet is a finite sum
+sum_ab M_ab h_2a(x) h_2b(y) (``wavelets.separable_coeffs`` gives M).
 """
 
 from __future__ import annotations
@@ -83,3 +86,35 @@ def laguerre_series(weights, x):
             total += w * cur
     return total[()]
 
+
+def hermite_functions(x: np.ndarray, count: int) -> np.ndarray:
+    """Orthonormal Hermite functions h_0 .. h_{count-1} at ``x``, shape (count, *x.shape).
+
+    h_{k+1} = sqrt(2/(k+1)) x h_k - sqrt(k/(k+1)) h_{k-1}, h_0 = pi^{-1/4} e^{-x^2/2}.
+    """
+    h = np.empty((count, *x.shape))
+    h[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if count > 1:
+        h[1] = math.sqrt(2.0) * x * h[0]
+    for k in range(1, count - 1):
+        h[k + 1] = math.sqrt(2.0 / (k + 1)) * x * h[k] - math.sqrt(k / (k + 1)) * h[k - 1]
+    return h
+
+
+def axis_hermite(dst, src: np.ndarray, mu: float, terms: int) -> np.ndarray:
+    """X[a, i, k] = h_2a((dst_i - src_k)/mu) for a < terms, shape (terms, len(dst), len(src))."""
+    lag = (np.asarray(dst, dtype=float)[:, None] - src[None, :]) / mu
+    return hermite_functions(lag, 2 * terms - 1)[::2]
+
+
+def separable_correlate(values, m: np.ndarray, mu: float, src_axes, dst_axes) -> np.ndarray:
+    """out[i, j] = sum_kl values[k, l] psi((x'_i - x_k)/mu + i (y'_j - y_l)/mu).
+
+    psi(x + iy) = sum_ab m[a, b] h_2a(x) h_2b(y).  ``values`` sits on the
+    axes (x, y) = ``src_axes``, ``out`` on (x', y') = ``dst_axes``; the sum
+    is sum_ab M_ab X_a V Y_b^T (:func:`axis_hermite`).
+    """
+    x = axis_hermite(dst_axes[0], src_axes[0], mu, len(m))
+    y = axis_hermite(dst_axes[1], src_axes[1], mu, len(m))
+    xv = np.tensordot(m, x, axes=(0, 0)) @ values  # sum_a M_ab X_a V, shape (b, i, l)
+    return np.tensordot(xv, y, axes=([0, 2], [0, 2]))

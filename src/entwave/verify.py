@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccwt import RunConfig, _axis_hermite, _forward_planes, _is_fft_engine, _separable_coeffs
+from .ccwt import RunConfig, _forward_planes, _is_fft_engine
 # The suites stream planes instead; the engines stay in this namespace, where
 # callers such as perfbench's tracer test look them up.
 from .ccwt import forward, forward_fast  # noqa: F401
 from .fock import unit_norm_field
 from .grid import (ComplexPlaneGrid, Field, ScaleGrid, integrate, scale_weights, _atomic_write,
                    _trap_mask_1d)
-from .specfun import hermite2, laguerre
-from .wavelets import MotherWavelet, c_psi_prime
+from .specfun import axis_hermite, hermite2, laguerre
+from .wavelets import MotherWavelet, c_psi_prime, separable_coeffs
 
 _REL_FLOOR = 1e-12
 
@@ -97,7 +97,7 @@ def energy_isometry(g: Field, w: MotherWavelet, scales: ScaleGrid,
 
 def _axis_gram(m_terms: int, pos: float, pos_prime: float, nodes, mu: float) -> np.ndarray:
     """G[a, c] = sum_i w_i h_2a((pos' - x_i)/mu) h_2c((pos - x_i)/mu), trapezoid w_i."""
-    h, h_prime = _axis_hermite([pos, pos_prime], nodes, mu, m_terms).transpose(1, 0, 2)
+    h, h_prime = axis_hermite([pos, pos_prime], nodes, mu, m_terms).transpose(1, 0, 2)
     return (h_prime * _trap_mask_1d(nodes.size)) @ h.T
 
 
@@ -116,7 +116,7 @@ def reproducing_kernel(eta: complex, eta_prime: complex, w: MotherWavelet,
     is sum(M * (X M Y^T)) with X, Y the per-axis Gram matrices of
     :func:`_axis_gram`: the same Riemann sum, in O(n order^2) per scale.
     """
-    m = _separable_coeffs(w)
+    m = separable_coeffs(w)
     weights = scale_weights(scales, 5)
     total = 0.0
     for s, mu in enumerate(scales.mu_values):
@@ -127,8 +127,7 @@ def reproducing_kernel(eta: complex, eta_prime: complex, w: MotherWavelet,
     return complex(total * measure / c_psi_prime(w))
 
 
-def constant_scan(states, w: MotherWavelet, scales: ScaleGrid,
-                  grid: ComplexPlaneGrid | None = None,
+def constant_scan(states, w: MotherWavelet, scales: ScaleGrid, grid: ComplexPlaneGrid,
                   *, engine: str = "fft") -> list:
     """Isometry values for a list of state descriptors.
 
@@ -137,10 +136,6 @@ def constant_scan(states, w: MotherWavelet, scales: ScaleGrid,
     """
     if not states:
         raise ValueError("constant scan needs at least one state descriptor")
-    if grid is None:
-        from .grid import default_grid
-
-        grid = default_grid()
     fields = [unit_norm_field(descriptor, grid) for descriptor in states]
     reports = _pairing_reports(fields, [(k, k) for k in range(len(fields))],
                                w, scales, engine)

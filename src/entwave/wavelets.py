@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryDecayError, FileFormatError, NonAdmissibleError
+from .errors import BoundaryDecayError, NonAdmissibleError
 from .grid import ComplexPlaneGrid, Field, integrate
 from .specfun import DEFAULT_ORDER_CAP, laguerre_series
 
@@ -45,6 +45,8 @@ class MotherWavelet:
     coeffs: tuple
 
     def __post_init__(self):
+        if isinstance(self.coeffs, str):  # its characters would read as K_n
+            raise ValueError(f"wavelet coefficients K_n must be numbers, got text {self.coeffs!r}")
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("Laguerre-Gaussian wavelet needs coefficients")
@@ -64,13 +66,8 @@ class MotherWavelet:
         """Wavelet from a case-insensitive kind name.
 
         ``emhw`` names K = (1/2, 1/2) and accepts no other ``coeffs``;
-        ``lg`` takes ``coeffs``, a sequence of K_n or their comma-separated text.
+        ``lg`` takes ``coeffs``, a sequence of K_n.
         """
-        if isinstance(coeffs, str):
-            try:
-                coeffs = tuple(float(c) for c in coeffs.split(",") if c.strip())
-            except ValueError:
-                raise ValueError(f"bad coefficient list {coeffs!r}")
         kind = kind.lower()
         if kind == "emhw":
             if tuple(map(float, coeffs)) not in ((), (0.5, 0.5)):
@@ -146,6 +143,24 @@ def fourier_closed(w: MotherWavelet, xi):
     return (np.exp(-0.5 * t) * _fourier_series(w, t))[()]
 
 
+def separable_coeffs(w: MotherWavelet) -> np.ndarray:
+    """M with psi(x + iy) = sum_{a,b} M[a, b] h_{2a}(x) h_{2b}(y), the wavelet's Cartesian form.
+
+    From L_n(x^2 + y^2) = (-1)^n / (4^n n!) sum_m C(n, m) H_{2m}(x) H_{2n-2m}(y)
+    and e^{-x^2/2} H_k(x) = sqrt(2^k k! sqrt(pi)) h_k(x).  The orthonormal
+    Hermite functions (``specfun.hermite_functions``) stay bounded at every
+    order; an expansion in monomials x^{2a} e^{-x^2/2} cancels
+    catastrophically instead (errors near 1e-3 at order 32).
+    """
+    m = np.zeros((w.order, w.order))
+    for n, k_n in enumerate(w.coeffs):
+        for a in range(n + 1):
+            b = n - a
+            root = math.sqrt(math.factorial(2 * a) * math.factorial(2 * b))
+            m[a, b] = k_n * (-1) ** n * math.sqrt(math.pi) * 2.0 ** -n * math.comb(n, a) * root
+    return m
+
+
 def symplectic_fourier(w_samples: Field, xi_grid: ComplexPlaneGrid) -> Field:
     """Quadrature symplectic Fourier transform of a sampled field.
 
@@ -214,36 +229,3 @@ def c_psi_prime(w: MotherWavelet) -> float:
     if not sys.float_info.min <= c < math.inf:
         raise ValueError(f"C'_psi = {c:g} is not a finite normal float; rescale K = {w.coeffs}")
     return c
-
-
-def wavelet_to_text(w: MotherWavelet) -> str:
-    """Serialize as the plain-text key=value block."""
-    return "kind=lg\ncoeffs=" + ",".join(repr(c) for c in w.coeffs) + "\n"
-
-
-def _read_key_values(lines, source: str) -> dict:
-    """Values of the ``key=value`` lines; blank lines and ``#`` comments are skipped.
-
-    A later key overrides an earlier one.  A line without ``=`` raises
-    FileFormatError naming ``source`` and the line number.
-    """
-    out = {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise FileFormatError(f"{source}:{lineno}: expected key=value")
-            out[key.strip()] = value.strip()
-    return out
-
-
-def wavelet_from_text(text: str) -> MotherWavelet:
-    """Parse the key=value block produced by :func:`wavelet_to_text`."""
-    values = _read_key_values(text.splitlines(), "wavelet text")
-    unknown = [key for key in values if key not in ("kind", "coeffs")]
-    if unknown:
-        raise ValueError(f"unknown wavelet key {unknown[0]!r}")
-    if "kind" not in values:
-        raise ValueError("wavelet text is missing 'kind='")
-    return MotherWavelet.from_spec(values["kind"], values.get("coeffs", ""))

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import assume, example, given, settings, strategies as st
 
 from entwave import ccwt
 from entwave.ccwt import (
@@ -13,12 +14,10 @@ from entwave.ccwt import (
     _axis_spectra,
     _cropped_ifft2,
     _forward_planes,
-    _hermite_functions,
     _imap_scales,
     _next_fast_len,
     _padded_fft2,
     _padded_shape,
-    cwt1d,
     cwt1d_grid,
     forward,
     forward_fast,
@@ -31,7 +30,7 @@ from entwave.ccwt import (
 from entwave.errors import BoundaryDecayError, FileFormatError, NonAdmissibleError
 from entwave.grid import (ComplexPlaneGrid, Field, ScaleGrid, read_field_ewg1, sample,
                           write_field_ewg1)
-from entwave.specfun import DEFAULT_ORDER_CAP
+from entwave.specfun import DEFAULT_ORDER_CAP, hermite_functions
 from entwave.wavelets import (
     c_psi_prime,
     emhw,
@@ -445,33 +444,126 @@ def test_fast_engine_makes_a_y_table_unless_the_axes_match(grid, monkeypatch):
     assert len(tables) == 1
 
 
+# Group law: the transforms intertwine the grid's symmetries exactly
+
+
+def windowed_noise(grid, seed):
+    """Random complex values under a Gaussian window, below 1e-9 on the boundary ring."""
+    rng = np.random.default_rng(seed)
+    hx, hy = (grid.nx - 1) * grid.dx / 2, (grid.ny - 1) * grid.dy / 2
+    u = (grid.x - grid.x_min - hx) / hx
+    v = (grid.y - grid.y_min - hy) / hy
+    window = np.exp(-24.5 * (u[:, None] ** 2 + v[None, :] ** 2))
+    shape = (grid.nx, grid.ny)
+    return window * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _assert_same(got, expected):
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def _assert_intertwined(act, grids, out_grids, w, scales, seed):
+    """Both engines and both inverse branches commute with ``act``.
+
+    ``act`` maps an array on ``grids[0]`` (its last two axes) to one on
+    ``grids[1]``, and one on ``out_grids[0]`` to one on ``out_grids[1]``.
+    """
+    values = windowed_noise(grids[0], seed)
+    g, g_act = Field(grids[0], values), Field(grids[1], act(values))
+    for engine in (forward, forward_fast):
+        _assert_same(engine(g_act, w, scales).values, act(engine(g, w, scales).values))
+    coeffs = forward_fast(g, w, scales)
+    moved = CCWTCoefficients(scales, grids[1], act(coeffs.values))
+    _assert_same(inverse(moved, w, 1.0).values, act(inverse(coeffs, w, 1.0).values))
+    _assert_same(inverse(moved, w, 1.0, out_grids[1]).values,
+                 act(inverse(coeffs, w, 1.0, out_grids[0]).values))
+
+
+_SQUARE_ACTIONS = {
+    "rot90": lambda v: np.rot90(v, axes=(-2, -1)),
+    "reflect_x": lambda v: v[..., ::-1, :],
+    "conjugate": np.conj,  # the wavelet is real
+}
+
+_GROUP_WAVELETS = st.one_of(st.just(emhw()),
+                            st.builds(random_admissible_lg, st.integers(2, 6), st.integers(0, 2**16)))
+
+
+def _scales_from(step, lo, span):
+    """Three log-spaced scales from ``lo`` grid steps up, so every one is at least the step."""
+    return ScaleGrid.log_spaced(3, lo * step, lo * span * step)
+
+
+@pytest.mark.parametrize("action", list(_SQUARE_ACTIONS))
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(12, 32), extent=st.floats(4.0, 9.0), out_n=st.integers(5, 20),
+       out_extent=st.floats(1.0, 6.0), w=_GROUP_WAVELETS, lo=st.floats(1.0, 2.0),
+       span=st.floats(1.5, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_square_grid_symmetries_commute_with_every_transform(action, n, extent, out_n,
+                                                              out_extent, w, lo, span, seed):
+    # the centred square grids map onto themselves under a quarter turn, x -> -x and conjugation
+    grid = ComplexPlaneGrid.centered(n, extent)
+    out = ComplexPlaneGrid.centered(out_n, out_extent)
+    _assert_intertwined(_SQUARE_ACTIONS[action], (grid, grid), (out, out), w,
+                        _scales_from(grid.dx, lo, span), seed)
+
+
+def _transposed(grid):
+    return ComplexPlaneGrid(grid.ny, grid.nx, grid.y_min, grid.x_min, grid.dy, grid.dx)
+
+
+@settings(max_examples=20, deadline=None)
+@example(nx=40, ny=56, hx=8.0, hy=10.0, origin=(0.0, -1.0), w=random_admissible_lg(4, seed=11),
+         lo=1.0, span=4.0, seed=7)
+@given(nx=st.integers(12, 40), ny=st.integers(12, 40), hx=st.floats(4.0, 9.0),
+       hy=st.floats(4.0, 9.0), origin=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       w=_GROUP_WAVELETS, lo=st.floats(1.0, 2.0), span=st.floats(1.5, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_transposition_commutes_with_every_transform(nx, ny, hx, hy, origin, w, lo, span, seed):
+    # x <-> y swaps the axis tables, so this runs the FFT engine's separate y table
+    assume(nx != ny)
+    dx, dy = 2 * hx / (nx - 1), 2 * hy / (ny - 1)
+    grid = ComplexPlaneGrid(nx, ny, origin[0] - hx, origin[1] - hy, dx, dy)
+    out = ComplexPlaneGrid(ny - 3, nx + 2, -hy / 2, origin[0], 0.8 * dy, 0.6 * dx)
+    _assert_intertwined(lambda v: np.swapaxes(v, -2, -1), (grid, _transposed(grid)),
+                        (out, _transposed(out)), w, _scales_from(max(dx, dy), lo, span), seed)
+
+
 # 1D baseline
 
 
 def test_cwt1d_zero_signal():
     sig = Signal1D(np.zeros(64), -4.0, 0.125)
-    assert cwt1d(sig, mexican_hat, 1.0, 0.3) == 0.0
+    coeffs = cwt1d_grid(sig, mexican_hat, ScaleGrid(np.array([1.0, 2.0])))
+    assert all(np.all(row == 0.0) for row in coeffs.rows)
 
 
 def test_cwt1d_rejects_nonpositive_scale():
+    # a non-positive scale never reaches the transform: the scale grid refuses it
     sig = Signal1D(np.zeros(16), -1.0, 0.125)
-    with pytest.raises(ValueError):
-        cwt1d(sig, mexican_hat, 0.0, 0.0)
+    for bad in ([0.0, 1.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match="positive"):
+            cwt1d_grid(sig, mexican_hat, ScaleGrid(np.array(bad)))
 
 
 def test_cwt1d_autocorrelation_peak():
     s0 = 0.75
     x = np.linspace(-10, 10, 801)
     sig = Signal1D(mexican_hat(x - s0), -10.0, x[1] - x[0])
-    shifts = np.linspace(-2, 3, 81)
-    vals = [abs(cwt1d(sig, mexican_hat, 1.0, s)) for s in shifts]
-    assert shifts[int(np.argmax(vals))] == pytest.approx(s0, abs=0.0626)
+    # oversample 40 makes the translation step the sample step, 0.025
+    coeffs = cwt1d_grid(sig, mexican_hat, ScaleGrid(np.array([1.0])), oversample=40.0)
+    peak = coeffs.row_positions(0)[int(np.argmax(np.abs(coeffs.rows[0])))]
+    assert peak == pytest.approx(s0, abs=coeffs.s_steps[0])
 
 
 def test_cwt1d_constant_signal():
+    # the zero-mean wavelet annihilates a constant away from the signal's ends
     x = np.linspace(-20, 20, 1601)
     sig = Signal1D(np.full(len(x), 2.0 + 0.0j), -20.0, x[1] - x[0])
-    assert abs(cwt1d(sig, mexican_hat, 1.0, 0.0)) <= 1e-10
+    coeffs = cwt1d_grid(sig, mexican_hat, ScaleGrid(np.array([1.0])))
+    inside = np.abs(coeffs.row_positions(0)) <= 10.0
+    assert inside.sum() > 100
+    assert np.abs(coeffs.rows[0][inside]).max() <= 1e-10
 
 
 def test_icwt1d_zero_and_scaling():
@@ -563,7 +655,7 @@ def test_ewc1_is_a_scale_table_and_an_ewg1_body(tmp_path):
 
 
 def _scipy_axis_spectra(terms, n, step, p):
-    h = _hermite_functions(np.arange(n) * step, 2 * terms - 1)[::2]
+    h = hermite_functions(np.arange(n) * step, 2 * terms - 1)[::2]
     seq = np.zeros((terms, p))
     seq[:, :n] = h
     seq[:, p - n + 1:] = h[:, :0:-1]

@@ -648,7 +648,25 @@ def test_cut_ewg1_magic_is_a_truncated_header(runner, tmp_path, role, size):
     result = runner.invoke(main, args + ["--output", out_path])
     assert result.exit_code == 2, result.output
     assert f"entwave: {bad}: truncated EWG1 header\n" in result.output
-    if role == "input":
+    _assert_no_output(out_path)
+    assert "wrote" not in result.output
+
+
+def test_inverse_reads_and_checks_the_reference_before_any_work(runner, tmp_path):
+    # a missing reference, or one on another grid, fails before the inverse runs or writes
+    _, coeff = _small_coefficients(runner, tmp_path)
+    other = str(tmp_path / "other.ewg")
+    run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "17", "--grid-extent", "8",
+                    "--output", other])
+    missing = str(tmp_path / "missing.ewg")
+    out_path = str(tmp_path / "out")
+    for reference, code, message in (
+            (missing, 2, f"entwave: cannot read {missing}\n"),
+            (other, 3, "entwave: reference grid does not match the reconstruction grid\n")):
+        result = runner.invoke(main, ["ccwt", "inverse", coeff, "--reference", reference,
+                                      "--output", out_path])
+        assert result.exit_code == code, result.output
+        assert result.output == message
         _assert_no_output(out_path)
 
 

@@ -21,7 +21,7 @@ from entwave.fock import (
     xi_eta_overlap,
     xi_eta_overlap_fock,
 )
-from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid, default_grid, integrate, sample
+from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid, integrate, sample
 from entwave.specfun import HERMITE_ORDER_CAP, OrderOverflowError, hermite2
 from entwave.wavelets import emhw
 
@@ -71,7 +71,7 @@ def test_number_state_matches_multinomial_expansion():
 
 
 def test_number_state_normalization():
-    grid = default_grid()
+    grid = ComplexPlaneGrid.centered(256, 8.0)
     for m in range(4):
         for n in range(4):
             f = sample(lambda e: number_state_eta(m, n, e), grid)
@@ -273,7 +273,7 @@ def test_u2_large_scale_dilution():
 
 
 def test_completeness_gram_cutoff3():
-    gram = completeness_gram(3, default_grid())
+    gram = completeness_gram(3, ComplexPlaneGrid.centered(256, 8.0))
     assert gram.shape == (16, 16)
     assert np.abs(gram - np.eye(16)).max() <= 1e-6
     assert np.abs(np.diag(gram) - 1.0).max() <= 1e-6

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 import entwave
-from entwave.ccwt import Signal1D
+from entwave.ccwt import RunConfig, Signal1D
 from entwave.errors import FileFormatError
 from entwave.grid import (
     ComplexPlaneGrid,
     Field,
     ScaleGrid,
-    default_grid,
-    default_scale_grid,
     integrate,
     read_field_csv,
     read_field_ewg1,
@@ -65,7 +63,7 @@ def test_sample_constant():
 
 
 def test_sample_gaussian_boundary_decay():
-    g = default_grid()
+    g = ComplexPlaneGrid.centered(256, 8.0)
     f = sample(lambda e: np.exp(-0.5 * np.abs(e) ** 2), g)
     assert f.boundary_max() <= np.exp(-8)
 
@@ -102,12 +100,12 @@ def test_finite_check_accepts_any_strides():
 
 
 def test_integrate_gaussian_unit():
-    f = sample(lambda e: np.exp(-np.abs(e) ** 2), default_grid())
+    f = sample(lambda e: np.exp(-np.abs(e) ** 2), ComplexPlaneGrid.centered(256, 8.0))
     assert abs(integrate(f, "d2_over_pi") - 1.0) <= 1e-8
 
 
 def test_integrate_emhw_zero_mean():
-    f = sample(lambda e: eval_wavelet(emhw(), e), default_grid())
+    f = sample(lambda e: eval_wavelet(emhw(), e), ComplexPlaneGrid.centered(256, 8.0))
     assert abs(integrate(f, "d2_over_2pi")) <= 1e-8
 
 
@@ -125,7 +123,7 @@ def test_integrate_unknown_measure():
 
 def test_gamma_closed_forms():
     # radial Gaussian-times-polynomial against Gamma values
-    g = default_grid()
+    g = ComplexPlaneGrid.centered(256, 8.0)
     for power, expected in [(0, 1.0), (2, 1.0), (4, 2.0), (6, 6.0)]:
         f = sample(lambda e, p=power: np.abs(e) ** p * np.exp(-np.abs(e) ** 2), g)
         assert abs(integrate(f, "d2_over_pi") - expected) <= 1e-7
@@ -158,8 +156,8 @@ def test_scale_grid_validation():
     sg = ScaleGrid.log_spaced(64, 0.25, 4.0)
     ratios = sg.mu_values[1:] / sg.mu_values[:-1]
     assert ratios.max() - ratios.min() <= 1e-12 * ratios.max()
-    assert default_scale_grid().mu_min == pytest.approx(0.25)
-    assert default_scale_grid().mu_max == pytest.approx(4.0)
+    assert RunConfig().scales().mu_min == pytest.approx(0.25)
+    assert RunConfig().scales().mu_max == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])

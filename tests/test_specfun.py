@@ -9,6 +9,7 @@ from entwave.specfun import (
     HERMITE_ORDER_CAP,
     OrderOverflowError,
     hermite2,
+    hermite_functions,
     laguerre,
 )
 
@@ -111,3 +112,16 @@ def test_order_guards():
     with pytest.raises(OrderOverflowError):
         laguerre(HERMITE_ORDER_CAP + 1, 1.0)
 
+
+def test_hermite_functions_match_scipy():
+    # h_k(x) = H_k(x) e^{-x^2/2} / sqrt(2^k k! sqrt(pi)), the orthonormal Hermite functions
+    x = np.linspace(-9.0, 9.0, 181)
+    h = hermite_functions(x, 41)
+    for k in range(41):
+        ref = (scipy.special.eval_hermite(k, x) * np.exp(-0.5 * x * x)
+               / math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi)))
+        assert np.abs(h[k] - ref).max() <= 1e-12, k
+    # and orthonormal: on a grid wide enough for h_40 the trapezoid sum is spectrally exact
+    x = np.linspace(-14.0, 14.0, 561)
+    h = hermite_functions(x, 41)
+    assert np.abs((x[1] - x[0]) * h @ h.T - np.eye(41)).max() <= 1e-12

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entwave.ccwt import RunConfig
+from entwave.cli import _read_key_values, load_settings
 from entwave.errors import (
     BoundaryDecayError,
     FileFormatError,
@@ -15,7 +17,7 @@ from entwave.errors import (
 )
 from entwave.fock import number_state_eta, xi_eta_overlap
 from entwave.grid import ComplexPlaneGrid, integrate, sample
-from entwave.specfun import hermite2, laguerre_series
+from entwave.specfun import hermite2, hermite_functions, laguerre_series
 from entwave.verify import oracle_gaussian_integral
 from entwave.wavelets import (
     MotherWavelet,
@@ -27,9 +29,8 @@ from entwave.wavelets import (
     is_admissible,
     laguerre_gaussian,
     mexican_hat,
+    separable_coeffs,
     symplectic_fourier,
-    wavelet_from_text,
-    wavelet_to_text,
 )
 
 
@@ -226,7 +227,7 @@ def test_nonfinite_coefficients_rejected():
         with pytest.raises(ValueError, match="must be finite"):
             laguerre_gaussian(coeffs)
     with pytest.raises(ValueError, match="must be finite"):
-        MotherWavelet.from_spec("lg", "nan,nan")
+        load_settings(RunConfig, {"wavelet_kind": "lg", "wavelet_coeffs": "nan,nan"})
 
 
 @pytest.mark.parametrize("order", [8, 16, 24, 32])
@@ -246,6 +247,19 @@ def test_fourier_closed_matches_mpmath_hermite_series(order):
     ref = np.array(ref)
     closed = fourier_closed(w, r * np.exp(0.3j))
     assert np.max(np.abs(closed - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_separable_coeffs_are_the_cartesian_form():
+    # psi(x + iy) = sum_ab M_ab h_2a(x) h_2b(y) through order 32
+    rng = np.random.default_rng(8)
+    x, y = rng.uniform(-6, 6, size=(2, 400))
+    for w in [emhw()] + [random_admissible(rng, order) for order in (1, 4, 16, 32)]:
+        m = separable_coeffs(w)
+        hx = hermite_functions(x, 2 * w.order - 1)[::2]
+        hy = hermite_functions(y, 2 * w.order - 1)[::2]
+        cartesian = np.einsum("ab,ap,bp->p", m, hx, hy)
+        psi = eval_wavelet(w, x + 1j * y)
+        assert np.abs(cartesian - psi).max() <= 1e-12 * np.abs(psi).max()
 
 
 def _laguerre_recurrence(n, x):
@@ -278,13 +292,25 @@ def test_eval_wavelet_single_pass_is_bit_identical_to_per_order_sum():
         assert np.array_equal(eval_wavelet(w, eta), _eval_wavelet_per_order(w, eta))
 
 
+# A wavelet's text form is its two setting lines, read by the one setting parser.
+
+
+def _settings_of(w) -> dict:
+    return {"wavelet_kind": "lg", "wavelet_coeffs": ",".join(map(repr, w.coeffs))}
+
+
+def _wavelet_of_text(text):
+    """The wavelet of config-file text, read as ``--config`` reads a file."""
+    return load_settings(RunConfig, _read_key_values(text.splitlines(), "wavelet text")).wavelet()
+
+
 def test_wavelet_text_round_trip():
     for w in [emhw(), laguerre_gaussian([0.25, -0.125, 1.0 / 3.0])]:
-        back = wavelet_from_text(wavelet_to_text(w))
+        back = load_settings(RunConfig, _settings_of(w)).wavelet()
         assert back == w and hash(back) == hash(w)
-    assert wavelet_to_text(emhw()) == "kind=lg\ncoeffs=0.5,0.5\n"
+    assert _settings_of(emhw())["wavelet_coeffs"] == "0.5,0.5"
     # the emhw name is still read
-    assert wavelet_from_text("kind=emhw\n") == emhw()
+    assert _wavelet_of_text("wavelet_kind=emhw\n") == emhw()
 
 
 _COEFF = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
@@ -298,16 +324,20 @@ def test_any_coefficient_tuple_constructs_or_raises_value_error(coeffs):
         w = laguerre_gaussian(coeffs)
     except ValueError:  # an OverflowError is not one, so it fails the test
         return
-    back = wavelet_from_text(wavelet_to_text(w))
-    assert back == w and hash(back) == hash(w)
     try:
         c = c_psi_prime(w)
     except NonAdmissibleError:
-        return
+        c = None
     except ValueError as exc:  # raised only for a C'_psi out of the normal float range
         assert "is not a finite normal float" in str(exc)
+        # the settings build C'_psi up front, so they refuse the wavelet alike
+        with pytest.raises(ValueError, match="is not a finite normal float"):
+            load_settings(RunConfig, _settings_of(w))
         return
-    assert sys.float_info.min <= c < math.inf
+    back = load_settings(RunConfig, _settings_of(w)).wavelet()
+    assert back == w and hash(back) == hash(w)
+    if c is not None:
+        assert sys.float_info.min <= c < math.inf
 
 
 def test_c_psi_prime_refuses_an_overflowing_or_subnormal_value():
@@ -329,19 +359,21 @@ def test_c_psi_prime_refuses_an_overflowing_or_subnormal_value():
 
 
 def test_wavelet_text_errors():
-    with pytest.raises(ValueError):
-        wavelet_from_text("coeffs=1,2\n")
-    with pytest.raises(ValueError):
-        wavelet_from_text("kind=lg\ncoeffs=a,b\n")
-    with pytest.raises(ValueError):
-        wavelet_from_text("kind=lg\nstuff=1\n")
+    # the kind defaults to emhw, which takes no other coefficients
+    with pytest.raises(ValueError, match="emhw has fixed coefficients"):
+        _wavelet_of_text("wavelet_coeffs=1,2\n")
+    # a bad list always names its setting
+    with pytest.raises(ValueError, match="wavelet_coeffs has bad value 'a,b'"):
+        _wavelet_of_text("wavelet_kind=lg\nwavelet_coeffs=a,b\n")
+    with pytest.raises(ValueError, match="unknown config key 'stuff'"):
+        _wavelet_of_text("wavelet_kind=lg\nstuff=1\n")
     with pytest.raises(FileFormatError, match="wavelet text:2: expected key=value"):
-        wavelet_from_text("kind=lg\nlg\n")
+        _wavelet_of_text("wavelet_kind=lg\nlg\n")
 
 
 def test_wavelet_text_skips_comments_and_blank_lines():
-    text = "# a wavelet\n\n  kind = lg \ncoeffs=0.25,0.25\n"
-    assert wavelet_from_text(text) == laguerre_gaussian([0.25, 0.25])
+    text = "# a wavelet\n\n  wavelet_kind = lg \nwavelet_coeffs=0.25,0.25\n"
+    assert _wavelet_of_text(text) == laguerre_gaussian([0.25, 0.25])
 
 
 def test_normalized_unit_energy():
@@ -355,7 +387,7 @@ def test_normalized_unit_energy():
 
 
 def test_emhw_coeffs_are_fixed():
-    for coeffs in ((1.0, 2.0), "1,2", (0.5,)):
+    for coeffs in ((1.0, 2.0), [1, 2], (0.5,)):
         with pytest.raises(ValueError, match="fixed coefficients"):
             MotherWavelet.from_spec("EMHW", coeffs)
     # only the radial plane family has a descriptor
@@ -366,7 +398,7 @@ def test_emhw_coeffs_are_fixed():
 
 
 def test_a_wavelet_is_its_coefficients():
-    named = [MotherWavelet.from_spec("EMHW"), MotherWavelet.from_spec("lg", "0.5,0.5"),
+    named = [MotherWavelet.from_spec("EMHW"), MotherWavelet.from_spec("lg", [0.5, 0.5]),
              emhw(), laguerre_gaussian([0.5, 0.5]), MotherWavelet((0.5, 0.5))]
     assert all(w == named[0] and hash(w) == hash(named[0]) for w in named)
     assert [f.name for f in dataclasses.fields(MotherWavelet)] == ["coeffs"]
@@ -383,14 +415,24 @@ def test_normalized_keeps_the_squared_factorial_sum():
 
 def test_from_spec_kinds_and_coeffs():
     assert MotherWavelet.from_spec("EMHW") == emhw()
-    assert MotherWavelet.from_spec("emhw", "0.5, 0.5") == emhw()
+    assert MotherWavelet.from_spec("emhw", (0.5, 0.5)) == emhw()
     lg = laguerre_gaussian([0.25, -0.125])
-    assert MotherWavelet.from_spec("Lg", "0.25,-0.125") == lg
+    assert MotherWavelet.from_spec("Lg", (0.25, -0.125)) == lg
     assert MotherWavelet.from_spec("lg", [0.25, -0.125]) == lg
-    with pytest.raises(ValueError, match="bad coefficient list"):
-        MotherWavelet.from_spec("lg", "0.25,x")
     with pytest.raises(ValueError, match="needs coefficients"):
-        MotherWavelet.from_spec("lg", "")
+        MotherWavelet.from_spec("lg", ())
+    # text is not a coefficient sequence: "12" would otherwise read as K = (1, 2)
+    for text in ("12", "0.25,-0.125"):
+        with pytest.raises(ValueError, match="must be numbers, got text"):
+            MotherWavelet.from_spec("lg", text)
+    # coefficient text is read by the setting parser alone
+    for kind, text, expected in (("emhw", "0.5, 0.5", emhw()), ("Lg", "0.25,-0.125", lg)):
+        settings = {"wavelet_kind": kind, "wavelet_coeffs": text}
+        assert load_settings(RunConfig, settings).wavelet() == expected
+    with pytest.raises(ValueError, match="wavelet_coeffs has bad value '0.25,x'"):
+        load_settings(RunConfig, {"wavelet_kind": "lg", "wavelet_coeffs": "0.25,x"})
+    with pytest.raises(ValueError, match="needs coefficients"):
+        load_settings(RunConfig, {"wavelet_kind": "lg", "wavelet_coeffs": ""})
 
 
 @pytest.mark.parametrize("fn, dtype", [
