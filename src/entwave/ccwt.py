@@ -18,9 +18,15 @@ work one scale plane at a time on the process's one worker pool: one
 spectra and one kernel per scale, two real fields sharing one complex
 transform, and its planes can be streamed into an EWC1 file as they are
 produced; the inverse reads each plane inside its per-scale task, so
-neither needs the (S, nx, ny) cube.  A 1D transform pair over the real
-line is included as a baseline, with per-scale translation grids sized
-to the dilated wavelet.
+neither needs the (S, nx, ny) cube.  The FFT engine's padded (px, py)
+scratch is made once per call and recycled from scale to scale.  The
+forward holds one real kernel spectrum and one complex product per
+worker.  The inverse's tasks add their spectra to the sum in scale order
+themselves, so it holds the sum, one complex spectrum per running task
+and any spectrum whose earlier scales are still running: at most
+2 x workers + 1 in all, as two scales per worker are in flight.  A 1D
+transform pair over the real line is included as a baseline, with
+per-scale translation grids sized to the dilated wavelet.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import functools
 import math
 import os
 import struct
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -95,6 +102,59 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 
 os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+class _FreeList:
+    """Scratch buffers from ``make()``, lent to one task at a time; ``get`` never waits.
+
+    ``count`` are made up front, on the calling thread.  When the list is
+    empty ``get`` makes one more: a task that fails, or whose result a
+    closed stream drops, may never give its buffer back, and a ``get`` that
+    waited for it would hold a thread of the shared pool for good.
+    """
+
+    def __init__(self, make, count: int):
+        self._make = make
+        self._free = [make() for _ in range(count)]
+
+    def get(self):
+        try:
+            return self._free.pop()
+        except IndexError:
+            return self._make()
+
+    def put(self, buf) -> None:
+        self._free.append(buf)
+
+
+class _ScaleOrderSum:
+    """Sum of per-scale parts handed in by tasks in any order, added in scale order.
+
+    The task whose part completes a run from the next scale on adds that
+    run, so a part waits only for the scales before it, not for a consumer.
+    ``recycle`` gets each part once it is in the sum; the first part
+    becomes the sum.  The order, and so every bit of the sum, is the same
+    for any schedule and any ENTWAVE_THREADS.
+    """
+
+    def __init__(self, recycle):
+        self._recycle = recycle
+        self._lock = threading.Lock()
+        self._ready = {}
+        self._next = 0
+        self.total = None
+
+    def add(self, s: int, part: np.ndarray) -> None:
+        with self._lock:
+            self._ready[s] = part
+            while self._next in self._ready:
+                part = self._ready.pop(self._next)
+                if self.total is None:
+                    self.total = part
+                else:
+                    self.total += part
+                    self._recycle(part)
+                self._next += 1
 
 
 def _imap_scales(fn, n_scales: int):
@@ -194,15 +254,17 @@ def _axis_spectra(terms: int, n: int, steps, p: int) -> np.ndarray:
 
 
 def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shape: tuple):
-    """``kernel(s, c)``: real (px, py) DFT of the padded lag kernel of ``c * m`` at mu[s].
+    """``kernel(s, c, out=None)``: real (px, py) DFT of the padded lag kernel of ``c * m`` at mu[s].
 
-    Every scale's axis tables are made here, once; one serves both axes when they match.
+    The spectrum is written into ``out``, a real array of that shape, when
+    one is given.  Every scale's axis tables are made here, once; one
+    serves both axes when they match.
     """
     px, py = shape
     u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
     v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
          else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
-    return lambda s, c: (u[s].T @ (m * c)) @ v[s]
+    return lambda s, c, out=None: np.matmul(u[s].T @ (m * c), v[s], out=out)
 
 
 def _next_fast_len(target: int) -> int:
@@ -224,17 +286,18 @@ def _padded_shape(grid: ComplexPlaneGrid) -> tuple:
     return _next_fast_len(2 * grid.nx - 1), _next_fast_len(2 * grid.ny - 1)
 
 
-def _padded_fft2(values: np.ndarray, shape: tuple) -> np.ndarray:
-    """fft2 of ``values`` zero-padded to ``shape``, skipping the all-zero rows.
+def _padded_fft2(values: np.ndarray, mask, out: np.ndarray) -> np.ndarray:
+    """fft2 of ``values * mask`` zero-padded to the shape of ``out``, computed in ``out``.
 
-    Both passes run in place in the one padded buffer; padding with
-    ``n=`` would allocate a new array per pass.
+    Both passes run in place in the one padded complex buffer, skipping the
+    all-zero rows; padding with ``n=`` would allocate a new array per pass.
     """
     nx, ny = values.shape
-    buf = np.zeros(shape, dtype=complex)
-    buf[:nx, :ny] = values
-    fft(buf[:nx], axis=1, out=buf[:nx])
-    return fft(buf, axis=0, out=buf)
+    out[nx:] = 0
+    out[:nx, ny:] = 0
+    np.multiply(values, mask, out=out[:nx, :ny])
+    fft(out[:nx], axis=1, out=out[:nx])
+    return fft(out, axis=0, out=out)
 
 
 def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
@@ -274,19 +337,28 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
     alone = [i for i in range(len(fields)) if i not in real[:2 * len(pairs)]]
     inputs = [0.5 * (fields[i].values.real + 1j * fields[j].values.real) for i, j in pairs]
     inputs += [fields[i].values for i in alone]
-    masked = [v * grid.trapezoid_mask() for v in inputs]
+    mask = grid.trapezoid_mask()
     mu = scales.mu_values
     measure = grid.cell_area() / (np.pi * mu)
     if fast:
         shape = _padded_shape(grid)
-        f_values = [_padded_fft2(v, shape) for v in masked]
+        f_values = [_padded_fft2(v, mask, np.empty(shape, dtype=complex)) for v in inputs]
         kernel = _kernel_spectrum(separable_coeffs(w), mu, grid, shape)
+        # One kernel spectrum and one product buffer per worker, reused for every scale.
+        scratch = _FreeList(lambda: (np.empty(shape), np.empty(shape, dtype=complex)),
+                            worker_count(len(mu)))
 
         def transform(s: int) -> list:
-            khat = kernel(s, measure[s])
-            return [_cropped_ifft2(f * khat, grid.nx, grid.ny) for f in f_values]
+            khat, product = buffers = scratch.get()
+            try:
+                kernel(s, measure[s], khat)
+                return [_cropped_ifft2(np.multiply(f, khat, out=product), grid.nx, grid.ny)
+                        for f in f_values]
+            finally:
+                scratch.put(buffers)
 
     else:
+        masked = [v * mask for v in inputs]
 
         def transform(s: int) -> list:
             kernel = _lag_kernel(w, mu[s], grid)
@@ -410,25 +482,31 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     if shared:
         shape = _padded_shape(kgrid)
         kernel = _kernel_spectrum(m, mu, kgrid, shape)
+        # One padded spectrum per running task and one for the sum; more
+        # are made only while a part waits for an earlier scale.
+        spectra = _FreeList(lambda: np.empty(shape, dtype=complex), worker_count(len(mu)) + 1)
+        reduction = _ScaleOrderSum(spectra.put)
 
-        def one_scale(s: int) -> np.ndarray:
-            # The kernel spectrum is made after the padded FFT, so the two
-            # largest temporaries are never alive at once.
-            spectrum = _padded_fft2(plane(s) * mask, shape)
-            spectrum *= kernel(s, weights[s])
-            return spectrum
+        def one_scale(s: int) -> None:
+            spectrum = spectra.get()
+            try:
+                _padded_fft2(plane(s), mask, spectrum)
+                spectrum *= kernel(s, weights[s])
+            except BaseException:
+                spectra.put(spectrum)
+                raise
+            reduction.add(s, spectrum)
 
     else:
         axes = (kgrid.x, kgrid.y), (out_grid.x, out_grid.y)
+        reduction = _ScaleOrderSum(lambda part: None)
 
-        def one_scale(s: int) -> np.ndarray:
-            return separable_correlate(plane(s) * mask, m, mu[s], *axes) * weights[s]
+        def one_scale(s: int) -> None:
+            reduction.add(s, separable_correlate(plane(s) * mask, m, mu[s], *axes) * weights[s])
 
-    parts = _imap_scales(one_scale, len(mu))
-    total = next(parts)
-    for part in parts:
-        total += part
-        del part  # otherwise held while the next scale is awaited
+    for _ in _imap_scales(one_scale, len(mu)):
+        pass
+    total = reduction.total
     if shared:
         total = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
     return Field(out_grid, total * (kgrid.cell_area() / (np.pi * c_prime)))

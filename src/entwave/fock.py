@@ -34,8 +34,10 @@ _K, _D = np.indices((HERMITE_ORDER_CAP + 1,) * 2)
 _DOWN, _UP = np.sqrt(_K * (_K + _D)), 1.0 / np.sqrt((_K + 1) * (_K + 1 + _D))
 _INV_ROOT_FACT = np.array([1 / math.sqrt(math.factorial(d)) for d in range(HERMITE_ORDER_CAP + 1)])
 
-#: Points per block of :func:`_fock_series`; bounds its (order, points) scratch.
-_BLOCK_POINTS = 1 << 16
+#: Points per block of :func:`_fock_series`; bounds its (order, points) scratch.  For
+#: a coherent state with |z| <= 0.5 (order 14-17) on a 256^2 grid the call peaks at
+#: 6 MB, its input copy and output included (18 MB with blocks of 1 << 16).
+_BLOCK_POINTS = 1 << 14
 
 
 def _fock_series(coeffs, eta) -> np.ndarray:

@@ -283,13 +283,14 @@ def read_field_ewg1(path: str) -> Field:
 def write_field_csv(f: Field, path: str) -> None:
     """Write a field as CSV rows ``x,y,re,im``, one node per row (x outer)."""
     ys = [repr(y) for y in f.grid.y.tolist()]
-    rows = zip(f.grid.x.tolist(), f.values.real.tolist(), f.values.imag.tolist())
 
     def chunks():
         yield b"x,y,re,im\n"
-        for x, re_row, im_row in rows:
+        # One row at a time: a whole field as Python floats would outweigh its array.
+        for x, row in zip(f.grid.x.tolist(), f.values):
             x = repr(x)
-            lines = [f"{x},{y},{a!r},{b!r}\n" for y, a, b in zip(ys, re_row, im_row)]
+            lines = [f"{x},{y},{a!r},{b!r}\n"
+                     for y, a, b in zip(ys, row.real.tolist(), row.imag.tolist())]
             yield "".join(lines).encode()
 
     _atomic_write(path, chunks())

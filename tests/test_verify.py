@@ -226,9 +226,9 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
         tables.append(threading.get_ident())
         kernel = kernel_spectrum.original(*args)
 
-        def one_scale(s, c):
+        def one_scale(s, c, out=None):
             threads.add(threading.get_ident())
-            return kernel(s, c)
+            return kernel(s, c, out)
 
         return one_scale
 
