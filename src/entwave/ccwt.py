@@ -19,12 +19,15 @@ spectra and one kernel per scale, two real fields sharing one complex
 transform, and its planes can be streamed into an EWC1 file as they are
 produced; the inverse reads each plane inside its per-scale task, so
 neither needs the (S, nx, ny) cube.  The FFT engine's padded (px, py)
-scratch is made once per call and recycled from scale to scale.  The
-forward holds one real kernel spectrum and one complex product per
-worker.  The inverse's tasks add their spectra to the sum in scale order
-themselves, so it holds the sum, one complex spectrum per running task
-and any spectrum whose earlier scales are still running: at most
-2 x workers + 1 in all, as two scales per worker are in flight.  A 1D
+scratch is made once per call and recycled from scale to scale.  A
+scale's real kernel spectrum is made and applied a block of about 1 MiB
+of rows at a time, so neither direction holds a (px, py) real array:
+the forward holds one complex product per worker, and a caller may
+reduce each scale's planes inside its task.  The inverse's tasks add
+their spectra to the sum in scale order themselves, so it holds the sum,
+one complex spectrum per running task and any spectrum whose earlier
+scales are still running: at most 2 x workers + 1 in all, as two scales
+per worker are in flight.  A 1D
 transform pair over the real line is included as a baseline, with
 per-scale translation grids sized to the dilated wavelet.
 """
@@ -253,18 +256,41 @@ def _axis_spectra(terms: int, n: int, steps, p: int) -> np.ndarray:
     return np.concatenate([half, half[..., (p - 1) // 2:0:-1]], axis=-1)
 
 
-def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shape: tuple):
-    """``kernel(s, c, out=None)``: real (px, py) DFT of the padded lag kernel of ``c * m`` at mu[s].
+#: Float64 values in one block of kernel rows, 1 MiB: 64 rows at P = 2048,
+#: all 192 rows in one block at P = 192.
+_KERNEL_BLOCK = 1 << 17
+# A block is a whole number of these rows.  BLAS works in tiles of rows, so a
+# block that starts on a tile gives each row the bits it has in the whole
+# (px, py) product, wherever BLAS picks the same kernel for both calls.
+_KERNEL_TILE = 8
 
-    The spectrum is written into ``out``, a real array of that shape, when
-    one is given.  Every scale's axis tables are made here, once; one
-    serves both axes when they match.
+
+def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shape: tuple):
+    """``apply(s, c, spectrum, out)``: ``out = spectrum * K``, returned, for (px, py) ``spectrum``.
+
+    K is the real DFT of the padded lag kernel of ``c * m`` at mu[s],
+    (U_s^T c M) V_s.  It is made a block of rows at a time and multiplied
+    straight into the rows of ``out``, which may be ``spectrum`` itself, so
+    no (px, py) real array is ever held.  Every scale's axis tables are made
+    here, once; one serves both axes when they match.
     """
     px, py = shape
     u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
     v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
          else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
-    return lambda s, c, out=None: np.matmul(u[s].T @ (m * c), v[s], out=out)
+    rows = max(_KERNEL_TILE, _KERNEL_BLOCK // py // _KERNEL_TILE * _KERNEL_TILE)
+    blocks = _FreeList(lambda: np.empty((min(rows, px), py)), worker_count(len(mu)))
+
+    def apply(s: int, c: float, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        left = u[s].T @ (m * c)
+        block = blocks.get()
+        for r in range(0, px, rows):
+            k = np.matmul(left[r:r + rows], v[s], out=block[:min(rows, px - r)])
+            np.multiply(spectrum[r:r + rows], k, out=out[r:r + rows])
+        blocks.put(block)
+        return out
+
+    return apply
 
 
 def _next_fast_len(target: int) -> int:
@@ -312,8 +338,9 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return ifft(rows, axis=0, out=rows)[:nx].copy()
 
 
-def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
-    """Per scale in order, the list of forward planes W(mu_s, .) of ``fields``.
+def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool,
+                    reduce=lambda planes: planes):
+    """Per scale in order, ``reduce`` of the list of forward planes W(mu_s, .) of ``fields``.
 
     The fields must share one grid, and each is checked up front.  The
     kernel is real, so W(a + ib) = W(a) + i W(b) for real fields a and b:
@@ -323,9 +350,10 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
     the boundary check whenever both fields do.  Complex fields and a
     leftover real field, such as a lone one, go in alone.  For the FFT
     engine the inputs and the axis spectra are transformed up front.  One
-    ``_imap_scales`` task per scale builds the kernel once, applies it to
-    every input and unpacks the pairs, and a caller that reduces the
-    planes a scale at a time never holds an (S, nx, ny) cube.
+    ``_imap_scales`` task per scale applies the scale's kernel to every
+    input, unpacks the pairs and calls ``reduce`` on the planes, so a
+    caller never holds an (S, nx, ny) cube, and one that passes a
+    reduction gets its per-scale values without queuing planes at all.
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
@@ -344,18 +372,16 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
         shape = _padded_shape(grid)
         f_values = [_padded_fft2(v, mask, np.empty(shape, dtype=complex)) for v in inputs]
         kernel = _kernel_spectrum(separable_coeffs(w), mu, grid, shape)
-        # One kernel spectrum and one product buffer per worker, reused for every scale.
-        scratch = _FreeList(lambda: (np.empty(shape), np.empty(shape, dtype=complex)),
-                            worker_count(len(mu)))
+        # One product buffer per worker, reused for every scale.
+        scratch = _FreeList(lambda: np.empty(shape, dtype=complex), worker_count(len(mu)))
 
         def transform(s: int) -> list:
-            khat, product = buffers = scratch.get()
+            product = scratch.get()
             try:
-                kernel(s, measure[s], khat)
-                return [_cropped_ifft2(np.multiply(f, khat, out=product), grid.nx, grid.ny)
+                return [_cropped_ifft2(kernel(s, measure[s], f, product), grid.nx, grid.ny)
                         for f in f_values]
             finally:
-                scratch.put(buffers)
+                scratch.put(product)
 
     else:
         masked = [v * mask for v in inputs]
@@ -371,7 +397,7 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool):
             out[i], out[j] = 2 * plane.real, 2 * plane.imag
         for i, plane in zip(alone, planes[len(pairs):]):
             out[i] = plane
-        return out
+        return reduce(out)
 
     return _imap_scales(one_scale, len(mu))
 
@@ -490,8 +516,7 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         def one_scale(s: int) -> None:
             spectrum = spectra.get()
             try:
-                _padded_fft2(plane(s), mask, spectrum)
-                spectrum *= kernel(s, weights[s])
+                kernel(s, weights[s], _padded_fft2(plane(s), mask, spectrum), spectrum)
             except BaseException:
                 spectra.put(spectrum)
                 raise
@@ -508,8 +533,10 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         pass
     total = reduction.total
     if shared:
+        reduction = spectra = None  # hand back the spare spectra before the crop
         total = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
-    return Field(out_grid, total * (kgrid.cell_area() / (np.pi * c_prime)))
+    total *= kgrid.cell_area() / (np.pi * c_prime)
+    return Field(out_grid, total)
 
 
 # ---------------------------------------------------------------------------

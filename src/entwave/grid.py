@@ -296,24 +296,45 @@ def write_field_csv(f: Field, path: str) -> None:
     _atomic_write(path, chunks())
 
 
+#: Lines parsed per ``np.loadtxt`` call, and rows converted per step, by :func:`read_field_csv`.
+_CSV_BLOCK_ROWS = 1 << 15
+
+
 def read_field_csv(path: str) -> Field:
-    """Read a field from the ``x,y,re,im`` CSV layout."""
+    """Read a field from the ``x,y,re,im`` CSV layout.
+
+    The rows are parsed a block at a time into one (N, 4) array, sized by
+    the file's line ends, and go into the field a block at a time, so the
+    read makes no other array of N complex values or N node indices.
+    """
+    with open(path, "rb") as fh:
+        line_ends = sum(chunk.count(b"\n") + chunk.count(b"\r")
+                        for chunk in iter(lambda: fh.read(1 << 20), b""))
+    rows = np.empty((line_ends + 1, 4))
+    count = 0
     with open(path, "r", encoding="utf-8") as fh:
         try:  # a UnicodeDecodeError is a ValueError, in the header as in the rows
             header = fh.readline().strip()
             if header != "x,y,re,im":
                 raise FileFormatError(f"{path}: expected header 'x,y,re,im', got {header!r}")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            while line := fh.readline():
+                lines = itertools.chain([line], itertools.islice(fh, _CSV_BLOCK_ROWS - 1))
+                block = np.loadtxt(lines, delimiter=",", ndmin=2)
+                if block.size and block.shape[1] != 4:
+                    raise FileFormatError(f"{path}: expected 4 columns")
+                rows[count:count + len(block)] = block
+                count += len(block)
         except ValueError as exc:
             raise FileFormatError(f"{path}: malformed CSV ({exc})")
-    if rows.size == 0 or rows.shape[1] != 4:
+    rows = rows[:count]
+    if count == 0:
         raise FileFormatError(f"{path}: expected 4 columns")
     if not np.all(np.isfinite(rows[:, :2])):
         raise FileFormatError(f"{path}: node coordinates must be finite")
     xs = np.unique(rows[:, 0])
     ys = np.unique(rows[:, 1])
     nx, ny = len(xs), len(ys)
-    if nx * ny != rows.shape[0]:
+    if nx * ny != count:
         raise FileFormatError(f"{path}: nodes do not form a full rectangular grid")
     for axis in (xs, ys):
         if len(axis) < 2:
@@ -323,12 +344,17 @@ def read_field_csv(path: str) -> Field:
             raise FileFormatError(f"{path}: grid spacing is not uniform")
     grid = ComplexPlaneGrid(nx, ny, float(xs[0]), float(ys[0]),
                             float(xs[1] - xs[0]), float(ys[1] - ys[0]))
-    ix = np.searchsorted(xs, rows[:, 0])
-    iy = np.searchsorted(ys, rows[:, 1])
-    if np.unique(ix * ny + iy).size != rows.shape[0]:
+    vals = np.empty((nx, ny), dtype=complex)
+    flat = vals.reshape(-1)
+    listed = np.zeros(count, dtype=bool)
+    for r in range(0, count, _CSV_BLOCK_ROWS):
+        part = rows[r:r + _CSV_BLOCK_ROWS]
+        node = np.searchsorted(xs, part[:, 0]) * ny + np.searchsorted(ys, part[:, 1])
+        listed[node] = True
+        flat[node] = part[:, 2] + 1j * part[:, 3]
+    # nx * ny rows list every node unless one is listed twice
+    if not listed.all():
         raise FileFormatError(f"{path}: a grid node is listed more than once")
-    vals = np.zeros((nx, ny), dtype=complex)
-    vals[ix, iy] = rows[:, 2] + 1j * rows[:, 3]
     try:
         return Field(grid, vals)
     except ValueError as exc:

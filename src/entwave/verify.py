@@ -57,16 +57,19 @@ def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
     """Parseval reports for each index pair (i, j) of ``fields``.
 
     Every field goes through one forward call, which checks that they
-    share a grid and transforms two real fields as one, and its planes
-    are reduced a scale at a time, so no (S, n, n) coefficient cube is held.
+    share a grid and transforms two real fields as one.  Each scale's task
+    reduces its planes to the pairing sums, so no plane leaves its task
+    and no (S, n, n) coefficient cube is held.
     """
     fast = _is_fft_engine(engine)
     grid = fields[0].grid
     mask = grid.trapezoid_mask() * (grid.cell_area() / np.pi)
-    per_scale = np.empty((len(pairs), len(scales)), dtype=complex)
-    for s, planes in enumerate(_forward_planes(fields, w, scales, fast)):
-        for k, (i, j) in enumerate(pairs):
-            per_scale[k, s] = np.sum(mask * planes[i] * np.conj(planes[j]))
+
+    def pairings(planes) -> list:
+        return [np.sum(mask * planes[i] * np.conj(planes[j])) for i, j in pairs]
+
+    per_scale = np.array(list(_forward_planes(fields, w, scales, fast, pairings)),
+                         dtype=complex).T
     weights = scale_weights(scales, 3)
     c_prime = c_psi_prime(w)
     reports = []

@@ -3,6 +3,8 @@ import multiprocessing
 import struct
 import sys
 import threading
+import tracemalloc
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -535,6 +537,64 @@ def test_fast_engine_makes_a_y_table_unless_the_axes_match(grid, monkeypatch):
     tables.clear()
     forward_fast(gaussian_field(ComplexPlaneGrid.centered(40, 8.0)), w, scales)
     assert len(tables) == 1
+
+
+def whole_kernel_spectrum(m, mu, grid, shape):
+    """The kernel as it was applied before row blocks: one whole (px, py) product per scale."""
+    px, py = shape
+    u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
+    v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
+         else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
+    return lambda s, c, spectrum, out: np.multiply(spectrum, u[s].T @ (m * c) @ v[s], out=out)
+
+
+@pytest.mark.parametrize("w", [emhw(), random_admissible_lg(32, seed=3)], ids=["emhw", "lg32"])
+def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
+    # a one-value block size leaves each block its floor of one 8-row tile, so the
+    # 75 padded rows go in nine whole blocks and a ragged one of 3 rows
+    grid = ComplexPlaneGrid(38, 29, -6.0, -5.0, 12.0 / 37, 10.5 / 28)
+    assert _padded_shape(grid) == (75, 60)
+    scales = ScaleGrid.log_spaced(7, 0.5, 4.0)
+    g = Field(grid, windowed_noise(grid, seed=1))
+    pair = [Field(grid, windowed_noise(grid, seed).real) for seed in (2, 3)]
+    cube = np.stack([windowed_noise(grid, seed=10 + s) for s in range(len(scales))])
+    coeffs = CCWTCoefficients(scales, grid, cube)
+
+    def transforms():
+        return (forward_fast(g, w, scales).values,
+                np.array(list(_forward_planes(pair, w, scales, True))),
+                inverse(coeffs, w, 0.5).values)
+
+    monkeypatch.setattr(ccwt, "_KERNEL_BLOCK", 1)
+    blocked = transforms()
+    monkeypatch.setattr(ccwt, "_kernel_spectrum", whole_kernel_spectrum)
+    for got, expected in zip(blocked, transforms()):
+        assert np.array_equal(got, expected)
+
+
+def test_kernel_blocks_hold_no_whole_kernel_spectrum(monkeypatch):
+    # at 512^2 the padded shape is 1024^2: a complex spectrum is 16 MiB, and a
+    # whole real kernel spectrum 8 MiB.  The forward holds the field's spectrum
+    # and one product, the inverse the sum and one scale's spectrum; each also
+    # makes its output plane, and nothing else bigger than a kernel block.
+    monkeypatch.setenv("ENTWAVE_THREADS", "1")
+    grid = ComplexPlaneGrid.centered(512, 8.0)
+    g = smooth_random_field(grid, seed=2)
+    scales = ScaleGrid.log_spaced(4, 0.5, 4.0)
+    coeffs = forward_fast(g, emhw(), scales)
+    px, py = _padded_shape(grid)
+    budget = 2 * px * py * 16 + grid.nx * grid.ny * 16 + 2 * 2**20
+    tracemalloc.start()
+    try:
+        deque(_forward_planes([g], emhw(), scales, True), maxlen=0)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        inverse(coeffs, emhw(), 0.5)
+        inverse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < budget, (forward_peak, budget)
+    assert inverse_peak < budget, (inverse_peak, budget)
 
 
 # Group law: the transforms intertwine the grid's symmetries exactly

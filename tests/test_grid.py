@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import entwave
+import entwave.grid as grid_module
 from entwave.ccwt import RunConfig, Signal1D
 from entwave.errors import FileFormatError
 from entwave.grid import (
@@ -275,6 +276,63 @@ def test_csv_bad_header(tmp_path):
     open(path, "w").write("a,b,c\n1,2,3\n")
     with pytest.raises(FileFormatError):
         read_field_csv(path)
+
+
+_PEAK_CSV_READ_SCRIPT = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c",
+                "import sys; from entwave.grid import read_field_csv; read_field_csv(sys.argv[1])",
+                sys.argv[1]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB on Linux")
+def test_csv_read_peak_bounded(tmp_path):
+    # 87 MB of text for a 16.8 MB field, about 30 MB of which is the interpreter and
+    # numpy.  The reader runs as a grandchild, so it does not inherit this process's peak.
+    grid = ComplexPlaneGrid.centered(1024, 32.0)
+    nodes = grid.nodes()
+    path = tmp_path / "f.csv"
+    write_field_csv(Field(grid, np.exp(-0.5 * np.abs(nodes) ** 2) * (1 + 0.3j * nodes)), str(path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entwave.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CSV_READ_SCRIPT, str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout.split()[-1])
+    assert peak < 110e6, peak
+
+
+def test_csv_blocks_keep_every_error(tmp_path, monkeypatch):
+    # with three-line blocks every check below meets a row past the first block
+    monkeypatch.setattr(grid_module, "_CSV_BLOCK_ROWS", 3)
+    rows = [f"{x},{y},{x + y},{x - y}" for x in (0.0, 0.5, 1.0) for y in (0.0, 0.25, 0.5)]
+    path = tmp_path / "f.csv"
+    path.write_text("x,y,re,im\n" + "\n".join(rows) + "\n")
+    f = read_field_csv(str(path))
+    assert (f.grid.nx, f.grid.ny, f.grid.dx, f.grid.dy) == (3, 3, 0.5, 0.25)
+    assert f.values[2, 1] == 1.25 + 0.75j
+    cases = {
+        "malformed": rows[:7] + ["1.0,0.25,x,0"] + rows[8:],
+        "4 columns": rows[:6] + [r + ",0" for r in rows[6:]],
+        "more than once": rows[:8] + [rows[0]],
+        "not uniform": rows[:6] + [r.replace("1.0,", "1.1,", 1) for r in rows[6:]],
+        "finite": rows[:8] + ["nan,0.5,0,0"],
+        "full rectangular": rows[:8],
+    }
+    for message, lines in cases.items():
+        path.write_text("x,y,re,im\n" + "\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=message):
+            read_field_csv(str(path))
+    # a cut inside the last row, and a bad byte past the first block
+    text = "x,y,re,im\n" + "\n".join(rows)
+    path.write_text(text[:-3])
+    with pytest.raises(FileFormatError):
+        read_field_csv(str(path))
+    path.write_bytes(("x,y,re,im\n" + "\n".join(rows[:7])).encode() + b"\n\xff,0,0,0\n")
+    with pytest.raises(FileFormatError, match="malformed"):
+        read_field_csv(str(path))
 
 
 def test_csv_that_is_not_utf8_is_a_file_format_error(tmp_path):

@@ -195,9 +195,9 @@ def test_parseval_suite_transforms_each_field_once(monkeypatch):
     original = verify._forward_planes
     calls = []
 
-    def spy(fields, w, scales, fast):
+    def spy(fields, w, scales, fast, reduce):
         calls.append(len(scales))
-        return original(fields, w, scales, fast)
+        return original(fields, w, scales, fast, reduce)
 
     monkeypatch.setattr(verify, "_forward_planes", spy)
     run_suite("parseval", SMALL_SUITE)
@@ -207,15 +207,22 @@ def test_parseval_suite_transforms_each_field_once(monkeypatch):
 def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     # the three fields share one call; inside it the real (vacuum, |1,1>) pair
     # is packed into one input, so the coherent state makes the second and last
-    # padded FFT.  Each call builds its kernel spectra once, and the worker
-    # pool belongs to the process: two scans make at most one pool between them.
+    # padded FFT.  Each call builds its table of kernel spectra once, and the
+    # worker pool belongs to the process: two scans make at most one pool
+    # between them.  The pairing sums are taken in the scale tasks, off the
+    # calling thread.
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
     original = verify._forward_planes
-    calls, pools, tables, threads, ffts = [], [], [], set(), []
+    calls, pools, tables, threads, ffts, reducers = [], [], [], set(), [], set()
 
-    def spy(fields, w, scales, fast):
+    def spy(fields, w, scales, fast, reduce):
         calls.append(len(fields))
-        return original(fields, w, scales, fast)
+
+        def reduce_on_thread(planes):
+            reducers.add(threading.get_ident())
+            return reduce(planes)
+
+        return original(fields, w, scales, fast, reduce_on_thread)
 
     class SpyPool(ccwt.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -226,9 +233,9 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
         tables.append(threading.get_ident())
         kernel = kernel_spectrum.original(*args)
 
-        def one_scale(s, c, out=None):
+        def one_scale(s, c, spectrum, out):
             threads.add(threading.get_ident())
-            return kernel(s, c, out)
+            return kernel(s, c, spectrum, out)
 
         return one_scale
 
@@ -252,6 +259,7 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     assert pools == [ccwt.worker_count(len(scales))] == [2]
     assert tables == [threading.get_ident()] * 2
     assert 1 <= len(threads) <= 2
+    assert reducers and threading.get_ident() not in reducers
 
 
 def literal_kernel(eta, eta_prime, w, scales, grid):
