@@ -16,20 +16,22 @@ sum_ab M_ab X_a V Y_b^T over per-axis Hermite matrices.  Both directions
 work one scale plane at a time on the process's one worker pool: one
 ``_forward_planes`` call serves a list of fields with one table of axis
 spectra and one kernel per scale, two real fields sharing one complex
-transform, and its planes can be streamed into an EWC1 file as they are
-produced; the inverse reads each plane inside its per-scale task, so
-neither needs the (S, nx, ny) cube.  The FFT engine's padded (px, py)
-scratch is made once per call and recycled from scale to scale.  A
-scale's real kernel spectrum is made and applied a block of about 1 MiB
-of rows at a time, so neither direction holds a (px, py) real array:
-the forward holds one complex product per worker, and a caller may
-reduce each scale's planes inside its task.  The inverse's tasks add
-their spectra to the sum in scale order themselves, so it holds the sum,
-one complex spectrum per running task and any spectrum whose earlier
-scales are still running: at most 2 x workers + 1 in all, as two scales
-per worker are in flight.  A 1D
-transform pair over the real line is included as a baseline, with
-per-scale translation grids sized to the dilated wavelet.
+transform, and hands each scale's planes to the caller's reduction inside
+the scale's task, which sums them, stores them or writes them at their
+EWC1 offsets; the inverse reads each plane inside its per-scale task, so
+neither needs the (S, nx, ny) cube.  A scale's real kernel spectrum is
+made a block of about 1 MiB of rows at a time, so neither direction holds
+a (px, py) real array.  The forward multiplies each block into the
+field's spectrum a sub-block of about 1 MiB at a time, transforms each
+along y and keeps its first ny columns, so a worker holds one (px, ny)
+half plane, not a (px, py) product; its scratch is made once per call and
+recycled from scale to scale.  The inverse's tasks multiply the blocks
+into their spectra and add these to the sum in scale order themselves,
+so it holds the sum, one complex spectrum per running task and any
+spectrum whose earlier scales are still running: at most 2 x workers + 1
+in all, as two scales per worker are in flight.  A 1D transform pair over
+the real line is included as a baseline, with per-scale translation grids
+sized to the dilated wavelet.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ from .grid import (
     Field,
     ScaleGrid,
     scale_weights,
+    _plane_writer,
     _read_planes,
     _require_finite,
     _trap_mask_1d,
-    _write_planes,
 )
 from .specfun import hermite_functions, separable_correlate
 from .wavelets import (MotherWavelet, c_psi_prime, eval_wavelet, is_admissible,
@@ -259,38 +261,44 @@ def _axis_spectra(terms: int, n: int, steps, p: int) -> np.ndarray:
 #: Float64 values in one block of kernel rows, 1 MiB: 64 rows at P = 2048,
 #: all 192 rows in one block at P = 192.
 _KERNEL_BLOCK = 1 << 17
-# A block is a whole number of these rows.  BLAS works in tiles of rows, so a
-# block that starts on a tile gives each row the bits it has in the whole
-# (px, py) product, wherever BLAS picks the same kernel for both calls.
+#: Complex values in one sub-block of a forward product, 1 MiB: 32 rows at
+#: P = 2048, all 192 rows in one sub-block at P = 192.
+_PRODUCT_BLOCK = 1 << 16
+# Every block is a whole number of these rows.  BLAS works in tiles of rows, so
+# a kernel block that starts on a tile gives each row the bits it has in the
+# whole (px, py) product, wherever BLAS picks the same kernel for both calls.
 _KERNEL_TILE = 8
 
 
+def _block_rows(values: int, width: int) -> int:
+    """Rows of ``width`` in a block of about ``values`` values: whole tiles, at least one."""
+    return max(_KERNEL_TILE, values // width // _KERNEL_TILE * _KERNEL_TILE)
+
+
 def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shape: tuple):
-    """``apply(s, c, spectrum, out)``: ``out = spectrum * K``, returned, for (px, py) ``spectrum``.
+    """``blocks(s, c)``: the row blocks ``(r, K[r:r + rows])`` of a (px, py) real spectrum K.
 
     K is the real DFT of the padded lag kernel of ``c * m`` at mu[s],
-    (U_s^T c M) V_s.  It is made a block of rows at a time and multiplied
-    straight into the rows of ``out``, which may be ``spectrum`` itself, so
-    no (px, py) real array is ever held.  Every scale's axis tables are made
-    here, once; one serves both axes when they match.
+    (U_s^T c M) V_s.  It is made a block of rows at a time, each block in
+    a buffer that the next one overwrites, so no (px, py) real array is
+    ever held.  Every scale's axis tables are made here, once; one serves
+    both axes when they match.
     """
     px, py = shape
     u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
     v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
          else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
-    rows = max(_KERNEL_TILE, _KERNEL_BLOCK // py // _KERNEL_TILE * _KERNEL_TILE)
-    blocks = _FreeList(lambda: np.empty((min(rows, px), py)), worker_count(len(mu)))
+    rows = _block_rows(_KERNEL_BLOCK, py)
+    free = _FreeList(lambda: np.empty((min(rows, px), py)), worker_count(len(mu)))
 
-    def apply(s: int, c: float, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def blocks(s: int, c: float):
         left = u[s].T @ (m * c)
-        block = blocks.get()
+        block = free.get()
         for r in range(0, px, rows):
-            k = np.matmul(left[r:r + rows], v[s], out=block[:min(rows, px - r)])
-            np.multiply(spectrum[r:r + rows], k, out=out[r:r + rows])
-        blocks.put(block)
-        return out
+            yield r, np.matmul(left[r:r + rows], v[s], out=block[:min(rows, px - r)])
+        free.put(block)
 
-    return apply
+    return blocks
 
 
 def _next_fast_len(target: int) -> int:
@@ -338,9 +346,8 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return ifft(rows, axis=0, out=rows)[:nx].copy()
 
 
-def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool,
-                    reduce=lambda planes: planes):
-    """Per scale in order, ``reduce`` of the list of forward planes W(mu_s, .) of ``fields``.
+def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce):
+    """Per scale in order, ``reduce(s, planes)`` of the forward planes W(mu_s, .) of ``fields``.
 
     The fields must share one grid, and each is checked up front.  The
     kernel is real, so W(a + ib) = W(a) + i W(b) for real fields a and b:
@@ -349,11 +356,11 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool,
     packed at half amplitude, an exact scaling, so the packed field passes
     the boundary check whenever both fields do.  Complex fields and a
     leftover real field, such as a lone one, go in alone.  For the FFT
-    engine the inputs and the axis spectra are transformed up front.  One
-    ``_imap_scales`` task per scale applies the scale's kernel to every
-    input, unpacks the pairs and calls ``reduce`` on the planes, so a
-    caller never holds an (S, nx, ny) cube, and one that passes a
-    reduction gets its per-scale values without queuing planes at all.
+    engine the inputs are transformed up front.  One ``_imap_scales`` task
+    per scale applies the scale's kernel to every input, unpacks the pairs
+    and calls ``reduce`` on the planes, so no plane leaves its task and a
+    caller never holds an (S, nx, ny) cube.  A complex plane is a view of
+    the task's scratch, valid only until ``reduce`` returns.
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
@@ -368,46 +375,69 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool,
     mask = grid.trapezoid_mask()
     mu = scales.mu_values
     measure = grid.cell_area() / (np.pi * mu)
+
+    def reduced(s: int, made) -> object:
+        """``reduce`` of the planes of ``fields``, from the iterable of each input's plane."""
+        planes = [None] * len(fields)
+        for k, plane in enumerate(made):
+            if k < len(pairs):
+                i, j = pairs[k]
+                planes[i], planes[j] = 2 * plane.real, 2 * plane.imag
+            else:
+                planes[alone[k - len(pairs)]] = plane
+        return reduce(s, planes)
+
     if fast:
         shape = _padded_shape(grid)
+        px, py = shape
         f_values = [_padded_fft2(v, mask, np.empty(shape, dtype=complex)) for v in inputs]
+        del inputs, mask  # the spectra hold all the tasks need; free the rest first
         kernel = _kernel_spectrum(separable_coeffs(w), mu, grid, shape)
-        # One product buffer per worker, reused for every scale.
-        scratch = _FreeList(lambda: np.empty(shape, dtype=complex), worker_count(len(mu)))
+        rows = _block_rows(_PRODUCT_BLOCK, py)
+        # Per worker, reused for every scale: one sub-block of the product and a
+        # (px, ny) half plane for each lone input, at least one.  The pairs share
+        # the first half plane, as each is unpacked before the next is made.
+        scratch = _FreeList(lambda: (np.empty((min(rows, px), py), dtype=complex),
+                                     [np.empty((px, grid.ny), dtype=complex)
+                                      for _ in range(max(1, len(alone)))]),
+                            worker_count(len(mu)))
 
-        def transform(s: int) -> list:
-            product = scratch.get()
-            try:
-                return [_cropped_ifft2(kernel(s, measure[s], f, product), grid.nx, grid.ny)
-                        for f in f_values]
-            finally:
-                scratch.put(product)
+        def plane(s: int, f: np.ndarray, sub: np.ndarray, half: np.ndarray) -> np.ndarray:
+            # ifft along y of each sub-block of the product f * K, of which the
+            # leading ny columns are kept, then ifft along x of those columns
+            for r, k in kernel(s, measure[s]):
+                for a in range(0, len(k), rows):
+                    part = sub[:min(rows, len(k) - a)]
+                    np.multiply(f[r + a:r + a + len(part)], k[a:a + len(part)], out=part)
+                    ifft(part, axis=1, out=part)
+                    half[r + a:r + a + len(part)] = part[:, :grid.ny]
+            return ifft(half, axis=0, out=half)[:grid.nx]
+
+        def one_scale(s: int):
+            sub, halves = scratch.get()
+            result = reduced(s, (plane(s, f, sub, halves[max(0, k - len(pairs))])
+                                 for k, f in enumerate(f_values)))
+            scratch.put((sub, halves))
+            return result
 
     else:
         masked = [v * mask for v in inputs]
 
-        def transform(s: int) -> list:
+        def one_scale(s: int):
             kernel = _lag_kernel(w, mu[s], grid)
-            return [_correlate_direct(v, kernel) * measure[s] for v in masked]
-
-    def one_scale(s: int) -> list:
-        planes = transform(s)
-        out = [None] * len(fields)
-        for (i, j), plane in zip(pairs, planes):
-            out[i], out[j] = 2 * plane.real, 2 * plane.imag
-        for i, plane in zip(alone, planes[len(pairs):]):
-            out[i] = plane
-        return reduce(out)
+            return reduced(s, (_correlate_direct(v, kernel) * measure[s] for v in masked))
 
     return _imap_scales(one_scale, len(mu))
 
 
 def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
                     fast: bool) -> CCWTCoefficients:
-    planes = _forward_planes([g], w, scales, fast)
     out = np.empty((len(scales), g.grid.nx, g.grid.ny), dtype=complex)
-    for s, (plane,) in enumerate(planes):
-        out[s] = plane
+
+    def store(s: int, planes: list) -> None:
+        out[s] = planes[0]
+
+    deque(_forward_planes([g], w, scales, fast, store), maxlen=0)
     return CCWTCoefficients(scales, g.grid, out)
 
 
@@ -516,7 +546,9 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         def one_scale(s: int) -> None:
             spectrum = spectra.get()
             try:
-                kernel(s, weights[s], _padded_fft2(plane(s), mask, spectrum), spectrum)
+                _padded_fft2(plane(s), mask, spectrum)
+                for r, k in kernel(s, weights[s]):
+                    spectrum[r:r + len(k)] *= k
             except BaseException:
                 spectra.put(spectrum)
                 raise
@@ -634,19 +666,22 @@ def icwt1d(coeffs: Cwt1dCoefficients, psi, c_psi: float, x_grid) -> Signal1D:
 # ---------------------------------------------------------------------------
 
 
-def _write_ewc1(path: str, scales: ScaleGrid, grid: ComplexPlaneGrid, planes) -> None:
-    """Write an EWC1 file: magic, u32 scale count and ``<f8`` scale table, then an EWG1 body.
+def _ewc1_writer(path: str, scales: ScaleGrid, grid: ComplexPlaneGrid):
+    """:func:`grid._plane_writer` of an EWC1 file at ``path``.
 
-    The body's planes come from the iterable ``planes``; each is written as it arrives.
+    The file is the magic, a u32 scale count and the ``<f8`` scale table,
+    then an EWG1 body of one plane per scale.
     """
     mu = scales.mu_values
     prefix = EWC1_MAGIC + struct.pack("<I", len(mu)) + mu.astype("<f8").tobytes()
-    _write_planes(path, prefix, grid, planes)
+    return _plane_writer(path, prefix, grid, len(mu))
 
 
 def write_coefficients_ewc1(coeffs: CCWTCoefficients, path: str) -> None:
     """Write coefficients in the EWC1 binary format."""
-    _write_ewc1(path, coeffs.scales, coeffs.kappa_grid, coeffs.values)
+    with _ewc1_writer(path, coeffs.scales, coeffs.kappa_grid) as write:
+        for s, plane in enumerate(coeffs.values):
+            write(s, plane)
 
 
 @contextlib.contextmanager

@@ -9,6 +9,7 @@ identical inputs and flags.  ENTWAVE_THREADS caps internal parallelism.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import sys
@@ -128,8 +129,9 @@ def _read_field_any(path: str) -> gridmod.Field:
     return gridmod.read_field_csv(path)
 
 
-#: Field writers by ``--format`` name.
-_FIELD_WRITERS = {"ewg": gridmod.write_field_ewg1, "csv": gridmod.write_field_csv}
+#: Names of the field writers in ``grid`` by ``--format`` name.  Each is looked
+#: up when a command runs, so a wrapper put on the module attribute sees it.
+_FIELD_WRITERS = {"ewg": "write_field_ewg1", "csv": "write_field_csv"}
 
 _format_option = click.option("--format", "fmt", type=click.Choice(list(_FIELD_WRITERS)),
                               default="ewg", show_default=True)
@@ -196,10 +198,12 @@ def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
                         mu_max=mu_max, wavelet_kind=kind, wavelet_coeffs=coeffs)
     field = _read_field_any(input_path)
     scales = cfg.scales()
-    # Each plane goes to the file as it is made; the (S, n, n) cube never exists.
-    planes = ccwt._forward_planes([field], cfg.wavelet(), scales,
-                                  ccwt._is_fft_engine(cfg.engine))
-    ccwt._write_ewc1(output, scales, field.grid, (plane for (plane,) in planes))
+    # Each scale's task writes its plane at its offset in the file; no plane
+    # leaves its task, and the (S, n, n) cube never exists.
+    with ccwt._ewc1_writer(output, scales, field.grid) as write:
+        collections.deque(ccwt._forward_planes(
+            [field], cfg.wavelet(), scales, ccwt._is_fft_engine(cfg.engine),
+            lambda s, planes: write(s, planes[0])), maxlen=0)
     click.echo(f"wrote {output}: {len(scales)} scales on "
                f"{field.grid.nx}x{field.grid.ny} grid")
 
@@ -226,7 +230,7 @@ def ccwt_inverse(input_path, output, config, fmt, reference, kind, coeffs):
             raise ValueError("reference grid does not match the reconstruction grid")
         c_prime = wavelets.c_psi_prime(w)
         field = ccwt._inverse_planes(plane, scales, kgrid, w, c_prime)
-    _FIELD_WRITERS[fmt](field, output)
+    getattr(gridmod, _FIELD_WRITERS[fmt])(field, output)
     click.echo(f"wrote {output}")
     if ref is not None:
         num = np.sqrt(np.sum(np.abs(field.values - ref.values) ** 2))
@@ -276,7 +280,7 @@ def fock_sample(state, output, fmt, grid_n, grid_extent):
     """Write the plane representation of ``number:m,n`` or ``coherent:...``."""
     cfg = load_settings(ccwt.RunConfig, {}, grid_n=grid_n, grid_extent=grid_extent)
     field = fock.state_field(state, cfg.grid())
-    _FIELD_WRITERS[fmt](field, output)
+    getattr(gridmod, _FIELD_WRITERS[fmt])(field, output)
     click.echo(f"wrote {output}")
 
 

@@ -8,9 +8,11 @@ done by the trapezoid rule in log(mu).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,22 +194,23 @@ def scale_weights(scales: ScaleGrid, power: int) -> np.ndarray:
     return w * mu ** (1.0 - power)
 
 
-def _atomic_write(path: str, buffers) -> None:
-    """Write the iterable of bytes-like ``buffers`` to ``path``, in order.
+@contextlib.contextmanager
+def _atomic_fd(path: str):
+    """A descriptor on a new temp file beside ``path``, renamed to ``path`` if the block succeeds.
 
     Write-temp-then-rename keeps interrupted runs from leaving partial
-    files; contiguous arrays are written in place, without a bytes copy.
-    ``buffers`` is consumed lazily, so a generator of planes is written
-    as it is produced and never held whole.  The temp file is created
-    with mode 0666 less the umask, as ``open`` would create ``path``.
+    files: when the block raises, the temp file is removed.  Either way
+    the descriptor is closed first.  The temp file is created with mode
+    0666 less the umask, as ``open`` would create ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".entwave-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for buf in buffers:
-                fh.write(buf)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -215,18 +218,66 @@ def _atomic_write(path: str, buffers) -> None:
         raise
 
 
-def _write_planes(path: str, prefix: bytes, grid: ComplexPlaneGrid, planes) -> None:
-    """Write ``prefix``, the EWG1 header of ``grid``, then each of ``planes`` to ``path``.
+def _atomic_write(path: str, buffers) -> None:
+    """Write the iterable of bytes-like ``buffers`` to ``path``, in order, through a temp file.
 
-    Only this writer and :func:`_read_planes` know the EWG1 layout.  Each
-    plane is checked and written as it arrives, so a generator is never held
-    whole; a non-finite plane raises ValueError and leaves no file behind.
+    Contiguous arrays are written in place, without a bytes copy.
+    ``buffers`` is consumed lazily, so a generator is written as it is
+    produced and never held whole.
+    """
+    with _atomic_fd(path) as fd, open(fd, "wb", closefd=False) as fh:
+        for buf in buffers:
+            fh.write(buf)
+
+
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    """Write all of the bytes-like ``data`` at ``offset``; one ``pwrite`` may write less."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+
+
+@contextlib.contextmanager
+def _plane_writer(path: str, prefix: bytes, grid: ComplexPlaneGrid, count: int):
+    """``write(s, plane)`` puts plane s of ``count`` at its offset in a file at ``path``.
+
+    The file is ``prefix``, the EWG1 header of ``grid``, then the planes;
+    only this writer and :func:`_read_planes` know the EWG1 layout.  Any
+    thread may write any plane, in any order, so a plane can be written in
+    the task that makes it.  Each is checked first: a non-finite plane
+    raises ValueError.  The file goes through :func:`_atomic_fd`, and the
+    block must write every plane.  Tasks of a failed stream may still be
+    running when the block exits, so the descriptor is used under a lock
+    and let go under it before it is closed: a ``write`` after that raises
+    and touches no descriptor, closed or reused.
     """
     header = _EWG1_HEADER.pack(EWG1_MAGIC, grid.nx, grid.ny, grid.x_min, grid.y_min,
                                grid.dx, grid.dy)
-    body = (_require_finite(np.ascontiguousarray(p, dtype="<c16"), f"plane {s}")
-            for s, p in enumerate(planes))
-    _atomic_write(path, itertools.chain([prefix, header], body))
+    start = len(prefix) + len(header)
+    nbytes = grid.nx * grid.ny * 16
+    lock = threading.Lock()
+    missing = set(range(count))
+    live = None  # the descriptor while the block runs
+
+    def write(s: int, plane) -> None:
+        data = _require_finite(np.ascontiguousarray(plane, dtype="<c16"), f"plane {s}")
+        with lock:
+            if live is None:
+                raise ValueError(f"{path}: plane {s} came after the file was closed")
+            _pwrite_all(live, data, start + s * nbytes)
+            missing.discard(s)
+
+    with _atomic_fd(path) as fd:
+        _pwrite_all(fd, prefix + header, 0)
+        live = fd
+        try:
+            yield write
+        finally:
+            with lock:
+                live = None
+        if missing:
+            raise ValueError(f"{path}: {len(missing)} of {count} planes never written")
 
 
 def _read_planes(fh, offset: int, count: int, path: str):
@@ -270,7 +321,8 @@ def _read_planes(fh, offset: int, count: int, path: str):
 
 def write_field_ewg1(f: Field, path: str) -> None:
     """Write a field in the EWG1 binary format."""
-    _write_planes(path, b"", f.grid, [f.values])
+    with _plane_writer(path, b"", f.grid, 1) as write:
+        write(0, f.values)
 
 
 def read_field_ewg1(path: str) -> Field:
@@ -331,8 +383,12 @@ def read_field_csv(path: str) -> Field:
         raise FileFormatError(f"{path}: expected 4 columns")
     if not np.all(np.isfinite(rows[:, :2])):
         raise FileFormatError(f"{path}: node coordinates must be finite")
-    xs = np.unique(rows[:, 0])
-    ys = np.unique(rows[:, 1])
+    # Each block's coordinates are merged into the axes: np.unique of a whole
+    # column would copy all N of its values.
+    xs = ys = np.empty(0)
+    for r in range(0, count, _CSV_BLOCK_ROWS):
+        xs = np.union1d(xs, rows[r:r + _CSV_BLOCK_ROWS, 0])
+        ys = np.union1d(ys, rows[r:r + _CSV_BLOCK_ROWS, 1])
     nx, ny = len(xs), len(ys)
     if nx * ny != count:
         raise FileFormatError(f"{path}: nodes do not form a full rectangular grid")

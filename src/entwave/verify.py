@@ -65,7 +65,7 @@ def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
     grid = fields[0].grid
     mask = grid.trapezoid_mask() * (grid.cell_area() / np.pi)
 
-    def pairings(planes) -> list:
+    def pairings(s: int, planes: list) -> list:
         return [np.sum(mask * planes[i] * np.conj(planes[j])) for i, j in pairs]
 
     per_scale = np.array(list(_forward_planes(fields, w, scales, fast, pairings)),

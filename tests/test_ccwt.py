@@ -396,15 +396,20 @@ def test_worker_count_env(monkeypatch):
         worker_count(4)
 
 
+def copied(s, planes):
+    """A reduce that keeps the planes: a complex one is a view of its task's scratch."""
+    return [plane.copy() for plane in planes]
+
+
 @pytest.mark.parametrize("fast", [False, True])
 def test_multi_field_planes_match_single_field_calls(fast):
     grid = ComplexPlaneGrid(24, 30, -8.0, -9.0, 16.0 / 23, 17.0 / 29)
     fields = [gaussian_field(grid), off_centre_field(grid), smooth_random_field(grid, seed=3)]
     scales = ScaleGrid.log_spaced(5, 0.5, 4.0)
-    together = list(_forward_planes(fields, emhw(), scales, fast))
+    together = list(_forward_planes(fields, emhw(), scales, fast, copied))
     assert [len(planes) for planes in together] == [3] * len(scales)
     for k, g in enumerate(fields):
-        alone = [plane for (plane,) in _forward_planes([g], emhw(), scales, fast)]
+        alone = [plane for (plane,) in _forward_planes([g], emhw(), scales, fast, copied)]
         for s in range(len(scales)):
             assert np.array_equal(together[s][k], alone[s])
 
@@ -418,9 +423,9 @@ def test_forward_planes_packs_real_pairs(fast):
             Field(grid, smooth_random_field(grid, seed=3).values.real)]
     fields = [real[0], off_centre_field(grid), real[1], real[2]]
     scales = ScaleGrid.log_spaced(4, 0.5, 4.0)
-    together = list(_forward_planes(fields, emhw(), scales, fast))
+    together = list(_forward_planes(fields, emhw(), scales, fast, copied))
     for k, g in enumerate(fields):
-        alone = [plane for (plane,) in _forward_planes([g], emhw(), scales, fast)]
+        alone = [plane for (plane,) in _forward_planes([g], emhw(), scales, fast, copied)]
         for s in range(len(scales)):
             if k in (0, 2):
                 assert together[s][k].dtype == float
@@ -437,7 +442,7 @@ def test_forward_planes_rejects_fields_on_different_grids():
               gaussian_field(ComplexPlaneGrid.centered(32, 10.0))]
     for fast in (False, True):
         with pytest.raises(ValueError, match="fields must share a grid"):
-            _forward_planes(fields, emhw(), scales, fast)
+            _forward_planes(fields, emhw(), scales, fast, copied)
 
 
 def test_threaded_forward_deterministic(monkeypatch):
@@ -455,10 +460,10 @@ def test_threaded_forward_deterministic(monkeypatch):
 
 
 def test_closing_a_plane_stream_cancels_the_tasks_not_started(monkeypatch):
-    # A consumer that stops after one plane, as _write_ewc1 does on a
-    # non-finite one, must not wait for the tasks in flight or leave the
-    # queued ones to run: of 2 x workers tasks submitted, only those the
-    # two workers had taken (0, 1 and at most 2) ever start.
+    # A consumer that stops after one plane, as ccwt forward does when a
+    # task meets a non-finite one, must not wait for the tasks in flight or
+    # leave the queued ones to run: of 2 x workers tasks submitted, only
+    # those the two workers had taken (0, 1 and at most 2) ever start.
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
     release, started = threading.Event(), []
 
@@ -545,56 +550,64 @@ def whole_kernel_spectrum(m, mu, grid, shape):
     u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
     v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
          else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
-    return lambda s, c, spectrum, out: np.multiply(spectrum, u[s].T @ (m * c) @ v[s], out=out)
+    return lambda s, c: [(0, u[s].T @ (m * c) @ v[s])]
 
 
 @pytest.mark.parametrize("w", [emhw(), random_admissible_lg(32, seed=3)], ids=["emhw", "lg32"])
 def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
-    # a one-value block size leaves each block its floor of one 8-row tile, so the
-    # 75 padded rows go in nine whole blocks and a ragged one of 3 rows
+    # 24-row kernel blocks take the 75 padded rows in three whole blocks and a
+    # ragged one of 3 rows; 16-row sub-blocks of the forward's product split each
+    # whole block into 16 + 8 rows, and the ragged one into a 3-row sub-block
     grid = ComplexPlaneGrid(38, 29, -6.0, -5.0, 12.0 / 37, 10.5 / 28)
     assert _padded_shape(grid) == (75, 60)
     scales = ScaleGrid.log_spaced(7, 0.5, 4.0)
     g = Field(grid, windowed_noise(grid, seed=1))
-    pair = [Field(grid, windowed_noise(grid, seed).real) for seed in (2, 3)]
+    # a real pair then a lone complex field: the pair's half plane serves the field next
+    fields = [Field(grid, windowed_noise(grid, seed).real) for seed in (2, 3)] + [g]
     cube = np.stack([windowed_noise(grid, seed=10 + s) for s in range(len(scales))])
     coeffs = CCWTCoefficients(scales, grid, cube)
 
     def transforms():
         return (forward_fast(g, w, scales).values,
-                np.array(list(_forward_planes(pair, w, scales, True))),
+                np.array(list(_forward_planes(fields, w, scales, True, copied))),
                 inverse(coeffs, w, 0.5).values)
 
-    monkeypatch.setattr(ccwt, "_KERNEL_BLOCK", 1)
+    monkeypatch.setattr(ccwt, "_KERNEL_BLOCK", 24 * 60)
+    monkeypatch.setattr(ccwt, "_PRODUCT_BLOCK", 16 * 60)
     blocked = transforms()
+    # the reference: the whole product, transformed along y, then along x on ny columns
     monkeypatch.setattr(ccwt, "_kernel_spectrum", whole_kernel_spectrum)
+    monkeypatch.setattr(ccwt, "_PRODUCT_BLOCK", 75 * 60)
     for got, expected in zip(blocked, transforms()):
         assert np.array_equal(got, expected)
 
 
 def test_kernel_blocks_hold_no_whole_kernel_spectrum(monkeypatch):
     # at 512^2 the padded shape is 1024^2: a complex spectrum is 16 MiB, and a
-    # whole real kernel spectrum 8 MiB.  The forward holds the field's spectrum
-    # and one product, the inverse the sum and one scale's spectrum; each also
-    # makes its output plane, and nothing else bigger than a kernel block.
+    # whole real kernel spectrum 8 MiB.  The forward holds the field's spectrum,
+    # one (px, ny) half plane, a kernel block and a sub-block of the product; the
+    # inverse the sum and one scale's spectrum, and it makes its output plane.
+    # Nothing else is bigger than a block.
     monkeypatch.setenv("ENTWAVE_THREADS", "1")
     grid = ComplexPlaneGrid.centered(512, 8.0)
     g = smooth_random_field(grid, seed=2)
     scales = ScaleGrid.log_spaced(4, 0.5, 4.0)
     coeffs = forward_fast(g, emhw(), scales)
     px, py = _padded_shape(grid)
-    budget = 2 * px * py * 16 + grid.nx * grid.ny * 16 + 2 * 2**20
+    # two 1 MiB blocks and half a MiB of small arrays: axis tables, FFT plans
+    forward_budget = px * py * 16 + px * grid.ny * 16 + 5 * 2**19
+    inverse_budget = 2 * px * py * 16 + grid.nx * grid.ny * 16 + 2 * 2**20
     tracemalloc.start()
     try:
-        deque(_forward_planes([g], emhw(), scales, True), maxlen=0)
+        deque(_forward_planes([g], emhw(), scales, True, lambda s, planes: None), maxlen=0)
         forward_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         inverse(coeffs, emhw(), 0.5)
         inverse_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert forward_peak < budget, (forward_peak, budget)
-    assert inverse_peak < budget, (inverse_peak, budget)
+    assert forward_peak < forward_budget, (forward_peak, forward_budget)
+    assert inverse_peak < inverse_budget, (inverse_peak, inverse_budget)
 
 
 # Group law: the transforms intertwine the grid's symmetries exactly

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import glob
 import math
@@ -7,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import typing
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import entwave
-from entwave import ccwt, cli, verify
+from entwave import ccwt, cli, grid as gridmod, verify
 from entwave.ccwt import (RunConfig, forward, forward_fast, inverse, read_coefficients_ewc1,
                           write_coefficients_ewc1)
 from entwave.cli import load_settings, main, read_config
@@ -186,7 +188,7 @@ def test_ccwt_round_trip_report(runner, tmp_path):
 
 def test_ccwt_truncated_input(runner, tmp_path):
     bad = str(tmp_path / "bad.ewc")
-    open(bad, "wb").write(b"EWC1\x04\x00\x00\x00short")
+    Path(bad).write_bytes(b"EWC1\x04\x00\x00\x00short")
     result = runner.invoke(main, ["ccwt", "inverse", bad,
                                   "--output", str(tmp_path / "o.ewg")])
     assert result.exit_code == 2
@@ -230,10 +232,10 @@ def test_verify_unknown_suite(runner):
 def test_verify_oracles_suite(runner, tmp_path):
     csv = str(tmp_path / "report.csv")
     cfg = str(tmp_path / "cfg")
-    open(cfg, "w").write("seed=20240801\n")
+    Path(cfg).write_text("seed=20240801\n")
     out = run_ok(runner, ["verify", "oracles", "--config", cfg, "--output", csv])
     assert "FAIL" not in out
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     assert lines[0] == "case,lhs_re,lhs_im,rhs_re,rhs_im,rel_error"
     assert len(lines) == 1 + 11 + 50 + 50
     for line in lines[1:]:
@@ -246,7 +248,7 @@ def test_verify_tolerance_failure_exit(runner, tmp_path):
     cfg = str(tmp_path / "cfg")
     # mu_max = 4 truncates the scale integral beyond the 5% Parseval gate; the
     # failing rows still reach the report
-    open(cfg, "w").write("grid_n=64\nscale_count=12\nmu_max=4\n")
+    Path(cfg).write_text("grid_n=64\nscale_count=12\nmu_max=4\n")
     result = runner.invoke(main, ["verify", "parseval", "--config", cfg,
                                   "--output", csv])
     assert result.exit_code == 1, result.output
@@ -273,7 +275,7 @@ def test_outputs_deterministic(runner, tmp_path):
             "--grid-extent", "8"]
     run_ok(runner, args + ["--output", p1])
     run_ok(runner, args + ["--output", p2])
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     assert not glob.glob(str(tmp_path / ".entwave-*"))
 
 
@@ -282,7 +284,7 @@ def test_config_flag_precedence(runner, tmp_path):
     run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "32",
                     "--grid-extent", "8", "--output", vac])
     cfg = str(tmp_path / "cfg")
-    open(cfg, "w").write("mu_min=0.5\nscales=4\n")
+    Path(cfg).write_text("mu_min=0.5\nscales=4\n")
     out_path = str(tmp_path / "c.ewc")
     run_ok(runner, ["ccwt", "forward", vac, "--config", cfg, "--mu-min", "0.3",
                     "--output", out_path])
@@ -293,7 +295,7 @@ def test_config_flag_precedence(runner, tmp_path):
 
 def _unknown_key_config(tmp_path, text):
     cfg = str(tmp_path / "cfg")
-    open(cfg, "w").write(text)
+    Path(cfg).write_text(text)
     return cfg
 
 
@@ -520,7 +522,32 @@ def test_csv_field_output(runner, tmp_path):
     path = str(tmp_path / "f.csv")
     run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "17",
                     "--grid-extent", "6", "--output", path, "--format", "csv"])
-    assert open(path).readline().strip() == "x,y,re,im"
+    assert Path(path).read_text().split("\n", 1)[0] == "x,y,re,im"
+
+
+def test_field_writers_are_looked_up_when_the_command_runs(runner, tmp_path, monkeypatch):
+    # a wrapper put on the grid module's attribute, as a tracer puts one, sees every write
+    seen = []
+
+    def wrap(name):
+        original = getattr(gridmod, name)
+
+        def recording(field, path):
+            seen.append((name, os.path.basename(path)))
+            return original(field, path)
+
+        monkeypatch.setattr(gridmod, name, recording)
+
+    wrap("write_field_csv")
+    wrap("write_field_ewg1")
+    field, coeff = str(tmp_path / "f.csv"), str(tmp_path / "c.ewc")
+    run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "16", "--grid-extent", "8",
+                    "--format", "csv", "--output", field])
+    run_ok(runner, ["ccwt", "forward", field, "--scales", "3", "--output", coeff])
+    run_ok(runner, ["ccwt", "inverse", coeff, "--format", "csv", "--output", tmp_path / "r.csv"])
+    run_ok(runner, ["ccwt", "inverse", coeff, "--output", tmp_path / "r.ewg"])
+    assert seen == [("write_field_csv", "f.csv"), ("write_field_csv", "r.csv"),
+                    ("write_field_ewg1", "r.ewg")]
 
 
 @pytest.mark.parametrize("text, key", [
@@ -615,7 +642,7 @@ def test_truncated_ewc1_is_a_file_format_error(data):
         field, coeff = _small_coefficients(runner, Path(tmp))
         path, read, command = data.draw(st.sampled_from(
             [(coeff, read_coefficients_ewc1, "inverse"), (field, read_field_ewg1, "forward")]))
-        whole = open(path, "rb").read()
+        whole = Path(path).read_bytes()
         cut = data.draw(st.integers(0, len(whole) - 1), label="cut")
         # the planes end the file: 16 x 16 values each, 3 for the coefficients, 1 for the field
         back = data.draw(st.integers(1, 2 * 256 * (3 if path == coeff else 1)), label="double")
@@ -641,7 +668,7 @@ def test_cut_ewg1_magic_is_a_truncated_header(runner, tmp_path, role, size):
     # a cut of the magic is a cut EWG1 file, not a malformed CSV one
     field, coeff = _small_coefficients(runner, tmp_path)
     bad = tmp_path / "cut.ewg"
-    bad.write_bytes(open(field, "rb").read()[:size])
+    bad.write_bytes(Path(field).read_bytes()[:size])
     out_path = str(tmp_path / "out")
     args = {"input": ["ccwt", "forward", str(bad)],
             "reference": ["ccwt", "inverse", coeff, "--reference", str(bad)]}[role]
@@ -673,9 +700,9 @@ def test_inverse_reads_and_checks_the_reference_before_any_work(runner, tmp_path
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_ccwt_inverse_non_finite_last_plane(runner, tmp_path, value):
     _, coeff = _small_coefficients(runner, tmp_path)
-    data = bytearray(open(coeff, "rb").read())
+    data = bytearray(Path(coeff).read_bytes())
     data[-16:] = np.array([complex(1.0, value)], dtype="<c16").tobytes()
-    open(coeff, "wb").write(bytes(data))
+    Path(coeff).write_bytes(bytes(data))
     for threads in ("1", "4"):
         out_path = str(tmp_path / "rec.ewg")
         result = runner.invoke(main, ["ccwt", "inverse", coeff, "--output", out_path],
@@ -683,6 +710,82 @@ def test_ccwt_inverse_non_finite_last_plane(runner, tmp_path, value):
         assert result.exit_code == 2, result.output
         assert "non-finite" in result.output
         _assert_no_output(out_path)
+
+
+def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeypatch):
+    # Plane 3 of 40 is NaN.  Its task fails while task 4 runs, and the failed
+    # stream does not wait for task 4: held until the file is closed, it then
+    # writes its plane, which must raise and touch no descriptor.
+    monkeypatch.setenv("ENTWAVE_THREADS", "2")
+    field = str(tmp_path / "f.ewg")
+    run_ok(runner, ["fock", "sample", "coherent:0.3,0.1,0,0.2", "--grid-n", "48",
+                    "--grid-extent", "8", "--output", field])
+    args = ["ccwt", "forward", field, "--scales", "40", "--mu-min", "0.3", "--mu-max", "6"]
+    started, closed, late = threading.Event(), threading.Event(), []
+    axis_spectra, kernel_spectrum = ccwt._axis_spectra, ccwt._kernel_spectrum
+    plane_writer = ccwt._plane_writer
+
+    def nan_axis_spectra(*args):
+        table = axis_spectra(*args)
+        table[3] = np.nan
+        return table
+
+    def held_kernel_spectrum(*args):
+        blocks = kernel_spectrum(*args)
+
+        def held(s, c):
+            if s == 3:
+                started.wait(30)
+            elif s == 4:
+                started.set()
+                closed.wait(30)
+            return blocks(s, c)
+
+        return held
+
+    @contextlib.contextmanager
+    def watched_plane_writer(*args):
+        try:
+            with plane_writer(*args) as write:
+                def watched(s, plane):
+                    try:
+                        write(s, plane)
+                    except ValueError as exc:
+                        if closed.is_set():
+                            late.append((s, str(exc)))
+                        raise
+                    if closed.is_set():
+                        late.append((s, "written"))
+
+                yield watched
+        finally:
+            closed.set()
+
+    def listing():
+        return {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+    before = listing()
+    out_path = str(tmp_path / "c.ewc")
+    monkeypatch.setattr(ccwt, "_axis_spectra", nan_axis_spectra)
+    monkeypatch.setattr(ccwt, "_kernel_spectrum", held_kernel_spectrum)
+    monkeypatch.setattr(ccwt, "_plane_writer", watched_plane_writer)
+    result = runner.invoke(main, [*args, "--output", out_path])
+    assert result.exit_code == 3, result.output
+    assert "non-finite values in plane 3" in result.output
+    # once both workers meet here, the late tasks are done
+    barrier = threading.Barrier(2)
+    for done in [ccwt._pool(2).submit(barrier.wait, 30) for _ in range(2)]:
+        done.result(timeout=30)
+    assert 4 in dict(late)
+    assert all(message.endswith("came after the file was closed") for _, message in late), late
+    _assert_no_output(out_path)
+    assert listing() == before
+    monkeypatch.undo()
+    monkeypatch.setenv("ENTWAVE_THREADS", "2")
+    run_ok(runner, [*args, "--output", out_path])
+    monkeypatch.setenv("ENTWAVE_THREADS", "1")
+    run_ok(runner, [*args, "--output", tmp_path / "serial.ewc"])
+    assert Path(out_path).read_bytes() == (tmp_path / "serial.ewc").read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
@@ -703,8 +806,8 @@ def test_streamed_cli_matches_cube_functions(runner, tmp_path, monkeypatch, engi
     ref_coeff, ref_rec = str(tmp_path / "ref.ewc"), str(tmp_path / "ref.ewg")
     write_coefficients_ewc1(cube, ref_coeff)
     write_field_ewg1(inverse(cube, w, c_psi_prime(w)), ref_rec)
-    assert open(coeff, "rb").read() == open(ref_coeff, "rb").read()
-    assert open(rec, "rb").read() == open(ref_rec, "rb").read()
+    assert Path(coeff).read_bytes() == Path(ref_coeff).read_bytes()
+    assert Path(rec).read_bytes() == Path(ref_rec).read_bytes()
 
 
 _PEAK_RSS_SCRIPT = """
@@ -791,9 +894,9 @@ def test_ccwt_forward_rejects_nonfinite_scale_range(runner, tmp_path, flag, valu
 
 
 def _poke_nan(path, offset):
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[offset:offset + 8] = struct.pack("<d", math.nan)
-    open(path, "wb").write(bytes(data))
+    Path(path).write_bytes(bytes(data))
 
 
 def test_ccwt_inverse_nan_scale_is_a_file_format_error(runner, tmp_path):

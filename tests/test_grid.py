@@ -278,30 +278,70 @@ def test_csv_bad_header(tmp_path):
         read_field_csv(path)
 
 
-_PEAK_CSV_READ_SCRIPT = """
-import resource, subprocess, sys
-subprocess.run([sys.executable, "-c",
-                "import sys; from entwave.grid import read_field_csv; read_field_csv(sys.argv[1])",
-                sys.argv[1]], check=True)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024)
+def test_plane_writer_takes_planes_in_any_order_and_never_after_it_closes(tmp_path):
+    grid = ComplexPlaneGrid(3, 4, -1.0, -2.0, 0.5, 0.25)
+    planes = np.arange(3 * 12).reshape(3, 3, 4) * (1 + 0.5j)
+    path = str(tmp_path / "p.ewg")
+    with grid_module._plane_writer(path, b"head", grid, 3) as write:
+        for s in (2, 0, 1):
+            write(s, planes[s])
+    with open(path, "rb") as fh:
+        assert fh.read(4) == b"head"
+        _, plane = grid_module._read_planes(fh, 4, 3, path)
+        assert all(np.array_equal(plane(s), planes[s]) for s in range(3))
+    # a write after the close raises, and the next file opened, which likely
+    # has the closed descriptor's number, gets nothing
+    with open(tmp_path / "other", "wb"):
+        with pytest.raises(ValueError, match="after the file was closed"):
+            write(0, planes[0])
+    assert (tmp_path / "other").read_bytes() == b""
+    # a non-finite plane, or one never written, leaves no file
+    bad = planes[1].copy()
+    bad[2, 3] = np.nan
+    for s, message in [(1, "non-finite values in plane 1"), (None, "1 of 3 planes never written")]:
+        with pytest.raises(ValueError, match=message):
+            with grid_module._plane_writer(str(tmp_path / "q.ewg"), b"", grid, 3) as write:
+                write(0, planes[0])
+                write(2, planes[2])
+                if s is not None:
+                    write(s, bad)
+    assert sorted(os.listdir(tmp_path)) == ["other", "p.ewg"]
+
+
+_CSV_READ_SCRIPT = """
+import resource, sys
+from entwave.grid import read_field_csv
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+read_field_csv(sys.argv[1])
+print(before * 1024, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
+"""
+
+# Runs _CSV_READ_SCRIPT as a grandchild, which does not inherit this process's peak.
+_GRANDCHILD_SCRIPT = """
+import subprocess, sys
+subprocess.run([sys.executable, "-c", *sys.argv[1:]], check=True)
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB on Linux")
 def test_csv_read_peak_bounded(tmp_path):
     # 87 MB of text for a 16.8 MB field, about 30 MB of which is the interpreter and
-    # numpy.  The reader runs as a grandchild, so it does not inherit this process's peak.
+    # numpy.  The read holds the parsed (N, 4) rows and the field; past those, it
+    # grows by less than one N-long coordinate column.
     grid = ComplexPlaneGrid.centered(1024, 32.0)
     nodes = grid.nodes()
     path = tmp_path / "f.csv"
     write_field_csv(Field(grid, np.exp(-0.5 * np.abs(nodes) ** 2) * (1 + 0.3j * nodes)), str(path))
     src = os.path.dirname(os.path.dirname(os.path.abspath(entwave.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _PEAK_CSV_READ_SCRIPT, str(path)],
+    proc = subprocess.run([sys.executable, "-c", _GRANDCHILD_SCRIPT, _CSV_READ_SCRIPT, str(path)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    peak = int(proc.stdout.split()[-1])
+    before, peak = map(int, proc.stdout.split()[-2:])
     assert peak < 110e6, peak
+    nodes_count = grid.nx * grid.ny
+    rows, field, column = 32 * nodes_count, 16 * nodes_count, 8 * nodes_count
+    assert peak - before < rows + field + column, (peak - before, rows + field + column)
 
 
 def test_csv_blocks_keep_every_error(tmp_path, monkeypatch):

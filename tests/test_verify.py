@@ -218,9 +218,9 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     def spy(fields, w, scales, fast, reduce):
         calls.append(len(fields))
 
-        def reduce_on_thread(planes):
+        def reduce_on_thread(s, planes):
             reducers.add(threading.get_ident())
-            return reduce(planes)
+            return reduce(s, planes)
 
         return original(fields, w, scales, fast, reduce_on_thread)
 
@@ -233,9 +233,9 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
         tables.append(threading.get_ident())
         kernel = kernel_spectrum.original(*args)
 
-        def one_scale(s, c, spectrum, out):
+        def one_scale(s, c):
             threads.add(threading.get_ident())
-            return kernel(s, c, spectrum, out)
+            return kernel(s, c)
 
         return one_scale
 
