@@ -18,11 +18,12 @@ work one scale plane at a time on the process's one worker pool: one
 spectra and one kernel per scale, two real fields sharing one complex
 transform, and hands each scale's planes to the caller's reduction inside
 the scale's task, which sums them, stores them or writes them at their
-EWC1 offsets; the inverse reads each plane inside its per-scale task, so
-neither needs the (S, nx, ny) cube.  A scale's real kernel spectrum is
-made a block of about 1 MiB of rows at a time, so neither direction holds
-a (px, py) real array.  The forward multiplies each block into the
-field's spectrum a sub-block of about 1 MiB at a time, transforms each
+EWC1 offsets, and returns the reductions' results in scale order; the
+inverse reads each plane inside its per-scale task, so neither needs the
+(S, nx, ny) cube.  A scale's real kernel spectrum is made one block of
+rows at a time, 2^16 values in whole tiles of 8 rows, so neither
+direction holds a (px, py) real array.  The forward multiplies each block
+into the same rows of the field's spectrum, transforms that product block
 along y and keeps its first ny columns, so a worker holds one (px, ny)
 half plane, not a (px, py) product; its scratch is made once per call and
 recycled from scale to scale.  The inverse's tasks multiply the blocks
@@ -43,7 +44,6 @@ import math
 import os
 import struct
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -113,9 +113,9 @@ class _FreeList:
     """Scratch buffers from ``make()``, lent to one task at a time; ``get`` never waits.
 
     ``count`` are made up front, on the calling thread.  When the list is
-    empty ``get`` makes one more: a task that fails, or whose result a
-    closed stream drops, may never give its buffer back, and a ``get`` that
-    waited for it would hold a thread of the shared pool for good.
+    empty ``get`` makes one more: a task that fails never gives its buffer
+    back, and a ``get`` that waited for it would hold a thread of the
+    shared pool for good.
     """
 
     def __init__(self, make, count: int):
@@ -162,29 +162,26 @@ class _ScaleOrderSum:
                 self._next += 1
 
 
-def _imap_scales(fn, n_scales: int):
-    """Yield fn(0), fn(1), ... in scale order, computed on worker threads.
+def _map_scales(fn, n_scales: int) -> list:
+    """[fn(0), fn(1), ...], computed on worker threads, at most two scales per worker at once.
 
-    At most two scales per worker are in flight, so the caller holds a
-    bounded number of results; consuming them in order keeps every
-    reduction independent of the schedule and of ENTWAVE_THREADS.  Tasks
-    run in a copy of the caller's context; closing early cancels those not started.
+    Tasks run in a copy of the caller's context.  When a task raises, the
+    call raises once it reaches that scale: the tasks not started are
+    cancelled, and those still running are not waited for.
     """
     workers = worker_count(n_scales)
     if workers == 1:
-        yield from map(fn, range(n_scales))
-        return
+        return [fn(s) for s in range(n_scales)]
     pool = _pool(workers)
-    pending = deque()
+    futures = []
     try:
         for s in range(n_scales):
-            pending.append(pool.submit(contextvars.copy_context().run, fn, s))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+            if s >= 2 * workers:
+                futures[s - 2 * workers].result()
+            futures.append(pool.submit(contextvars.copy_context().run, fn, s))
+        return [future.result() for future in futures]
     finally:
-        for future in pending:
+        for future in futures:
             future.cancel()
 
 
@@ -258,37 +255,34 @@ def _axis_spectra(terms: int, n: int, steps, p: int) -> np.ndarray:
     return np.concatenate([half, half[..., (p - 1) // 2:0:-1]], axis=-1)
 
 
-#: Float64 values in one block of kernel rows, 1 MiB: 64 rows at P = 2048,
-#: all 192 rows in one block at P = 192.
-_KERNEL_BLOCK = 1 << 17
-#: Complex values in one sub-block of a forward product, 1 MiB: 32 rows at
-#: P = 2048, all 192 rows in one sub-block at P = 192.
-_PRODUCT_BLOCK = 1 << 16
+#: Values in one block of rows, so a real kernel block is 0.5 MiB and a complex
+#: product block 1 MiB: 32 rows at P = 2048, all 192 rows in one block at P = 192.
+_BLOCK = 1 << 16
 # Every block is a whole number of these rows.  BLAS works in tiles of rows, so
 # a kernel block that starts on a tile gives each row the bits it has in the
 # whole (px, py) product, wherever BLAS picks the same kernel for both calls.
 _KERNEL_TILE = 8
 
 
-def _block_rows(values: int, width: int) -> int:
-    """Rows of ``width`` in a block of about ``values`` values: whole tiles, at least one."""
-    return max(_KERNEL_TILE, values // width // _KERNEL_TILE * _KERNEL_TILE)
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` in a block of about ``_BLOCK`` values: whole tiles, at least one."""
+    return max(_KERNEL_TILE, _BLOCK // width // _KERNEL_TILE * _KERNEL_TILE)
 
 
 def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shape: tuple):
     """``blocks(s, c)``: the row blocks ``(r, K[r:r + rows])`` of a (px, py) real spectrum K.
 
     K is the real DFT of the padded lag kernel of ``c * m`` at mu[s],
-    (U_s^T c M) V_s.  It is made a block of rows at a time, each block in
-    a buffer that the next one overwrites, so no (px, py) real array is
-    ever held.  Every scale's axis tables are made here, once; one serves
-    both axes when they match.
+    (U_s^T c M) V_s.  It is made one block of ``_block_rows(py)`` rows at
+    a time, each block in a buffer that the next one overwrites, so no
+    (px, py) real array is ever held.  Every scale's axis tables are made
+    here, once; one serves both axes when they match.
     """
     px, py = shape
     u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
     v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
          else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
-    rows = _block_rows(_KERNEL_BLOCK, py)
+    rows = _block_rows(py)
     free = _FreeList(lambda: np.empty((min(rows, px), py)), worker_count(len(mu)))
 
     def blocks(s: int, c: float):
@@ -346,8 +340,8 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return ifft(rows, axis=0, out=rows)[:nx].copy()
 
 
-def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce):
-    """Per scale in order, ``reduce(s, planes)`` of the forward planes W(mu_s, .) of ``fields``.
+def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce) -> list:
+    """The list over scales of ``reduce(s, planes)``, the planes being W(mu_s, .) of ``fields``.
 
     The fields must share one grid, and each is checked up front.  The
     kernel is real, so W(a + ib) = W(a) + i W(b) for real fields a and b:
@@ -356,7 +350,7 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     packed at half amplitude, an exact scaling, so the packed field passes
     the boundary check whenever both fields do.  Complex fields and a
     leftover real field, such as a lone one, go in alone.  For the FFT
-    engine the inputs are transformed up front.  One ``_imap_scales`` task
+    engine the inputs are transformed up front.  One ``_map_scales`` task
     per scale applies the scale's kernel to every input, unpacks the pairs
     and calls ``reduce`` on the planes, so no plane leaves its task and a
     caller never holds an (S, nx, ny) cube.  A complex plane is a view of
@@ -393,8 +387,8 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
         f_values = [_padded_fft2(v, mask, np.empty(shape, dtype=complex)) for v in inputs]
         del inputs, mask  # the spectra hold all the tasks need; free the rest first
         kernel = _kernel_spectrum(separable_coeffs(w), mu, grid, shape)
-        rows = _block_rows(_PRODUCT_BLOCK, py)
-        # Per worker, reused for every scale: one sub-block of the product and a
+        rows = _block_rows(py)
+        # Per worker, reused for every scale: one block of the product and a
         # (px, ny) half plane for each lone input, at least one.  The pairs share
         # the first half plane, as each is unpacked before the next is made.
         scratch = _FreeList(lambda: (np.empty((min(rows, px), py), dtype=complex),
@@ -402,22 +396,20 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
                                       for _ in range(max(1, len(alone)))]),
                             worker_count(len(mu)))
 
-        def plane(s: int, f: np.ndarray, sub: np.ndarray, half: np.ndarray) -> np.ndarray:
-            # ifft along y of each sub-block of the product f * K, of which the
+        def plane(s: int, f: np.ndarray, product: np.ndarray, half: np.ndarray) -> np.ndarray:
+            # ifft along y of each row block of the product f * K, of which the
             # leading ny columns are kept, then ifft along x of those columns
             for r, k in kernel(s, measure[s]):
-                for a in range(0, len(k), rows):
-                    part = sub[:min(rows, len(k) - a)]
-                    np.multiply(f[r + a:r + a + len(part)], k[a:a + len(part)], out=part)
-                    ifft(part, axis=1, out=part)
-                    half[r + a:r + a + len(part)] = part[:, :grid.ny]
+                part = np.multiply(f[r:r + len(k)], k, out=product[:len(k)])
+                ifft(part, axis=1, out=part)
+                half[r:r + len(k)] = part[:, :grid.ny]
             return ifft(half, axis=0, out=half)[:grid.nx]
 
         def one_scale(s: int):
-            sub, halves = scratch.get()
-            result = reduced(s, (plane(s, f, sub, halves[max(0, k - len(pairs))])
+            product, halves = scratch.get()
+            result = reduced(s, (plane(s, f, product, halves[max(0, k - len(pairs))])
                                  for k, f in enumerate(f_values)))
-            scratch.put((sub, halves))
+            scratch.put((product, halves))
             return result
 
     else:
@@ -427,7 +419,7 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
             kernel = _lag_kernel(w, mu[s], grid)
             return reduced(s, (_correlate_direct(v, kernel) * measure[s] for v in masked))
 
-    return _imap_scales(one_scale, len(mu))
+    return _map_scales(one_scale, len(mu))
 
 
 def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
@@ -437,7 +429,7 @@ def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
     def store(s: int, planes: list) -> None:
         out[s] = planes[0]
 
-    deque(_forward_planes([g], w, scales, fast, store), maxlen=0)
+    _forward_planes([g], w, scales, fast, store)
     return CCWTCoefficients(scales, g.grid, out)
 
 
@@ -544,14 +536,9 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         reduction = _ScaleOrderSum(spectra.put)
 
         def one_scale(s: int) -> None:
-            spectrum = spectra.get()
-            try:
-                _padded_fft2(plane(s), mask, spectrum)
-                for r, k in kernel(s, weights[s]):
-                    spectrum[r:r + len(k)] *= k
-            except BaseException:
-                spectra.put(spectrum)
-                raise
+            spectrum = _padded_fft2(plane(s), mask, spectra.get())
+            for r, k in kernel(s, weights[s]):
+                spectrum[r:r + len(k)] *= k
             reduction.add(s, spectrum)
 
     else:
@@ -561,8 +548,7 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         def one_scale(s: int) -> None:
             reduction.add(s, separable_correlate(plane(s) * mask, m, mu[s], *axes) * weights[s])
 
-    for _ in _imap_scales(one_scale, len(mu)):
-        pass
+    _map_scales(one_scale, len(mu))
     total = reduction.total
     if shared:
         reduction = spectra = None  # hand back the spare spectra before the crop

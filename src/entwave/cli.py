@@ -9,7 +9,6 @@ identical inputs and flags.  ENTWAVE_THREADS caps internal parallelism.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import sys
@@ -201,9 +200,8 @@ def ccwt_forward(input_path, output, config, engine, scales, mu_min, mu_max,
     # Each scale's task writes its plane at its offset in the file; no plane
     # leaves its task, and the (S, n, n) cube never exists.
     with ccwt._ewc1_writer(output, scales, field.grid) as write:
-        collections.deque(ccwt._forward_planes(
-            [field], cfg.wavelet(), scales, ccwt._is_fft_engine(cfg.engine),
-            lambda s, planes: write(s, planes[0])), maxlen=0)
+        ccwt._forward_planes([field], cfg.wavelet(), scales, ccwt._is_fft_engine(cfg.engine),
+                             lambda s, planes: write(s, planes[0]))
     click.echo(f"wrote {output}: {len(scales)} scales on "
                f"{field.grid.nx}x{field.grid.ny} grid")
 

@@ -247,7 +247,7 @@ def _plane_writer(path: str, prefix: bytes, grid: ComplexPlaneGrid, count: int):
     thread may write any plane, in any order, so a plane can be written in
     the task that makes it.  Each is checked first: a non-finite plane
     raises ValueError.  The file goes through :func:`_atomic_fd`, and the
-    block must write every plane.  Tasks of a failed stream may still be
+    block must write every plane.  Tasks of a failed call may still be
     running when the block exits, so the descriptor is used under a lock
     and let go under it before it is closed: a ``write`` after that raises
     and touches no descriptor, closed or reused.

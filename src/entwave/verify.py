@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccwt import RunConfig, _forward_planes, _is_fft_engine
-# The suites stream planes instead; the engines stay in this namespace, where
+# The suites reduce planes in their tasks instead; the engines stay here, where
 # callers such as perfbench's tracer test look them up.
 from .ccwt import forward, forward_fast  # noqa: F401
 from .fock import unit_norm_field
@@ -68,8 +68,7 @@ def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
     def pairings(s: int, planes: list) -> list:
         return [np.sum(mask * planes[i] * np.conj(planes[j])) for i, j in pairs]
 
-    per_scale = np.array(list(_forward_planes(fields, w, scales, fast, pairings)),
-                         dtype=complex).T
+    per_scale = np.array(_forward_planes(fields, w, scales, fast, pairings), dtype=complex).T
     weights = scale_weights(scales, 3)
     c_prime = c_psi_prime(w)
     reports = []

@@ -4,7 +4,6 @@ import struct
 import sys
 import threading
 import tracemalloc
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,8 +20,8 @@ from entwave.ccwt import (
     _cropped_ifft2,
     _ewc1_planes,
     _forward_planes,
-    _imap_scales,
     _inverse_planes,
+    _map_scales,
     _next_fast_len,
     _padded_fft2,
     _padded_shape,
@@ -406,7 +405,7 @@ def test_multi_field_planes_match_single_field_calls(fast):
     grid = ComplexPlaneGrid(24, 30, -8.0, -9.0, 16.0 / 23, 17.0 / 29)
     fields = [gaussian_field(grid), off_centre_field(grid), smooth_random_field(grid, seed=3)]
     scales = ScaleGrid.log_spaced(5, 0.5, 4.0)
-    together = list(_forward_planes(fields, emhw(), scales, fast, copied))
+    together = _forward_planes(fields, emhw(), scales, fast, copied)
     assert [len(planes) for planes in together] == [3] * len(scales)
     for k, g in enumerate(fields):
         alone = [plane for (plane,) in _forward_planes([g], emhw(), scales, fast, copied)]
@@ -423,7 +422,7 @@ def test_forward_planes_packs_real_pairs(fast):
             Field(grid, smooth_random_field(grid, seed=3).values.real)]
     fields = [real[0], off_centre_field(grid), real[1], real[2]]
     scales = ScaleGrid.log_spaced(4, 0.5, 4.0)
-    together = list(_forward_planes(fields, emhw(), scales, fast, copied))
+    together = _forward_planes(fields, emhw(), scales, fast, copied)
     for k, g in enumerate(fields):
         alone = [plane for (plane,) in _forward_planes([g], emhw(), scales, fast, copied)]
         for s in range(len(scales)):
@@ -459,29 +458,32 @@ def test_threaded_forward_deterministic(monkeypatch):
     assert np.array_equal(serial_rec.values, inverse(serial, emhw(), c_prime).values)
 
 
-def test_closing_a_plane_stream_cancels_the_tasks_not_started(monkeypatch):
-    # A consumer that stops after one plane, as ccwt forward does when a
-    # task meets a non-finite one, must not wait for the tasks in flight or
-    # leave the queued ones to run: of 2 x workers tasks submitted, only
-    # those the two workers had taken (0, 1 and at most 2) ever start.
+def test_a_raising_task_cancels_the_tasks_not_started(monkeypatch):
+    # Task 1 raises, as a plane that ccwt forward finds non-finite does, while
+    # the tasks the two workers took next are held.  The call must raise
+    # without waiting for them, and the tasks still queued must never run:
+    # only 0, 1 and the two held tasks ever start.
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
-    release, started = threading.Event(), []
+    release, started, finished = threading.Event(), [], []
 
     def task(s):
         started.append(s)
+        if s == 1:
+            raise RuntimeError("task 1 failed")
         if s:
             release.wait(timeout=30)
+        finished.append(s)
         return s
 
-    stream = _imap_scales(task, 40)
-    assert next(stream) == 0
-    stream.close()
+    with pytest.raises(RuntimeError, match="task 1 failed"):
+        _map_scales(task, 40)
+    assert finished == [0]
     release.set()
     # once both workers meet here, every task queued before has run or been cancelled
     barrier = threading.Barrier(2)
     for done in [ccwt._pool(2).submit(barrier.wait, 30) for _ in range(2)]:
         done.result(timeout=30)
-    assert set(started) <= {0, 1, 2}
+    assert set(started) <= {0, 1, 2, 3}
     assert len(started) <= 2 * ccwt.worker_count(40)
 
 
@@ -555,9 +557,8 @@ def whole_kernel_spectrum(m, mu, grid, shape):
 
 @pytest.mark.parametrize("w", [emhw(), random_admissible_lg(32, seed=3)], ids=["emhw", "lg32"])
 def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
-    # 24-row kernel blocks take the 75 padded rows in three whole blocks and a
-    # ragged one of 3 rows; 16-row sub-blocks of the forward's product split each
-    # whole block into 16 + 8 rows, and the ragged one into a 3-row sub-block
+    # 24-row blocks take the 75 padded rows in three whole blocks and a ragged
+    # one of 3 rows, for the kernel and for the forward's product alike
     grid = ComplexPlaneGrid(38, 29, -6.0, -5.0, 12.0 / 37, 10.5 / 28)
     assert _padded_shape(grid) == (75, 60)
     scales = ScaleGrid.log_spaced(7, 0.5, 4.0)
@@ -569,15 +570,14 @@ def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
 
     def transforms():
         return (forward_fast(g, w, scales).values,
-                np.array(list(_forward_planes(fields, w, scales, True, copied))),
+                np.array(_forward_planes(fields, w, scales, True, copied)),
                 inverse(coeffs, w, 0.5).values)
 
-    monkeypatch.setattr(ccwt, "_KERNEL_BLOCK", 24 * 60)
-    monkeypatch.setattr(ccwt, "_PRODUCT_BLOCK", 16 * 60)
+    monkeypatch.setattr(ccwt, "_BLOCK", 24 * 60)
     blocked = transforms()
     # the reference: the whole product, transformed along y, then along x on ny columns
     monkeypatch.setattr(ccwt, "_kernel_spectrum", whole_kernel_spectrum)
-    monkeypatch.setattr(ccwt, "_PRODUCT_BLOCK", 75 * 60)
+    monkeypatch.setattr(ccwt, "_BLOCK", 80 * 60)  # 80 rows, whole tiles, hold all 75
     for got, expected in zip(blocked, transforms()):
         assert np.array_equal(got, expected)
 
@@ -585,7 +585,7 @@ def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
 def test_kernel_blocks_hold_no_whole_kernel_spectrum(monkeypatch):
     # at 512^2 the padded shape is 1024^2: a complex spectrum is 16 MiB, and a
     # whole real kernel spectrum 8 MiB.  The forward holds the field's spectrum,
-    # one (px, ny) half plane, a kernel block and a sub-block of the product; the
+    # one (px, ny) half plane, a kernel block and a block of the product; the
     # inverse the sum and one scale's spectrum, and it makes its output plane.
     # Nothing else is bigger than a block.
     monkeypatch.setenv("ENTWAVE_THREADS", "1")
@@ -594,12 +594,12 @@ def test_kernel_blocks_hold_no_whole_kernel_spectrum(monkeypatch):
     scales = ScaleGrid.log_spaced(4, 0.5, 4.0)
     coeffs = forward_fast(g, emhw(), scales)
     px, py = _padded_shape(grid)
-    # two 1 MiB blocks and half a MiB of small arrays: axis tables, FFT plans
+    # a 1 MiB product block, a 0.5 MiB kernel block and small arrays: axis tables, FFT plans
     forward_budget = px * py * 16 + px * grid.ny * 16 + 5 * 2**19
     inverse_budget = 2 * px * py * 16 + grid.nx * grid.ny * 16 + 2 * 2**20
     tracemalloc.start()
     try:
-        deque(_forward_planes([g], emhw(), scales, True, lambda s, planes: None), maxlen=0)
+        _forward_planes([g], emhw(), scales, True, lambda s, planes: None)
         forward_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         inverse(coeffs, emhw(), 0.5)

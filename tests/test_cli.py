@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import entwave
 from entwave import ccwt, cli, grid as gridmod, verify
@@ -476,9 +476,9 @@ def test_bad_setting_flag_exits_3_like_its_config_line(runner, tmp_path, command
         _assert_no_output(out_path)
 
 
-def _setting_values(cls):
-    """Random valid field values of a settings dataclass, any subset of fields."""
-    hints = typing.get_type_hints(cls)
+def _setting_values():
+    """Random valid values of the settings fields, any subset of them, and a wavelet."""
+    hints = typing.get_type_hints(VerifySettings)
     generic = {int: st.integers(2, 4096), float: st.floats(1e-3, 1e3)}
     fields = {name: generic[hint] for name, hint in hints.items() if hint in generic}
     # the scale range must increase
@@ -498,9 +498,13 @@ def _as_text(value):
 
 @pytest.mark.parametrize("cls", [RunConfig, VerifySettings])
 @settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_loader_round_trips_config_text(cls, data):
-    values, (kind, coeffs) = data.draw(_setting_values(cls))
+@given(drawn=_setting_values())
+# admissible, but its energy and C'_psi are subnormal
+@example(drawn=({}, ("lg", (5.207194176108839e-160, 5.207194176108839e-160))))
+def test_loader_round_trips_config_text(cls, drawn):
+    values, (kind, coeffs) = drawn
+    hints = typing.get_type_hints(cls)
+    values = {key: value for key, value in values.items() if key in hints}
     values.update(wavelet_kind=kind, wavelet_coeffs=coeffs)
     text = "".join(f"{key}={_as_text(value)}\n" for key, value in values.items())
     with tempfile.TemporaryDirectory() as tmp:
@@ -508,14 +512,22 @@ def test_loader_round_trips_config_text(cls, data):
         with open(path, "w") as fh:
             fh.write(text)
         energy = sum((math.factorial(n) * c) ** 2 for n, c in enumerate(coeffs))
-        if kind.lower() == "lg" and energy == 0:
-            # zero K_n, or K_n so small that the energy underflows, make no wavelet;
-            # the settings refuse them whichever way they are built
-            for build in (lambda: cls(**values), lambda: load_settings(cls, read_config(path))):
-                with pytest.raises(ValueError, match="must be positive and finite"):
-                    build()
+        try:
+            expected = cls(**values)
+        except ValueError as exc:
+            # zero K_n, or K_n so small that the energy underflows, make no wavelet, or
+            # an admissible one whose C'_psi is not a normal float; the settings refuse
+            # them with the same error whichever way they are built.  C'_psi is at least
+            # 0.14 x the energy for up to six K_n, so only an energy below 1.6e-307 can
+            # make it subnormal
+            assert kind.lower() == "lg" and energy < 1e-300, values
+            assert re.search("must be positive and finite|is not a finite normal float",
+                             str(exc)), exc
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                load_settings(cls, read_config(path))
         else:
-            assert load_settings(cls, read_config(path)) == cls(**values)
+            assert kind.lower() != "lg" or energy > 0, values
+            assert load_settings(cls, read_config(path)) == expected
 
 
 def test_csv_field_output(runner, tmp_path):
@@ -714,7 +726,7 @@ def test_ccwt_inverse_non_finite_last_plane(runner, tmp_path, value):
 
 def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeypatch):
     # Plane 3 of 40 is NaN.  Its task fails while task 4 runs, and the failed
-    # stream does not wait for task 4: held until the file is closed, it then
+    # call does not wait for task 4: held until the file is closed, it then
     # writes its plane, which must raise and touch no descriptor.
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
     field = str(tmp_path / "f.ewg")
