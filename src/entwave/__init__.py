@@ -6,6 +6,7 @@ from .errors import (
     EntwaveError,
     FileFormatError,
     NonAdmissibleError,
+    OutputError,
 )
 from .grid import (
     ComplexPlaneGrid,

@@ -13,26 +13,25 @@ The inverse integrates dmu/mu^4 of per-scale correlations with the
 per-scale products in the Fourier domain and takes one inverse FFT, and
 onto any other grid each scale is the separable contraction
 sum_ab M_ab X_a V Y_b^T over per-axis Hermite matrices.  Both directions
-work one scale plane at a time on the process's one worker pool: one
-``_forward_planes`` call serves a list of fields with one table of axis
-spectra and one kernel per scale, two real fields sharing one complex
-transform, and hands each scale's planes to the caller's reduction inside
-the scale's task, which sums them, stores them or writes them at their
-EWC1 offsets, and returns the reductions' results in scale order; the
-inverse reads each plane inside its per-scale task, so neither needs the
+work one scale plane at a time in ``_map_scales``'s worker loops, one on
+the calling thread and the rest on the process's one pool; each worker
+makes its scratch once per call and reuses it for every scale it takes,
+and no task outlives its call.  One ``_forward_planes`` call serves a
+list of fields with one table of axis spectra and one kernel per scale,
+two real fields sharing one complex transform, and hands each scale's
+planes to the caller's reduction inside the scale's task, which sums
+them, stores them or writes them at their EWC1 offsets; the inverse
+reads each plane inside its per-scale task, so neither needs the
 (S, nx, ny) cube.  A scale's real kernel spectrum is made one block of
 rows at a time, 2^16 values in whole tiles of 8 rows, so neither
 direction holds a (px, py) real array.  The forward multiplies each block
 into the same rows of the field's spectrum, transforms that product block
-along y and keeps its first ny columns, so a worker holds one (px, ny)
-half plane, not a (px, py) product; its scratch is made once per call and
-recycled from scale to scale.  The inverse's tasks multiply the blocks
-into their spectra and add these to the sum in scale order themselves,
-so it holds the sum, one complex spectrum per running task and any
-spectrum whose earlier scales are still running: at most 2 x workers + 1
-in all, as two scales per worker are in flight.  A 1D transform pair over
-the real line is included as a baseline, with per-scale translation grids
-sized to the dilated wavelet.
+along y and keeps its first ny columns: a worker holds one (px, ny) half
+plane, not a (px, py) product.  An inverse worker multiplies the blocks
+into its one spectrum and adds that to the sum once every earlier scale
+is in it, so the inverse holds exactly workers + 1 spectra.  A 1D
+transform pair over the real line is included as a baseline, with
+per-scale translation grids sized to the dilated wavelet.
 """
 
 from __future__ import annotations
@@ -109,80 +108,62 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-class _FreeList:
-    """Scratch buffers from ``make()``, lent to one task at a time; ``get`` never waits.
+def _map_scales(worker, n: int, in_order=None) -> list:
+    """[task(0), ..., task(n - 1)], or with ``in_order`` [in_order(0, task(0)), ...].
 
-    ``count`` are made up front, on the calling thread.  When the list is
-    empty ``get`` makes one more: a task that fails never gives its buffer
-    back, and a ``get`` that waited for it would hold a thread of the
-    shared pool for good.
+    ``worker_count(n)`` loops share the scales: one on the calling thread,
+    the rest on the pool in copies of the caller's context.  Each calls
+    ``worker()`` once, which makes its scratch and returns its ``task``,
+    then runs the task on the lowest scale not yet taken until none is
+    left; it calls ``in_order(s, task(s))`` only after scale s - 1's call
+    has returned.  When a task raises, no loop takes another scale and
+    waiting loops stop; loops not started are cancelled, and the first
+    error is raised once every started loop has returned, so no task
+    outlives its call.
     """
+    results = [None] * n
+    turn = threading.Condition()
+    taken = ordered = 0
+    error = None
 
-    def __init__(self, make, count: int):
-        self._make = make
-        self._free = [make() for _ in range(count)]
-
-    def get(self):
+    def loop() -> None:
+        nonlocal taken, ordered, error
         try:
-            return self._free.pop()
-        except IndexError:
-            return self._make()
+            task = worker()
+            while True:
+                with turn:
+                    if error is not None or taken == n:
+                        return
+                    s, taken = taken, taken + 1
+                value = task(s)
+                if in_order is not None:
+                    with turn:
+                        turn.wait_for(lambda: ordered == s or error is not None)
+                        if error is not None:
+                            return
+                    value = in_order(s, value)
+                    with turn:
+                        ordered += 1
+                        turn.notify_all()
+                results[s] = value
+        except BaseException as exc:  # raised by the calling thread below
+            with turn:
+                if error is None:
+                    error = exc
+                turn.notify_all()
 
-    def put(self, buf) -> None:
-        self._free.append(buf)
-
-
-class _ScaleOrderSum:
-    """Sum of per-scale parts handed in by tasks in any order, added in scale order.
-
-    The task whose part completes a run from the next scale on adds that
-    run, so a part waits only for the scales before it, not for a consumer.
-    ``recycle`` gets each part once it is in the sum; the first part
-    becomes the sum.  The order, and so every bit of the sum, is the same
-    for any schedule and any ENTWAVE_THREADS.
-    """
-
-    def __init__(self, recycle):
-        self._recycle = recycle
-        self._lock = threading.Lock()
-        self._ready = {}
-        self._next = 0
-        self.total = None
-
-    def add(self, s: int, part: np.ndarray) -> None:
-        with self._lock:
-            self._ready[s] = part
-            while self._next in self._ready:
-                part = self._ready.pop(self._next)
-                if self.total is None:
-                    self.total = part
-                else:
-                    self.total += part
-                    self._recycle(part)
-                self._next += 1
-
-
-def _map_scales(fn, n_scales: int) -> list:
-    """[fn(0), fn(1), ...], computed on worker threads, at most two scales per worker at once.
-
-    Tasks run in a copy of the caller's context.  When a task raises, the
-    call raises once it reaches that scale: the tasks not started are
-    cancelled, and those still running are not waited for.
-    """
-    workers = worker_count(n_scales)
-    if workers == 1:
-        return [fn(s) for s in range(n_scales)]
-    pool = _pool(workers)
-    futures = []
+    workers = worker_count(n)
+    futures = [_pool(workers - 1).submit(contextvars.copy_context().run, loop)
+               for _ in range(workers - 1)]
     try:
-        for s in range(n_scales):
-            if s >= 2 * workers:
-                futures[s - 2 * workers].result()
-            futures.append(pool.submit(contextvars.copy_context().run, fn, s))
-        return [future.result() for future in futures]
+        loop()
     finally:
         for future in futures:
-            future.cancel()
+            if not future.cancel():
+                future.result()
+    if error is not None:
+        raise error
+    return results
 
 
 def _check_transform_input(g: Field, w: MotherWavelet) -> None:
@@ -264,33 +245,31 @@ _BLOCK = 1 << 16
 _KERNEL_TILE = 8
 
 
-def _block_rows(width: int) -> int:
-    """Rows of ``width`` in a block of about ``_BLOCK`` values: whole tiles, at least one."""
-    return max(_KERNEL_TILE, _BLOCK // width // _KERNEL_TILE * _KERNEL_TILE)
+def _row_block(shape: tuple, dtype=float) -> np.ndarray:
+    """An empty block of a (px, py) array's rows: about ``_BLOCK`` values in whole tiles."""
+    px, py = shape
+    rows = max(_KERNEL_TILE, _BLOCK // py // _KERNEL_TILE * _KERNEL_TILE)
+    return np.empty((min(rows, px), py), dtype=dtype)
 
 
 def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shape: tuple):
-    """``blocks(s, c)``: the row blocks ``(r, K[r:r + rows])`` of a (px, py) real spectrum K.
+    """``blocks(s, c, block)``: the row blocks ``(r, K[r:r + len(block)])`` of a real spectrum K.
 
     K is the real DFT of the padded lag kernel of ``c * m`` at mu[s],
-    (U_s^T c M) V_s.  It is made one block of ``_block_rows(py)`` rows at
-    a time, each block in a buffer that the next one overwrites, so no
-    (px, py) real array is ever held.  Every scale's axis tables are made
+    (U_s^T c M) V_s, of ``shape`` (px, py).  Each block is made in
+    ``block``, the caller's :func:`_row_block` of ``shape``, which the next
+    one overwrites, so no (px, py) real array is ever held.  Every scale's axis tables are made
     here, once; one serves both axes when they match.
     """
     px, py = shape
     u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
     v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
          else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
-    rows = _block_rows(py)
-    free = _FreeList(lambda: np.empty((min(rows, px), py)), worker_count(len(mu)))
 
-    def blocks(s: int, c: float):
+    def blocks(s: int, c: float, block: np.ndarray):
         left = u[s].T @ (m * c)
-        block = free.get()
-        for r in range(0, px, rows):
-            yield r, np.matmul(left[r:r + rows], v[s], out=block[:min(rows, px - r)])
-        free.put(block)
+        for r in range(0, px, len(block)):
+            yield r, np.matmul(left[r:r + len(block)], v[s], out=block[:px - r])
 
     return blocks
 
@@ -354,7 +333,7 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     per scale applies the scale's kernel to every input, unpacks the pairs
     and calls ``reduce`` on the planes, so no plane leaves its task and a
     caller never holds an (S, nx, ny) cube.  A complex plane is a view of
-    the task's scratch, valid only until ``reduce`` returns.
+    its worker's scratch, valid only until ``reduce`` returns.
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
@@ -383,34 +362,32 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
     if fast:
         shape = _padded_shape(grid)
-        px, py = shape
         f_values = [_padded_fft2(v, mask, np.empty(shape, dtype=complex)) for v in inputs]
         del inputs, mask  # the spectra hold all the tasks need; free the rest first
         kernel = _kernel_spectrum(separable_coeffs(w), mu, grid, shape)
-        rows = _block_rows(py)
-        # Per worker, reused for every scale: one block of the product and a
-        # (px, ny) half plane for each lone input, at least one.  The pairs share
-        # the first half plane, as each is unpacked before the next is made.
-        scratch = _FreeList(lambda: (np.empty((min(rows, px), py), dtype=complex),
-                                     [np.empty((px, grid.ny), dtype=complex)
-                                      for _ in range(max(1, len(alone)))]),
-                            worker_count(len(mu)))
 
-        def plane(s: int, f: np.ndarray, product: np.ndarray, half: np.ndarray) -> np.ndarray:
-            # ifft along y of each row block of the product f * K, of which the
-            # leading ny columns are kept, then ifft along x of those columns
-            for r, k in kernel(s, measure[s]):
-                part = np.multiply(f[r:r + len(k)], k, out=product[:len(k)])
-                ifft(part, axis=1, out=part)
-                half[r:r + len(k)] = part[:, :grid.ny]
-            return ifft(half, axis=0, out=half)[:grid.nx]
+        def worker():
+            # A kernel block, a product block over the same rows and a (px, ny) half
+            # plane for each lone input, at least one: the pairs share the first, as
+            # each is unpacked before the next is made.
+            block, product = _row_block(shape), _row_block(shape, complex)
+            halves = [np.empty((shape[0], grid.ny), dtype=complex)
+                      for _ in range(max(1, len(alone)))]
 
-        def one_scale(s: int):
-            product, halves = scratch.get()
-            result = reduced(s, (plane(s, f, product, halves[max(0, k - len(pairs))])
-                                 for k, f in enumerate(f_values)))
-            scratch.put((product, halves))
-            return result
+            def plane(s: int, f: np.ndarray, half: np.ndarray) -> np.ndarray:
+                # ifft along y of each row block of the product f * K, of which the
+                # leading ny columns are kept, then ifft along x of those columns
+                for r, k in kernel(s, measure[s], block):
+                    part = np.multiply(f[r:r + len(k)], k, out=product[:len(k)])
+                    ifft(part, axis=1, out=part)
+                    half[r:r + len(k)] = part[:, :grid.ny]
+                return ifft(half, axis=0, out=half)[:grid.nx]
+
+            def one_scale(s: int):
+                return reduced(s, (plane(s, f, halves[max(0, k - len(pairs))])
+                                   for k, f in enumerate(f_values)))
+
+            return one_scale
 
     else:
         masked = [v * mask for v in inputs]
@@ -419,7 +396,10 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
             kernel = _lag_kernel(w, mu[s], grid)
             return reduced(s, (_correlate_direct(v, kernel) * measure[s] for v in masked))
 
-    return _map_scales(one_scale, len(mu))
+        def worker():
+            return one_scale
+
+    return _map_scales(worker, len(mu))
 
 
 def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
@@ -514,9 +494,11 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
                     c_prime: float, out_grid: ComplexPlaneGrid | None = None) -> Field:
     """The scale reduction of :func:`inverse`; ``plane(s)`` gives W(mu_s, .).
 
-    ``plane`` is called inside the per-scale task, in scale order, so a
-    getter that reads the plane from a file keeps only the planes in
-    flight in memory.
+    ``plane`` is called inside the per-scale task, so a getter that reads
+    the plane from a file keeps only the planes in flight in memory.  Each
+    scale's part is added to the sum in scale order, scale 0 copied; on the
+    kappa grid's layout a worker makes one padded spectrum and one kernel
+    block, so the call holds exactly workers + 1 spectra.
     """
     if not np.isfinite(c_prime) or c_prime <= 0:
         raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
@@ -530,28 +512,35 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     if shared:
         shape = _padded_shape(kgrid)
         kernel = _kernel_spectrum(m, mu, kgrid, shape)
-        # One padded spectrum per running task and one for the sum; more
-        # are made only while a part waits for an earlier scale.
-        spectra = _FreeList(lambda: np.empty(shape, dtype=complex), worker_count(len(mu)) + 1)
-        reduction = _ScaleOrderSum(spectra.put)
 
-        def one_scale(s: int) -> None:
-            spectrum = _padded_fft2(plane(s), mask, spectra.get())
-            for r, k in kernel(s, weights[s]):
-                spectrum[r:r + len(k)] *= k
-            reduction.add(s, spectrum)
+        def worker():
+            spectrum, block = np.empty(shape, dtype=complex), _row_block(shape)
+
+            def one_scale(s: int) -> np.ndarray:
+                _padded_fft2(plane(s), mask, spectrum)
+                for r, k in kernel(s, weights[s], block):
+                    spectrum[r:r + len(k)] *= k
+                return spectrum
+
+            return one_scale
 
     else:
         axes = (kgrid.x, kgrid.y), (out_grid.x, out_grid.y)
-        reduction = _ScaleOrderSum(lambda part: None)
 
-        def one_scale(s: int) -> None:
-            reduction.add(s, separable_correlate(plane(s) * mask, m, mu[s], *axes) * weights[s])
+        def one_scale(s: int) -> np.ndarray:
+            return separable_correlate(plane(s) * mask, m, mu[s], *axes) * weights[s]
 
-    _map_scales(one_scale, len(mu))
-    total = reduction.total
+        def worker():
+            return one_scale
+
+    total = None
+
+    def add(s: int, part: np.ndarray) -> None:
+        nonlocal total
+        total = np.add(total, part, out=total) if s else part.copy()
+
+    _map_scales(worker, len(mu), add)
     if shared:
-        reduction = spectra = None  # hand back the spare spectra before the crop
         total = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
     total *= kgrid.cell_area() / (np.pi * c_prime)
     return Field(out_grid, total)

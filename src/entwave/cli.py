@@ -2,9 +2,10 @@
 
 Commands: ``wavelet info``, ``ccwt forward``, ``ccwt inverse``,
 ``verify <suite>``, ``fock sample``.  Exit codes: 0 success, 1 verify
-tolerance failure, 2 malformed input file, 3 precondition or parse
-violation.  All outputs are written atomically and are byte-identical for
-identical inputs and flags.  ENTWAVE_THREADS caps internal parallelism.
+tolerance failure, 2 malformed or unreadable input file, 3 precondition or
+parse violation, unwritable output or failed allocation.  All outputs are
+written atomically and are byte-identical for identical inputs and flags.
+ENTWAVE_THREADS caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except FileFormatError as exc:
             _fail(EXIT_BAD_FILE, str(exc))
-        except FileNotFoundError as exc:
-            _fail(EXIT_BAD_FILE, f"cannot read {exc.filename}")
+        except OSError as exc:  # outputs raise OutputError, so this is a read
+            _fail(EXIT_BAD_FILE, f"cannot read {exc.filename}: {exc.strerror}")
         except (EntwaveError, ValueError) as exc:
             _fail(EXIT_PRECONDITION, str(exc))
+        except MemoryError as exc:
+            _fail(EXIT_PRECONDITION, f"out of memory: {exc or 'an allocation failed'}")
 
     return wrapper
 

@@ -17,5 +17,9 @@ class FileFormatError(EntwaveError):
     """Malformed or truncated EWG1/EWC1/CSV input."""
 
 
+class OutputError(EntwaveError):
+    """An output file could not be made, written or renamed."""
+
+
 class ConvergenceError(EntwaveError):
     """A truncated series failed to reach the requested tolerance."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, OutputError
 
 _MEASURES = {"d2_over_pi": 1.0 / np.pi, "d2_over_2pi": 0.5 / np.pi, "plain": 1.0}
 
@@ -201,21 +201,24 @@ def _atomic_fd(path: str):
     Write-temp-then-rename keeps interrupted runs from leaving partial
     files: when the block raises, the temp file is removed.  Either way
     the descriptor is closed first.  The temp file is created with mode
-    0666 less the umask, as ``open`` would create ``path``.
+    0666 less the umask, as ``open`` would create ``path``.  Any OSError
+    raises OutputError naming ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".entwave-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            yield fd
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+            try:
+                yield fd
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _atomic_write(path: str, buffers) -> None:
@@ -247,10 +250,9 @@ def _plane_writer(path: str, prefix: bytes, grid: ComplexPlaneGrid, count: int):
     thread may write any plane, in any order, so a plane can be written in
     the task that makes it.  Each is checked first: a non-finite plane
     raises ValueError.  The file goes through :func:`_atomic_fd`, and the
-    block must write every plane.  Tasks of a failed call may still be
-    running when the block exits, so the descriptor is used under a lock
-    and let go under it before it is closed: a ``write`` after that raises
-    and touches no descriptor, closed or reused.
+    block must write every plane.  The descriptor is used under a lock and
+    let go under it before it is closed: a ``write`` after that raises and
+    touches no descriptor, closed or reused.
     """
     header = _EWG1_HEADER.pack(EWG1_MAGIC, grid.nx, grid.ny, grid.x_min, grid.y_min,
                                grid.dx, grid.dy)

@@ -3,6 +3,7 @@ import multiprocessing
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -343,10 +344,57 @@ def test_pool_survives_a_plane_that_fails_to_read(tmp_path, monkeypatch):
                                            "--output", str(tmp_path / "out.ewg")])
         assert result.exit_code == 2 and "plane 5" in result.output
     assert np.array_equal(_within(60, round_trip), serial)
-    # the scratch lists never wait: an empty one makes a new buffer
-    scratch = ccwt._FreeList(list, 1)
-    lent = scratch.get()
-    assert scratch.get() is not lent
+
+
+def test_a_busy_pool_does_not_stall_the_transforms(monkeypatch):
+    # something else holds the pool's one thread: the calling thread's own loop
+    # takes every scale, and the loop queued on the pool is cancelled
+    grid = ComplexPlaneGrid.centered(64, 8.0)
+    g = smooth_random_field(grid, seed=5)
+    scales = ScaleGrid.log_spaced(16, 0.5, 4.0)
+
+    def round_trip():
+        return inverse(forward_fast(g, emhw(), scales), emhw(), 0.5).values
+
+    monkeypatch.setenv("ENTWAVE_THREADS", "1")
+    serial = round_trip()
+    monkeypatch.setenv("ENTWAVE_THREADS", "2")
+    busy, release = ThreadPoolExecutor(max_workers=1), threading.Event()
+    held = busy.submit(release.wait, 120)
+    monkeypatch.setattr(ccwt, "_pool", lambda workers: busy)
+    try:
+        assert np.array_equal(_within(60, round_trip), serial)
+    finally:
+        release.set()
+        held.result(timeout=30)
+        busy.shutdown()
+
+
+def test_inverse_holds_one_spectrum_per_worker_and_the_sum(monkeypatch):
+    # plane 0 comes late, so later scales finish first: each then waits for its
+    # turn in the sum in its worker's one spectrum, and no spectrum is made for it
+    monkeypatch.setenv("ENTWAVE_THREADS", "3")
+    grid = ComplexPlaneGrid.centered(128, 8.0)
+    scales = ScaleGrid.log_spaced(24, 0.5, 4.0)
+    cube = np.stack([windowed_noise(grid, seed=s) for s in range(len(scales))])
+    shape = _padded_shape(grid)
+    assert shape == (256, 256)
+
+    def plane(s):
+        if s == 0:
+            time.sleep(0.3)
+        return cube[s]
+
+    spectrum, kernel_block = shape[0] * shape[1] * 16, 2**16 * 8
+    # the sum, the output plane, a spectrum and a kernel block per worker, small arrays
+    budget = spectrum + grid.nx * grid.ny * 16 + 3 * (spectrum + kernel_block) + 2**20
+    tracemalloc.start()
+    try:
+        _inverse_planes(plane, scales, grid, emhw(), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, (peak / spectrum, budget / spectrum)
 
 
 def test_recycled_scratch_under_thread_contention(monkeypatch):
@@ -458,33 +506,43 @@ def test_threaded_forward_deterministic(monkeypatch):
     assert np.array_equal(serial_rec.values, inverse(serial, emhw(), c_prime).values)
 
 
-def test_a_raising_task_cancels_the_tasks_not_started(monkeypatch):
-    # Task 1 raises, as a plane that ccwt forward finds non-finite does, while
-    # the tasks the two workers took next are held.  The call must raise
-    # without waiting for them, and the tasks still queued must never run:
-    # only 0, 1 and the two held tasks ever start.
+def test_no_task_outlives_a_call_that_raises(monkeypatch):
+    # The pool's loop takes scale 0 and is held there; the calling thread's loop
+    # takes scale 1, which raises, as a plane that ccwt forward finds non-finite
+    # does.  The raise releases task 0, which takes a moment more to return.  The
+    # call must raise task 1's error only once task 0 has returned, no scale may
+    # start twice, and no more than one per worker may start after the raise.
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
-    release, started, finished = threading.Event(), [], []
+    caller = threading.get_ident()
+    zero, raised = threading.Event(), threading.Event()
+    started, returned, late = [], [], []
 
     def task(s):
+        if raised.is_set():
+            late.append(s)
         started.append(s)
-        if s == 1:
-            raise RuntimeError("task 1 failed")
-        if s:
-            release.wait(timeout=30)
-        finished.append(s)
-        return s
+        try:
+            if s == 0:
+                zero.set()
+            if s == 1:
+                raised.set()
+                raise RuntimeError("task 1 failed")
+            raised.wait(timeout=30)
+            time.sleep(0.2)
+            return s
+        finally:
+            returned.append(s)
+
+    def worker():
+        if threading.get_ident() == caller:
+            assert zero.wait(timeout=30)
+        return task
 
     with pytest.raises(RuntimeError, match="task 1 failed"):
-        _map_scales(task, 40)
-    assert finished == [0]
-    release.set()
-    # once both workers meet here, every task queued before has run or been cancelled
-    barrier = threading.Barrier(2)
-    for done in [ccwt._pool(2).submit(barrier.wait, 30) for _ in range(2)]:
-        done.result(timeout=30)
-    assert set(started) <= {0, 1, 2, 3}
-    assert len(started) <= 2 * ccwt.worker_count(40)
+        _map_scales(worker, 40)
+    assert sorted(returned) == sorted(started)
+    assert len(set(started)) == len(started)
+    assert len(late) <= ccwt.worker_count(40)
 
 
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
@@ -552,7 +610,7 @@ def whole_kernel_spectrum(m, mu, grid, shape):
     u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
     v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
          else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
-    return lambda s, c: [(0, u[s].T @ (m * c) @ v[s])]
+    return lambda s, c, block: [(0, u[s].T @ (m * c) @ v[s])]
 
 
 @pytest.mark.parametrize("w", [emhw(), random_admissible_lg(32, seed=3)], ids=["emhw", "lg32"])

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import glob
 import math
 import os
@@ -18,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import entwave
-from entwave import ccwt, cli, grid as gridmod, verify
+from entwave import ccwt, cli, fock, grid as gridmod, verify
 from entwave.ccwt import (RunConfig, forward, forward_fast, inverse, read_coefficients_ewc1,
                           write_coefficients_ewc1)
 from entwave.cli import load_settings, main, read_config
@@ -198,6 +199,80 @@ def test_ccwt_missing_input(runner, tmp_path):
     result = runner.invoke(main, ["ccwt", "forward", str(tmp_path / "nope.ewg"),
                                   "--output", str(tmp_path / "o.ewc")])
     assert result.exit_code == 2
+
+
+def _tree(root):
+    """Every path under ``root`` with the bytes of each file, None for a directory."""
+    return {path: None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
+def _assert_exits_cleanly(result, code, message):
+    """Exit ``code`` with one ``entwave:`` line holding ``message``; no traceback, no temp name."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"entwave: {message}" in result.output
+    assert ".entwave-" not in result.output and "Traceback" not in result.output
+
+
+def test_io_errors_exit_with_their_codes_and_name_the_user_path(runner, tmp_path):
+    # an output in a missing directory or at a directory exits 3, an input that
+    # is a directory exits 2; each message names the user's path, and the
+    # directory is left as it was
+    field, adir = str(tmp_path / "f.ewg"), tmp_path / "adir"
+    run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "8", "--output", field])
+    adir.mkdir()
+    missing = str(tmp_path / "missing" / "x.ewg")
+    sample = ["fock", "sample", "number:0,0", "--grid-n", "8"]
+    cases = [
+        ([*sample, "--output", missing], 3, f"cannot write {missing}: No such file"),
+        ([*sample, "--output", str(adir)], 3, f"cannot write {adir}: Is a directory"),
+        ([*sample, "--format", "csv", "--output", str(adir)], 3, f"cannot write {adir}: "),
+        (["ccwt", "forward", field, "--scales", "4", "--output", str(adir)], 3,
+         f"cannot write {adir}: "),
+        (["verify", "constants", "--output", missing], 3, f"cannot write {missing}: "),
+        (["ccwt", "forward", str(adir), "--output", str(tmp_path / "c.ewc")], 2,
+         f"cannot read {adir}: Is a directory"),
+        (["ccwt", "inverse", str(adir), "--output", str(tmp_path / "r.ewg")], 2,
+         f"cannot read {adir}: Is a directory"),
+    ]
+    before = _tree(tmp_path)
+    for args, code, message in cases:
+        _assert_exits_cleanly(runner.invoke(main, args), code, message)
+        assert _tree(tmp_path) == before, args
+
+
+def test_a_failed_write_exits_3_and_leaves_no_file(runner, tmp_path, monkeypatch):
+    # the header is written; a plane's write, in the scale task for ccwt forward,
+    # finds the disk full
+    field = str(tmp_path / "f.ewg")
+    run_ok(runner, ["fock", "sample", "number:0,0", "--grid-n", "16", "--output", field])
+    pwrite = os.pwrite
+
+    def full_disk(fd, data, offset):
+        if offset:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", full_disk)
+    monkeypatch.setenv("ENTWAVE_THREADS", "2")
+    before = _tree(tmp_path)
+    for args in (["ccwt", "forward", field, "--scales", "6"],
+                 ["fock", "sample", "number:0,0", "--grid-n", "16"]):
+        out_path = str(tmp_path / "out")
+        result = runner.invoke(main, [*args, "--output", out_path])
+        _assert_exits_cleanly(result, 3, f"cannot write {out_path}: No space left on device")
+        assert _tree(tmp_path) == before, args
+
+
+def test_a_failed_allocation_exits_3_without_a_traceback(runner, tmp_path, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 1.31 TiB for an array")
+
+    monkeypatch.setattr(fock, "state_field", no_memory)
+    out_path = str(tmp_path / "x.ewg")
+    result = runner.invoke(main, ["fock", "sample", "number:0,0", "--output", out_path])
+    _assert_exits_cleanly(result, 3, "out of memory: Unable to allocate 1.31 TiB for an array\n")
+    _assert_no_output(out_path)
 
 
 def test_fock_sample_order_above_cap(runner, tmp_path):
@@ -700,7 +775,7 @@ def test_inverse_reads_and_checks_the_reference_before_any_work(runner, tmp_path
     missing = str(tmp_path / "missing.ewg")
     out_path = str(tmp_path / "out")
     for reference, code, message in (
-            (missing, 2, f"entwave: cannot read {missing}\n"),
+            (missing, 2, f"entwave: cannot read {missing}: No such file or directory\n"),
             (other, 3, "entwave: reference grid does not match the reconstruction grid\n")):
         result = runner.invoke(main, ["ccwt", "inverse", coeff, "--reference", reference,
                                       "--output", out_path])
@@ -725,15 +800,16 @@ def test_ccwt_inverse_non_finite_last_plane(runner, tmp_path, value):
 
 
 def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeypatch):
-    # Plane 3 of 40 is NaN.  Its task fails while task 4 runs, and the failed
-    # call does not wait for task 4: held until the file is closed, it then
-    # writes its plane, which must raise and touch no descriptor.
+    # Plane 3 of 40 is NaN.  Its task fails while task 4 runs; task 4, held
+    # until task 3 has raised, still writes its plane before the call returns
+    # and the file is closed, so no task outlives the failed call.
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
     field = str(tmp_path / "f.ewg")
     run_ok(runner, ["fock", "sample", "coherent:0.3,0.1,0,0.2", "--grid-n", "48",
                     "--grid-extent", "8", "--output", field])
     args = ["ccwt", "forward", field, "--scales", "40", "--mu-min", "0.3", "--mu-max", "6"]
-    started, closed, late = threading.Event(), threading.Event(), []
+    started, raised, closed, written = (threading.Event(), threading.Event(),
+                                        threading.Event(), [])
     axis_spectra, kernel_spectrum = ccwt._axis_spectra, ccwt._kernel_spectrum
     plane_writer = ccwt._plane_writer
 
@@ -745,13 +821,13 @@ def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeyp
     def held_kernel_spectrum(*args):
         blocks = kernel_spectrum(*args)
 
-        def held(s, c):
+        def held(s, c, block):
             if s == 3:
                 started.wait(30)
             elif s == 4:
                 started.set()
-                closed.wait(30)
-            return blocks(s, c)
+                raised.wait(30)
+            return blocks(s, c, block)
 
         return held
 
@@ -762,21 +838,17 @@ def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeyp
                 def watched(s, plane):
                     try:
                         write(s, plane)
-                    except ValueError as exc:
-                        if closed.is_set():
-                            late.append((s, str(exc)))
+                    except ValueError:
+                        if s == 3:
+                            raised.set()
                         raise
-                    if closed.is_set():
-                        late.append((s, "written"))
+                    written.append((s, closed.is_set()))
 
                 yield watched
         finally:
             closed.set()
 
-    def listing():
-        return {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-
-    before = listing()
+    before = _tree(tmp_path)
     out_path = str(tmp_path / "c.ewc")
     monkeypatch.setattr(ccwt, "_axis_spectra", nan_axis_spectra)
     monkeypatch.setattr(ccwt, "_kernel_spectrum", held_kernel_spectrum)
@@ -784,14 +856,9 @@ def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeyp
     result = runner.invoke(main, [*args, "--output", out_path])
     assert result.exit_code == 3, result.output
     assert "non-finite values in plane 3" in result.output
-    # once both workers meet here, the late tasks are done
-    barrier = threading.Barrier(2)
-    for done in [ccwt._pool(2).submit(barrier.wait, 30) for _ in range(2)]:
-        done.result(timeout=30)
-    assert 4 in dict(late)
-    assert all(message.endswith("came after the file was closed") for _, message in late), late
+    assert (4, False) in written, written
     _assert_no_output(out_path)
-    assert listing() == before
+    assert _tree(tmp_path) == before
     monkeypatch.undo()
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
     run_ok(runner, [*args, "--output", out_path])
