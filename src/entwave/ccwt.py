@@ -2,12 +2,16 @@
 
 The forward transform W(mu, kappa) = (1/mu) int d2eta/pi g(eta)
 psi*((eta - kappa)/mu) is, per scale, a 2D cross-correlation of the field
-with the dilated wavelet.  Two engines compute the identical Riemann sum
-on the field's grid: ``forward`` contracts the sampled lag kernel directly
-(BLAS row blocks), ``forward_fast`` uses zero-padded FFTs.  The FFT path
-builds each scale's kernel spectrum from 1D DFTs of orthonormal Hermite
-functions, since every radial wavelet is a short sum of products
-h_2a(x) h_2b(y), and inverse-transforms only the retained n x n block.
+with the dilated wavelet.  ``forward`` contracts the sampled lag kernel
+directly (BLAS row blocks), the literal Riemann sum on the field's grid;
+``forward_fast`` uses zero-padded FFTs and drops the kernel's lags past
+its support, where each term of the kernel is below 2^-60 of its peak.
+Each scale is padded only as far as its dilated wavelet reaches, so the
+short kernels of the small scales take smaller FFTs; scales of one
+padded shape form a run.  The FFT path builds each scale's kernel
+spectrum from 1D DFTs of orthonormal Hermite functions, since every
+radial wavelet is a short sum of products h_2a(x) h_2b(y), and
+inverse-transforms only the retained n x n block.
 The inverse integrates dmu/mu^4 of per-scale correlations with the
 (unconjugated) wavelet; on the coefficients' own grid it sums the
 per-scale products in the Fourier domain and takes one inverse FFT, and
@@ -17,8 +21,8 @@ work one scale plane at a time in ``_map_scales``'s worker loops, one on
 the calling thread and the rest on the process's one pool; each worker
 makes its scratch once per call and reuses it for every scale it takes,
 and no task outlives its call.  One ``_forward_planes`` call serves a
-list of fields with one table of axis spectra and one kernel per scale,
-two real fields sharing one complex transform, and hands each scale's
+list of fields with one table of axis spectra per run and one kernel per
+scale, two real fields sharing one complex transform, and hands each scale's
 planes to the caller's reduction inside the scale's task, which sums
 them, stores them or writes them at their EWC1 offsets; the inverse
 reads each plane inside its per-scale task, so neither needs the
@@ -29,16 +33,20 @@ into the same rows of the field's spectrum, transforms that product block
 along y and keeps its first ny columns: a worker holds one (px, ny) half
 plane, not a (px, py) product.  An inverse worker multiplies the blocks
 into its one spectrum and adds that to the sum once every earlier scale
-is in it, so the inverse holds exactly workers + 1 spectra.  A 1D
+is in it, so the inverse holds exactly workers + 1 spectra; when a run
+of a larger shape starts, the sum so far is carried into it through the
+grid.  A 1D
 transform pair over the real line is included as a baseline, with
 per-scale translation grids sized to the dilated wavelet.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import functools
+import itertools
 import math
 import os
 import struct
@@ -88,14 +96,16 @@ class CCWTCoefficients:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Thread budget for per-scale work, capped by ENTWAVE_THREADS."""
+    """Thread budget for per-scale work, capped by ENTWAVE_THREADS, a positive integer."""
     cap = os.environ.get("ENTWAVE_THREADS")
     limit = os.cpu_count() or 1
     if cap is not None:
         try:
-            limit = max(1, int(cap))
+            limit = int(cap)
         except ValueError:
-            raise ValueError(f"ENTWAVE_THREADS must be an integer, got {cap!r}")
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"ENTWAVE_THREADS must be a positive integer, got {cap!r}")
     return max(1, min(limit, n_tasks))
 
 
@@ -223,13 +233,16 @@ def _axis_spectra(terms: int, n: int, steps, p: int) -> np.ndarray:
 
     Shape (*steps.shape, terms, p), from one recurrence and one ``rfft``.
     Lag l sits at index l mod p, as in the zero-padded circular product;
-    the samples are even in l, so each DFT is real.
+    only lags below min(n, p - n + 1) are kept, so that no kept lag wraps
+    onto the n nodes retained.  The samples are even in l, so each DFT is
+    real.
     """
-    lags = np.multiply.outer(steps, np.arange(n))
+    kept = min(n, p - n + 1)
+    lags = np.multiply.outer(steps, np.arange(kept))
     h = np.moveaxis(hermite_functions(lags, 2 * terms - 1)[::2], 0, -2)
     seq = np.zeros((*h.shape[:-1], p))
-    seq[..., :n] = h
-    seq[..., p - n + 1:] = h[..., :0:-1]
+    seq[..., :kept] = h
+    seq[..., p - kept + 1:] = h[..., :0:-1]
     # The DFT of a real even sequence is real and even: bins past p // 2
     # mirror those below it.
     half = rfft(seq, axis=-1).real
@@ -245,31 +258,41 @@ _BLOCK = 1 << 16
 _KERNEL_TILE = 8
 
 
-def _row_block(shape: tuple, dtype=float) -> np.ndarray:
-    """An empty block of a (px, py) array's rows: about ``_BLOCK`` values in whole tiles."""
+def _row_block(shape: tuple) -> tuple:
+    """The shape of a block of a (px, py) array's rows: about ``_BLOCK`` values in whole tiles."""
     px, py = shape
     rows = max(_KERNEL_TILE, _BLOCK // py // _KERNEL_TILE * _KERNEL_TILE)
-    return np.empty((min(rows, px), py), dtype=dtype)
+    return min(rows, px), py
 
 
-def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shape: tuple):
+def _one_buffer(shapes: dict, dtype=float) -> dict:
+    """{key: an empty array of shape ``shapes[key]``}, all on one buffer that holds the largest."""
+    flat = np.empty(max(math.prod(shape) for shape in shapes.values()), dtype=dtype)
+    return {key: flat[:math.prod(shape)].reshape(shape) for key, shape in shapes.items()}
+
+
+def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shapes: list):
     """``blocks(s, c, block)``: the row blocks ``(r, K[r:r + len(block)])`` of a real spectrum K.
 
     K is the real DFT of the padded lag kernel of ``c * m`` at mu[s],
-    (U_s^T c M) V_s, of ``shape`` (px, py).  Each block is made in
-    ``block``, the caller's :func:`_row_block` of ``shape``, which the next
-    one overwrites, so no (px, py) real array is ever held.  Every scale's axis tables are made
-    here, once; one serves both axes when they match.
+    (U_s^T c M) V_s, of shape ``shapes[s]`` (px, py).  Each block is made
+    in ``block``, an empty array of the :func:`_row_block` shape, which the
+    next one overwrites, so no (px, py) real array is ever held.  Every
+    scale's axis tables are made here, once per run of equal shapes; one
+    serves both axes when they match.
     """
-    px, py = shape
-    u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
-    v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
-         else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
+    square = (grid.nx, grid.dx) == (grid.ny, grid.dy)
+    u, v = [], []
+    for (px, py), run in itertools.groupby(range(len(mu)), key=shapes.__getitem__):
+        run_mu = mu[list(run)]
+        u.extend(_axis_spectra(len(m), grid.nx, grid.dx / run_mu, px))
+        v.extend(u[-len(run_mu):] if square
+                 else _axis_spectra(len(m), grid.ny, grid.dy / run_mu, py))
 
     def blocks(s: int, c: float, block: np.ndarray):
         left = u[s].T @ (m * c)
-        for r in range(0, px, len(block)):
-            yield r, np.matmul(left[r:r + len(block)], v[s], out=block[:px - r])
+        for r in range(0, len(left), len(block)):
+            yield r, np.matmul(left[r:r + len(block)], v[s], out=block[:len(left) - r])
 
     return blocks
 
@@ -287,10 +310,58 @@ def _next_fast_len(target: int) -> int:
         n += 1
 
 
-def _padded_shape(grid: ComplexPlaneGrid) -> tuple:
-    # With P >= 2n - 1 per axis the circular product holds the full linear
-    # correlation, and its leading n x n block is the one retained.
-    return _next_fast_len(2 * grid.nx - 1), _next_fast_len(2 * grid.ny - 1)
+@functools.cache
+def _support_radius(terms: int) -> float:
+    """t*: past it each of h_0, h_2, ..., h_{2 terms - 2} is below 2^-60 of its peak.
+
+    Found on a 1/256 grid and rounded up to it: 9.67 for two terms (EMHW),
+    10.46 for four and 16.56 for 33.
+    """
+    step = 1 / 256
+    x = np.arange(0.0, 2 * math.sqrt(4 * terms) + 12, step)
+    h = np.abs(hermite_functions(x, 2 * terms - 1)[::2])
+    above = (h >= 2.0 ** -60 * h.max(axis=1, keepdims=True)).any(axis=0)
+    return float(x[np.flatnonzero(above)[-1]] + step)
+
+
+def _padded_lengths(n: int) -> list:
+    """An axis's ladder of padded lengths: fast lengths n/4 apart, up to the full one for 2n - 1."""
+    return sorted({_next_fast_len(n + math.ceil(k * (n - 1) / 4)) for k in range(1, 5)})
+
+
+def _padded_shapes(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray) -> list:
+    """The padded (px, py) of each scale, from its kernel's reach.
+
+    Past t* mu (:func:`_support_radius`) every term of the lag kernel is
+    below 2^-60 of its peak, so on an axis of n nodes and step h any
+    length P >= n + t* mu / h keeps the n nodes retained free of
+    wrap-around.  Each scale takes the shortest such length of the axis's
+    ladder (:func:`_padded_lengths`), whose top is the full length; mu
+    ascends, so equal shapes form runs.  Each of a run's k scales saves
+    work in proportion to the area it drops per input, and the run costs
+    about three transforms of its shape per input: one more whole
+    transform (the field's in the forward, the sum's in the inverse),
+    which the other workers wait out at the run's start or end, and the
+    scale in flight there, which it waits out.  So from the top down a run
+    keeps its smaller shape only when k (A_above - A) > 3 A, A being a
+    shape's area; otherwise it joins the run above.  The shapes depend
+    only on the grid, the term count and the scales, so a field's planes
+    have the same bits whatever else is transformed with it.
+    """
+    reach = _support_radius(terms) * mu
+
+    def lengths(n: int, step: float) -> list:
+        ladder = np.array(_padded_lengths(n))
+        return ladder[np.minimum(np.searchsorted(ladder - n, reach / step), len(ladder) - 1)]
+
+    need = list(zip(lengths(grid.nx, grid.dx).tolist(), lengths(grid.ny, grid.dy).tolist()))
+    shapes = []
+    for shape, run in itertools.groupby(reversed(need)):
+        k = len(list(run))
+        if shapes and k * (math.prod(shapes[-1]) - math.prod(shape)) <= 3 * math.prod(shape):
+            shape = shapes[-1]
+        shapes += [shape] * k
+    return shapes[::-1]
 
 
 def _padded_fft2(values: np.ndarray, mask, out: np.ndarray) -> np.ndarray:
@@ -319,6 +390,81 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return ifft(rows, axis=0, out=rows)[:nx].copy()
 
 
+def _runs_in_turn(shapes: list, make):
+    """``held(s)``: a context that gives ``make(shape, start)`` for scale s's shape.
+
+    ``make`` writes a run's values at ``start`` in buffers that hold the
+    largest shape: the last run fills them, and the others alternate
+    between their front and their back.  A run's values are made outside
+    the lock once every earlier run whose span they overlap is done and
+    no such run is in flight or being made: the first run's at once,
+    before any worker makes its scratch; the next run's by a scale of the
+    run before as it leaves, if the span is free then, or else by the
+    first of its own scales to enter, which waits for it.  So a short
+    run's values are ready before its scales need them, no run's values
+    are overwritten while it has scales to go, and memory stays that of
+    the largest shape.
+    """
+    runs = list(dict.fromkeys(shapes))
+    index = {shape: j for j, shape in enumerate(runs)}
+    size = math.prod(runs[-1])
+    spans = [(size - math.prod(r), size) if j % 2 else (0, math.prod(r))
+             for j, r in enumerate(runs)]
+    clash = [[i for i, (b, e) in enumerate(spans) if i != j and b < spans[j][1] and spans[j][0] < e]
+             for j in range(len(runs))]
+    turn = threading.Condition()
+    made, making = {0: make(runs[0], 0)}, set()
+    in_flight, left = collections.Counter(), collections.Counter(index[shape] for shape in shapes)
+
+    def free(j: int) -> bool:
+        # no run whose span overlaps j's is being made or in flight, and each such run
+        # before j is done; one after j in flight is left by a late scale of an earlier run
+        return j not in making and not any(i in making or in_flight[i] or (i < j and left[i])
+                                           for i in clash[j])
+
+    def claim(j: int) -> None:
+        # under the lock, with run j's span free: what it overwrites is no longer made
+        making.add(j)
+        for i in clash[j]:
+            made.pop(i, None)
+
+    def build(j: int):
+        value = None
+        try:
+            value = make(runs[j], spans[j][0])
+        finally:
+            with turn:
+                making.discard(j)
+                if value is not None:
+                    made[j] = value
+                turn.notify_all()
+        return value
+
+    @contextlib.contextmanager
+    def held(s: int):
+        j = index[shapes[s]]
+        with turn:
+            turn.wait_for(lambda: j in made or free(j))
+            value = made.get(j)
+            if value is None:
+                claim(j)
+            in_flight[j] += 1
+        try:
+            yield build(j) if value is None else value
+        finally:
+            with turn:
+                in_flight[j] -= 1
+                left[j] -= 1
+                ahead = j + 1 < len(runs) and j + 1 not in made and free(j + 1)
+                if ahead:
+                    claim(j + 1)
+                turn.notify_all()
+            if ahead:
+                build(j + 1)
+
+    return held
+
+
 def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce) -> list:
     """The list over scales of ``reduce(s, planes)``, the planes being W(mu_s, .) of ``fields``.
 
@@ -329,11 +475,13 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     packed at half amplitude, an exact scaling, so the packed field passes
     the boundary check whenever both fields do.  Complex fields and a
     leftover real field, such as a lone one, go in alone.  For the FFT
-    engine the inputs are transformed up front.  One ``_map_scales`` task
-    per scale applies the scale's kernel to every input, unpacks the pairs
-    and calls ``reduce`` on the planes, so no plane leaves its task and a
-    caller never holds an (S, nx, ny) cube.  A complex plane is a view of
-    its worker's scratch, valid only until ``reduce`` returns.
+    engine the inputs are transformed once per padded shape
+    (:func:`_padded_shapes`), when the first scale of its run needs them
+    (:func:`_runs_in_turn`).  One ``_map_scales`` task per scale
+    applies the scale's kernel to every input, unpacks the pairs and calls
+    ``reduce`` on the planes, so no plane leaves its task and a caller
+    never holds an (S, nx, ny) cube.  A complex plane is a view of its
+    worker's scratch, valid only until ``reduce`` returns.
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
@@ -343,9 +491,14 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     real = [i for i, g in enumerate(fields) if not g.values.imag.any()]
     pairs = list(zip(real[0::2], real[1::2]))
     alone = [i for i in range(len(fields)) if i not in real[:2 * len(pairs)]]
-    inputs = [0.5 * (fields[i].values.real + 1j * fields[j].values.real) for i, j in pairs]
-    inputs += [fields[i].values for i in alone]
-    mask = grid.trapezoid_mask()
+
+    def inputs():
+        """Each input's values, made anew on each call so that none is held between them."""
+        for i, j in pairs:
+            yield 0.5 * (fields[i].values.real + 1j * fields[j].values.real)
+        for i in alone:
+            yield fields[i].values
+
     mu = scales.mu_values
     measure = grid.cell_area() / (np.pi * mu)
 
@@ -361,36 +514,50 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
         return reduce(s, planes)
 
     if fast:
-        shape = _padded_shape(grid)
-        f_values = [_padded_fft2(v, mask, np.empty(shape, dtype=complex)) for v in inputs]
-        del inputs, mask  # the spectra hold all the tasks need; free the rest first
-        kernel = _kernel_spectrum(separable_coeffs(w), mu, grid, shape)
+        m = separable_coeffs(w)
+        shapes = _padded_shapes(grid, len(m), mu)
+        kernel = _kernel_spectrum(m, mu, grid, shapes)
+        blocks = {shape: _row_block(shape) for shape in set(shapes)}
+        halves = {shape: (shape[0], grid.ny) for shape in set(shapes)}
+        # one buffer per input for the largest shape, which each run's spectra reuse
+        buffers = [np.empty(math.prod(shapes[-1]), dtype=complex)
+                   for _ in range(len(pairs) + len(alone))]
+
+        def transformed(shape: tuple, start: int) -> list:
+            mask, stop = grid.trapezoid_mask(), start + math.prod(shape)
+            return [_padded_fft2(v, mask, out[start:stop].reshape(shape))
+                    for v, out in zip(inputs(), buffers)]
+
+        field_spectra = _runs_in_turn(shapes, transformed)
 
         def worker():
             # A kernel block, a product block over the same rows and a (px, ny) half
-            # plane for each lone input, at least one: the pairs share the first, as
-            # each is unpacked before the next is made.
-            block, product = _row_block(shape), _row_block(shape, complex)
-            halves = [np.empty((shape[0], grid.ny), dtype=complex)
-                      for _ in range(max(1, len(alone)))]
+            # plane for each lone input, at least one, each on a buffer for the
+            # largest shape: the pairs share the first half plane, as each is
+            # unpacked before the next is made.
+            block, product = _one_buffer(blocks), _one_buffer(blocks, complex)
+            half_planes = [_one_buffer(halves, complex) for _ in range(max(1, len(alone)))]
 
             def plane(s: int, f: np.ndarray, half: np.ndarray) -> np.ndarray:
                 # ifft along y of each row block of the product f * K, of which the
                 # leading ny columns are kept, then ifft along x of those columns
-                for r, k in kernel(s, measure[s], block):
-                    part = np.multiply(f[r:r + len(k)], k, out=product[:len(k)])
+                rows = product[shapes[s]]
+                for r, k in kernel(s, measure[s], block[shapes[s]]):
+                    part = np.multiply(f[r:r + len(k)], k, out=rows[:len(k)])
                     ifft(part, axis=1, out=part)
                     half[r:r + len(k)] = part[:, :grid.ny]
                 return ifft(half, axis=0, out=half)[:grid.nx]
 
             def one_scale(s: int):
-                return reduced(s, (plane(s, f, halves[max(0, k - len(pairs))])
-                                   for k, f in enumerate(f_values)))
+                with field_spectra(s) as spectra:
+                    return reduced(s, (plane(s, f, half_planes[max(0, k - len(pairs))][shapes[s]])
+                                       for k, f in enumerate(spectra)))
 
             return one_scale
 
     else:
-        masked = [v * mask for v in inputs]
+        mask = grid.trapezoid_mask()
+        masked = [v * mask for v in inputs()]
 
         def one_scale(s: int):
             kernel = _lag_kernel(w, mu[s], grid)
@@ -425,9 +592,12 @@ def forward(g: Field, w: MotherWavelet, scales: ScaleGrid) -> CCWTCoefficients:
 def forward_fast(g: Field, w: MotherWavelet, scales: ScaleGrid) -> CCWTCoefficients:
     """Forward transform via zero-padded FFT cross-correlation per scale.
 
-    Contract identical to :func:`forward`; the two engines evaluate the
-    same quadrature sum and agree to rounding.  The kernel's spectrum is
-    built from 1D Hermite-function spectra, never sampled on the lag grid.
+    Contract identical to :func:`forward`, whose quadrature sum it
+    evaluates but for the kernel's lags past its support, t* mu
+    (:func:`_support_radius`), where each term of the kernel is below
+    2^-60 of its peak; each scale is padded only to that reach, and the
+    two engines agree to rounding.  The kernel's spectrum is built from
+    1D Hermite-function spectra, never sampled on the lag grid.
     """
     return _forward_engine(g, w, scales, fast=True)
 
@@ -457,7 +627,9 @@ class RunConfig:
     wavelet_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        # Build everything up front, C'_psi too, so bad parameters fail before work starts.
+        # Build everything up front, C'_psi and the thread cap too, so bad parameters
+        # fail before any input is read or work starts.
+        worker_count(1)
         self.grid()
         self.scales()
         w = self.wavelet()
@@ -496,9 +668,14 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
 
     ``plane`` is called inside the per-scale task, so a getter that reads
     the plane from a file keeps only the planes in flight in memory.  Each
-    scale's part is added to the sum in scale order, scale 0 copied; on the
-    kappa grid's layout a worker makes one padded spectrum and one kernel
-    block, so the call holds exactly workers + 1 spectra.
+    scale's part is added to the sum in scale order, scale 0 copied.  On
+    the kappa grid's layout a part is a padded spectrum of its scale's
+    shape (:func:`_padded_shapes`): when a run of equal shapes starts,
+    the sum of the runs before it is transformed back, cropped and
+    padded to the new shape, and one inverse FFT of the last sum gives
+    the field.  The sums and each worker's spectrum and kernel block sit
+    on buffers for the largest shape, so the call holds exactly workers
+    + 1 spectra and no plane beside them.
     """
     if not np.isfinite(c_prime) or c_prime <= 0:
         raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
@@ -510,17 +687,20 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     m = separable_coeffs(w)
     shared = out_grid.same_layout(kgrid)
     if shared:
-        shape = _padded_shape(kgrid)
-        kernel = _kernel_spectrum(m, mu, kgrid, shape)
+        shapes = _padded_shapes(kgrid, len(m), mu)
+        kernel = _kernel_spectrum(m, mu, kgrid, shapes)
+        runs = {shape: shape for shape in shapes}
+        blocks = {shape: _row_block(shape) for shape in runs}
+        sums = _one_buffer(runs, complex)  # every run's sum, on one buffer
 
         def worker():
-            spectrum, block = np.empty(shape, dtype=complex), _row_block(shape)
+            spectrum, block = _one_buffer(runs, complex), _one_buffer(blocks)
 
             def one_scale(s: int) -> np.ndarray:
-                _padded_fft2(plane(s), mask, spectrum)
-                for r, k in kernel(s, weights[s], block):
-                    spectrum[r:r + len(k)] *= k
-                return spectrum
+                f = _padded_fft2(plane(s), mask, spectrum[shapes[s]])
+                for r, k in kernel(s, weights[s], block[shapes[s]]):
+                    f[r:r + len(k)] *= k
+                return f
 
             return one_scale
 
@@ -537,7 +717,18 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
 
     def add(s: int, part: np.ndarray) -> None:
         nonlocal total
-        total = np.add(total, part, out=total) if s else part.copy()
+        if not shared:
+            total = np.add(total, part, out=total) if s else part.copy()
+        elif s and part.shape == total.shape:
+            np.add(total, part, out=total)
+        elif s:
+            # a run starts: the runs before it, back on the grid, go into its sum
+            carried = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
+            total = np.add(_padded_fft2(carried, 1.0, sums[part.shape]), part,
+                           out=sums[part.shape])
+        else:
+            total = sums[part.shape]
+            total[...] = part
 
     _map_scales(worker, len(mu), add)
     if shared:

@@ -5,7 +5,8 @@ Commands: ``wavelet info``, ``ccwt forward``, ``ccwt inverse``,
 tolerance failure, 2 malformed or unreadable input file, 3 precondition or
 parse violation, unwritable output or failed allocation.  All outputs are
 written atomically and are byte-identical for identical inputs and flags.
-ENTWAVE_THREADS caps internal parallelism.
+ENTWAVE_THREADS caps internal parallelism; a value that is not an integer
+of at least 1 exits 3 before any input is read.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import struct
@@ -25,7 +26,8 @@ from entwave.ccwt import (
     _map_scales,
     _next_fast_len,
     _padded_fft2,
-    _padded_shape,
+    _padded_lengths,
+    _padded_shapes,
     cwt1d_grid,
     forward,
     forward_fast,
@@ -46,6 +48,7 @@ from entwave.wavelets import (
     eval_wavelet,
     laguerre_gaussian,
     mexican_hat,
+    separable_coeffs,
 )
 
 
@@ -377,7 +380,10 @@ def test_inverse_holds_one_spectrum_per_worker_and_the_sum(monkeypatch):
     grid = ComplexPlaneGrid.centered(128, 8.0)
     scales = ScaleGrid.log_spaced(24, 0.5, 4.0)
     cube = np.stack([windowed_noise(grid, seed=s) for s in range(len(scales))])
-    shape = _padded_shape(grid)
+    shapes = _padded_shapes(grid, 2, scales.mu_values)
+    # the smaller scales take smaller shapes; the budget is of the call's largest
+    assert len(set(shapes)) > 1
+    shape = shapes[-1]
     assert shape == (256, 256)
 
     def plane(s):
@@ -408,6 +414,8 @@ def test_recycled_scratch_under_thread_contention(monkeypatch):
         coeffs = forward_fast(g, emhw(), scales)
         return coeffs.values, inverse(coeffs, emhw(), 0.5).values
 
+    # the scales take two padded shapes, so the runs' field spectra take turns too
+    assert len(set(_padded_shapes(grid, 2, scales.mu_values))) == 2
     monkeypatch.setenv("ENTWAVE_THREADS", "1")
     serial = round_trip()
     monkeypatch.setenv("ENTWAVE_THREADS", "8")
@@ -438,9 +446,10 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("ENTWAVE_THREADS", "3")
     assert worker_count(8) == 3
     assert worker_count(2) == 2
-    monkeypatch.setenv("ENTWAVE_THREADS", "zap")
-    with pytest.raises(ValueError):
-        worker_count(4)
+    for bad in ("zap", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("ENTWAVE_THREADS", bad)
+        with pytest.raises(ValueError, match="ENTWAVE_THREADS must be a positive integer"):
+            worker_count(4)
 
 
 def copied(s, planes):
@@ -594,23 +603,29 @@ def test_fast_engine_makes_a_y_table_unless_the_axes_match(grid, monkeypatch):
     wf = forward_fast(g, w, scales)
     wd = forward(g, w, scales)
     assert np.abs(wd.values - wf.values).max() <= 1e-10 * np.abs(wd.values).max()
-    # one table per axis, each on its own size and step
-    px, py = _padded_shape(grid)
-    assert [(n, p) for n, _, p in tables] == [(grid.nx, px), (grid.ny, py)]
-    assert np.array_equal(tables[1][1], grid.dy / scales.mu_values)
+    # one table per axis and run of equal shapes, each on its own size and step
+    runs = [shape for shape, _ in itertools.groupby(_padded_shapes(grid, 4, scales.mu_values))]
+    assert runs[-1] == (_next_fast_len(2 * grid.nx - 1), _next_fast_len(2 * grid.ny - 1))
+    assert [(n, p) for n, _, p in tables] == [
+        axis for px, py in runs for axis in ((grid.nx, px), (grid.ny, py))]
+    assert np.array_equal(np.concatenate([steps for _, steps, _ in tables[1::2]]),
+                          grid.dy / scales.mu_values)
     # on a square grid with one step the x table serves both axes
     tables.clear()
-    forward_fast(gaussian_field(ComplexPlaneGrid.centered(40, 8.0)), w, scales)
-    assert len(tables) == 1
+    square = ComplexPlaneGrid.centered(40, 8.0)
+    forward_fast(gaussian_field(square), w, scales)
+    assert len(tables) == len(set(_padded_shapes(square, 4, scales.mu_values)))
 
 
-def whole_kernel_spectrum(m, mu, grid, shape):
+def whole_kernel_spectrum(m, mu, grid, shapes):
     """The kernel as it was applied before row blocks: one whole (px, py) product per scale."""
-    px, py = shape
-    u = _axis_spectra(len(m), grid.nx, grid.dx / mu, px)
-    v = (u if (grid.nx, grid.dx) == (grid.ny, grid.dy)
-         else _axis_spectra(len(m), grid.ny, grid.dy / mu, py))
-    return lambda s, c, block: [(0, u[s].T @ (m * c) @ v[s])]
+    def blocks(s, c, block):
+        px, py = shapes[s]
+        u = _axis_spectra(len(m), grid.nx, grid.dx / mu[s], px)
+        v = _axis_spectra(len(m), grid.ny, grid.dy / mu[s], py)
+        return [(0, u.T @ (m * c) @ v)]
+
+    return blocks
 
 
 @pytest.mark.parametrize("w", [emhw(), random_admissible_lg(32, seed=3)], ids=["emhw", "lg32"])
@@ -618,8 +633,8 @@ def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
     # 24-row blocks take the 75 padded rows in three whole blocks and a ragged
     # one of 3 rows, for the kernel and for the forward's product alike
     grid = ComplexPlaneGrid(38, 29, -6.0, -5.0, 12.0 / 37, 10.5 / 28)
-    assert _padded_shape(grid) == (75, 60)
     scales = ScaleGrid.log_spaced(7, 0.5, 4.0)
+    assert _padded_shapes(grid, len(separable_coeffs(w)), scales.mu_values)[-1] == (75, 60)
     g = Field(grid, windowed_noise(grid, seed=1))
     # a real pair then a lone complex field: the pair's half plane serves the field next
     fields = [Field(grid, windowed_noise(grid, seed).real) for seed in (2, 3)] + [g]
@@ -651,7 +666,7 @@ def test_kernel_blocks_hold_no_whole_kernel_spectrum(monkeypatch):
     g = smooth_random_field(grid, seed=2)
     scales = ScaleGrid.log_spaced(4, 0.5, 4.0)
     coeffs = forward_fast(g, emhw(), scales)
-    px, py = _padded_shape(grid)
+    px, py = _padded_shapes(grid, 2, scales.mu_values)[-1]
     # a 1 MiB product block, a 0.5 MiB kernel block and small arrays: axis tables, FFT plans
     forward_budget = px * py * 16 + px * grid.ny * 16 + 5 * 2**19
     inverse_budget = 2 * px * py * 16 + grid.nx * grid.ny * 16 + 2 * 2**20
@@ -977,10 +992,11 @@ def test_ewc1_is_a_scale_table_and_an_ewg1_body(tmp_path):
 
 
 def _scipy_axis_spectra(terms, n, step, p):
-    h = hermite_functions(np.arange(n) * step, 2 * terms - 1)[::2]
+    kept = min(n, p - n + 1)
+    h = hermite_functions(np.arange(kept) * step, 2 * terms - 1)[::2]
     seq = np.zeros((terms, p))
-    seq[:, :n] = h
-    seq[:, p - n + 1:] = h[:, :0:-1]
+    seq[:, :kept] = h
+    seq[:, p - kept + 1:] = h[:, :0:-1]
     return scipy.fft.fft(seq, axis=1).real
 
 
@@ -1007,15 +1023,164 @@ def _assert_close(new, ref):
 @pytest.mark.parametrize("nx, ny", [(64, 64), (256, 256), (48, 80), (33, 17), (2, 5)])
 def test_fft_kernels_match_scipy_references(nx, ny):
     rng = np.random.default_rng(nx * 1000 + ny)
-    shape = _padded_shape(ComplexPlaneGrid(nx, ny, -4.0, -4.0, 0.1, 0.1))
+    grid = ComplexPlaneGrid(nx, ny, -4.0, -4.0, 0.1, 0.1)
+    ladders = _padded_lengths(nx), _padded_lengths(ny)
+    # a scale wider than the grid takes the top of each ladder, the full length
+    full = _padded_shapes(grid, 1, np.array([100.0]))[-1]
+    assert full == (_next_fast_len(2 * nx - 1), _next_fast_len(2 * ny - 1))
+    assert full == (ladders[0][-1], ladders[1][-1])
     for terms in (1, 4, 17):
-        for n, p in zip((nx, ny), shape):
-            _assert_close(_axis_spectra(terms, n, 0.37, p), _scipy_axis_spectra(terms, n, 0.37, p))
-    values = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
-    # a recycled buffer: whatever its padding held before is zeroed
-    padded = _padded_fft2(values, 1.0, np.full(shape, np.nan, dtype=complex))
-    _assert_close(padded, _scipy_padded_fft2(values, shape))
-    spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    cropped = _cropped_ifft2(spectrum.copy(), nx, ny)
-    _assert_close(cropped, _scipy_cropped_ifft2(spectrum, nx, ny))
-    assert cropped.flags.c_contiguous
+        for n, ladder in zip((nx, ny), ladders):
+            for p in ladder:
+                _assert_close(_axis_spectra(terms, n, 0.37, p),
+                              _scipy_axis_spectra(terms, n, 0.37, p))
+    for shape in ((ladders[0][0], ladders[1][0]), full):
+        values = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        # a recycled buffer: whatever its padding held before is zeroed
+        padded = _padded_fft2(values, 1.0, np.full(shape, np.nan, dtype=complex))
+        _assert_close(padded, _scipy_padded_fft2(values, shape))
+        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cropped = _cropped_ifft2(spectrum.copy(), nx, ny)
+        _assert_close(cropped, _scipy_cropped_ifft2(spectrum, nx, ny))
+        assert cropped.flags.c_contiguous
+
+
+# Per-scale padding: each scale pads to its kernel's reach
+
+
+def _full_length_axis_spectra(terms, n, steps, p):
+    """The axis table as it was when every scale padded to the full length: all n lags kept."""
+    lags = np.multiply.outer(steps, np.arange(n))
+    h = np.moveaxis(hermite_functions(lags, 2 * terms - 1)[::2], 0, -2)
+    seq = np.zeros((*h.shape[:-1], p))
+    seq[..., :n] = h
+    seq[..., p - n + 1:] = h[..., :0:-1]
+    half = np.fft.rfft(seq, axis=-1).real
+    return np.concatenate([half, half[..., (p - 1) // 2:0:-1]], axis=-1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(terms=st.integers(1, DEFAULT_ORDER_CAP + 1), n=st.integers(2, 300), extra=st.integers(0, 40),
+       steps=st.lists(st.floats(1e-3, 4.0), min_size=1, max_size=5))
+def test_axis_table_at_full_length_keeps_every_lag(terms, n, extra, steps):
+    # at p >= 2n - 1 no lag is dropped: the table has the bits it had before any was
+    p = 2 * n - 1 + extra
+    steps = np.array(steps)
+    assert np.array_equal(_axis_spectra(terms, n, steps, p),
+                          _full_length_axis_spectra(terms, n, steps, p))
+
+
+def test_support_radius_bounds_every_term():
+    # past t* each h_2a of the wavelet's order is below 2^-60 of its peak, and t* is tight
+    for terms, expected in [(1, 9.12), (2, 9.66), (4, 10.46), (33, 16.56)]:
+        t = ccwt._support_radius(terms)
+        assert t == pytest.approx(expected, abs=0.01)
+        x = np.linspace(0.0, 40.0, 16001)
+        h = np.abs(hermite_functions(x, 2 * terms - 1)[::2])
+        peak = h.max(axis=1, keepdims=True)
+        assert np.all(h[:, x >= t] < 2.0 ** -60 * peak)
+        assert np.any(h[:, x >= t - 0.05] >= 2.0 ** -60 * peak)
+
+
+def test_padded_shapes_hold_each_kernel_and_merge_short_runs():
+    grid = ComplexPlaneGrid.centered(256, 32.0)
+    mu = ScaleGrid.log_spaced(96, 0.25, 32.0).mu_values
+    shapes = _padded_shapes(grid, 2, mu)
+    t = ccwt._support_radius(2)
+    full = _next_fast_len(511)
+    for m, (px, py) in zip(mu, shapes):
+        assert px == py and px in _padded_lengths(256)
+        assert px == full or px - 256 >= t * m / grid.dx
+    # ascending runs, each from the ladder
+    assert shapes == sorted(shapes)
+    assert [shape for shape, _ in itertools.groupby(shapes)] == [(320, 320), (384, 384),
+                                                                (512, 512)]
+    # a run whose scales save less than about three transforms of its shape joins the run above
+    lone = ScaleGrid.log_spaced(3, 4.0, 32.0).mu_values
+    assert _padded_shapes(grid, 2, lone[:1]) == [(448, 448)]
+    assert _padded_shapes(grid, 2, lone) == [(512, 512)] * 3
+
+
+@settings(max_examples=10, deadline=None)
+@example(nx=112, ny=96, square=False, hx=8.0, hy=6.0, w=random_admissible_lg(32, seed=3),
+         lo=1.0, over=1.2, count=96, seed=3)
+@given(nx=st.integers(64, 80), ny=st.integers(64, 80), square=st.booleans(),
+       hx=st.floats(4.0, 9.0), hy=st.floats(4.0, 9.0),
+       w=st.builds(random_admissible_lg, st.integers(2, 8), st.integers(0, 2**16)),
+       lo=st.floats(0.8, 1.25), over=st.floats(1.0, 2.0), count=st.integers(96, 128),
+       seed=st.integers(0, 2**32 - 1))
+def test_per_scale_padding_matches_the_references(nx, ny, square, hx, hy, w, lo, over, count,
+                                                  seed):
+    # scales from about the grid step to past its width take three or more padded shapes
+    if square:
+        ny, hy = nx, hx
+    grid = ComplexPlaneGrid(nx, ny, -hx, -hy, 2 * hx / (nx - 1), 2 * hy / (ny - 1))
+    width = max((nx - 1) * grid.dx, (ny - 1) * grid.dy)
+    scales = ScaleGrid.log_spaced(count, lo * min(grid.dx, grid.dy), over * width)
+    mu = scales.mu_values
+    shapes = _padded_shapes(grid, len(separable_coeffs(w)), mu)
+    assume(len(set(shapes)) >= 3)
+    g = Field(grid, windowed_noise(grid, seed))
+    results = {}
+    for threads in ("1", "2", "4"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("ENTWAVE_THREADS", threads)
+            coeffs = forward_fast(g, w, scales)
+            results[threads] = coeffs.values, inverse(coeffs, w, 1.0).values
+    for threads in ("2", "4"):
+        for got, expected in zip(results[threads], results["1"]):
+            assert np.array_equal(got, expected)
+    fast, rec = results["1"]
+    # the direct engine, at the first and last scale of every run: the last fits tightest
+    runs = [list(run) for _, run in itertools.groupby(range(len(mu)), key=shapes.__getitem__)]
+    for s in sorted({s for run in runs for s in (run[0], run[-1])}):
+        direct = forward(g, w, ScaleGrid(mu[s:s + 1])).values[0]
+        assert np.abs(fast[s] - direct).max() <= 1e-12 * np.abs(fast).max()
+    # the shared-grid inverse against the literal truncated sum, at a few nodes
+    mask = grid.trapezoid_mask() * grid.cell_area() / np.pi
+    weights = scale_weights(scales, 4)
+    nodes = grid.nodes()
+    for i, j in [(0, 0), (nx // 2, ny // 2), (nx - 2, 1)]:
+        total = sum(weights[s] * np.sum(mask * fast[s] * eval_wavelet(w, (nodes[i, j] - nodes) / m))
+                    for s, m in enumerate(mu))
+        assert abs(rec[i, j] - total) <= 1e-12 * np.abs(rec).max()
+
+
+def test_run_values_are_never_overwritten_while_in_use(monkeypatch):
+    # five runs on one 100-value buffer: the short runs' spans alternate between its
+    # ends, several of them overlap, and the last run fills it
+    shapes = [(6, 6)] * 3 + [(7, 7)] + [(8, 8)] * 4 + [(9, 9)] * 2 + [(10, 10)] * 5
+    buffer = np.zeros(100)
+    made = []
+
+    def make(shape, start):
+        made.append(shape)
+        view = buffer[start:start + math.prod(shape)]
+        view[:] = shape[0]
+        return view
+
+    def task(held):
+        def one_scale(s):
+            with held(s) as view:
+                assert np.all(view == shapes[s][0])
+                time.sleep(0.002 * (s % 3))
+                assert np.all(view == shapes[s][0])
+            return s
+        return one_scale
+
+    monkeypatch.setenv("ENTWAVE_THREADS", "1")
+    held = ccwt._runs_in_turn(shapes, make)
+    assert _map_scales(lambda: task(held), len(shapes)) == list(range(len(shapes)))
+    assert made == list(dict.fromkeys(shapes))  # each run made once, in turn
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("2", "8"):
+            monkeypatch.setenv("ENTWAVE_THREADS", threads)
+            made.clear()
+            held = ccwt._runs_in_turn(shapes, make)
+            assert _within(60, lambda: _map_scales(lambda: task(held), len(shapes))) == \
+                list(range(len(shapes)))
+            assert set(made) == set(shapes)
+    finally:
+        sys.setswitchinterval(interval)

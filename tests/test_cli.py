@@ -201,6 +201,31 @@ def test_ccwt_missing_input(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("cap", ["zap", "0", "-1"])
+def test_bad_thread_cap_exits_3_before_any_input_is_read(runner, tmp_path, monkeypatch, cap):
+    # the cap is checked when the settings are built, so no command opens its input,
+    # runs a suite or writes an output under a cap that is not a positive integer
+    field = tmp_path / "field.ewg"
+    write_field_ewg1(sample(lambda e: np.exp(-0.5 * np.abs(e) ** 2),
+                            ComplexPlaneGrid.centered(16, 8.0)), str(field))
+    reads, suites = [], []
+    monkeypatch.setattr(cli, "_read_field_any", reads.append)
+    monkeypatch.setattr(verify, "_SUITES", {name: (lambda settings, name=name: suites.append(name))
+                                            for name in verify._SUITES})
+    monkeypatch.setenv("ENTWAVE_THREADS", cap)
+    out = str(tmp_path / "out")
+    for args in (["ccwt", "forward", str(tmp_path / "missing.csv"), "--output", out],
+                 ["ccwt", "forward", str(field), "--output", out],
+                 ["ccwt", "inverse", str(tmp_path / "missing.ewc"), "--output", out],
+                 ["verify", "oracles"],
+                 ["fock", "sample", "number:0,0", "--grid-n", "16", "--output", out],
+                 ["wavelet", "info"]):
+        _assert_exits_cleanly(runner.invoke(main, args), 3,
+                              f"ENTWAVE_THREADS must be a positive integer, got {cap!r}")
+    assert reads == [] and suites == []
+    assert list(tmp_path.iterdir()) == [field]
+
+
 def _tree(root):
     """Every path under ``root`` with the bytes of each file, None for a directory."""
     return {path: None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}

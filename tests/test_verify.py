@@ -255,7 +255,9 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
         constant_scan(verify.SCAN_STATES, emhw(), scales,
                       ComplexPlaneGrid.centered(64, 8.0))
     assert calls == [3, 3]
-    assert ffts == [(64, 64)] * 4
+    # the packed pair and the coherent state, each transformed once per padded shape
+    runs = len(set(ccwt._padded_shapes(ComplexPlaneGrid.centered(64, 8.0), 2, scales.mu_values)))
+    assert ffts == [(64, 64)] * 4 * runs
     assert pools == [ccwt.worker_count(len(scales)) - 1] == [1]
     assert tables == [threading.get_ident()] * 2
     assert 1 <= len(threads) <= 2
