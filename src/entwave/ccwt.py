@@ -11,7 +11,14 @@ short kernels of the small scales take smaller FFTs; scales of one
 padded shape form a run.  The FFT path builds each scale's kernel
 spectrum from 1D DFTs of orthonormal Hermite functions, since every
 radial wavelet is a short sum of products h_2a(x) h_2b(y), and
-inverse-transforms only the retained n x n block.
+inverse-transforms only the retained n x n block.  Each h_2a is its own
+Fourier transform, so the kernel's spectrum is as short as its lags are:
+past |k| = t*/mu every term is below 2^-60.  Where that band fits the
+padded length and the grid does not cut the kernel, the spectrum is set
+to zero past it, and neither direction transforms, multiplies or adds
+the rows (or, in the inverse, the columns) that are then known to be
+zero.  A lone real field's planes are real, so two scales of one run
+share one complex inverse FFT, W_s + i W_{s+1} = IFFT(F (K_s + i K_{s+1})).
 The inverse integrates dmu/mu^4 of per-scale correlations with the
 (unconjugated) wavelet; on the coefficients' own grid it sums the
 per-scale products in the Fourier domain and takes one inverse FFT, and
@@ -96,9 +103,15 @@ class CCWTCoefficients:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Thread budget for per-scale work, capped by ENTWAVE_THREADS, a positive integer."""
+    """Thread budget for per-scale work: the CPUs this process may run on, or ENTWAVE_THREADS.
+
+    ENTWAVE_THREADS must be a positive integer.
+    """
     cap = os.environ.get("ENTWAVE_THREADS")
-    limit = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        limit = len(os.sched_getaffinity(0))
+    else:
+        limit = os.cpu_count() or 1
     if cap is not None:
         try:
             limit = int(cap)
@@ -271,30 +284,70 @@ def _one_buffer(shapes: dict, dtype=float) -> dict:
     return {key: flat[:math.prod(shape)].reshape(shape) for key, shape in shapes.items()}
 
 
+def _band_spans(p: int, band, tile: int = 1) -> list:
+    """The bins |j| <= band of a length-p axis as [lo, hi) spans; the whole axis for band None.
+
+    The upper span starts on a multiple of ``tile``; when it would reach
+    the lower one, the spans merge into the whole axis.
+    """
+    if band is None:
+        return [(0, p)]
+    upper = (p - band) // tile * tile
+    return [(0, p)] if upper <= band + 1 else [(0, band + 1), (upper, p)]
+
+
 def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shapes: list):
-    """``blocks(s, c, block)``: the row blocks ``(r, K[r:r + len(block)])`` of a real spectrum K.
+    """``(blocks, bands)``: the row blocks of each scale's real spectrum K, and its band.
 
     K is the real DFT of the padded lag kernel of ``c * m`` at mu[s],
-    (U_s^T c M) V_s, of shape ``shapes[s]`` (px, py).  Each block is made
-    in ``block``, an empty array of the :func:`_row_block` shape, which the
-    next one overwrites, so no (px, py) real array is ever held.  Every
-    scale's axis tables are made here, once per run of equal shapes; one
-    serves both axes when they match.
+    (U_s^T c M) V_s, of shape ``shapes[s]`` (px, py).  ``blocks(s, c,
+    block, spans)`` yields ``(r, K[r:r + len(b)])`` over the row spans
+    ``spans``, each made in ``block``, an array of the :func:`_row_block`
+    shape (or a view of one), which the next one overwrites, so no (px,
+    py) real array is ever held.  Every scale's axis tables are made here,
+    once per run of equal shapes; one serves both axes when they match.
+
+    Each term h_2a is its own Fourier transform up to a sign, so past
+    |k| = t*/mu (:func:`_support_radius`) every term's spectrum is below
+    2^-60 of its peak, as its samples are past t* mu.  On an axis of n
+    nodes, step h and length P that is the bins |j| > J, J = floor(t* P h
+    / (2 pi mu)).  A scale is banded on that axis when 2J + 1 < P and its
+    kernel is not cut by the grid, t* mu / h < min(n, P - n + 1) - 1; its
+    table is then set to zero past J, so K is exactly zero outside the box
+    of its bands.  ``bands[s]`` is (Jx, Jy), None on an axis not banded.
     """
     square = (grid.nx, grid.dx) == (grid.ny, grid.dy)
-    u, v = [], []
+    t = _support_radius(len(m))
+
+    def banded(n: int, steps, p: int) -> tuple:
+        table = _axis_spectra(len(m), n, steps, p)
+        half = np.floor(t * p * steps / (2 * np.pi)).astype(int)
+        fits = (2 * half + 1 < p) & (t / steps < min(n, p - n + 1) - 1)
+        bands = [int(j) if ok else None for j, ok in zip(half, fits)]
+        for k, j in enumerate(bands):
+            if j is not None:
+                table[k, :, j + 1:p - j] = 0
+        return list(table), bands
+
+    u, v, bands_x, bands_y = [], [], [], []
     for (px, py), run in itertools.groupby(range(len(mu)), key=shapes.__getitem__):
         run_mu = mu[list(run)]
-        u.extend(_axis_spectra(len(m), grid.nx, grid.dx / run_mu, px))
-        v.extend(u[-len(run_mu):] if square
-                 else _axis_spectra(len(m), grid.ny, grid.dy / run_mu, py))
+        table, band = banded(grid.nx, grid.dx / run_mu, px)
+        u += table
+        bands_x += band
+        if not square:
+            table, band = banded(grid.ny, grid.dy / run_mu, py)
+        v += table
+        bands_y += band
 
-    def blocks(s: int, c: float, block: np.ndarray):
+    def blocks(s: int, c: float, block: np.ndarray, spans: list):
         left = u[s].T @ (m * c)
-        for r in range(0, len(left), len(block)):
-            yield r, np.matmul(left[r:r + len(block)], v[s], out=block[:len(left) - r])
+        for lo, hi in spans:
+            for r in range(lo, hi, len(block)):
+                yield r, np.matmul(left[r:min(hi, r + len(block))], v[s],
+                                   out=block[:min(hi - r, len(block))])
 
-    return blocks
+    return blocks, list(zip(bands_x, bands_y))
 
 
 def _next_fast_len(target: int) -> int:
@@ -364,18 +417,22 @@ def _padded_shapes(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray) -> list:
     return shapes[::-1]
 
 
-def _padded_fft2(values: np.ndarray, mask, out: np.ndarray) -> np.ndarray:
+def _padded_fft2(values: np.ndarray, mask, out: np.ndarray, columns=((0, None),)) -> np.ndarray:
     """fft2 of ``values * mask`` zero-padded to the shape of ``out``, computed in ``out``.
 
     Both passes run in place in the one padded complex buffer, skipping the
     all-zero rows; padding with ``n=`` would allocate a new array per pass.
+    Only the ``columns`` spans go through the transform along x; the other
+    columns are left transformed along y alone.
     """
     nx, ny = values.shape
     out[nx:] = 0
     out[:nx, ny:] = 0
     np.multiply(values, mask, out=out[:nx, :ny])
     fft(out[:nx], axis=1, out=out[:nx])
-    return fft(out, axis=0, out=out)
+    for lo, hi in columns:
+        fft(out[:, lo:hi], axis=0, out=out[:, lo:hi])
+    return out
 
 
 def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
@@ -465,6 +522,15 @@ def _runs_in_turn(shapes: list, make):
     return held
 
 
+def _scale_pairs(shapes: list) -> list:
+    """The scales in units of two consecutive ones of a run of equal shapes; a run's odd last goes alone."""
+    units = []
+    for _, run in itertools.groupby(range(len(shapes)), key=shapes.__getitem__):
+        run = list(run)
+        units += [tuple(run[i:i + 2]) for i in range(0, len(run), 2)]
+    return units
+
+
 def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce) -> list:
     """The list over scales of ``reduce(s, planes)``, the planes being W(mu_s, .) of ``fields``.
 
@@ -477,11 +543,16 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     leftover real field, such as a lone one, go in alone.  For the FFT
     engine the inputs are transformed once per padded shape
     (:func:`_padded_shapes`), when the first scale of its run needs them
-    (:func:`_runs_in_turn`).  One ``_map_scales`` task per scale
-    applies the scale's kernel to every input, unpacks the pairs and calls
-    ``reduce`` on the planes, so no plane leaves its task and a caller
-    never holds an (S, nx, ny) cube.  A complex plane is a view of its
-    worker's scratch, valid only until ``reduce`` returns.
+    (:func:`_runs_in_turn`).  The leftover real field's planes are real,
+    so two consecutive scales of a run share one complex inverse
+    transform, W_s + i W_{s+1} = IFFT(F (K_s + i K_{s+1})), and its planes
+    are handed to ``reduce`` as the real and imaginary parts of that one
+    (:func:`_scale_pairs`).  One ``_map_scales`` task per scale, or per
+    such pair of scales, applies the kernels to every input, unpacks the
+    pairs and calls ``reduce`` on each scale's planes, so no plane leaves
+    its task and a caller never holds an (S, nx, ny) cube.  A plane that
+    is not unpacked from a pair is a view of its worker's scratch, valid
+    only until ``reduce`` returns.
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
@@ -490,7 +561,9 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
         _check_transform_input(g, w)
     real = [i for i, g in enumerate(fields) if not g.values.imag.any()]
     pairs = list(zip(real[0::2], real[1::2]))
-    alone = [i for i in range(len(fields)) if i not in real[:2 * len(pairs)]]
+    # the inputs that go in alone: the complex fields, then the leftover real field
+    lone = real[2 * len(pairs):]
+    alone = [i for i in range(len(fields)) if i not in real] + lone
 
     def inputs():
         """Each input's values, made anew on each call so that none is held between them."""
@@ -513,15 +586,18 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
                 planes[alone[k - len(pairs)]] = plane
         return reduce(s, planes)
 
+    units = [(s,) for s in range(len(mu))]
     if fast:
         m = separable_coeffs(w)
         shapes = _padded_shapes(grid, len(m), mu)
-        kernel = _kernel_spectrum(m, mu, grid, shapes)
+        kernel, bands = _kernel_spectrum(m, mu, grid, shapes)
         blocks = {shape: _row_block(shape) for shape in set(shapes)}
         halves = {shape: (shape[0], grid.ny) for shape in set(shapes)}
         # one buffer per input for the largest shape, which each run's spectra reuse
         buffers = [np.empty(math.prod(shapes[-1]), dtype=complex)
                    for _ in range(len(pairs) + len(alone))]
+        if lone:
+            units = _scale_pairs(shapes)
 
         def transformed(shape: tuple, start: int) -> list:
             mask, stop = grid.trapezoid_mask(), start + math.prod(shape)
@@ -532,41 +608,66 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
         def worker():
             # A kernel block, a product block over the same rows and a (px, ny) half
-            # plane for each lone input, at least one, each on a buffer for the
-            # largest shape: the pairs share the first half plane, as each is
-            # unpacked before the next is made.
+            # plane for each input that goes in alone, each on a buffer for the
+            # largest shape: the pairs share the first complex field's half plane, as
+            # each is unpacked before the next is made, or have one of their own; the
+            # leftover real field's, the last, holds its two scales while they are made.
             block, product = _one_buffer(blocks), _one_buffer(blocks, complex)
-            half_planes = [_one_buffer(halves, complex) for _ in range(max(1, len(alone)))]
+            shared = max(len(alone) - len(lone), bool(pairs))
+            half_planes = [_one_buffer(halves, complex) for _ in range(shared + len(lone))]
 
-            def plane(s: int, f: np.ndarray, half: np.ndarray) -> np.ndarray:
-                # ifft along y of each row block of the product f * K, of which the
-                # leading ny columns are kept, then ifft along x of those columns
-                rows = product[shapes[s]]
-                for r, k in kernel(s, measure[s], block[shapes[s]]):
-                    part = np.multiply(f[r:r + len(k)], k, out=rows[:len(k)])
+            def plane(unit: tuple, f: np.ndarray, half: np.ndarray) -> np.ndarray:
+                # ifft along y of each row block of the product f * K over the kernel's
+                # band, of which the leading ny columns are kept, then ifft along x of
+                # those columns; the rows past the band are zero
+                s, shape = unit[0], shapes[unit[0]]
+                rows = product[shape]
+                band = [bands[t][0] for t in unit]
+                spans = _band_spans(shape[0], None if None in band else max(band), _KERNEL_TILE)
+                half[spans[0][1]:spans[-1][0]] = 0
+                if len(unit) == 1:
+                    made = ((r, np.multiply(f[r:r + len(k)], k, out=rows[:len(k)]))
+                            for r, k in kernel(s, measure[s], block[shape], spans))
+                else:
+                    # K_s + i K_{s+1}, made in the real and imaginary parts of the product block
+                    made = ((r, np.multiply(f[r:r + len(k)], rows[:len(k)], out=rows[:len(k)]))
+                            for (r, k), _ in zip(kernel(s, measure[s], rows.real, spans),
+                                                 kernel(s + 1, measure[s + 1], rows.imag, spans)))
+                for r, part in made:
                     ifft(part, axis=1, out=part)
-                    half[r:r + len(k)] = part[:, :grid.ny]
+                    half[r:r + len(part)] = part[:, :grid.ny]
                 return ifft(half, axis=0, out=half)[:grid.nx]
 
-            def one_scale(s: int):
-                with field_spectra(s) as spectra:
-                    return reduced(s, (plane(s, f, half_planes[max(0, k - len(pairs))][shapes[s]])
-                                       for k, f in enumerate(spectra)))
+            def planes(s: int, spectra: list, last):
+                # each input's plane at scale s, the leftover real field's, if any, in last
+                for k, f in enumerate(spectra[:len(spectra) - len(lone)]):
+                    yield plane((s,), f, half_planes[max(0, k - len(pairs))][shapes[s]])
+                yield from last
 
-            return one_scale
+            def one_unit(u: int) -> list:
+                unit = units[u]
+                with contextlib.ExitStack() as held:
+                    spectra = [held.enter_context(field_spectra(s)) for s in unit][0]
+                    parts = [()] * len(unit)
+                    if lone:
+                        z = plane(unit, spectra[-1], half_planes[-1][shapes[unit[0]]])
+                        parts = [(z.real,), (z.imag,)]
+                    return [reduced(s, planes(s, spectra, last)) for s, last in zip(unit, parts)]
+
+            return one_unit
 
     else:
         mask = grid.trapezoid_mask()
         masked = [v * mask for v in inputs()]
 
-        def one_scale(s: int):
-            kernel = _lag_kernel(w, mu[s], grid)
-            return reduced(s, (_correlate_direct(v, kernel) * measure[s] for v in masked))
+        def one_unit(u: int) -> list:
+            kernel = _lag_kernel(w, mu[u], grid)
+            return [reduced(u, (_correlate_direct(v, kernel) * measure[u] for v in masked))]
 
         def worker():
-            return one_scale
+            return one_unit
 
-    return _map_scales(worker, len(mu))
+    return [value for values in _map_scales(worker, len(units)) for value in values]
 
 
 def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
@@ -597,7 +698,11 @@ def forward_fast(g: Field, w: MotherWavelet, scales: ScaleGrid) -> CCWTCoefficie
     (:func:`_support_radius`), where each term of the kernel is below
     2^-60 of its peak; each scale is padded only to that reach, and the
     two engines agree to rounding.  The kernel's spectrum is built from
-    1D Hermite-function spectra, never sampled on the lag grid.
+    1D Hermite-function spectra, never sampled on the lag grid, and drops
+    its frequencies past t*/mu, where each term's spectrum is below 2^-60
+    of its peak in turn.  A real field's planes are exactly real: its
+    scales share inverse FFTs two at a time, as the real and imaginary
+    parts of one.
     """
     return _forward_engine(g, w, scales, fast=True)
 
@@ -673,9 +778,12 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     shape (:func:`_padded_shapes`): when a run of equal shapes starts,
     the sum of the runs before it is transformed back, cropped and
     padded to the new shape, and one inverse FFT of the last sum gives
-    the field.  The sums and each worker's spectrum and kernel block sit
-    on buffers for the largest shape, so the call holds exactly workers
-    + 1 spectra and no plane beside them.
+    the field.  A banded scale (:func:`_kernel_spectrum`) is transformed
+    along x only on its band's columns, and multiplied and added only on
+    its band's rows; the rest of its part is left unread.  The sums and
+    each worker's spectrum and kernel block sit on buffers for the largest
+    shape, so the call holds exactly workers + 1 spectra and no plane
+    beside them.
     """
     if not np.isfinite(c_prime) or c_prime <= 0:
         raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
@@ -688,7 +796,10 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     shared = out_grid.same_layout(kgrid)
     if shared:
         shapes = _padded_shapes(kgrid, len(m), mu)
-        kernel = _kernel_spectrum(m, mu, kgrid, shapes)
+        kernel, bands = _kernel_spectrum(m, mu, kgrid, shapes)
+        # the rows of each scale's band, in the forward's spans, and the columns of it
+        rows = [_band_spans(shape[0], jx, _KERNEL_TILE) for shape, (jx, _) in zip(shapes, bands)]
+        columns = [_band_spans(shape[1], jy) for shape, (_, jy) in zip(shapes, bands)]
         runs = {shape: shape for shape in shapes}
         blocks = {shape: _row_block(shape) for shape in runs}
         sums = _one_buffer(runs, complex)  # every run's sum, on one buffer
@@ -697,8 +808,9 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
             spectrum, block = _one_buffer(runs, complex), _one_buffer(blocks)
 
             def one_scale(s: int) -> np.ndarray:
-                f = _padded_fft2(plane(s), mask, spectrum[shapes[s]])
-                for r, k in kernel(s, weights[s], block[shapes[s]]):
+                # K is zero outside its band's box: only the box is made, multiplied and added
+                f = _padded_fft2(plane(s), mask, spectrum[shapes[s]], columns[s])
+                for r, k in kernel(s, weights[s], block[shapes[s]], rows[s]):
                     f[r:r + len(k)] *= k
                 return f
 
@@ -719,16 +831,20 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         nonlocal total
         if not shared:
             total = np.add(total, part, out=total) if s else part.copy()
-        elif s and part.shape == total.shape:
-            np.add(total, part, out=total)
-        elif s:
+            return
+        spans = rows[s]
+        if not s:
+            total = sums[part.shape]
+            total[spans[0][1]:spans[-1][0]] = 0
+            for lo, hi in spans:
+                total[lo:hi] = part[lo:hi]
+            return
+        if part.shape != total.shape:
             # a run starts: the runs before it, back on the grid, go into its sum
             carried = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
-            total = np.add(_padded_fft2(carried, 1.0, sums[part.shape]), part,
-                           out=sums[part.shape])
-        else:
-            total = sums[part.shape]
-            total[...] = part
+            total = _padded_fft2(carried, 1.0, sums[part.shape])
+        for lo, hi in spans:
+            np.add(total[lo:hi], part[lo:hi], out=total[lo:hi])
 
     _map_scales(worker, len(mu), add)
     if shared:

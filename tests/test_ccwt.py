@@ -452,6 +452,18 @@ def test_worker_count_env(monkeypatch):
             worker_count(4)
 
 
+@pytest.mark.skipif(not hasattr(ccwt.os, "sched_getaffinity"), reason="no CPU affinity mask")
+def test_worker_count_follows_the_cpu_affinity_mask(monkeypatch):
+    # under taskset -c 0 the process may run on one CPU, whatever os.cpu_count() says
+    monkeypatch.delenv("ENTWAVE_THREADS", raising=False)
+    monkeypatch.setattr(ccwt.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(ccwt.os, "cpu_count", lambda: 8)
+    assert worker_count(64) == 1
+    monkeypatch.setattr(ccwt.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert worker_count(64) == 3
+    assert worker_count(2) == 2
+
+
 def copied(s, planes):
     """A reduce that keeps the planes: a complex one is a view of its task's scratch."""
     return [plane.copy() for plane in planes]
@@ -618,26 +630,51 @@ def test_fast_engine_makes_a_y_table_unless_the_axes_match(grid, monkeypatch):
 
 
 def whole_kernel_spectrum(m, mu, grid, shapes):
-    """The kernel as it was applied before row blocks: one whole (px, py) product per scale."""
-    def blocks(s, c, block):
-        px, py = shapes[s]
-        u = _axis_spectra(len(m), grid.nx, grid.dx / mu[s], px)
-        v = _axis_spectra(len(m), grid.ny, grid.dy / mu[s], py)
-        return [(0, u.T @ (m * c) @ v)]
+    """The kernel as it was applied before row blocks: one whole (px, py) product per scale.
 
-    return blocks
+    Its tables are zeroed past the bands that ``ccwt._kernel_spectrum`` gives, and each
+    product is made over every row, whatever the spans asked for, in the block given:
+    a scale pair's two kernels go into the real and imaginary parts of its product.
+    """
+    _, bands = whole_kernel_spectrum.original(m, mu, grid, shapes)
+
+    def table(n, step, p, band):
+        t = _axis_spectra(len(m), n, step, p)
+        if band is not None:
+            t[:, band + 1:p - band] = 0
+        return t
+
+    def blocks(s, c, block, spans):
+        (px, py), (jx, jy) = shapes[s], bands[s]
+        u = table(grid.nx, grid.dx / mu[s], px, jx)
+        v = table(grid.ny, grid.dy / mu[s], py, jy)
+        return [(0, np.matmul(u.T @ (m * c), v, out=block[:px]))]
+
+    return blocks, bands
 
 
 @pytest.mark.parametrize("w", [emhw(), random_admissible_lg(32, seed=3)], ids=["emhw", "lg32"])
 def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
     # 24-row blocks take the 75 padded rows in three whole blocks and a ragged
-    # one of 3 rows, for the kernel and for the forward's product alike
+    # one of 3 rows, for the kernel and for the forward's product alike; a banded
+    # scale takes its rows in two spans, the upper one from a whole tile
     grid = ComplexPlaneGrid(38, 29, -6.0, -5.0, 12.0 / 37, 10.5 / 28)
-    scales = ScaleGrid.log_spaced(7, 0.5, 4.0)
-    assert _padded_shapes(grid, len(separable_coeffs(w)), scales.mu_values)[-1] == (75, 60)
+    scales = ScaleGrid.log_spaced(8, 0.5, 4.0)
+    m = separable_coeffs(w)
+    shapes = _padded_shapes(grid, len(m), scales.mu_values)
+    assert shapes[-1] == (75, 60)
+    _, bands = ccwt._kernel_spectrum(m, scales.mu_values, grid, shapes)
+    # the EMHW's scale 3 is banded along x: rows 0-30 and 40-74
+    banded = [s for s, (jx, _) in enumerate(bands) if jx is not None]
+    assert banded == ([3] if len(m) == 2 else [])
+    if banded:
+        assert shapes[3] == (75, 60)
+        assert ccwt._band_spans(75, bands[3][0], ccwt._KERNEL_TILE) == [(0, 31), (40, 75)]
     g = Field(grid, windowed_noise(grid, seed=1))
-    # a real pair then a lone complex field: the pair's half plane serves the field next
+    # a real pair, a lone complex field and a leftover real field: the pair's half
+    # plane serves the complex field next, and the real field's scales go in pairs
     fields = [Field(grid, windowed_noise(grid, seed).real) for seed in (2, 3)] + [g]
+    fields.append(Field(grid, windowed_noise(grid, seed=4).real))
     cube = np.stack([windowed_noise(grid, seed=10 + s) for s in range(len(scales))])
     coeffs = CCWTCoefficients(scales, grid, cube)
 
@@ -649,6 +686,7 @@ def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
     monkeypatch.setattr(ccwt, "_BLOCK", 24 * 60)
     blocked = transforms()
     # the reference: the whole product, transformed along y, then along x on ny columns
+    whole_kernel_spectrum.original = ccwt._kernel_spectrum
     monkeypatch.setattr(ccwt, "_kernel_spectrum", whole_kernel_spectrum)
     monkeypatch.setattr(ccwt, "_BLOCK", 80 * 60)  # 80 rows, whole tiles, hold all 75
     for got, expected in zip(blocked, transforms()):
@@ -1184,3 +1222,74 @@ def test_run_values_are_never_overwritten_while_in_use(monkeypatch):
             assert set(made) == set(shapes)
     finally:
         sys.setswitchinterval(interval)
+
+
+# Kernel bands and scale pairs: the FFT engine transforms no spectrum it knows is zero
+
+
+def _scale_kinds(grid, terms, mu):
+    """{'banded', 'unbanded', 'cut'}: how each scale's kernel sits on the x axis."""
+    shapes = _padded_shapes(grid, terms, mu)
+    t = ccwt._support_radius(terms)
+    kinds = set()
+    for m, (px, _) in zip(mu, shapes):
+        if t * m / grid.dx >= min(grid.nx, px - grid.nx + 1) - 1:
+            kinds.add("cut")
+        elif 2 * math.floor(t * px * grid.dx / (2 * np.pi * m)) + 1 >= px:
+            kinds.add("unbanded")
+        else:
+            kinds.add("banded")
+    return kinds
+
+
+@settings(max_examples=12, deadline=None)
+@example(nx=48, ny=40, square=False, hx=6.0, hy=5.0, w=emhw(), lo=0.9, over=1.3, count=40, seed=7)
+@given(nx=st.integers(40, 56), ny=st.integers(40, 56), square=st.booleans(),
+       hx=st.floats(4.0, 8.0), hy=st.floats(4.0, 8.0),
+       w=st.one_of(st.just(emhw()),
+                   st.builds(random_admissible_lg, st.integers(2, 8), st.integers(0, 2**16))),
+       lo=st.floats(0.8, 1.25), over=st.floats(1.0, 1.5), count=st.integers(24, 48),
+       seed=st.integers(0, 2**32 - 1))
+def test_banded_and_paired_scales_match_the_references(nx, ny, square, hx, hy, w, lo, over,
+                                                       count, seed):
+    # scales from about the grid step to past its width: banded, unbanded and grid-cut
+    # kernels in one call, for a complex field and a lone real field together
+    if square:
+        ny, hy = nx, hx
+    grid = ComplexPlaneGrid(nx, ny, -hx, -hy, 2 * hx / (nx - 1), 2 * hy / (ny - 1))
+    width = max((nx - 1) * grid.dx, (ny - 1) * grid.dy)
+    scales = ScaleGrid.log_spaced(count, lo * min(grid.dx, grid.dy), over * width)
+    mu = scales.mu_values
+    assume(_scale_kinds(grid, len(separable_coeffs(w)), mu) == {"banded", "unbanded", "cut"})
+    values = windowed_noise(grid, seed)
+    g, real = Field(grid, values), Field(grid, values.real)
+    results = {}
+    for threads in ("1", "2", "4"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("ENTWAVE_THREADS", threads)
+            planes = np.array(_forward_planes([g, real], w, scales, True, copied))
+            coeffs = CCWTCoefficients(scales, grid, planes[:, 0])
+            results[threads] = planes, inverse(coeffs, w, 1.0).values
+    for threads in ("2", "4"):
+        for got, expected in zip(results[threads], results["1"]):
+            assert np.array_equal(got, expected)
+    planes, rec = results["1"]
+    # a lone real field's planes are exactly real, and its two scales of a pair
+    # agree with the planes it has when packed with another real field
+    lone = _forward_planes([real], w, scales, True, copied)
+    assert all(plane.dtype == float for (plane,) in lone)
+    assert np.array_equal(planes[:, 1], np.array([plane for (plane,) in lone]))
+    packed = np.array([p[0] for p in _forward_planes([real, Field(grid, values.imag)], w, scales,
+                                                     True, copied)])
+    assert np.abs(planes[:, 1] - packed).max() <= 1e-15 * np.abs(packed).max()
+    for k, field in enumerate((g, real)):
+        direct = forward(field, w, scales).values
+        assert np.abs(planes[:, k] - direct).max() <= 1e-12 * np.abs(direct).max()
+    # the shared-grid inverse against the literal truncated sum, at a few nodes
+    mask = grid.trapezoid_mask() * grid.cell_area() / np.pi
+    weights = scale_weights(scales, 4)
+    nodes = grid.nodes()
+    for i, j in [(0, 0), (nx // 2, ny // 2), (nx - 2, 1)]:
+        total = sum(weights[s] * np.sum(mask * planes[s, 0] * eval_wavelet(w, (nodes[i, j] - nodes) / m))
+                    for s, m in enumerate(mu))
+        assert abs(rec[i, j] - total) <= 1e-12 * np.abs(rec).max()

@@ -844,17 +844,17 @@ def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeyp
         return table
 
     def held_kernel_spectrum(*args):
-        blocks = kernel_spectrum(*args)
+        blocks, bands = kernel_spectrum(*args)
 
-        def held(s, c, block):
+        def held(s, c, block, spans):
             if s == 3:
                 started.wait(30)
             elif s == 4:
                 started.set()
                 raised.wait(30)
-            return blocks(s, c, block)
+            return blocks(s, c, block, spans)
 
-        return held
+        return held, bands
 
     @contextlib.contextmanager
     def watched_plane_writer(*args):

@@ -231,13 +231,13 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
 
     def kernel_spectrum(*args):
         tables.append(threading.get_ident())
-        kernel = kernel_spectrum.original(*args)
+        kernel, bands = kernel_spectrum.original(*args)
 
-        def one_scale(s, c, block):
+        def one_scale(s, c, block, spans):
             threads.add(threading.get_ident())
-            return kernel(s, c, block)
+            return kernel(s, c, block, spans)
 
-        return one_scale
+        return one_scale, bands
 
     def padded_fft2(*args):
         ffts.append(args[0].shape)
