@@ -9,6 +9,17 @@ and no sign for m > n):
 
     <eta|m,n> = exp(-t/2) (-1)^d eta^d l_m^(d)(t),   l_k^(d) = sqrt(k!/(k+d)!) L_k^(d).
 
+Each is also a finite sum over one oscillator shell in the orthonormal Hermite
+functions of x = Re eta and y = Im eta (Wunsche, J. Phys. A 31, 8267 (1998)),
+
+    <eta|m,n> = sum_{a+b=m+n} T[a, m] h_a(x) h_b(y),
+
+with T the shell's Kravchuk (Wigner d(pi/2)) matrix times (-i)^b sqrt(pi).  So a
+state is G with g(x + iy) = sum_ab G_ab h_a(x) h_b(y), and a grid samples it
+separably: a state of highest shell N costs N + 1 passes over the plane.  A lone
+number state keeps the Laguerre form, which stays accurate relative to its
+value where it vanishes as |eta|^|d| at the origin.
+
 The conjugate-basis overlap is the pure phase
 <xi|eta> = (1/2) exp[(conj(xi) eta - xi conj(eta)) / 2].  The eigenkets
 themselves are non-normalizable and are never materialized; every
@@ -17,6 +28,7 @@ operation here consumes overlaps only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +36,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import ComplexPlaneGrid, Field, _require_finite, integrate
-from .specfun import HERMITE_ORDER_CAP, _check_order, separable_correlate
+from .specfun import HERMITE_ORDER_CAP, _check_order, hermite_functions, separable_correlate
 from .wavelets import separable_coeffs
 
 _SERIES_ORDER_CAP = 60
@@ -34,44 +46,106 @@ _K, _D = np.indices((HERMITE_ORDER_CAP + 1,) * 2)
 _DOWN, _UP = np.sqrt(_K * (_K + _D)), 1.0 / np.sqrt((_K + 1) * (_K + 1 + _D))
 _INV_ROOT_FACT = np.array([1 / math.sqrt(math.factorial(d)) for d in range(HERMITE_ORDER_CAP + 1)])
 
-#: Points per block of :func:`_fock_series`; bounds its (order, points) scratch.  For
-#: a coherent state with |z| <= 0.5 (order 14-17) on a 256^2 grid the call peaks at
-#: 6 MB, its input copy and output included (18 MB with blocks of 1 << 16).
-_BLOCK_POINTS = 1 << 14
+#: Points per block of :func:`_state_points`; bounds its (shell, points) scratch.  At
+#: the order cap (shells to 120) a block holds about 16 MB of Hermite functions and sums.
+_BLOCK_POINTS = 1 << 11
 
 
-def _fock_series(coeffs, eta) -> np.ndarray:
-    """g(eta) = sum_{mn} c_{mn} <eta|m,n>, by Horner over diagonals: no plane per basis state."""
-    c = np.asarray(coeffs, dtype=complex)
-    rows, cols = np.nonzero(c)
-    _check_order(0, int(np.max(rows + cols, initial=0)))
-    c = c[: np.max(rows, initial=-1) + 1, : np.max(cols, initial=-1) + 1]
+@functools.cache
+def _shell_map(shell: int) -> np.ndarray:
+    """T[a, m], with <eta|m, N-m> = sum_a T[a, m] h_a(x) h_(N-a)(y) for N = ``shell``.
+
+    From the generating functions of H_{m,n} and of h_a, T[a, m] = (-i)^(N-a) R[a, m] with
+
+        R[a, m] = sqrt(pi) sqrt(C(N, a) / (2^N C(N, m))) K[a, m],
+
+    K[a, m] the coefficient of s^m t^(N-m) in (s - t)^a (s + t)^(N-a), a Kravchuk
+    polynomial (R / sqrt(pi) is the Wigner d^(N/2)(pi/2) matrix, so R^T R = pi).  K is
+    exact integers, row by row from (s + t) P_(a+1) = (s - t) P_a, so each entry is
+    rounded once and a zero one is exactly 0; the alternating binomial sum for K
+    cancels ~17 digits at N = 120.  Each entry is real or imaginary, never both.
+    Read-only: it is shared.
+    """
+    rows = [[math.comb(shell, j) for j in range(shell + 1)]]
+    for _ in range(shell):
+        nxt, q, p_prev = [], 0, 0
+        for p in rows[-1]:  # the coefficient of s^j t^(N+1-j): q_(j-1) + q_j = p_(j-1) - p_j
+            q = p_prev - p - q
+            p_prev = p
+            nxt.append(q)
+        rows.append(nxt)
+    binom = np.array([float(math.comb(shell, j)) for j in range(shell + 1)])
+    r = np.array(rows, dtype=float) * np.sqrt(binom[:, None] / (binom * 2.0**shell))
+    # (-i)^b for b = N - a: exact, as a product with it only swaps and negates parts
+    t = np.array([1, -1j, -1, 1j])[(shell - np.arange(shell + 1)) % 4, None] * r
+    t *= math.sqrt(math.pi)
+    t.flags.writeable = False
+    return t
+
+
+def _cartesian_sum(g, hx, hy, *, outer: bool) -> np.ndarray:
+    """sum_ab g[a, b] h_a(x) h_b(y) over b, then over a, from hx[a] = h_a(x) and hy[b] = h_b(y).
+
+    On the grid x (+) y with ``outer``, else at the points x + iy.  Elementwise, so a
+    point gets the same bits either way.  The real and imaginary parts of g are
+    contracted apart, and a real g gives an exactly real sum without the second.
+    """
+    n = len(g)
+    parts = np.stack([g.real, g.imag], axis=-1) if g.imag.any() else g.real[..., None]
+    v = np.einsum("ak,y->aky", parts[:, 0], hy[0])  # v[a, k] = sum_b parts[a, b, k] h_b(y)
+    tmp = np.empty_like(v)
+    for b in range(1, n):  # g[a, b] = 0 for a + b >= n
+        v[:n - b] += np.einsum("ak,y->aky", parts[:n - b, b], hy[b], out=tmp[:n - b])
+    v = np.ascontiguousarray(v.swapaxes(1, 2))
+    # held as [x, y, k], the complex layout, so that each product row is len(y) * k long
+    spec = "yk,x->xyk" if outer else "yk,y->yk"
+    total = np.einsum(spec, v[0], hx[0])
+    tmp = np.empty_like(total)
+    for a in range(1, n):
+        total += np.einsum(spec, v[a], hx[a], out=tmp)
+    return total.view(complex)[..., 0] if parts.shape[-1] > 1 else total[..., 0].astype(complex)
+
+
+@functools.lru_cache(maxsize=16)
+def _axis_functions(grid: ComplexPlaneGrid, count: int) -> tuple:
+    """h_a on the grid's x and y axes for a < count, read-only: states on one grid share them."""
+    hx = hermite_functions(grid.x, count)
+    hy = hx if np.array_equal(grid.x, grid.y) else hermite_functions(grid.y, count)
+    hx.flags.writeable = hy.flags.writeable = False
+    return hx, hy
+
+
+def _radial(m: int, n: int, c: complex, x: np.ndarray) -> np.ndarray:
+    """c <eta|m,n> at the points ``x``, as c (-1)^d l_m^(d)(t) exp(-t/2) times eta^d, d = n - m.
+
+    (conj(eta)^d and no sign for m > n.)  The factor eta^d keeps the value accurate
+    relative to itself near eta = 0, where the Cartesian sum is accurate only to
+    its terms' size.
+    """
+    _check_order(m, n)
+    t = x.real**2 + x.imag**2
+    k, d = min(m, n), abs(n - m)
+    radial = _laguerre_rows(t, np.exp(-0.5 * t), d, np.empty((k + 1, x.size)))[k]
+    out, z = (c * (-1.0) ** d * radial, x) if n > m else (c * radial, x.conj())
+    for _ in range(d):
+        out *= z
+    return out
+
+
+def _state_points(state: "TwoModeFockState", eta):
+    """g(eta) at each point of ``eta``, a block of points at a time, as eta_field samples it."""
+    lone = state._lone()
+    g = None if lone else state.cartesian()
     x = np.ravel(eta).astype(complex)
-    m, n = np.indices(c.shape)
-    upper = np.triu(c) * (-1.0) ** (m + n)
-    lower = np.tril(c, -1).T
     out = np.empty_like(x)
     for lo in range(0, x.size, _BLOCK_POINTS):
         block = x[lo:lo + _BLOCK_POINTS]
-        out[lo:lo + _BLOCK_POINTS] = (_diagonal_horner(upper, block)
-                                      + _diagonal_horner(lower, block.conj()))
+        if lone:
+            out[lo:lo + _BLOCK_POINTS] = _radial(*lone, block)
+        else:
+            h = hermite_functions(block.real, len(g)), hermite_functions(block.imag, len(g))
+            out[lo:lo + _BLOCK_POINTS] = _cartesian_sum(g, *h, outer=False)
     return out.reshape(np.shape(eta))[()]
-
-
-def _diagonal_horner(a, x):
-    """sum_{k, d>=0} a[k, k+d] exp(-t/2) x^d l_k^(d)(t), t = |x|^2, by Horner in x."""
-    t = x.real**2 + x.imag**2
-    gauss = np.exp(-0.5 * t)
-    acc = np.zeros_like(x)
-    ell = np.empty((min(a.shape), t.size))
-    for d in range(a.shape[1] - 1, -1, -1):
-        acc *= x
-        s = np.trim_zeros(np.diagonal(a, d), "b")
-        if not s.size:
-            continue
-        re, im = np.stack([s.real, s.imag]) @ _laguerre_rows(t, gauss, d, ell[: s.size])
-        acc += re + 1j * im
-    return acc
 
 
 def _laguerre_rows(t, gauss, d, out):
@@ -112,12 +186,12 @@ def _basis_table(eta, cutoff: int) -> np.ndarray:
 
 def number_state_eta(m: int, n: int, eta):
     """Plane representation <eta|m,n> of a two-mode number state."""
-    return _fock_series(TwoModeFockState.number(m, n).coeffs, eta)
+    return _state_points(TwoModeFockState.number(m, n), eta)
 
 
 def coherent_state_eta(z1: complex, z2: complex, eta, *, tol: float = 1e-10):
     """Plane representation <eta|z1,z2>, its series truncated below ``tol``."""
-    return _fock_series(TwoModeFockState.coherent(z1, z2, tol=tol).coeffs, eta)
+    return _state_points(TwoModeFockState.coherent(z1, z2, tol=tol), eta)
 
 
 def _coherent_order(a1: float, a2: float, tol: float) -> int:
@@ -246,9 +320,45 @@ class TwoModeFockState:
                                    f"tolerance {tol:.1e}")
         return state
 
+    def cartesian(self) -> np.ndarray:
+        """G with g(x + iy) = sum_ab G_ab h_a(x) h_b(y), h_a the orthonormal Hermite functions.
+
+        G_ab = sum_m T[a, m] c_(m, N-m) on each occupied shell a + b = N
+        (:func:`_shell_map`) and 0 off them, so sum |G|^2 = pi sum |c|^2.  Its side is
+        one more than the highest occupied shell, which must be at most the order cap.
+        Real coefficients on the diagonal m = n alone give an exactly real G.
+        """
+        rows, cols = np.nonzero(self.coeffs)
+        shells = rows + cols
+        top = int(np.max(shells, initial=0))
+        _check_order(0, top)
+        g = np.zeros((top + 1, top + 1), dtype=complex)
+        flat, flipped = g.reshape(-1), self.coeffs[:, ::-1]
+        for shell in sorted(set(shells.tolist())):
+            lo = max(0, shell - self.cutoff)
+            c = flipped.diagonal(self.cutoff - shell)  # c_(m, N-m) for m = lo, lo + 1, ...
+            # G[a, N-a] for a = 0..N sits at a * top + N in the flattened square
+            np.matmul(_shell_map(shell)[:, lo:lo + c.size], c,
+                      out=flat[shell:shell * (top + 1) + 1:max(top, 1)])
+        return g
+
+    def _lone(self):
+        """(m, n, c_mn) if c_mn is the one non-zero coefficient, else None."""
+        rows, cols = np.nonzero(self.coeffs)
+        if rows.size != 1:
+            return None
+        m, n = int(rows[0]), int(cols[0])
+        return m, n, self.coeffs[m, n]
+
     def eta_field(self, grid: ComplexPlaneGrid) -> Field:
-        """Sample g(eta) = sum_{mn} c_{mn} <eta|m,n> on a grid."""
-        return Field(grid, _fock_series(self.coeffs, grid.nodes()))
+        """Sample g(eta) = sum_{mn} c_{mn} <eta|m,n> on a grid.
+
+        Separably from :meth:`cartesian`, or radially for a lone number state.
+        """
+        if self._lone():
+            return Field(grid, _state_points(self, grid.nodes()))
+        g = self.cartesian()
+        return Field(grid, _cartesian_sum(g, *_axis_functions(grid, len(g)), outer=True))
 
 
 def parse_state_descriptor(text: str) -> TwoModeFockState:

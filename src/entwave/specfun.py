@@ -14,6 +14,7 @@ sum_ab M_ab h_2a(x) h_2b(y) (``wavelets.separable_coeffs`` gives M).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,6 +86,14 @@ def laguerre_series(weights, x):
         if w:
             total += w * cur
     return total[()]
+
+
+@functools.cache
+def gauss_laguerre(n: int) -> tuple:
+    """Nodes and weights of the n-node Gauss-Laguerre rule, read-only: every caller shares them."""
+    nodes, weights = np.polynomial.laguerre.laggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def hermite_functions(x: np.ndarray, count: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .ccwt import forward, forward_fast  # noqa: F401
 from .fock import unit_norm_field
 from .grid import (ComplexPlaneGrid, Field, ScaleGrid, integrate, scale_weights, _atomic_write,
                    _trap_mask_1d)
-from .specfun import axis_hermite, hermite2, laguerre
+from .specfun import axis_hermite, gauss_laguerre, hermite2, laguerre
 from .wavelets import MotherWavelet, c_psi_prime, separable_coeffs
 
 _REL_FLOOR = 1e-12
@@ -52,6 +52,17 @@ class ParsevalReport:
                    (scales.mu_min, scales.mu_max), summary)
 
 
+def _trapezoid_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_ij w_i w_j a_ij b_ij for real planes, w the trapezoid weights (1/2 at either end).
+
+    einsum's own loops make no plane-sized temporary, and no BLAS call, whose
+    threads would compete with the scale workers that run this.
+    """
+    rows = np.einsum("ij,ij->i", a, b)
+    rows -= 0.5 * (a[:, 0] * b[:, 0] + a[:, -1] * b[:, -1])
+    return rows.sum() - 0.5 * (rows[0] + rows[-1])
+
+
 def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
                      engine: str) -> list:
     """Parseval reports for each index pair (i, j) of ``fields``.
@@ -63,10 +74,16 @@ def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
     """
     fast = _is_fft_engine(engine)
     grid = fields[0].grid
-    mask = grid.trapezoid_mask() * (grid.cell_area() / np.pi)
+    measure = grid.cell_area() / np.pi
+    mask = grid.trapezoid_mask() * measure
+
+    def pairing(p: np.ndarray, q: np.ndarray) -> complex:
+        if np.iscomplexobj(p) or np.iscomplexobj(q):  # the bits of a whole-cube reduction
+            return np.sum(mask * p * np.conj(q))
+        return measure * _trapezoid_dot(p, q)
 
     def pairings(s: int, planes: list) -> list:
-        return [np.sum(mask * planes[i] * np.conj(planes[j])) for i, j in pairs]
+        return [pairing(planes[i], planes[j]) for i, j in pairs]
 
     per_scale = np.array(_forward_planes(fields, w, scales, fast, pairings), dtype=complex).T
     weights = scale_weights(scales, 3)
@@ -199,7 +216,7 @@ def oracle_scale_integral_quadrature(x: float, y: float) -> float:
     s = x * x + y * y
     if s <= 0:
         raise ValueError("need x^2 + y^2 > 0")
-    t, weights = np.polynomial.laguerre.laggauss(4)
+    t, weights = gauss_laguerre(4)
     return float(weights @ (t * (1 - t * x * x / s) * (1 - t * y * y / s))) * 4.0 / (s * s)
 
 

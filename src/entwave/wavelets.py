@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BoundaryDecayError, NonAdmissibleError
 from .grid import ComplexPlaneGrid, Field, integrate
-from .specfun import DEFAULT_ORDER_CAP, laguerre_series
+from .specfun import DEFAULT_ORDER_CAP, gauss_laguerre, laguerre_series
 
 #: Tolerance on the closed-form admissibility defect of coefficient wavelets,
 #: relative to the series norm sqrt(sum_n (n! K_n)^2), so rescaling cannot change it.
@@ -222,7 +222,7 @@ def c_psi_prime(w: MotherWavelet) -> float:
     """
     require_admissible(w)
     e = max(0, math.frexp(max(abs(math.factorial(n) * c) for n, c in enumerate(w.coeffs)))[1])
-    u, weights = np.polynomial.laguerre.laggauss(w.order)
+    u, weights = gauss_laguerre(w.order)
     with np.errstate(over="ignore", invalid="ignore"):
         c = 2.0 * float(np.sum(weights * _fourier_series(w.scaled(2.0 ** -e), u) ** 2 / u))
         c = float(np.ldexp(c, 2 * e))

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -22,7 +25,7 @@ from entwave.fock import (
     xi_eta_overlap_fock,
 )
 from entwave.grid import ComplexPlaneGrid, Field, ScaleGrid, integrate, sample
-from entwave.specfun import HERMITE_ORDER_CAP, OrderOverflowError, hermite2
+from entwave.specfun import HERMITE_ORDER_CAP, OrderOverflowError, hermite2, hermite_functions
 from entwave.wavelets import emhw
 
 
@@ -482,3 +485,91 @@ def test_state_field_and_unit_norm():
     unit = unit_norm_field("number:1,1", grid)
     norm = integrate(Field(grid, np.abs(unit.values) ** 2), "d2_over_pi")
     assert norm.real == pytest.approx(1.0, abs=1e-12)
+
+
+def _shell_values(shell, m, eta):
+    """sum_a T[a, m] h_a(x) h_(N-a)(y): the Cartesian form of <eta|m, N-m>."""
+    a = np.arange(shell + 1)
+    hx, hy = hermite_functions(eta.real, shell + 1), hermite_functions(eta.imag, shell + 1)
+    return np.einsum("a,ap,ap->p", fock._shell_map(shell)[:, m], hx, hy[shell - a])
+
+
+def test_shell_map_matches_basis_table():
+    etas = _radial_draws(7, 12, 4.5)
+    table = _basis_table(etas, 40)
+    for m in range(41):
+        for n in range(41 - m):
+            assert np.abs(_shell_values(m + n, m, etas) - table[m, n]).max() <= 1e-14
+    # high shells, where the radial table is the reference at random rows
+    etas = _radial_draws(8, 8, 9.0)
+    table = _basis_table(etas, 60)
+    rng = np.random.default_rng(9)
+    for shell in range(100, 121):
+        rows = np.arange(shell - 60, 61)
+        for m in rng.choice(rows, min(3, rows.size), replace=False):
+            got = _shell_values(shell, m, etas)
+            assert np.abs(got - table[m, shell - m]).max() <= 1e-13
+
+
+def test_shell_map_is_exact_kravchuk():
+    # K[a, m] against the alternating binomial sum, in exact integers; T^H T = pi I
+    for shell in (0, 1, 7, 30, 120):
+        t = fock._shell_map(shell)
+        assert not t.flags.writeable
+        for a in range(0, shell + 1, max(1, shell // 6)):
+            for m in range(0, shell + 1, max(1, shell // 5)):
+                k = sum((-1) ** (a - j) * math.comb(a, j) * math.comb(shell - a, m - j)
+                        for j in range(max(0, m - shell + a), min(a, m) + 1))
+                exact = Fraction(k * k * math.comb(shell, a), math.comb(shell, m) * 2**shell)
+                assert abs(t[a, m]) ** 2 / math.pi == pytest.approx(float(exact), rel=1e-14,
+                                                                   abs=1e-300)
+                assert (t[a, m] == 0) == (k == 0)
+        assert np.abs(t.conj().T @ t - math.pi * np.eye(shell + 1)).max() <= 1e-12
+
+
+def test_shell_maps_are_built_lazily():
+    code = ("import entwave.fock as f; assert f._shell_map.cache_info().currsize == 0; "
+            "f.TwoModeFockState.number(2, 1).cartesian(); "
+            "assert f._shell_map.cache_info().currsize == 1")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.mark.parametrize("cutoff", [0, 3, 12])
+def test_cartesian_norm_and_support(cutoff):
+    state = _random_state(cutoff, 40 + cutoff)
+    g = state.cartesian()
+    assert g.shape == (2 * cutoff + 1,) * 2
+    assert np.sum(np.abs(g) ** 2) == pytest.approx(math.pi, rel=1e-14)
+    # a state on shells 2 and 5 only: G is zero off them
+    c = np.zeros((4, 4), dtype=complex)
+    c[1, 1], c[2, 3], c[3, 2] = 0.6, 0.3j, -0.4
+    g = TwoModeFockState(3, c).cartesian()
+    a, b = np.indices(g.shape)
+    assert g.shape == (6, 6)
+    assert not g[(a + b != 2) & (a + b != 5)].any()
+    assert np.sum(np.abs(g) ** 2) == pytest.approx(math.pi * np.sum(np.abs(c) ** 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("grid", [ComplexPlaneGrid.centered(41, 7.0),
+                                  ComplexPlaneGrid(41, 29, -7.0, -5.5, 0.35, 0.4)],
+                         ids=["square", "rectangular"])
+def test_cartesian_reproduces_the_state_and_the_points(grid):
+    for state in (_random_state(9, 3), TwoModeFockState.coherent(0.8 - 0.3j, 0.4j)):
+        field = state.eta_field(grid).values
+        table = _basis_table(grid.nodes(), state.cutoff)
+        assert np.abs(field - np.einsum("mn,mnp->p", state.coeffs, table.reshape(
+            *table.shape[:2], -1)).reshape(field.shape)).max() <= 1e-14
+        # the point-by-point evaluation is the grid's, bit for bit
+        assert np.array_equal(fock._state_points(state, grid.nodes()), field)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_diagonal_number_fields_are_exactly_real(n):
+    grid = ComplexPlaneGrid.centered(64, 8.0)
+    assert not TwoModeFockState.number(n, n).eta_field(grid).values.imag.any()
+    assert not TwoModeFockState.number(n, n).cartesian().imag.any()
+    # real coefficients on the diagonal give a real G and a real field by the Cartesian sum
+    c = np.diag(np.linspace(1, 2, n + 2)) / 8
+    state = TwoModeFockState(n + 1, c)
+    assert not state.cartesian().imag.any()
+    assert not state.eta_field(grid).values.imag.any()

@@ -8,6 +8,7 @@ import sympy
 from entwave.specfun import (
     HERMITE_ORDER_CAP,
     OrderOverflowError,
+    gauss_laguerre,
     hermite2,
     hermite_functions,
     laguerre,
@@ -125,3 +126,12 @@ def test_hermite_functions_match_scipy():
     x = np.linspace(-14.0, 14.0, 561)
     h = hermite_functions(x, 41)
     assert np.abs((x[1] - x[0]) * h @ h.T - np.eye(41)).max() <= 1e-12
+
+
+def test_gauss_laguerre_is_numpys_rule_cached_read_only():
+    for n in (1, 4, 33):
+        nodes, weights = gauss_laguerre(n)
+        ref_nodes, ref_weights = np.polynomial.laguerre.laggauss(n)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+        assert gauss_laguerre(n)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable

@@ -448,3 +448,24 @@ def test_settings_wavelet_choices():
     assert s.wavelet().coeffs == (0.5, 0.5)
     with pytest.raises(ValueError):
         VerifySettings(wavelet_kind="mexican_hat_1d").wavelet()
+
+
+def test_suite_number_fields_are_exactly_real():
+    # the parseval and constants suites hand these to the forward stream, which packs
+    # two exactly real fields into one complex input
+    grid = VerifySettings().grid()
+    for descriptor in ("number:0,0", "number:1,1"):
+        assert not unit_norm_field(descriptor, grid).values.imag.any()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "real-of-complex"])
+def test_trapezoid_dot_is_the_masked_sum(layout):
+    rng = np.random.default_rng(5)
+    grid = ComplexPlaneGrid(40, 56, -3.0, -4.0, 0.15, 0.15)
+    planes = rng.normal(size=(40, 56)) + 1j * rng.normal(size=(40, 56))
+    p, q = {"contiguous": [planes.real.copy(), planes.imag.copy()],
+            "real-of-complex": [planes.real, planes.imag]}[layout]
+    mask = grid.trapezoid_mask()
+    for a, b in ((p, q), (p, p), (q, p)):
+        expected = np.sum(mask * a * b)
+        assert abs(verify._trapezoid_dot(a, b) - expected) <= 1e-13 * np.sum(mask * abs(a * b))
