@@ -24,10 +24,12 @@ The inverse integrates dmu/mu^4 of per-scale correlations with the
 per-scale products in the Fourier domain and takes one inverse FFT, and
 onto any other grid each scale is the separable contraction
 sum_ab M_ab X_a V Y_b^T over per-axis Hermite matrices.  Both directions
-work one scale plane at a time in ``_map_scales``'s worker loops, one on
-the calling thread and the rest on the process's one pool; each worker
-makes its scratch once per call and reuses it for every scale it takes,
-and no task outlives its call.  One ``_forward_planes`` call serves a
+go one run at a time, one ``_map_scales`` call per run, whose worker
+loops, one on the calling thread and the rest on the process's one pool,
+take the run's scales one plane at a time; each worker makes its scratch
+in the run's shape once and reuses it for every scale it takes, and no
+task outlives its call.  Before each run the forward transforms its
+inputs on the calling thread.  One ``_forward_planes`` call serves a
 list of fields with one table of axis spectra per run and one kernel per
 scale, two real fields sharing one complex transform, and hands each scale's
 planes to the caller's reduction inside the scale's task, which sums
@@ -42,14 +44,12 @@ plane, not a (px, py) product.  An inverse worker multiplies the blocks
 into its one spectrum and adds that to the sum once every earlier scale
 is in it, so the inverse holds exactly workers + 1 spectra; when a run
 of a larger shape starts, the sum so far is carried into it through the
-grid.  A 1D
-transform pair over the real line is included as a baseline, with
+grid.  A 1D transform pair over the real line is included as a baseline, with
 per-scale translation grids sized to the dilated wavelet.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import functools
@@ -124,7 +124,12 @@ def worker_count(n_tasks: int) -> int:
 
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of ``workers`` threads, made on first use and anew after a fork."""
+    """The process's pool of ``workers`` threads, made on first use and anew after a fork.
+
+    :func:`_map_scales` asks for one thread fewer than the whole thread
+    budget, the calling thread being one, however few loops a call runs,
+    so every call shares one pool.
+    """
     return ThreadPoolExecutor(max_workers=workers)
 
 
@@ -176,8 +181,8 @@ def _map_scales(worker, n: int, in_order=None) -> list:
                 turn.notify_all()
 
     workers = worker_count(n)
-    futures = [_pool(workers - 1).submit(contextvars.copy_context().run, loop)
-               for _ in range(workers - 1)]
+    pool = _pool(worker_count(math.inf) - 1) if workers > 1 else None
+    futures = [pool.submit(contextvars.copy_context().run, loop) for _ in range(workers - 1)]
     try:
         loop()
     finally:
@@ -276,12 +281,6 @@ def _row_block(shape: tuple) -> tuple:
     px, py = shape
     rows = max(_KERNEL_TILE, _BLOCK // py // _KERNEL_TILE * _KERNEL_TILE)
     return min(rows, px), py
-
-
-def _one_buffer(shapes: dict, dtype=float) -> dict:
-    """{key: an empty array of shape ``shapes[key]``}, all on one buffer that holds the largest."""
-    flat = np.empty(max(math.prod(shape) for shape in shapes.values()), dtype=dtype)
-    return {key: flat[:math.prod(shape)].reshape(shape) for key, shape in shapes.items()}
 
 
 def _band_spans(p: int, band, tile: int = 1) -> list:
@@ -447,90 +446,6 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return ifft(rows, axis=0, out=rows)[:nx].copy()
 
 
-def _runs_in_turn(shapes: list, make):
-    """``held(s)``: a context that gives ``make(shape, start)`` for scale s's shape.
-
-    ``make`` writes a run's values at ``start`` in buffers that hold the
-    largest shape: the last run fills them, and the others alternate
-    between their front and their back.  A run's values are made outside
-    the lock once every earlier run whose span they overlap is done and
-    no such run is in flight or being made: the first run's at once,
-    before any worker makes its scratch; the next run's by a scale of the
-    run before as it leaves, if the span is free then, or else by the
-    first of its own scales to enter, which waits for it.  So a short
-    run's values are ready before its scales need them, no run's values
-    are overwritten while it has scales to go, and memory stays that of
-    the largest shape.
-    """
-    runs = list(dict.fromkeys(shapes))
-    index = {shape: j for j, shape in enumerate(runs)}
-    size = math.prod(runs[-1])
-    spans = [(size - math.prod(r), size) if j % 2 else (0, math.prod(r))
-             for j, r in enumerate(runs)]
-    clash = [[i for i, (b, e) in enumerate(spans) if i != j and b < spans[j][1] and spans[j][0] < e]
-             for j in range(len(runs))]
-    turn = threading.Condition()
-    made, making = {0: make(runs[0], 0)}, set()
-    in_flight, left = collections.Counter(), collections.Counter(index[shape] for shape in shapes)
-
-    def free(j: int) -> bool:
-        # no run whose span overlaps j's is being made or in flight, and each such run
-        # before j is done; one after j in flight is left by a late scale of an earlier run
-        return j not in making and not any(i in making or in_flight[i] or (i < j and left[i])
-                                           for i in clash[j])
-
-    def claim(j: int) -> None:
-        # under the lock, with run j's span free: what it overwrites is no longer made
-        making.add(j)
-        for i in clash[j]:
-            made.pop(i, None)
-
-    def build(j: int):
-        value = None
-        try:
-            value = make(runs[j], spans[j][0])
-        finally:
-            with turn:
-                making.discard(j)
-                if value is not None:
-                    made[j] = value
-                turn.notify_all()
-        return value
-
-    @contextlib.contextmanager
-    def held(s: int):
-        j = index[shapes[s]]
-        with turn:
-            turn.wait_for(lambda: j in made or free(j))
-            value = made.get(j)
-            if value is None:
-                claim(j)
-            in_flight[j] += 1
-        try:
-            yield build(j) if value is None else value
-        finally:
-            with turn:
-                in_flight[j] -= 1
-                left[j] -= 1
-                ahead = j + 1 < len(runs) and j + 1 not in made and free(j + 1)
-                if ahead:
-                    claim(j + 1)
-                turn.notify_all()
-            if ahead:
-                build(j + 1)
-
-    return held
-
-
-def _scale_pairs(shapes: list) -> list:
-    """The scales in units of two consecutive ones of a run of equal shapes; a run's odd last goes alone."""
-    units = []
-    for _, run in itertools.groupby(range(len(shapes)), key=shapes.__getitem__):
-        run = list(run)
-        units += [tuple(run[i:i + 2]) for i in range(0, len(run), 2)]
-    return units
-
-
 def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce) -> list:
     """The list over scales of ``reduce(s, planes)``, the planes being W(mu_s, .) of ``fields``.
 
@@ -541,16 +456,19 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     packed at half amplitude, an exact scaling, so the packed field passes
     the boundary check whenever both fields do.  Complex fields and a
     leftover real field, such as a lone one, go in alone.  For the FFT
-    engine the inputs are transformed once per padded shape
-    (:func:`_padded_shapes`), when the first scale of its run needs them
-    (:func:`_runs_in_turn`).  The leftover real field's planes are real,
+    engine the inputs are transformed once per run of one padded shape
+    (:func:`_padded_shapes`), into the front of one buffer per input
+    sized for the largest shape, and then one ``_map_scales`` call takes
+    that run; each worker's scratch, made after the run's spectra, has
+    the run's shape.  The leftover real field's planes are real,
     so two consecutive scales of a run share one complex inverse
     transform, W_s + i W_{s+1} = IFFT(F (K_s + i K_{s+1})), and its planes
-    are handed to ``reduce`` as the real and imaginary parts of that one
-    (:func:`_scale_pairs`).  One ``_map_scales`` task per scale, or per
-    such pair of scales, applies the kernels to every input, unpacks the
-    pairs and calls ``reduce`` on each scale's planes, so no plane leaves
-    its task and a caller never holds an (S, nx, ny) cube.  A plane that
+    are handed to ``reduce`` as the real and imaginary parts of that one;
+    a run's odd last scale goes alone.  One ``_map_scales`` task per
+    scale, or per such pair of scales, applies the kernels to every
+    input, unpacks the pairs and calls ``reduce`` on each scale's planes,
+    so no plane leaves its task and a caller never holds an (S, nx, ny)
+    cube.  A plane that
     is not unpacked from a pair is a view of its worker's scratch, valid
     only until ``reduce`` returns.
     """
@@ -586,88 +504,86 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
                 planes[alone[k - len(pairs)]] = plane
         return reduce(s, planes)
 
-    units = [(s,) for s in range(len(mu))]
-    if fast:
-        m = separable_coeffs(w)
-        shapes = _padded_shapes(grid, len(m), mu)
-        kernel, bands = _kernel_spectrum(m, mu, grid, shapes)
-        blocks = {shape: _row_block(shape) for shape in set(shapes)}
-        halves = {shape: (shape[0], grid.ny) for shape in set(shapes)}
-        # one buffer per input for the largest shape, which each run's spectra reuse
-        buffers = [np.empty(math.prod(shapes[-1]), dtype=complex)
-                   for _ in range(len(pairs) + len(alone))]
-        if lone:
-            units = _scale_pairs(shapes)
-
-        def transformed(shape: tuple, start: int) -> list:
-            mask, stop = grid.trapezoid_mask(), start + math.prod(shape)
-            return [_padded_fft2(v, mask, out[start:stop].reshape(shape))
-                    for v, out in zip(inputs(), buffers)]
-
-        field_spectra = _runs_in_turn(shapes, transformed)
-
-        def worker():
-            # A kernel block, a product block over the same rows and a (px, ny) half
-            # plane for each input that goes in alone, each on a buffer for the
-            # largest shape: the pairs share the first complex field's half plane, as
-            # each is unpacked before the next is made, or have one of their own; the
-            # leftover real field's, the last, holds its two scales while they are made.
-            block, product = _one_buffer(blocks), _one_buffer(blocks, complex)
-            shared = max(len(alone) - len(lone), bool(pairs))
-            half_planes = [_one_buffer(halves, complex) for _ in range(shared + len(lone))]
-
-            def plane(unit: tuple, f: np.ndarray, half: np.ndarray) -> np.ndarray:
-                # ifft along y of each row block of the product f * K over the kernel's
-                # band, of which the leading ny columns are kept, then ifft along x of
-                # those columns; the rows past the band are zero
-                s, shape = unit[0], shapes[unit[0]]
-                rows = product[shape]
-                band = [bands[t][0] for t in unit]
-                spans = _band_spans(shape[0], None if None in band else max(band), _KERNEL_TILE)
-                half[spans[0][1]:spans[-1][0]] = 0
-                if len(unit) == 1:
-                    made = ((r, np.multiply(f[r:r + len(k)], k, out=rows[:len(k)]))
-                            for r, k in kernel(s, measure[s], block[shape], spans))
-                else:
-                    # K_s + i K_{s+1}, made in the real and imaginary parts of the product block
-                    made = ((r, np.multiply(f[r:r + len(k)], rows[:len(k)], out=rows[:len(k)]))
-                            for (r, k), _ in zip(kernel(s, measure[s], rows.real, spans),
-                                                 kernel(s + 1, measure[s + 1], rows.imag, spans)))
-                for r, part in made:
-                    ifft(part, axis=1, out=part)
-                    half[r:r + len(part)] = part[:, :grid.ny]
-                return ifft(half, axis=0, out=half)[:grid.nx]
-
-            def planes(s: int, spectra: list, last):
-                # each input's plane at scale s, the leftover real field's, if any, in last
-                for k, f in enumerate(spectra[:len(spectra) - len(lone)]):
-                    yield plane((s,), f, half_planes[max(0, k - len(pairs))][shapes[s]])
-                yield from last
-
-            def one_unit(u: int) -> list:
-                unit = units[u]
-                with contextlib.ExitStack() as held:
-                    spectra = [held.enter_context(field_spectra(s)) for s in unit][0]
-                    parts = [()] * len(unit)
-                    if lone:
-                        z = plane(unit, spectra[-1], half_planes[-1][shapes[unit[0]]])
-                        parts = [(z.real,), (z.imag,)]
-                    return [reduced(s, planes(s, spectra, last)) for s, last in zip(unit, parts)]
-
-            return one_unit
-
-    else:
+    if not fast:
         mask = grid.trapezoid_mask()
         masked = [v * mask for v in inputs()]
 
+        def one_scale(s: int) -> object:
+            kernel = _lag_kernel(w, mu[s], grid)
+            return reduced(s, (_correlate_direct(v, kernel) * measure[s] for v in masked))
+
+        return _map_scales(lambda: one_scale, len(mu))
+
+    m = separable_coeffs(w)
+    shapes = _padded_shapes(grid, len(m), mu)
+    kernel, bands = _kernel_spectrum(m, mu, grid, shapes)
+    # one buffer per input for the largest shape, at whose front each run's spectra go
+    buffers = [np.empty(math.prod(shapes[-1]), dtype=complex)
+               for _ in range(len(pairs) + len(alone))]
+
+    def transformed(shape: tuple) -> list:
+        # the mask is freed before the workers make their scratch
+        mask = grid.trapezoid_mask()
+        return [_padded_fft2(v, mask, out[:math.prod(shape)].reshape(shape))
+                for v, out in zip(inputs(), buffers)]
+
+    def worker(units: list, spectra: list):
+        # A kernel block, a product block over the same rows and a (px, ny) half
+        # plane for each input that goes in alone: the pairs share the first
+        # complex field's half plane, as each is unpacked before the next is made,
+        # or have one of their own; the leftover real field's, the last, holds its
+        # two scales while they are made.
+        px = spectra[0].shape[0]
+        block = np.empty(_row_block(spectra[0].shape))
+        product = np.empty(block.shape, dtype=complex)
+        shared = max(len(alone) - len(lone), bool(pairs))
+        half_planes = [np.empty((px, grid.ny), dtype=complex) for _ in range(shared + len(lone))]
+
+        def plane(unit: tuple, f: np.ndarray, half: np.ndarray) -> np.ndarray:
+            # ifft along y of each row block of the product f * K over the kernel's
+            # band, of which the leading ny columns are kept, then ifft along x of
+            # those columns; the rows past the band are zero
+            s = unit[0]
+            band = [bands[t][0] for t in unit]
+            spans = _band_spans(px, None if None in band else max(band), _KERNEL_TILE)
+            half[spans[0][1]:spans[-1][0]] = 0
+            if len(unit) == 1:
+                made = ((r, np.multiply(f[r:r + len(k)], k, out=product[:len(k)]))
+                        for r, k in kernel(s, measure[s], block, spans))
+            else:
+                # K_s + i K_{s+1}, made in the real and imaginary parts of the product block
+                made = ((r, np.multiply(f[r:r + len(k)], product[:len(k)], out=product[:len(k)]))
+                        for (r, k), _ in zip(kernel(s, measure[s], product.real, spans),
+                                             kernel(s + 1, measure[s + 1], product.imag, spans)))
+            for r, part in made:
+                ifft(part, axis=1, out=part)
+                half[r:r + len(part)] = part[:, :grid.ny]
+            return ifft(half, axis=0, out=half)[:grid.nx]
+
+        def planes(s: int, last):
+            # each input's plane at scale s, the leftover real field's, if any, in last
+            for k, f in enumerate(spectra[:len(spectra) - len(lone)]):
+                yield plane((s,), f, half_planes[max(0, k - len(pairs))])
+            yield from last
+
         def one_unit(u: int) -> list:
-            kernel = _lag_kernel(w, mu[u], grid)
-            return [reduced(u, (_correlate_direct(v, kernel) * measure[u] for v in masked))]
+            unit = units[u]
+            parts = [()] * len(unit)
+            if lone:
+                z = plane(unit, spectra[-1], half_planes[-1])
+                parts = [(z.real,), (z.imag,)]
+            return [reduced(s, planes(s, last)) for s, last in zip(unit, parts)]
 
-        def worker():
-            return one_unit
+        return one_unit
 
-    return [value for values in _map_scales(worker, len(units)) for value in values]
+    values = []
+    step = 2 if lone else 1
+    for shape, run in itertools.groupby(range(len(mu)), key=shapes.__getitem__):
+        run = list(run)
+        units = [tuple(run[i:i + step]) for i in range(0, len(run), step)]
+        scratch = functools.partial(worker, units, transformed(shape))
+        values += itertools.chain.from_iterable(_map_scales(scratch, len(units)))
+    return values
 
 
 def _forward_engine(g: Field, w: MotherWavelet, scales: ScaleGrid,
@@ -775,15 +691,16 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     the plane from a file keeps only the planes in flight in memory.  Each
     scale's part is added to the sum in scale order, scale 0 copied.  On
     the kappa grid's layout a part is a padded spectrum of its scale's
-    shape (:func:`_padded_shapes`): when a run of equal shapes starts,
-    the sum of the runs before it is transformed back, cropped and
-    padded to the new shape, and one inverse FFT of the last sum gives
-    the field.  A banded scale (:func:`_kernel_spectrum`) is transformed
-    along x only on its band's columns, and multiplied and added only on
-    its band's rows; the rest of its part is left unread.  The sums and
-    each worker's spectrum and kernel block sit on buffers for the largest
-    shape, so the call holds exactly workers + 1 spectra and no plane
-    beside them.
+    shape (:func:`_padded_shapes`), and each run of equal shapes is one
+    ``_map_scales`` call: before it, the sum of the runs before is
+    transformed back, cropped and padded to the run's shape, and one
+    inverse FFT of the last sum gives the field.  A banded scale
+    (:func:`_kernel_spectrum`) is transformed along x only on its band's
+    columns, and multiplied and added only on its band's rows; the rest
+    of its part is left unread.  The sum sits at the front of one buffer
+    for the largest shape, and each worker makes its spectrum and kernel
+    block in the run's shape, so the call holds exactly workers + 1
+    spectra and no plane beside them.
     """
     if not np.isfinite(c_prime) or c_prime <= 0:
         raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
@@ -793,28 +710,47 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     weights = scale_weights(scales, 4)
     mask = kgrid.trapezoid_mask()
     m = separable_coeffs(w)
-    shared = out_grid.same_layout(kgrid)
-    if shared:
+    if out_grid.same_layout(kgrid):
         shapes = _padded_shapes(kgrid, len(m), mu)
         kernel, bands = _kernel_spectrum(m, mu, kgrid, shapes)
         # the rows of each scale's band, in the forward's spans, and the columns of it
         rows = [_band_spans(shape[0], jx, _KERNEL_TILE) for shape, (jx, _) in zip(shapes, bands)]
         columns = [_band_spans(shape[1], jy) for shape, (_, jy) in zip(shapes, bands)]
-        runs = {shape: shape for shape in shapes}
-        blocks = {shape: _row_block(shape) for shape in runs}
-        sums = _one_buffer(runs, complex)  # every run's sum, on one buffer
+        flat = np.empty(math.prod(shapes[-1]), dtype=complex)  # each run's sum, at its front
 
-        def worker():
-            spectrum, block = _one_buffer(runs, complex), _one_buffer(blocks)
+        def worker(run: list):
+            shape = shapes[run[0]]
+            spectrum, block = np.empty(shape, dtype=complex), np.empty(_row_block(shape))
 
-            def one_scale(s: int) -> np.ndarray:
+            def one_scale(i: int) -> np.ndarray:
                 # K is zero outside its band's box: only the box is made, multiplied and added
-                f = _padded_fft2(plane(s), mask, spectrum[shapes[s]], columns[s])
-                for r, k in kernel(s, weights[s], block[shapes[s]], rows[s]):
+                s = run[i]
+                f = _padded_fft2(plane(s), mask, spectrum, columns[s])
+                for r, k in kernel(s, weights[s], block, rows[s]):
                     f[r:r + len(k)] *= k
                 return f
 
             return one_scale
+
+        def add(run: list, i: int, part: np.ndarray) -> None:
+            spans = rows[run[i]]
+            if run[i]:
+                for lo, hi in spans:
+                    np.add(total[lo:hi], part[lo:hi], out=total[lo:hi])
+                return
+            total[spans[0][1]:spans[-1][0]] = 0
+            for lo, hi in spans:
+                total[lo:hi] = part[lo:hi]
+
+        total = None
+        for shape, run in itertools.groupby(range(len(mu)), key=shapes.__getitem__):
+            run = list(run)
+            view = flat[:math.prod(shape)].reshape(shape)
+            # the runs before, back on the grid, go into this run's sum
+            total = (_padded_fft2(_cropped_ifft2(total, out_grid.nx, out_grid.ny), 1.0, view)
+                     if run[0] else view)
+            _map_scales(functools.partial(worker, run), len(run), functools.partial(add, run))
+        total = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
 
     else:
         axes = (kgrid.x, kgrid.y), (out_grid.x, out_grid.y)
@@ -822,33 +758,12 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         def one_scale(s: int) -> np.ndarray:
             return separable_correlate(plane(s) * mask, m, mu[s], *axes) * weights[s]
 
-        def worker():
-            return one_scale
-
-    total = None
-
-    def add(s: int, part: np.ndarray) -> None:
-        nonlocal total
-        if not shared:
+        def add(s: int, part: np.ndarray) -> None:
+            nonlocal total
             total = np.add(total, part, out=total) if s else part.copy()
-            return
-        spans = rows[s]
-        if not s:
-            total = sums[part.shape]
-            total[spans[0][1]:spans[-1][0]] = 0
-            for lo, hi in spans:
-                total[lo:hi] = part[lo:hi]
-            return
-        if part.shape != total.shape:
-            # a run starts: the runs before it, back on the grid, go into its sum
-            carried = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
-            total = _padded_fft2(carried, 1.0, sums[part.shape])
-        for lo, hi in spans:
-            np.add(total[lo:hi], part[lo:hi], out=total[lo:hi])
 
-    _map_scales(worker, len(mu), add)
-    if shared:
-        total = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
+        total = None
+        _map_scales(lambda: one_scale, len(mu), add)
     total *= kgrid.cell_area() / (np.pi * c_prime)
     return Field(out_grid, total)
 

@@ -85,13 +85,14 @@ class ComplexPlaneGrid:
         return self.dx * self.dy
 
     def same_layout(self, other: "ComplexPlaneGrid") -> bool:
+        """Same node counts as ``other``, origins within 1e-12 and steps within 1e-12 relative."""
         return (
             self.nx == other.nx
             and self.ny == other.ny
-            and np.isclose(self.x_min, other.x_min, rtol=0, atol=1e-12)
-            and np.isclose(self.y_min, other.y_min, rtol=0, atol=1e-12)
-            and np.isclose(self.dx, other.dx, rtol=1e-12, atol=0)
-            and np.isclose(self.dy, other.dy, rtol=1e-12, atol=0)
+            and abs(self.x_min - other.x_min) <= 1e-12
+            and abs(self.y_min - other.y_min) <= 1e-12
+            and abs(self.dx - other.dx) <= 1e-12 * abs(other.dx)
+            and abs(self.dy - other.dy) <= 1e-12 * abs(other.dy)
         )
 
 

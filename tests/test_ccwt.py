@@ -373,6 +373,37 @@ def test_a_busy_pool_does_not_stall_the_transforms(monkeypatch):
         busy.shutdown()
 
 
+def test_every_call_shares_one_pool_of_the_thread_budget(monkeypatch):
+    # a call with fewer tasks than the budget runs fewer loops, on the same pool:
+    # a 3-scale forward, a 64-scale one and a lone real field whose runs have
+    # fewer scale pairs than the budget make one pool of 7 threads between them
+    monkeypatch.setenv("ENTWAVE_THREADS", "8")
+    grid = ComplexPlaneGrid.centered(256, 8.0)
+    g = smooth_random_field(grid, seed=6)
+    scales = ScaleGrid.log_spaced(64, 0.125, 32.0)
+    shapes = _padded_shapes(grid, 2, scales.mu_values)
+    pairs = [math.ceil(len(list(run)) / 2) for _, run in itertools.groupby(shapes)]
+    assert len(pairs) >= 2 and min(pairs) < 7
+    pools = []
+
+    class SpyPool(ccwt.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(self)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(ccwt, "ThreadPoolExecutor", SpyPool)
+    ccwt._pool.cache_clear()
+    try:
+        forward_fast(g, emhw(), ScaleGrid.log_spaced(3, 0.5, 4.0))
+        forward_fast(g, emhw(), scales)
+        forward_fast(Field(grid, g.values.real), emhw(), scales)
+        assert [pool._max_workers for pool in pools] == [7]
+    finally:
+        ccwt._pool.cache_clear()
+        for pool in pools:
+            pool.shutdown()
+
+
 def test_inverse_holds_one_spectrum_per_worker_and_the_sum(monkeypatch):
     # plane 0 comes late, so later scales finish first: each then waits for its
     # turn in the sum in its worker's one spectrum, and no spectrum is made for it
@@ -1161,9 +1192,18 @@ def test_per_scale_padding_matches_the_references(nx, ny, square, hx, hy, w, lo,
     g = Field(grid, windowed_noise(grid, seed))
     results = {}
     for threads in ("1", "2", "4"):
+        made = []
+
+        def padded_fft2(values, mask, out, *rest):
+            made.append(out.shape)
+            return _padded_fft2(values, mask, out, *rest)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("ENTWAVE_THREADS", threads)
+            mp.setattr(ccwt, "_padded_fft2", padded_fft2)
             coeffs = forward_fast(g, w, scales)
+            # the field's spectrum is made once per run, in run order
+            assert made == sorted(set(shapes))
             results[threads] = coeffs.values, inverse(coeffs, w, 1.0).values
     for threads in ("2", "4"):
         for got, expected in zip(results[threads], results["1"]):
@@ -1182,46 +1222,6 @@ def test_per_scale_padding_matches_the_references(nx, ny, square, hx, hy, w, lo,
         total = sum(weights[s] * np.sum(mask * fast[s] * eval_wavelet(w, (nodes[i, j] - nodes) / m))
                     for s, m in enumerate(mu))
         assert abs(rec[i, j] - total) <= 1e-12 * np.abs(rec).max()
-
-
-def test_run_values_are_never_overwritten_while_in_use(monkeypatch):
-    # five runs on one 100-value buffer: the short runs' spans alternate between its
-    # ends, several of them overlap, and the last run fills it
-    shapes = [(6, 6)] * 3 + [(7, 7)] + [(8, 8)] * 4 + [(9, 9)] * 2 + [(10, 10)] * 5
-    buffer = np.zeros(100)
-    made = []
-
-    def make(shape, start):
-        made.append(shape)
-        view = buffer[start:start + math.prod(shape)]
-        view[:] = shape[0]
-        return view
-
-    def task(held):
-        def one_scale(s):
-            with held(s) as view:
-                assert np.all(view == shapes[s][0])
-                time.sleep(0.002 * (s % 3))
-                assert np.all(view == shapes[s][0])
-            return s
-        return one_scale
-
-    monkeypatch.setenv("ENTWAVE_THREADS", "1")
-    held = ccwt._runs_in_turn(shapes, make)
-    assert _map_scales(lambda: task(held), len(shapes)) == list(range(len(shapes)))
-    assert made == list(dict.fromkeys(shapes))  # each run made once, in turn
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in ("2", "8"):
-            monkeypatch.setenv("ENTWAVE_THREADS", threads)
-            made.clear()
-            held = ccwt._runs_in_turn(shapes, make)
-            assert _within(60, lambda: _map_scales(lambda: task(held), len(shapes))) == \
-                list(range(len(shapes)))
-            assert set(made) == set(shapes)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 # Kernel bands and scale pairs: the FFT engine transforms no spectrum it knows is zero

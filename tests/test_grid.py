@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import stat
@@ -32,6 +33,21 @@ def test_centered_grid_symmetric():
     assert g.x_min == pytest.approx(-(g.nx - 1) * g.dx / 2)
     assert g.x[0] == -8.0
     assert g.x[-1] == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("name", ["x_min", "y_min", "dx", "dy"])
+def test_same_layout_tolerances(name):
+    # origins within 1e-12 absolutely, steps within 1e-12 of the other's step
+    grid = ComplexPlaneGrid(256, 200, -8.0, -6.0, 16 / 255, 12 / 199)
+    value = getattr(grid, name)
+    scale = value if name.startswith("d") else 1.0
+    for offset, same in [(0.0, True), (0.5e-12, True), (-0.5e-12, True), (2e-12, False),
+                         (-2e-12, False)]:
+        other = dataclasses.replace(grid, **{name: value + offset * scale})
+        assert grid.same_layout(other) is same
+        assert other.same_layout(grid) is same
+    assert grid.same_layout(dataclasses.replace(grid, nx=255)) is False
+    assert grid.same_layout(dataclasses.replace(grid, ny=201)) is False
 
 
 def test_grid_validation():
