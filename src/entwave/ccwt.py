@@ -19,6 +19,14 @@ to zero past it, and neither direction transforms, multiplies or adds
 the rows (or, in the inverse, the columns) that are then known to be
 zero.  A lone real field's planes are real, so two scales of one run
 share one complex inverse FFT, W_s + i W_{s+1} = IFFT(F (K_s + i K_{s+1})).
+Where the grid cuts a kernel, its scale can be neither banded nor padded
+short.  At a DFT length P >= n + t* mu / h, though, the kernel is whole
+and its spectrum band-limited, so the widest such scales, those whose
+band at that length is at most a quarter of each axis, take the matrix path:
+a plane is R_x^T (K o (R_x V R_y^T)) R_y, R holding the cosines and sines
+of the band's bins, as real matrix products in row blocks small enough
+that BLAS keeps each one on the calling thread.  They form one more run,
+after the FFT path's, with no padded spectrum.
 The inverse integrates dmu/mu^4 of per-scale correlations with the
 (unconjugated) wavelet; on the coefficients' own grid it sums the
 per-scale products in the Fourier domain and takes one inverse FFT, and
@@ -44,7 +52,9 @@ plane, not a (px, py) product.  An inverse worker multiplies the blocks
 into its one spectrum and adds that to the sum once every earlier scale
 is in it, so the inverse holds exactly workers + 1 spectra; when a run
 of a larger shape starts, the sum so far is carried into it through the
-grid.  A 1D transform pair over the real line is included as a baseline, with
+grid.  The matrix path's parts are added, in scale order, to one
+plane-sized sum on the grid, which joins the spectral sum at the end.
+A 1D transform pair over the real line is included as a baseline, with
 per-scale translation grids sized to the dilated wavelet.
 """
 
@@ -416,6 +426,131 @@ def _padded_shapes(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray) -> list:
     return shapes[::-1]
 
 
+# ---------------------------------------------------------------------------
+# Matrix path: grid-cut scales as matrix DFTs over the kernel's band
+# ---------------------------------------------------------------------------
+
+
+def _band_lengths(n: int, step: float, t: float, mu_lo: float, mu_hi: float) -> tuple:
+    """``(P, J)`` on an axis of n nodes: the shortest DFT length that holds the kernel of
+    mu_hi unwrapped, P >= n + t* mu_hi / step, and the band J of mu_lo at that length.
+
+    Only the band's B = 2J + 1 bins are transformed, by matrix products, so
+    P need not be a fast length.
+    """
+    p = n + math.ceil(t * mu_hi / step)
+    return p, math.floor(t * p * step / (2 * math.pi * mu_lo))
+
+
+def _matrix_start(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray, shapes: list) -> int:
+    """The first scale of the matrix path (:func:`_band_correlate`), len(mu) if none takes it.
+
+    A scale's kernel is cut by the grid on an axis when t* mu / h >=
+    min(n, P - n + 1) - 1 at its padded length P (:func:`_padded_shapes`):
+    the FFT path can then neither band it nor shorten its padding.  Such a
+    scale qualifies when its band at :func:`_band_lengths` is at most a
+    quarter of each axis, 2J + 1 <= n / 4: there a plane costs at most
+    about half of the FFT path's on one thread, and OpenBLAS runs the
+    workers' products one at a time, while their FFTs run side by side
+    (BENCH_36).  The matrix path takes the widest
+    scales, down to the first that does not qualify, so the FFT path's
+    runs stay whole and its scales keep their padded shapes.  The rule
+    depends only on the grid, the term count and the scales.
+    """
+    t = _support_radius(terms)
+    axes = (grid.nx, grid.dx), (grid.ny, grid.dy)
+
+    def qualifies(m: float, shape: tuple) -> bool:
+        cut = any(t * m / h >= min(n, p - n + 1) - 1 for (n, h), p in zip(axes, shape))
+        return cut and all(2 * _band_lengths(n, h, t, m, m)[1] + 1 <= n / 4 for n, h in axes)
+
+    first = len(mu)
+    while first and qualifies(float(mu[first - 1]), shapes[first - 1]):
+        first -= 1
+    return first
+
+
+def _band_operator(m: np.ndarray, grid: ComplexPlaneGrid, mu: np.ndarray, c: np.ndarray) -> tuple:
+    """``(rx_in, rx, ry_in, ry, k)``: the real band DFTs of one or two scales, and their kernel.
+
+    On each axis, P and J are :func:`_band_lengths` of the scales, from the
+    larger one's reach and the smaller one's band.  The kernel's spectrum
+    is real and even in each frequency, so the sum over the bins |j| <= J
+    is one over cosines and sines: R (B x n, B = 2J + 1) holds cos(2 pi j
+    a / P) for j = 0..J and sin(2 pi j a / P) for j = 1..J, each phase
+    reduced mod P in integers and read from a table of the P roots of
+    unity, and the bins j and -j give twice the weight of bin j.  rx_in and
+    ry_in carry the trapezoid weights.
+
+    k, transposed, is the kernel's spectrum over the band, (U^T c M V) /
+    (P_x P_y).  At P >= n + t* mu / h the kernel's samples are whole, so
+    their length-P DFT is, by Poisson's formula, the samples of the
+    continuous transform: each h_2a is its own Fourier transform up to
+    (-1)^a, and at step s = h / mu bin j is sqrt(2 pi) / s (-1)^a
+    h_2a(2 pi j / (P s)), to within 2^-60 of the peak.  So the band's
+    spectra are sampled in closed form, at a cost that does not grow with
+    P.  A second scale goes in as k's imaginary part, as in the FFT path's
+    scale pairs.
+    """
+    t = _support_radius(len(m))
+    sign = (-1.0) ** np.arange(len(m))
+
+    def axis(n: int, step: float) -> tuple:
+        p, band = _band_lengths(n, step, t, mu[0], mu[-1])
+        j = np.r_[0:band + 1, 1:band + 1]
+        roots = np.exp(2j * np.pi / p * np.arange(p))
+        phase = np.multiply.outer(j, np.arange(n)) % p
+        r = np.concatenate([roots.real[phase[:band + 1]], roots.imag[phase[band + 1:]]])
+        s = step / mu
+        freqs = np.multiply.outer(2 * np.pi / (p * s), j)
+        table = hermite_functions(freqs, 2 * len(m) - 1)[::2] * sign[:, None, None]
+        table *= (math.sqrt(2 * np.pi) / s)[:, None] * np.where(j, 2.0, 1.0)
+        return r * _trap_mask_1d(n), r, table.transpose(1, 0, 2), p
+
+    rx_in, rx, u, px = axis(grid.nx, grid.dx)
+    square = (grid.nx, grid.dx) == (grid.ny, grid.dy)
+    ry_in, ry, v, py = (rx_in, rx, u, px) if square else axis(grid.ny, grid.dy)
+    k = [v[i].T @ (m.T * (c[i] / (px * py))) @ u[i] for i in range(len(mu))]
+    return rx_in, rx, ry_in, ry, k[0] if len(k) == 1 else k[0] + 1j * k[1]
+
+
+#: The most multiply-adds in one matrix-path product.  OpenBLAS (0.3.31, 2 CPUs) keeps
+#: a real product of 2^19 on the calling thread and hands one of 2^20 to its own
+#: threads, which serialize concurrent callers and spin after each call; so the scale
+#: workers' products stay on their own threads.
+_GEMM_MACS = 1 << 19
+
+
+def _real_matmul(r: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``r @ z`` for a real r and a complex z: real products on the float views, in row blocks.
+
+    Each block of r's rows holds at most ``_GEMM_MACS`` multiply-adds.
+    """
+    z = np.ascontiguousarray(z, dtype=complex).view(float)
+    if out is None:
+        out = np.empty((r.shape[0], z.shape[1] // 2), dtype=complex)
+    flat = out.view(float)
+    rows = max(1, _GEMM_MACS // z.size)
+    for i in range(0, len(r), rows):
+        np.matmul(r[i:i + rows], z, out=flat[i:i + rows])
+    return out
+
+
+def _band_correlate(op: tuple, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rx^T (k^T o (rx_in V ry_in^T)) ry into ``out``: ``values`` under :func:`_band_operator`.
+
+    With P >= n + t* mu / h on each axis no kept lag wraps onto the n
+    nodes, so this is the zero-padded circular product of the FFT path
+    restricted to the kernel's band: exact up to the same 2^-60 band cut.
+    Each product is taken from the left by a real matrix, so the
+    intermediate B x n arrays are transposed between them.
+    """
+    rx_in, rx, ry_in, ry, k = op
+    f = _real_matmul(ry_in, _real_matmul(rx_in, values).T)
+    f *= k
+    return _real_matmul(rx.T, _real_matmul(ry.T, f).T, out)
+
+
 def _padded_fft2(values: np.ndarray, mask, out: np.ndarray, columns=((0, None),)) -> np.ndarray:
     """fft2 of ``values * mask`` zero-padded to the shape of ``out``, computed in ``out``.
 
@@ -464,7 +599,11 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     so two consecutive scales of a run share one complex inverse
     transform, W_s + i W_{s+1} = IFFT(F (K_s + i K_{s+1})), and its planes
     are handed to ``reduce`` as the real and imaginary parts of that one;
-    a run's odd last scale goes alone.  One ``_map_scales`` task per
+    a run's odd last scale goes alone.  The scales of the matrix path
+    (:func:`_matrix_start`) form the last run, which transforms no input:
+    each unit's band DFTs are made once, in its task, for every input
+    (:func:`_band_operator`), and a scale pair of the leftover real field
+    shares one back-projection.  One ``_map_scales`` task per
     scale, or per such pair of scales, applies the kernels to every
     input, unpacks the pairs and calls ``reduce`` on each scale's planes,
     so no plane leaves its task and a caller never holds an (S, nx, ny)
@@ -516,10 +655,12 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
     m = separable_coeffs(w)
     shapes = _padded_shapes(grid, len(m), mu)
-    kernel, bands = _kernel_spectrum(m, mu, grid, shapes)
-    # one buffer per input for the largest shape, at whose front each run's spectra go
-    buffers = [np.empty(math.prod(shapes[-1]), dtype=complex)
-               for _ in range(len(pairs) + len(alone))]
+    first = _matrix_start(grid, len(m), mu, shapes)
+    kernel, bands = _kernel_spectrum(m, mu[:first], grid, shapes[:first])
+    # one buffer per input for the largest shape of the FFT path, at whose front
+    # each run's spectra go
+    size = math.prod(shapes[first - 1]) if first else 0
+    buffers = [np.empty(size, dtype=complex) for _ in range(len(pairs) + len(alone))]
 
     def transformed(shape: tuple) -> list:
         # the mask is freed before the workers make their scratch
@@ -528,16 +669,26 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
                 for v, out in zip(inputs(), buffers)]
 
     def worker(units: list, spectra: list):
-        # A kernel block, a product block over the same rows and a (px, ny) half
-        # plane for each input that goes in alone: the pairs share the first
-        # complex field's half plane, as each is unpacked before the next is made,
-        # or have one of their own; the leftover real field's, the last, holds its
-        # two scales while they are made.
-        px = spectra[0].shape[0]
-        block = np.empty(_row_block(spectra[0].shape))
-        product = np.empty(block.shape, dtype=complex)
+        # A (px, ny) half plane for each input that goes in alone, (nx, ny) on the
+        # matrix path, where the spectra are the inputs themselves: the pairs share
+        # the first complex field's half plane, as each is unpacked before the next
+        # is made, or have one of their own; the leftover real field's, the last,
+        # holds its two scales while they are made.  The FFT path adds a kernel
+        # block and a product block over the same rows.
+        on_matrix = units[0][0] >= first
+        px = grid.nx if on_matrix else spectra[0].shape[0]
         shared = max(len(alone) - len(lone), bool(pairs))
         half_planes = [np.empty((px, grid.ny), dtype=complex) for _ in range(shared + len(lone))]
+        if on_matrix:
+            def prepare(unit: tuple):
+                return functools.partial(_band_correlate, _band_operator(
+                    m, grid, mu[list(unit)], measure[list(unit)]))
+        else:
+            block = np.empty(_row_block(spectra[0].shape))
+            product = np.empty(block.shape, dtype=complex)
+
+            def prepare(unit: tuple):
+                return functools.partial(plane, unit)
 
         def plane(unit: tuple, f: np.ndarray, half: np.ndarray) -> np.ndarray:
             # ifft along y of each row block of the product f * K over the kernel's
@@ -562,15 +713,16 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
         def planes(s: int, last):
             # each input's plane at scale s, the leftover real field's, if any, in last
+            apply = prepare((s,)) if len(spectra) > len(lone) else None
             for k, f in enumerate(spectra[:len(spectra) - len(lone)]):
-                yield plane((s,), f, half_planes[max(0, k - len(pairs))])
+                yield apply(f, half_planes[max(0, k - len(pairs))])
             yield from last
 
         def one_unit(u: int) -> list:
             unit = units[u]
             parts = [()] * len(unit)
             if lone:
-                z = plane(unit, spectra[-1], half_planes[-1])
+                z = prepare(unit)(spectra[-1], half_planes[-1])
                 parts = [(z.real,), (z.imag,)]
             return [reduced(s, planes(s, last)) for s, last in zip(unit, parts)]
 
@@ -578,11 +730,14 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
     values = []
     step = 2 if lone else 1
-    for shape, run in itertools.groupby(range(len(mu)), key=shapes.__getitem__):
+    # a run is a padded shape's scales, or the matrix path's (None)
+    for shape, run in itertools.groupby(range(len(mu)),
+                                        key=lambda s: shapes[s] if s < first else None):
         run = list(run)
         units = [tuple(run[i:i + step]) for i in range(0, len(run), step)]
-        scratch = functools.partial(worker, units, transformed(shape))
-        values += itertools.chain.from_iterable(_map_scales(scratch, len(units)))
+        spectra = list(inputs()) if shape is None else transformed(shape)
+        values += itertools.chain.from_iterable(
+            _map_scales(functools.partial(worker, units, spectra), len(units)))
     return values
 
 
@@ -616,9 +771,10 @@ def forward_fast(g: Field, w: MotherWavelet, scales: ScaleGrid) -> CCWTCoefficie
     two engines agree to rounding.  The kernel's spectrum is built from
     1D Hermite-function spectra, never sampled on the lag grid, and drops
     its frequencies past t*/mu, where each term's spectrum is below 2^-60
-    of its peak in turn.  A real field's planes are exactly real: its
-    scales share inverse FFTs two at a time, as the real and imaginary
-    parts of one.
+    of its peak in turn.  The widest scales, whose kernels the grid cuts,
+    are matrix DFTs over that band instead (:func:`_matrix_start`).  A
+    real field's planes are exactly real: its scales share inverse
+    transforms two at a time, as the real and imaginary parts of one.
     """
     return _forward_engine(g, w, scales, fast=True)
 
@@ -676,8 +832,10 @@ def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,
              W(mu, kappa) psi((eta - kappa)/mu)
     over the truncated scale range and the translation grid.  On the
     kappa grid's own layout the scale sum is taken in the Fourier domain,
-    so one inverse FFT serves every scale; onto any other grid each scale
-    is a separable contraction (:func:`specfun.separable_correlate`).
+    so one inverse FFT serves every scale but the widest, whose matrix
+    DFTs (:func:`_matrix_start`) are summed on the grid; onto any other
+    grid each scale is a separable contraction
+    (:func:`specfun.separable_correlate`).
     """
     return _inverse_planes(coeffs.values.__getitem__, coeffs.scales, coeffs.kappa_grid,
                            w, c_prime, out_grid)
@@ -698,9 +856,13 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     (:func:`_kernel_spectrum`) is transformed along x only on its band's
     columns, and multiplied and added only on its band's rows; the rest
     of its part is left unread.  The sum sits at the front of one buffer
-    for the largest shape, and each worker makes its spectrum and kernel
-    block in the run's shape, so the call holds exactly workers + 1
-    spectra and no plane beside them.
+    for the FFT path's largest shape, and each worker makes its spectrum
+    and kernel block in the run's shape, so the call holds exactly
+    workers + 1 spectra.  The scales of the matrix path (:func:`_matrix_start`)
+    come last, in one run: each worker back-projects its scale's part
+    into one plane of its own (:func:`_band_correlate`), which is added,
+    in scale order, to one plane-sized sum on the grid; that sum is added
+    to the spectral sum, once it is back on the grid, at the end.
     """
     if not np.isfinite(c_prime) or c_prime <= 0:
         raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
@@ -712,13 +874,24 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     m = separable_coeffs(w)
     if out_grid.same_layout(kgrid):
         shapes = _padded_shapes(kgrid, len(m), mu)
-        kernel, bands = _kernel_spectrum(m, mu, kgrid, shapes)
+        first = _matrix_start(kgrid, len(m), mu, shapes)
+        kernel, bands = _kernel_spectrum(m, mu[:first], kgrid, shapes[:first])
         # the rows of each scale's band, in the forward's spans, and the columns of it
         rows = [_band_spans(shape[0], jx, _KERNEL_TILE) for shape, (jx, _) in zip(shapes, bands)]
         columns = [_band_spans(shape[1], jy) for shape, (_, jy) in zip(shapes, bands)]
-        flat = np.empty(math.prod(shapes[-1]), dtype=complex)  # each run's sum, at its front
+        # each run's sum of the FFT path, at its front
+        flat = np.empty(math.prod(shapes[first - 1]) if first else 0, dtype=complex)
 
         def worker(run: list):
+            if run[0] >= first:
+                part = np.empty((kgrid.nx, kgrid.ny), dtype=complex)
+
+                def back_projected(i: int) -> np.ndarray:
+                    s = run[i]
+                    op = _band_operator(m, kgrid, mu[s:s + 1], weights[s:s + 1])
+                    return _band_correlate(op, plane(s), part)
+
+                return back_projected
             shape = shapes[run[0]]
             spectrum, block = np.empty(shape, dtype=complex), np.empty(_row_block(shape))
 
@@ -733,8 +906,13 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
             return one_scale
 
         def add(run: list, i: int, part: np.ndarray) -> None:
-            spans = rows[run[i]]
-            if run[i]:
+            nonlocal direct
+            s = run[i]
+            if s >= first:
+                direct = np.add(direct, part, out=direct) if s > first else part.copy()
+                return
+            spans = rows[s]
+            if s:
                 for lo, hi in spans:
                     np.add(total[lo:hi], part[lo:hi], out=total[lo:hi])
                 return
@@ -742,15 +920,23 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
             for lo, hi in spans:
                 total[lo:hi] = part[lo:hi]
 
-        total = None
-        for shape, run in itertools.groupby(range(len(mu)), key=shapes.__getitem__):
+        # the spectral sum of the FFT path's runs, and the matrix path's sum on the grid
+        total = direct = None
+        for shape, run in itertools.groupby(range(len(mu)),
+                                            key=lambda s: shapes[s] if s < first else None):
             run = list(run)
-            view = flat[:math.prod(shape)].reshape(shape)
-            # the runs before, back on the grid, go into this run's sum
-            total = (_padded_fft2(_cropped_ifft2(total, out_grid.nx, out_grid.ny), 1.0, view)
-                     if run[0] else view)
+            if shape is not None:
+                view = flat[:math.prod(shape)].reshape(shape)
+                # the runs before, back on the grid, go into this run's sum
+                total = (_padded_fft2(_cropped_ifft2(total, out_grid.nx, out_grid.ny), 1.0, view)
+                         if run[0] else view)
             _map_scales(functools.partial(worker, run), len(run), functools.partial(add, run))
-        total = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
+        if first:
+            total = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
+            if direct is not None:
+                total += direct
+        else:
+            total = direct
 
     else:
         axes = (kgrid.x, kgrid.y), (out_grid.x, out_grid.y)

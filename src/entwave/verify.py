@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +77,18 @@ def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
     grid = fields[0].grid
     measure = grid.cell_area() / np.pi
     mask = grid.trapezoid_mask() * measure
+    scratch = threading.local()
 
     def pairing(p: np.ndarray, q: np.ndarray) -> complex:
-        if np.iscomplexobj(p) or np.iscomplexobj(q):  # the bits of a whole-cube reduction
-            return np.sum(mask * p * np.conj(q))
+        if np.iscomplexobj(p) or np.iscomplexobj(q):
+            # the bits of a whole-cube reduction, sum(mask * p * conj(q)), in two
+            # complex planes that each thread makes once
+            if not hasattr(scratch, "planes"):
+                scratch.planes = np.empty((2, *mask.shape), dtype=complex)
+            a, b = scratch.planes
+            np.multiply(mask, p, out=a)
+            np.conjugate(q, out=b)
+            return np.sum(np.multiply(a, b, out=a))
         return measure * _trapezoid_dot(p, q)
 
     def pairings(s: int, planes: list) -> list:

@@ -1189,6 +1189,8 @@ def test_per_scale_padding_matches_the_references(nx, ny, square, hx, hy, w, lo,
     mu = scales.mu_values
     shapes = _padded_shapes(grid, len(separable_coeffs(w)), mu)
     assume(len(set(shapes)) >= 3)
+    # the matrix path's scales transform no padded spectrum
+    padded = sorted(set(shapes[:ccwt._matrix_start(grid, len(separable_coeffs(w)), mu, shapes)]))
     g = Field(grid, windowed_noise(grid, seed))
     results = {}
     for threads in ("1", "2", "4"):
@@ -1202,8 +1204,8 @@ def test_per_scale_padding_matches_the_references(nx, ny, square, hx, hy, w, lo,
             mp.setenv("ENTWAVE_THREADS", threads)
             mp.setattr(ccwt, "_padded_fft2", padded_fft2)
             coeffs = forward_fast(g, w, scales)
-            # the field's spectrum is made once per run, in run order
-            assert made == sorted(set(shapes))
+            # the field's spectrum is made once per run of the FFT path, in run order
+            assert made == padded
             results[threads] = coeffs.values, inverse(coeffs, w, 1.0).values
     for threads in ("2", "4"):
         for got, expected in zip(results[threads], results["1"]):
@@ -1228,12 +1230,18 @@ def test_per_scale_padding_matches_the_references(nx, ny, square, hx, hy, w, lo,
 
 
 def _scale_kinds(grid, terms, mu):
-    """{'banded', 'unbanded', 'cut'}: how each scale's kernel sits on the x axis."""
+    """{'banded', 'unbanded', 'cut', 'matrix'}: how each scale's kernel sits on the x axis.
+
+    'matrix' is a scale of the matrix path, and 'cut' a grid-cut one of the FFT path.
+    """
     shapes = _padded_shapes(grid, terms, mu)
     t = ccwt._support_radius(terms)
     kinds = set()
-    for m, (px, _) in zip(mu, shapes):
-        if t * m / grid.dx >= min(grid.nx, px - grid.nx + 1) - 1:
+    first = ccwt._matrix_start(grid, terms, mu, shapes)
+    for s, (m, (px, _)) in enumerate(zip(mu, shapes)):
+        if s >= first:
+            kinds.add("matrix")
+        elif t * m / grid.dx >= min(grid.nx, px - grid.nx + 1) - 1:
             kinds.add("cut")
         elif 2 * math.floor(t * px * grid.dx / (2 * np.pi * m)) + 1 >= px:
             kinds.add("unbanded")
@@ -1293,3 +1301,76 @@ def test_banded_and_paired_scales_match_the_references(nx, ny, square, hx, hy, w
         total = sum(weights[s] * np.sum(mask * planes[s, 0] * eval_wavelet(w, (nodes[i, j] - nodes) / m))
                     for s, m in enumerate(mu))
         assert abs(rec[i, j] - total) <= 1e-12 * np.abs(rec).max()
+
+
+# The matrix path: grid-cut scales as matrix DFTs over the kernel's band
+
+
+def _check_matrix_path(grid, w, scales, values):
+    """A complex field and a lone real field in one call, whose widest scales take the matrix path.
+
+    The planes are checked against the direct engine at the last scale of the FFT
+    path and the first and last of the matrix path, the shared-grid inverse against
+    the literal truncated sum, and both bit for bit across thread counts.  Returns
+    the first scale of the matrix path.
+    """
+    mu = scales.mu_values
+    terms = len(separable_coeffs(w))
+    first = ccwt._matrix_start(grid, terms, mu, _padded_shapes(grid, terms, mu))
+    g, real = Field(grid, values), Field(grid, values.real)
+    results = {}
+    for threads in ("1", "2", "4"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("ENTWAVE_THREADS", threads)
+            planes = np.array(_forward_planes([g, real], w, scales, True, copied))
+            coeffs = CCWTCoefficients(scales, grid, planes[:, 0])
+            results[threads] = planes, inverse(coeffs, w, 1.0).values
+    for threads in ("2", "4"):
+        for got, expected in zip(results[threads], results["1"]):
+            assert np.array_equal(got, expected)
+    planes, rec = results["1"]
+    # the lone real field's planes are exactly real, whatever goes in beside it
+    lone = _forward_planes([real], w, scales, True, copied)
+    assert all(plane.dtype == float for (plane,) in lone)
+    assert np.array_equal(planes[:, 1], np.array([plane for (plane,) in lone]))
+    for s in (first - 1, first, len(mu) - 1):
+        (direct,) = _forward_planes([g, real], w, ScaleGrid(mu[s:s + 1]), False, copied)
+        for k, plane in enumerate(direct):
+            assert np.abs(planes[s, k] - plane).max() <= 1e-12 * np.abs(plane).max()
+    # the shared-grid inverse against the literal truncated sum, at a few nodes
+    mask = grid.trapezoid_mask() * grid.cell_area() / np.pi
+    weights = scale_weights(scales, 4)
+    nodes = grid.nodes()
+    for i, j in [(0, 0), (grid.nx // 2, grid.ny // 2), (grid.nx - 2, 1)]:
+        kernels = (eval_wavelet(w, (nodes[i, j] - nodes) / m) for m in mu)
+        total = sum(weights[s] * np.sum(mask * planes[s, 0] * k) for s, k in enumerate(kernels))
+        assert abs(rec[i, j] - total) <= 1e-12 * np.abs(rec).max()
+    return first
+
+
+def test_matrix_path_matches_the_references_at_256():
+    # verify's default grid and scales: the widest 35 take the matrix path, an odd
+    # count, so the lone real field's scales there go in 17 pairs and a leftover
+    grid = ComplexPlaneGrid.centered(256, 8.0)
+    scales = ScaleGrid.log_spaced(64, 0.25, 16.0)
+    assert _check_matrix_path(grid, emhw(), scales, windowed_noise(grid, seed=5)) == 64 - 35
+
+
+@settings(max_examples=4, deadline=None)
+@example(nx=150, ny=128, hx=7.0, hy=5.0, w=emhw(), lo=1.0, over=1.5, count=40, seed=1)
+@given(nx=st.integers(120, 160), ny=st.integers(120, 160), hx=st.floats(4.0, 8.0),
+       hy=st.floats(4.0, 8.0),
+       w=st.one_of(st.just(emhw()),
+                   st.builds(random_admissible_lg, st.integers(2, 4), st.integers(0, 2**16))),
+       lo=st.floats(0.8, 1.25), over=st.floats(1.0, 2.0), count=st.integers(24, 48),
+       seed=st.integers(0, 2**32 - 1))
+def test_matrix_path_matches_the_references_on_rectangular_grids(nx, ny, hx, hy, w, lo, over,
+                                                                 count, seed):
+    # scales from about the grid step to past its width, on grids of other sizes and steps
+    assume(nx != ny)
+    grid = ComplexPlaneGrid(nx, ny, -hx, -hy, 2 * hx / (nx - 1), 2 * hy / (ny - 1))
+    width = max((nx - 1) * grid.dx, (ny - 1) * grid.dy)
+    scales = ScaleGrid.log_spaced(count, lo * min(grid.dx, grid.dy), over * width)
+    kinds = _scale_kinds(grid, len(separable_coeffs(w)), scales.mu_values)
+    assume("matrix" in kinds and len(kinds) > 1)
+    _check_matrix_path(grid, w, scales, windowed_noise(grid, seed))
