@@ -28,9 +28,9 @@ of the band's bins, as real matrix products in row blocks small enough
 that BLAS keeps each one on the calling thread.  They form one more run,
 after the FFT path's, with no padded spectrum.
 The inverse integrates dmu/mu^4 of per-scale correlations with the
-(unconjugated) wavelet; on the coefficients' own grid it sums the
-per-scale products in the Fourier domain and takes one inverse FFT, and
-onto any other grid each scale is the separable contraction
+(unconjugated) wavelet; on the coefficients' own grid it sums each run's
+per-scale products in the Fourier domain and takes one inverse FFT per
+run, and onto any other grid each scale is the separable contraction
 sum_ab M_ab X_a V Y_b^T over per-axis Hermite matrices.  Both directions
 go one run at a time, one ``_map_scales`` call per run, whose worker
 loops, one on the calling thread and the rest on the process's one pool,
@@ -49,11 +49,10 @@ direction holds a (px, py) real array.  The forward multiplies each block
 into the same rows of the field's spectrum, transforms that product block
 along y and keeps its first ny columns: a worker holds one (px, ny) half
 plane, not a (px, py) product.  An inverse worker multiplies the blocks
-into its one spectrum and adds that to the sum once every earlier scale
-is in it, so the inverse holds exactly workers + 1 spectra; when a run
-of a larger shape starts, the sum so far is carried into it through the
-grid.  The matrix path's parts are added, in scale order, to one
-plane-sized sum on the grid, which joins the spectral sum at the end.
+into its one spectrum and adds that to its run's sum once every earlier
+scale of the run is in it, so the inverse holds exactly workers + 1
+spectra.  Each run's sum, back on the grid, and each matrix-path part
+are added, in scale order, to the inverse's one sum on the grid.
 A 1D transform pair over the real line is included as a baseline, with
 per-scale translation grids sized to the dilated wavelet.
 """
@@ -402,13 +401,14 @@ def _padded_shapes(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray) -> list:
     ascends, so equal shapes form runs.  Each of a run's k scales saves
     work in proportion to the area it drops per input, and the run costs
     about three transforms of its shape per input: one more whole
-    transform (the field's in the forward, the sum's in the inverse),
-    which the other workers wait out at the run's start or end, and the
-    scale in flight there, which it waits out.  So from the top down a run
-    keeps its smaller shape only when k (A_above - A) > 3 A, A being a
-    shape's area; otherwise it joins the run above.  The shapes depend
-    only on the grid, the term count and the scales, so a field's planes
-    have the same bits whatever else is transformed with it.
+    transform (the field's in the forward, the run's sum's in the
+    inverse), which the other workers wait out at the run's start or
+    end, and the scale in flight there, which it waits out.  So from the
+    top down a run keeps its smaller shape only when k (A_above - A) >
+    3 A, A being a shape's area; otherwise it joins the run above.  The
+    shapes depend only on the grid, the term count and the scales, so a
+    field's planes have the same bits whatever else is transformed with
+    it.
     """
     reach = _support_radius(terms) * mu
 
@@ -570,15 +570,30 @@ def _padded_fft2(values: np.ndarray, mask, out: np.ndarray, columns=((0, None),)
 
 
 def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """Leading (nx, ny) block of ifft2(spectrum); overwrites ``spectrum``.
+    """Leading (nx, ny) block of ifft2(spectrum), a view of ``spectrum``, which it overwrites.
 
     Transforms along y first, so only the ny columns kept go through the
-    transform along x.  The block is returned as its own contiguous
-    array: a view would keep the whole (px, py) buffer alive.
+    transform along x.
     """
     ifft(spectrum, axis=1, out=spectrum)
     rows = spectrum[:, :ny]
-    return ifft(rows, axis=0, out=rows)[:nx].copy()
+    return ifft(rows, axis=0, out=rows)[:nx]
+
+
+def _runs(grid: ComplexPlaneGrid, m: np.ndarray, mu: np.ndarray) -> tuple:
+    """``(runs, kernel, bands)``: the scales in runs, and the FFT path's kernel spectra.
+
+    ``runs`` lists ``(shape, scales)`` in scale order: one run of the FFT
+    path per padded shape (:func:`_padded_shapes`), then the matrix path's
+    scales (:func:`_matrix_start`), if any, with shape None.  ``kernel``
+    and ``bands`` are :func:`_kernel_spectrum` of the FFT path's scales.
+    """
+    shapes = _padded_shapes(grid, len(m), mu)
+    first = _matrix_start(grid, len(m), mu, shapes)
+    kernel, bands = _kernel_spectrum(m, mu[:first], grid, shapes[:first])
+    runs = [(shape, list(run)) for shape, run in itertools.groupby(
+        range(len(mu)), key=lambda s: shapes[s] if s < first else None)]
+    return runs, kernel, bands
 
 
 def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce) -> list:
@@ -592,7 +607,7 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     the boundary check whenever both fields do.  Complex fields and a
     leftover real field, such as a lone one, go in alone.  For the FFT
     engine the inputs are transformed once per run of one padded shape
-    (:func:`_padded_shapes`), into the front of one buffer per input
+    (:func:`_runs`), into the front of one buffer per input
     sized for the largest shape, and then one ``_map_scales`` call takes
     that run; each worker's scratch, made after the run's spectra, has
     the run's shape.  The leftover real field's planes are real,
@@ -654,12 +669,10 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
         return _map_scales(lambda: one_scale, len(mu))
 
     m = separable_coeffs(w)
-    shapes = _padded_shapes(grid, len(m), mu)
-    first = _matrix_start(grid, len(m), mu, shapes)
-    kernel, bands = _kernel_spectrum(m, mu[:first], grid, shapes[:first])
+    runs, kernel, bands = _runs(grid, m, mu)
     # one buffer per input for the largest shape of the FFT path, at whose front
     # each run's spectra go
-    size = math.prod(shapes[first - 1]) if first else 0
+    size = max((math.prod(shape) for shape, _ in runs if shape), default=0)
     buffers = [np.empty(size, dtype=complex) for _ in range(len(pairs) + len(alone))]
 
     def transformed(shape: tuple) -> list:
@@ -668,18 +681,17 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
         return [_padded_fft2(v, mask, out[:math.prod(shape)].reshape(shape))
                 for v, out in zip(inputs(), buffers)]
 
-    def worker(units: list, spectra: list):
+    def worker(shape, units: list, spectra: list):
         # A (px, ny) half plane for each input that goes in alone, (nx, ny) on the
         # matrix path, where the spectra are the inputs themselves: the pairs share
         # the first complex field's half plane, as each is unpacked before the next
         # is made, or have one of their own; the leftover real field's, the last,
         # holds its two scales while they are made.  The FFT path adds a kernel
         # block and a product block over the same rows.
-        on_matrix = units[0][0] >= first
-        px = grid.nx if on_matrix else spectra[0].shape[0]
+        px = spectra[0].shape[0]
         shared = max(len(alone) - len(lone), bool(pairs))
         half_planes = [np.empty((px, grid.ny), dtype=complex) for _ in range(shared + len(lone))]
-        if on_matrix:
+        if shape is None:
             def prepare(unit: tuple):
                 return functools.partial(_band_correlate, _band_operator(
                     m, grid, mu[list(unit)], measure[list(unit)]))
@@ -730,14 +742,11 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
     values = []
     step = 2 if lone else 1
-    # a run is a padded shape's scales, or the matrix path's (None)
-    for shape, run in itertools.groupby(range(len(mu)),
-                                        key=lambda s: shapes[s] if s < first else None):
-        run = list(run)
+    for shape, run in runs:
         units = [tuple(run[i:i + step]) for i in range(0, len(run), step)]
         spectra = list(inputs()) if shape is None else transformed(shape)
         values += itertools.chain.from_iterable(
-            _map_scales(functools.partial(worker, units, spectra), len(units)))
+            _map_scales(functools.partial(worker, shape, units, spectra), len(units)))
     return values
 
 
@@ -830,11 +839,12 @@ def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,
 
     g(eta) = (1/C'_psi) int_0^inf dmu/mu^3 int d2kappa/(pi mu)
              W(mu, kappa) psi((eta - kappa)/mu)
-    over the truncated scale range and the translation grid.  On the
-    kappa grid's own layout the scale sum is taken in the Fourier domain,
-    so one inverse FFT serves every scale but the widest, whose matrix
-    DFTs (:func:`_matrix_start`) are summed on the grid; onto any other
-    grid each scale is a separable contraction
+    over the truncated scale range and the translation grid.  Each scale's
+    part is added, in scale order, into one sum on the output grid.  On
+    the kappa grid's own layout the scales of one padded shape are summed
+    in the Fourier domain first, so one inverse FFT serves each such run,
+    and the widest scales are matrix DFTs (:func:`_matrix_start`); onto any
+    other grid each scale is a separable contraction
     (:func:`specfun.separable_correlate`).
     """
     return _inverse_planes(coeffs.values.__getitem__, coeffs.scales, coeffs.kappa_grid,
@@ -846,23 +856,23 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     """The scale reduction of :func:`inverse`; ``plane(s)`` gives W(mu_s, .).
 
     ``plane`` is called inside the per-scale task, so a getter that reads
-    the plane from a file keeps only the planes in flight in memory.  Each
-    scale's part is added to the sum in scale order, scale 0 copied.  On
-    the kappa grid's layout a part is a padded spectrum of its scale's
-    shape (:func:`_padded_shapes`), and each run of equal shapes is one
-    ``_map_scales`` call: before it, the sum of the runs before is
-    transformed back, cropped and padded to the run's shape, and one
-    inverse FFT of the last sum gives the field.  A banded scale
-    (:func:`_kernel_spectrum`) is transformed along x only on its band's
-    columns, and multiplied and added only on its band's rows; the rest
-    of its part is left unread.  The sum sits at the front of one buffer
-    for the FFT path's largest shape, and each worker makes its spectrum
-    and kernel block in the run's shape, so the call holds exactly
-    workers + 1 spectra.  The scales of the matrix path (:func:`_matrix_start`)
-    come last, in one run: each worker back-projects its scale's part
-    into one plane of its own (:func:`_band_correlate`), which is added,
-    in scale order, to one plane-sized sum on the grid; that sum is added
-    to the spectral sum, once it is back on the grid, at the end.
+    the plane from a file keeps only the planes in flight in memory.  Every
+    part goes, in scale order, into one sum on the output grid, made when
+    the first part reaches it.  On the kappa grid's layout the scales go in
+    the runs of :func:`_runs`, one ``_map_scales`` call per run.  A scale of
+    the FFT path is a padded spectrum of its run's shape, added into the
+    run's sum, which is zeroed when the run starts and, when it ends, taken
+    back to the grid by one inverse FFT and added to the grid sum.  A banded
+    scale (:func:`_kernel_spectrum`) is transformed along x only on its
+    band's columns, and multiplied and added only on its band's rows; the
+    rest of its part is left unread.  The run's sum sits at the front of
+    one buffer for the FFT path's largest shape, and each worker makes its
+    spectrum and kernel block in the run's shape, so a run holds exactly
+    workers + 1 spectra, and the grid sum beside them from the second run
+    on.  On the matrix path (:func:`_matrix_start`) each worker
+    back-projects its scale's part into one plane of its own
+    (:func:`_band_correlate`); onto any other grid a part is its scale's
+    separable contraction.  Both go into the grid sum directly.
     """
     if not np.isfinite(c_prime) or c_prime <= 0:
         raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
@@ -872,18 +882,25 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     weights = scale_weights(scales, 4)
     mask = kgrid.trapezoid_mask()
     m = separable_coeffs(w)
-    if out_grid.same_layout(kgrid):
-        shapes = _padded_shapes(kgrid, len(m), mu)
-        first = _matrix_start(kgrid, len(m), mu, shapes)
-        kernel, bands = _kernel_spectrum(m, mu[:first], kgrid, shapes[:first])
-        # the rows of each scale's band, in the forward's spans, and the columns of it
-        rows = [_band_spans(shape[0], jx, _KERNEL_TILE) for shape, (jx, _) in zip(shapes, bands)]
-        columns = [_band_spans(shape[1], jy) for shape, (_, jy) in zip(shapes, bands)]
-        # each run's sum of the FFT path, at its front
-        flat = np.empty(math.prod(shapes[first - 1]) if first else 0, dtype=complex)
+    total = None
 
-        def worker(run: list):
-            if run[0] >= first:
+    def add(part: np.ndarray) -> None:
+        # into the one sum on the output grid, which the first part makes
+        nonlocal total
+        total = part.copy() if total is None else np.add(total, part, out=total)
+
+    if out_grid.same_layout(kgrid):
+        runs, kernel, bands = _runs(kgrid, m, mu)
+        # one buffer for the largest shape, at whose front each run of the FFT path sums
+        flat = np.empty(max((math.prod(shape) for shape, _ in runs if shape), default=0),
+                        dtype=complex)
+
+        def rows(shape: tuple, s: int) -> list:
+            # the rows of scale s's band, in the forward's spans
+            return _band_spans(shape[0], bands[s][0], _KERNEL_TILE)
+
+        def worker(shape, run: list):
+            if shape is None:
                 part = np.empty((kgrid.nx, kgrid.ny), dtype=complex)
 
                 def back_projected(i: int) -> np.ndarray:
@@ -892,51 +909,31 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
                     return _band_correlate(op, plane(s), part)
 
                 return back_projected
-            shape = shapes[run[0]]
             spectrum, block = np.empty(shape, dtype=complex), np.empty(_row_block(shape))
 
             def one_scale(i: int) -> np.ndarray:
                 # K is zero outside its band's box: only the box is made, multiplied and added
                 s = run[i]
-                f = _padded_fft2(plane(s), mask, spectrum, columns[s])
-                for r, k in kernel(s, weights[s], block, rows[s]):
+                f = _padded_fft2(plane(s), mask, spectrum, _band_spans(shape[1], bands[s][1]))
+                for r, k in kernel(s, weights[s], block, rows(shape, s)):
                     f[r:r + len(k)] *= k
                 return f
 
             return one_scale
 
-        def add(run: list, i: int, part: np.ndarray) -> None:
-            nonlocal direct
-            s = run[i]
-            if s >= first:
-                direct = np.add(direct, part, out=direct) if s > first else part.copy()
-                return
-            spans = rows[s]
-            if s:
-                for lo, hi in spans:
-                    np.add(total[lo:hi], part[lo:hi], out=total[lo:hi])
-                return
-            total[spans[0][1]:spans[-1][0]] = 0
-            for lo, hi in spans:
-                total[lo:hi] = part[lo:hi]
+        def summed(run_sum: np.ndarray, run: list, i: int, part: np.ndarray) -> None:
+            for lo, hi in rows(run_sum.shape, run[i]):
+                np.add(run_sum[lo:hi], part[lo:hi], out=run_sum[lo:hi])
 
-        # the spectral sum of the FFT path's runs, and the matrix path's sum on the grid
-        total = direct = None
-        for shape, run in itertools.groupby(range(len(mu)),
-                                            key=lambda s: shapes[s] if s < first else None):
-            run = list(run)
-            if shape is not None:
-                view = flat[:math.prod(shape)].reshape(shape)
-                # the runs before, back on the grid, go into this run's sum
-                total = (_padded_fft2(_cropped_ifft2(total, out_grid.nx, out_grid.ny), 1.0, view)
-                         if run[0] else view)
-            _map_scales(functools.partial(worker, run), len(run), functools.partial(add, run))
-        if first:
-            total = _cropped_ifft2(total, out_grid.nx, out_grid.ny)
-            if direct is not None:
-                total += direct
-        else:
-            total = direct
+        for shape, run in runs:
+            task = functools.partial(worker, shape, run)
+            if shape is None:
+                _map_scales(task, len(run), lambda i, part: add(part))
+                continue
+            run_sum = flat[:math.prod(shape)].reshape(shape)
+            run_sum.fill(0)
+            _map_scales(task, len(run), functools.partial(summed, run_sum, run))
+            add(_cropped_ifft2(run_sum, out_grid.nx, out_grid.ny))
 
     else:
         axes = (kgrid.x, kgrid.y), (out_grid.x, out_grid.y)
@@ -944,12 +941,7 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         def one_scale(s: int) -> np.ndarray:
             return separable_correlate(plane(s) * mask, m, mu[s], *axes) * weights[s]
 
-        def add(s: int, part: np.ndarray) -> None:
-            nonlocal total
-            total = np.add(total, part, out=total) if s else part.copy()
-
-        total = None
-        _map_scales(lambda: one_scale, len(mu), add)
+        _map_scales(lambda: one_scale, len(mu), lambda s, part: add(part))
     total *= kgrid.cell_area() / (np.pi * c_prime)
     return Field(out_grid, total)
 

@@ -406,7 +406,7 @@ def test_every_call_shares_one_pool_of_the_thread_budget(monkeypatch):
 
 def test_inverse_holds_one_spectrum_per_worker_and_the_sum(monkeypatch):
     # plane 0 comes late, so later scales finish first: each then waits for its
-    # turn in the sum in its worker's one spectrum, and no spectrum is made for it
+    # turn in its run's sum in its worker's one spectrum, and no spectrum is made for it
     monkeypatch.setenv("ENTWAVE_THREADS", "3")
     grid = ComplexPlaneGrid.centered(128, 8.0)
     scales = ScaleGrid.log_spaced(24, 0.5, 4.0)
@@ -423,7 +423,9 @@ def test_inverse_holds_one_spectrum_per_worker_and_the_sum(monkeypatch):
         return cube[s]
 
     spectrum, kernel_block = shape[0] * shape[1] * 16, 2**16 * 8
-    # the sum, the output plane, a spectrum and a kernel block per worker, small arrays
+    # the run's sum, the sum on the grid (the output plane), which the first run's
+    # sum makes once it is back on the grid, a spectrum and a kernel block per
+    # worker, small arrays
     budget = spectrum + grid.nx * grid.ny * 16 + 3 * (spectrum + kernel_block) + 2**20
     tracemalloc.start()
     try:
@@ -728,7 +730,8 @@ def test_kernel_blocks_hold_no_whole_kernel_spectrum(monkeypatch):
     # at 512^2 the padded shape is 1024^2: a complex spectrum is 16 MiB, and a
     # whole real kernel spectrum 8 MiB.  The forward holds the field's spectrum,
     # one (px, ny) half plane, a kernel block and a block of the product; the
-    # inverse the sum and one scale's spectrum, and it makes its output plane.
+    # inverse its one run's sum and one scale's spectrum, and then its sum on
+    # the grid, made from the run's sum once that is back on the grid, beside it.
     # Nothing else is bigger than a block.
     monkeypatch.setenv("ENTWAVE_THREADS", "1")
     grid = ComplexPlaneGrid.centered(512, 8.0)
@@ -1089,6 +1092,18 @@ def _assert_close(new, ref):
     assert np.max(np.abs(new - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+def _assert_literal_inverse(grid, w, scales, planes, rec):
+    """``rec``, the shared-grid inverse of ``planes`` at C'_psi = 1, against the literal
+    truncated sum at three nodes."""
+    mask = grid.trapezoid_mask() * grid.cell_area() / np.pi
+    weights = scale_weights(scales, 4)
+    nodes = grid.nodes()
+    for i, j in [(0, 0), (grid.nx // 2, grid.ny // 2), (grid.nx - 2, 1)]:
+        kernels = (eval_wavelet(w, (nodes[i, j] - nodes) / m) for m in scales.mu_values)
+        total = sum(weights[s] * np.sum(mask * planes[s] * k) for s, k in enumerate(kernels))
+        assert abs(rec[i, j] - total) <= 1e-12 * np.abs(rec).max()
+
+
 @pytest.mark.parametrize("nx, ny", [(64, 64), (256, 256), (48, 80), (33, 17), (2, 5)])
 def test_fft_kernels_match_scipy_references(nx, ny):
     rng = np.random.default_rng(nx * 1000 + ny)
@@ -1111,7 +1126,6 @@ def test_fft_kernels_match_scipy_references(nx, ny):
         spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         cropped = _cropped_ifft2(spectrum.copy(), nx, ny)
         _assert_close(cropped, _scipy_cropped_ifft2(spectrum, nx, ny))
-        assert cropped.flags.c_contiguous
 
 
 # Per-scale padding: each scale pads to its kernel's reach
@@ -1216,14 +1230,7 @@ def test_per_scale_padding_matches_the_references(nx, ny, square, hx, hy, w, lo,
     for s in sorted({s for run in runs for s in (run[0], run[-1])}):
         direct = forward(g, w, ScaleGrid(mu[s:s + 1])).values[0]
         assert np.abs(fast[s] - direct).max() <= 1e-12 * np.abs(fast).max()
-    # the shared-grid inverse against the literal truncated sum, at a few nodes
-    mask = grid.trapezoid_mask() * grid.cell_area() / np.pi
-    weights = scale_weights(scales, 4)
-    nodes = grid.nodes()
-    for i, j in [(0, 0), (nx // 2, ny // 2), (nx - 2, 1)]:
-        total = sum(weights[s] * np.sum(mask * fast[s] * eval_wavelet(w, (nodes[i, j] - nodes) / m))
-                    for s, m in enumerate(mu))
-        assert abs(rec[i, j] - total) <= 1e-12 * np.abs(rec).max()
+    _assert_literal_inverse(grid, w, scales, fast, rec)
 
 
 # Kernel bands and scale pairs: the FFT engine transforms no spectrum it knows is zero
@@ -1293,14 +1300,7 @@ def test_banded_and_paired_scales_match_the_references(nx, ny, square, hx, hy, w
     for k, field in enumerate((g, real)):
         direct = forward(field, w, scales).values
         assert np.abs(planes[:, k] - direct).max() <= 1e-12 * np.abs(direct).max()
-    # the shared-grid inverse against the literal truncated sum, at a few nodes
-    mask = grid.trapezoid_mask() * grid.cell_area() / np.pi
-    weights = scale_weights(scales, 4)
-    nodes = grid.nodes()
-    for i, j in [(0, 0), (nx // 2, ny // 2), (nx - 2, 1)]:
-        total = sum(weights[s] * np.sum(mask * planes[s, 0] * eval_wavelet(w, (nodes[i, j] - nodes) / m))
-                    for s, m in enumerate(mu))
-        assert abs(rec[i, j] - total) <= 1e-12 * np.abs(rec).max()
+    _assert_literal_inverse(grid, w, scales, planes[:, 0], rec)
 
 
 # The matrix path: grid-cut scales as matrix DFTs over the kernel's band
@@ -1310,9 +1310,9 @@ def _check_matrix_path(grid, w, scales, values):
     """A complex field and a lone real field in one call, whose widest scales take the matrix path.
 
     The planes are checked against the direct engine at the last scale of the FFT
-    path and the first and last of the matrix path, the shared-grid inverse against
-    the literal truncated sum, and both bit for bit across thread counts.  Returns
-    the first scale of the matrix path.
+    path, if any, and the first and last of the matrix path, the shared-grid
+    inverse against the literal truncated sum, and both bit for bit across thread
+    counts.  Returns the first scale of the matrix path.
     """
     mu = scales.mu_values
     terms = len(separable_coeffs(w))
@@ -1333,18 +1333,11 @@ def _check_matrix_path(grid, w, scales, values):
     lone = _forward_planes([real], w, scales, True, copied)
     assert all(plane.dtype == float for (plane,) in lone)
     assert np.array_equal(planes[:, 1], np.array([plane for (plane,) in lone]))
-    for s in (first - 1, first, len(mu) - 1):
+    for s in sorted({max(first - 1, 0), first, len(mu) - 1}):
         (direct,) = _forward_planes([g, real], w, ScaleGrid(mu[s:s + 1]), False, copied)
         for k, plane in enumerate(direct):
             assert np.abs(planes[s, k] - plane).max() <= 1e-12 * np.abs(plane).max()
-    # the shared-grid inverse against the literal truncated sum, at a few nodes
-    mask = grid.trapezoid_mask() * grid.cell_area() / np.pi
-    weights = scale_weights(scales, 4)
-    nodes = grid.nodes()
-    for i, j in [(0, 0), (grid.nx // 2, grid.ny // 2), (grid.nx - 2, 1)]:
-        kernels = (eval_wavelet(w, (nodes[i, j] - nodes) / m) for m in mu)
-        total = sum(weights[s] * np.sum(mask * planes[s, 0] * k) for s, k in enumerate(kernels))
-        assert abs(rec[i, j] - total) <= 1e-12 * np.abs(rec).max()
+    _assert_literal_inverse(grid, w, scales, planes[:, 0], rec)
     return first
 
 
@@ -1354,6 +1347,15 @@ def test_matrix_path_matches_the_references_at_256():
     grid = ComplexPlaneGrid.centered(256, 8.0)
     scales = ScaleGrid.log_spaced(64, 0.25, 16.0)
     assert _check_matrix_path(grid, emhw(), scales, windowed_noise(grid, seed=5)) == 64 - 35
+
+
+def test_matrix_path_takes_every_scale_at_192():
+    # every scale from 3 to 12 is cut by the grid and has a band of at most a quarter
+    # of each axis, so the matrix path is the call's only run: the inverse makes no
+    # spectrum, and its parts alone make its sum on the grid
+    grid = ComplexPlaneGrid.centered(192, 8.0)
+    scales = ScaleGrid.log_spaced(3, 3.0, 12.0)
+    assert _check_matrix_path(grid, emhw(), scales, windowed_noise(grid, seed=8)) == 0
 
 
 @settings(max_examples=4, deadline=None)
