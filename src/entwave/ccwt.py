@@ -6,57 +6,35 @@ with the dilated wavelet.  ``forward`` contracts the sampled lag kernel
 directly (BLAS row blocks), the literal Riemann sum on the field's grid;
 ``forward_fast`` uses zero-padded FFTs and drops the kernel's lags past
 its support, where each term of the kernel is below 2^-60 of its peak.
-Each scale is padded only as far as its dilated wavelet reaches, so the
-short kernels of the small scales take smaller FFTs; scales of one
-padded shape form a run.  The FFT path builds each scale's kernel
-spectrum from 1D DFTs of orthonormal Hermite functions, since every
-radial wavelet is a short sum of products h_2a(x) h_2b(y), and
-inverse-transforms only the retained n x n block.  Each h_2a is its own
-Fourier transform, so the kernel's spectrum is as short as its lags are:
-past |k| = t*/mu every term is below 2^-60.  Where that band fits the
-padded length and the grid does not cut the kernel, the spectrum is set
-to zero past it, and neither direction transforms, multiplies or adds
-the rows (or, in the inverse, the columns) that are then known to be
-zero.  A lone real field's planes are real, so two scales of one run
+Each scale is padded only as far as its dilated wavelet reaches, and
+scales of one padded shape form a run.  Every radial wavelet is a short
+sum of products h_2a(x) h_2b(y) of Hermite functions, each its own
+Fourier transform, so a kernel's spectrum is made from 1D DFTs and is as
+short as its lags are: past |k| = t*/mu every term is below 2^-60, and
+neither direction transforms, multiplies or adds what is then known to
+be zero.  A lone real field's planes are real, so two scales of one run
 share one complex inverse FFT, W_s + i W_{s+1} = IFFT(F (K_s + i K_{s+1})).
-Where the grid cuts a kernel, its scale can be neither banded nor padded
-short.  At a DFT length P >= n + t* mu / h, though, the kernel is whole
-and its spectrum band-limited, so the widest such scales, those whose
-band at that length is at most a quarter of each axis, take the matrix path:
-a plane is R_x^T (K o (R_x V R_y^T)) R_y, R holding the cosines and sines
-of the band's bins, as real matrix products in row blocks small enough
-that BLAS keeps each one on the calling thread.  They form one more run,
-after the FFT path's, with no padded spectrum.
+The widest scales, whose kernels the grid cuts, are matrix DFTs over
+that band instead, R_x^T (K o (R_x V R_y^T)) R_y, in runs of one DFT
+length: a run's scales share one band transform of each input in the
+forward and one back-projection in the inverse, and a pairing of two of
+their planes is a Gram form in the band, with no plane made.
 The inverse integrates dmu/mu^4 of per-scale correlations with the
 (unconjugated) wavelet; on the coefficients' own grid it sums each run's
-per-scale products in the Fourier domain and takes one inverse FFT per
-run, and onto any other grid each scale is the separable contraction
-sum_ab M_ab X_a V Y_b^T over per-axis Hermite matrices.  Both directions
-go one run at a time, one ``_map_scales`` call per run, whose worker
-loops, one on the calling thread and the rest on the process's one pool,
-take the run's scales one plane at a time; each worker makes its scratch
-in the run's shape once and reuses it for every scale it takes, and no
-task outlives its call.  Before each run the forward transforms its
-inputs on the calling thread.  One ``_forward_planes`` call serves a
-list of fields with one table of axis spectra per run and one kernel per
-scale, two real fields sharing one complex transform, and hands each scale's
-planes to the caller's reduction inside the scale's task, which sums
-them, stores them or writes them at their EWC1 offsets; the inverse
-reads each plane inside its per-scale task, so neither needs the
-(S, nx, ny) cube.  A scale's real kernel spectrum is made one block of
-rows at a time, 2^16 values in whole tiles of 8 rows, so neither
-direction holds a (px, py) real array.  The forward multiplies each block
-into the same rows of the field's spectrum, transforms that product block
-along y and keeps its first ny columns: a worker holds one (px, ny) half
-plane, not a (px, py) product.  An inverse worker multiplies the blocks
-into its one spectrum and adds that to its run's sum once every earlier
-scale of the run is in it, so the inverse holds exactly workers + 1
-spectra.  Each run's sum, back on the grid, and each matrix-path part
-are added, in scale order, to the inverse's one sum on the grid.
+per-scale products in the Fourier domain, or in the band, and takes the
+sum back to the grid once per run, and onto any other grid each scale is
+the separable contraction sum_ab M_ab X_a V Y_b^T over per-axis Hermite
+matrices.  Both directions go one run at a time, one ``_map_scales`` call
+per run, whose worker loops, one on the calling thread and the rest on
+the process's one pool, take the run's scales one plane at a time in
+scratch made once per run; no task outlives its call.  Each scale's
+planes are reduced inside its task, and the inverse reads each plane
+inside its task, so neither direction needs the (S, nx, ny) cube, and a
+kernel spectrum is made one block of rows at a time, so neither holds a
+(px, py) real array.
 A 1D transform pair over the real line is included as a baseline, with
 per-scale translation grids sized to the dilated wavelet.
 """
-
 from __future__ import annotations
 
 import contextlib
@@ -304,16 +282,19 @@ def _band_spans(p: int, band, tile: int = 1) -> list:
     return [(0, p)] if upper <= band + 1 else [(0, band + 1), (upper, p)]
 
 
-def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shapes: list):
+def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, runs: list):
     """``(blocks, bands)``: the row blocks of each scale's real spectrum K, and its band.
 
+    ``runs`` are the FFT path's runs of :func:`_runs`, ``(shape, scales)``.
     K is the real DFT of the padded lag kernel of ``c * m`` at mu[s],
-    (U_s^T c M) V_s, of shape ``shapes[s]`` (px, py).  ``blocks(s, c,
-    block, spans)`` yields ``(r, K[r:r + len(b)])`` over the row spans
-    ``spans``, each made in ``block``, an array of the :func:`_row_block`
-    shape (or a view of one), which the next one overwrites, so no (px,
-    py) real array is ever held.  Every scale's axis tables are made here,
-    once per run of equal shapes; one serves both axes when they match.
+    (U_s^T c M) V_s, of its run's shape (px, py).  ``blocks(s, c, block,
+    spans)`` yields ``(r, K[r:r + len(b)])`` over the row spans ``spans``,
+    each made in ``block``, an array of the :func:`_row_block` shape (or a
+    view of one), which the next one overwrites, so no (px, py) real array
+    is ever held.  A block is at most as many whole tiles of 8 rows as
+    keep its product under ``_GEMM_MACS`` (:func:`_real_matmul`): all of
+    ``block`` for a wavelet of up to 8 terms.  Every scale's axis tables
+    are made here, once per run; one serves both axes when they match.
 
     Each term h_2a is its own Fourier transform up to a sign, so past
     |k| = t*/mu (:func:`_support_radius`) every term's spectrum is below
@@ -338,8 +319,8 @@ def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shap
         return list(table), bands
 
     u, v, bands_x, bands_y = [], [], [], []
-    for (px, py), run in itertools.groupby(range(len(mu)), key=shapes.__getitem__):
-        run_mu = mu[list(run)]
+    for (px, py), run in runs:
+        run_mu = mu[run]
         table, band = banded(grid.nx, grid.dx / run_mu, px)
         u += table
         bands_x += band
@@ -349,11 +330,13 @@ def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, shap
         bands_y += band
 
     def blocks(s: int, c: float, block: np.ndarray, spans: list):
-        left = u[s].T @ (m * c)
+        left = _real_matmul(u[s].T, m * c)
+        # whole tiles of at most _GEMM_MACS multiply-adds: all of a block up to 8 terms
+        size = min(len(block), max(_KERNEL_TILE, _GEMM_MACS // v[s].size // _KERNEL_TILE
+                                   * _KERNEL_TILE))
         for lo, hi in spans:
-            for r in range(lo, hi, len(block)):
-                yield r, np.matmul(left[r:min(hi, r + len(block))], v[s],
-                                   out=block[:min(hi - r, len(block))])
+            for r in range(lo, hi, size):
+                yield r, np.matmul(left[r:min(hi, r + size)], v[s], out=block[:min(hi - r, size)])
 
     return blocks, list(zip(bands_x, bands_y))
 
@@ -435,27 +418,29 @@ def _band_lengths(n: int, step: float, t: float, mu_lo: float, mu_hi: float) -> 
     """``(P, J)`` on an axis of n nodes: the shortest DFT length that holds the kernel of
     mu_hi unwrapped, P >= n + t* mu_hi / step, and the band J of mu_lo at that length.
 
-    Only the band's B = 2J + 1 bins are transformed, by matrix products, so
-    P need not be a fast length.
+    A matrix-path run (:func:`_band_runs`) shares the P of its widest scale,
+    and each of its scales' bands is that scale's J at it.  Only the band's
+    B = 2J + 1 bins are transformed, by matrix products, so P need not be a
+    fast length.
     """
     p = n + math.ceil(t * mu_hi / step)
     return p, math.floor(t * p * step / (2 * math.pi * mu_lo))
 
 
 def _matrix_start(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray, shapes: list) -> int:
-    """The first scale of the matrix path (:func:`_band_correlate`), len(mu) if none takes it.
+    """The first scale of the matrix path (:func:`_band_operator`), len(mu) if none takes it.
 
     A scale's kernel is cut by the grid on an axis when t* mu / h >=
     min(n, P - n + 1) - 1 at its padded length P (:func:`_padded_shapes`):
     the FFT path can then neither band it nor shorten its padding.  Such a
-    scale qualifies when its band at :func:`_band_lengths` is at most a
-    quarter of each axis, 2J + 1 <= n / 4: there a plane costs at most
-    about half of the FFT path's on one thread, and OpenBLAS runs the
+    scale qualifies when its band at its own :func:`_band_lengths` is at
+    most a quarter of each axis, 2J + 1 <= n / 4: there a plane costs at
+    most about half of the FFT path's on one thread, and OpenBLAS runs the
     workers' products one at a time, while their FFTs run side by side
-    (BENCH_36).  The matrix path takes the widest
-    scales, down to the first that does not qualify, so the FFT path's
-    runs stay whole and its scales keep their padded shapes.  The rule
-    depends only on the grid, the term count and the scales.
+    (BENCH_36).  The matrix path takes the widest scales, down to the
+    first that does not qualify, so the FFT path's runs stay whole and its
+    scales keep their padded shapes; :func:`_band_runs` groups them.  The
+    rule depends only on the grid, the term count and the scales.
     """
     t = _support_radius(terms)
     axes = (grid.nx, grid.dx), (grid.ny, grid.dy)
@@ -470,85 +455,179 @@ def _matrix_start(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray, shapes: li
     return first
 
 
-def _band_operator(m: np.ndarray, grid: ComplexPlaneGrid, mu: np.ndarray, c: np.ndarray) -> tuple:
-    """``(rx_in, rx, ry_in, ry, k)``: the real band DFTs of one or two scales, and their kernel.
+def _band_runs(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray, first: int) -> list:
+    """The matrix path's scales, mu[first:], in runs that share one DFT length per axis.
 
-    On each axis, P and J are :func:`_band_lengths` of the scales, from the
-    larger one's reach and the smaller one's band.  The kernel's spectrum
-    is real and even in each frequency, so the sum over the bins |j| <= J
-    is one over cosines and sines: R (B x n, B = 2J + 1) holds cos(2 pi j
-    a / P) for j = 0..J and sin(2 pi j a / P) for j = 1..J, each phase
-    reduced mod P in integers and read from a table of the P roots of
-    unity, and the bins j and -j give twice the weight of bin j.  rx_in and
-    ry_in carry the trapezoid weights.
+    A run starts at its widest scale, at that scale's own
+    :func:`_band_lengths` P, and takes in the next narrower scale while, on
+    each axis, that scale's band at P holds at most a quarter of the axis,
+    as :func:`_matrix_start` asks of its own band, and at most twice its
+    band at its own length.  A band DFT and a back-projection cost about
+    the same, so past that a scale would spend more on its wider band than
+    its run saves.  Runs are listed in scale order and depend only on the
+    grid, the term count and the scales.
+    """
+    t = _support_radius(terms)
+    axes = (grid.nx, grid.dx), (grid.ny, grid.dy)
 
-    k, transposed, is the kernel's spectrum over the band, (U^T c M V) /
-    (P_x P_y).  At P >= n + t* mu / h the kernel's samples are whole, so
-    their length-P DFT is, by Poisson's formula, the samples of the
-    continuous transform: each h_2a is its own Fourier transform up to
-    (-1)^a, and at step s = h / mu bin j is sqrt(2 pi) / s (-1)^a
-    h_2a(2 pi j / (P s)), to within 2^-60 of the peak.  So the band's
-    spectra are sampled in closed form, at a cost that does not grow with
-    P.  A second scale goes in as k's imaginary part, as in the FFT path's
-    scale pairs.
+    def joins(m: float, top: float) -> bool:
+        for n, h in axes:
+            band = 2 * _band_lengths(n, h, t, m, top)[1] + 1
+            if band > n / 4 or band > 2 * (2 * _band_lengths(n, h, t, m, m)[1] + 1):
+                return False
+        return True
+
+    runs, s = [], len(mu) - 1
+    while s >= first:
+        run = [s]
+        while run[0] > first and joins(float(mu[run[0] - 1]), float(mu[s])):
+            run.insert(0, run[0] - 1)
+        runs.insert(0, run)
+        s = run[0] - 1
+    return runs
+
+
+def _band_operator(m: np.ndarray, grid: ComplexPlaneGrid, mu: np.ndarray) -> tuple:
+    """``(rx_in, rx, ry_in, ry, bands, kernel)``: a matrix-path run's band DFTs and kernels.
+
+    ``mu`` holds the run's scales, ascending (:func:`_band_runs`).  On each
+    axis the run shares P, :func:`_band_lengths` of its widest scale, and
+    each scale's band is its J at P, the narrowest scale's the widest.  The
+    kernel's spectrum is real and even in each frequency, so the sum over
+    the bins |j| <= J is one over cosines and sines: R (B x n, B = 2J + 1)
+    holds cos(2 pi j a / P) for j = 0, then cos and sin in turn for j =
+    1..J, so a scale's band is R's leading B_s = 2 J_s + 1 rows.  Each
+    phase is reduced mod P in integers and read from a table of the P
+    roots of unity, and the bins j and -j give twice the weight of bin j.
+    rx_in and ry_in carry the trapezoid weights.  ``bands[i]`` is (B_x,
+    B_y) of the run's scale i.
+
+    ``kernel(i, c, band)`` is scale i's kernel spectrum over the leading
+    ``band`` (B_x, B_y) bins, transposed, (U^T c M V) / (P_x P_y).  At P >=
+    n + t* mu / h the kernel's samples are whole, so their length-P DFT
+    is, by Poisson's formula, the samples of the continuous transform:
+    each h_2a is its own Fourier transform up to (-1)^a, and at step s = h
+    / mu bin j is sqrt(2 pi) / s (-1)^a h_2a(2 pi j / (P s)), to within
+    2^-60 of the peak.  So the band's spectra are sampled in closed form,
+    at a cost that does not grow with P.
     """
     t = _support_radius(len(m))
     sign = (-1.0) ** np.arange(len(m))
 
     def axis(n: int, step: float) -> tuple:
         p, band = _band_lengths(n, step, t, mu[0], mu[-1])
-        j = np.r_[0:band + 1, 1:band + 1]
+        j = np.arange(1, 2 * band + 2) // 2
         roots = np.exp(2j * np.pi / p * np.arange(p))
         phase = np.multiply.outer(j, np.arange(n)) % p
-        r = np.concatenate([roots.real[phase[:band + 1]], roots.imag[phase[band + 1:]]])
+        sines = (np.arange(len(j)) % 2 == 0) & (j > 0)
+        r = np.where(sines[:, None], roots.imag[phase], roots.real[phase])
         s = step / mu
         freqs = np.multiply.outer(2 * np.pi / (p * s), j)
         table = hermite_functions(freqs, 2 * len(m) - 1)[::2] * sign[:, None, None]
         table *= (math.sqrt(2 * np.pi) / s)[:, None] * np.where(j, 2.0, 1.0)
-        return r * _trap_mask_1d(n), r, table.transpose(1, 0, 2), p
+        bands = [2 * _band_lengths(n, step, t, one, mu[-1])[1] + 1 for one in mu]
+        return r * _trap_mask_1d(n), r, table.transpose(1, 0, 2), p, bands
 
-    rx_in, rx, u, px = axis(grid.nx, grid.dx)
+    rx_in, rx, u, px, bands_x = axis(grid.nx, grid.dx)
     square = (grid.nx, grid.dx) == (grid.ny, grid.dy)
-    ry_in, ry, v, py = (rx_in, rx, u, px) if square else axis(grid.ny, grid.dy)
-    k = [v[i].T @ (m.T * (c[i] / (px * py))) @ u[i] for i in range(len(mu))]
-    return rx_in, rx, ry_in, ry, k[0] if len(k) == 1 else k[0] + 1j * k[1]
+    ry_in, ry, v, py, bands_y = ((rx_in, rx, u, px, bands_x) if square
+                                 else axis(grid.ny, grid.dy))
+
+    def kernel(i: int, c: float, band: tuple) -> np.ndarray:
+        bx, by = band
+        return v[i][:, :by].T @ (m.T * (c / (px * py))) @ u[i][:, :bx]
+
+    return rx_in, rx, ry_in, ry, list(zip(bands_x, bands_y)), kernel
 
 
-#: The most multiply-adds in one matrix-path product.  OpenBLAS (0.3.31, 2 CPUs) keeps
-#: a real product of 2^19 on the calling thread and hands one of 2^20 to its own
-#: threads, which serialize concurrent callers and spin after each call; so the scale
-#: workers' products stay on their own threads.
+#: The most multiply-adds in one product inside the scale workers.  OpenBLAS (0.3.31,
+#: 2 CPUs) keeps a real product of 2^19 on the calling thread and hands one of 2^20 to
+#: its own threads, which serialize concurrent callers and spin after each call; so the
+#: scale workers' products stay on their own threads.
 _GEMM_MACS = 1 << 19
 
 
 def _real_matmul(r: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``r @ z`` for a real r and a complex z: real products on the float views, in row blocks.
+    """``r @ z`` for a real r and a real or complex z, in row blocks.
 
-    Each block of r's rows holds at most ``_GEMM_MACS`` multiply-adds.
+    A complex z goes in as real products on its float view.  Each block of
+    r's rows holds at most ``_GEMM_MACS`` multiply-adds.
     """
-    z = np.ascontiguousarray(z, dtype=complex).view(float)
+    z = np.ascontiguousarray(z)
     if out is None:
-        out = np.empty((r.shape[0], z.shape[1] // 2), dtype=complex)
-    flat = out.view(float)
-    rows = max(1, _GEMM_MACS // z.size)
+        out = np.empty((r.shape[0], z.shape[1]), dtype=z.dtype)
+    flat, flat_z = (out.view(float), z.view(float)) if np.iscomplexobj(z) else (out, z)
+    rows = max(1, _GEMM_MACS // flat_z.size)
     for i in range(0, len(r), rows):
-        np.matmul(r[i:i + rows], z, out=flat[i:i + rows])
+        np.matmul(r[i:i + rows], flat_z, out=flat[i:i + rows])
     return out
 
 
-def _band_correlate(op: tuple, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """rx^T (k^T o (rx_in V ry_in^T)) ry into ``out``: ``values`` under :func:`_band_operator`.
+def _band_transform(rx_in: np.ndarray, ry_in: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """ry_in (rx_in V)^T: the band spectrum of ``values``, transposed, (B_y, B_x).
+
+    Each product is taken from the left by a real matrix, so the
+    intermediate B x n array is transposed between them.
+    """
+    return _real_matmul(ry_in, _real_matmul(rx_in, values).T)
+
+
+def _back_project(rx: np.ndarray, ry: np.ndarray, f: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """rx^T (ry^T f)^T: the (n_x, n_y) plane of the transposed band spectrum ``f``.
 
     With P >= n + t* mu / h on each axis no kept lag wraps onto the n
-    nodes, so this is the zero-padded circular product of the FFT path
-    restricted to the kernel's band: exact up to the same 2^-60 band cut.
-    Each product is taken from the left by a real matrix, so the
-    intermediate B x n arrays are transposed between them.
+    nodes, so a band spectrum times a kernel's, back-projected, is the
+    zero-padded circular product of the FFT path restricted to the
+    kernel's band: exact up to the same 2^-60 band cut.
     """
-    rx_in, rx, ry_in, ry, k = op
-    f = _real_matmul(ry_in, _real_matmul(rx_in, values).T)
-    f *= k
     return _real_matmul(rx.T, _real_matmul(ry.T, f).T, out)
+
+
+def _gram_form(gx: np.ndarray, gy: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """gy f gx, the Gram form of a transposed band spectrum ``f``.
+
+    With W = R_x^T f^T R_y and G = R D R^T, D the trapezoid weights, the
+    weighted sum over the grid of W_p conj(W_q) is sum(gy f_p gx conj(f_q)):
+    a pairing of two planes without either plane.
+    """
+    return _real_matmul(gx, _real_matmul(gy, f).T).T
+
+
+def _trapezoid_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_ij w_i w_j a_ij b_ij for real planes, w the trapezoid weights (1/2 at either end).
+
+    einsum's own loops make no plane-sized temporary, and no BLAS call, whose
+    threads would compete with the scale workers that run this.
+    """
+    rows = np.einsum("ij,ij->i", a, b)
+    rows -= 0.5 * (a[:, 0] * b[:, 0] + a[:, -1] * b[:, -1])
+    return rows.sum() - 0.5 * (rows[0] + rows[-1])
+
+
+def _plane_pairing(grid: ComplexPlaneGrid):
+    """``pairing(p, q)``: sum(mask p conj(q)) over two planes of ``grid``.
+
+    mask is the trapezoid weights times d2kappa/pi.  Two real planes go
+    through :func:`_trapezoid_dot`.  Otherwise the sum has the bits of a
+    whole-cube reduction, in one complex plane that each thread makes once:
+    mask p conj(q) is made as conj(conj(mask p) q), the same bits, as
+    rounding is symmetric in sign.
+    """
+    area = grid.cell_area() / np.pi
+    mask = grid.trapezoid_mask() * area
+    scratch = threading.local()
+
+    def pairing(p: np.ndarray, q: np.ndarray) -> complex:
+        if not (np.iscomplexobj(p) or np.iscomplexobj(q)):
+            return area * _trapezoid_dot(p, q)
+        if not hasattr(scratch, "plane"):
+            scratch.plane = np.empty(mask.shape, dtype=complex)
+        a = np.multiply(mask, p, out=scratch.plane)
+        np.multiply(np.conjugate(a, out=a), q, out=a)
+        return np.sum(np.conjugate(a, out=a))
+
+    return pairing
 
 
 def _padded_fft2(values: np.ndarray, mask, out: np.ndarray, columns=((0, None),)) -> np.ndarray:
@@ -585,46 +664,49 @@ def _runs(grid: ComplexPlaneGrid, m: np.ndarray, mu: np.ndarray) -> tuple:
 
     ``runs`` lists ``(shape, scales)`` in scale order: one run of the FFT
     path per padded shape (:func:`_padded_shapes`), then the matrix path's
-    scales (:func:`_matrix_start`), if any, with shape None.  ``kernel``
-    and ``bands`` are :func:`_kernel_spectrum` of the FFT path's scales.
+    runs (:func:`_matrix_start`, :func:`_band_runs`), if any, with shape
+    None.  ``kernel`` and ``bands`` are :func:`_kernel_spectrum` of the FFT
+    path's runs.
     """
     shapes = _padded_shapes(grid, len(m), mu)
     first = _matrix_start(grid, len(m), mu, shapes)
-    kernel, bands = _kernel_spectrum(m, mu[:first], grid, shapes[:first])
     runs = [(shape, list(run)) for shape, run in itertools.groupby(
-        range(len(mu)), key=lambda s: shapes[s] if s < first else None)]
-    return runs, kernel, bands
+        range(first), key=shapes.__getitem__)]
+    kernel, bands = _kernel_spectrum(m, mu, grid, runs)
+    return runs + [(None, run) for run in _band_runs(grid, len(m), mu, first)], kernel, bands
 
 
-def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce) -> list:
+def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce,
+                    pairs=None) -> list:
     """The list over scales of ``reduce(s, planes)``, the planes being W(mu_s, .) of ``fields``.
 
     The fields must share one grid, and each is checked up front.  The
-    kernel is real, so W(a + ib) = W(a) + i W(b) for real fields a and b:
-    the real fields are paired up in order, and each pair is one complex
-    input whose plane's 2 Re and 2 Im are the two planes.  The pair is
-    packed at half amplitude, an exact scaling, so the packed field passes
-    the boundary check whenever both fields do.  Complex fields and a
-    leftover real field, such as a lone one, go in alone.  For the FFT
-    engine the inputs are transformed once per run of one padded shape
-    (:func:`_runs`), into the front of one buffer per input
-    sized for the largest shape, and then one ``_map_scales`` call takes
-    that run; each worker's scratch, made after the run's spectra, has
-    the run's shape.  The leftover real field's planes are real,
-    so two consecutive scales of a run share one complex inverse
-    transform, W_s + i W_{s+1} = IFFT(F (K_s + i K_{s+1})), and its planes
-    are handed to ``reduce`` as the real and imaginary parts of that one;
-    a run's odd last scale goes alone.  The scales of the matrix path
-    (:func:`_matrix_start`) form the last run, which transforms no input:
-    each unit's band DFTs are made once, in its task, for every input
-    (:func:`_band_operator`), and a scale pair of the leftover real field
-    shares one back-projection.  One ``_map_scales`` task per
-    scale, or per such pair of scales, applies the kernels to every
-    input, unpacks the pairs and calls ``reduce`` on each scale's planes,
-    so no plane leaves its task and a caller never holds an (S, nx, ny)
-    cube.  A plane that
-    is not unpacked from a pair is a view of its worker's scratch, valid
-    only until ``reduce`` returns.
+    kernel is real, so W(a + ib) = W(a) + i W(b): the real fields are
+    paired up in order, each pair one complex input at half amplitude (an
+    exact scaling, so it passes the boundary check whenever both fields
+    do) whose plane's 2 Re and 2 Im are the two planes.  Complex fields
+    and a leftover real field go in alone.  For the FFT engine the scales
+    go in the runs of :func:`_runs`, one ``_map_scales`` call per run, and
+    before each run the calling thread transforms every input once: one
+    padded FFT into the front of one buffer per input sized for the
+    largest shape, along x only on the columns of the run's widest band,
+    or on the matrix path one band transform (:func:`_band_transform`),
+    whose leading bins each scale multiplies by its kernel and
+    back-projects (:func:`_back_project`).  The leftover real field's
+    planes are real, so two scales of a run share one complex inverse FFT
+    or back-projection and are handed to ``reduce`` as its real and
+    imaginary parts; a run's odd last scale goes alone.  Each task calls
+    ``reduce`` on its scales' planes, so a caller never holds an (S, nx,
+    ny) cube; a plane not unpacked from a pair is a view of its worker's
+    scratch, valid only until ``reduce`` returns.
+
+    With ``pairs``, index pairs (i, j) of ``fields``, ``reduce(s, sums)``
+    gets instead the sums of mask W_i conj(W_j) over the grid, mask the
+    trapezoid weights times d2kappa/pi (:func:`_plane_pairing`).  A scale
+    of the matrix path then makes no plane: each sum is a Gram form in
+    the band (:func:`_gram_form`), the run's G made once, and the leftover
+    real field's scales go one at a time, since the Gram form of a complex
+    spectrum costs as much as two real ones.
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
@@ -632,31 +714,39 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     for g in fields:
         _check_transform_input(g, w)
     real = [i for i, g in enumerate(fields) if not g.values.imag.any()]
-    pairs = list(zip(real[0::2], real[1::2]))
+    packed = list(zip(real[0::2], real[1::2]))
     # the inputs that go in alone: the complex fields, then the leftover real field
-    lone = real[2 * len(pairs):]
+    lone = real[2 * len(packed):]
     alone = [i for i in range(len(fields)) if i not in real] + lone
 
     def inputs():
         """Each input's values, made anew on each call so that none is held between them."""
-        for i, j in pairs:
+        for i, j in packed:
             yield 0.5 * (fields[i].values.real + 1j * fields[j].values.real)
         for i in alone:
             yield fields[i].values
 
     mu = scales.mu_values
     measure = grid.cell_area() / (np.pi * mu)
+    area = grid.cell_area() / np.pi
+    on_planes = None if pairs is None else _plane_pairing(grid)
 
-    def reduced(s: int, made) -> object:
+    def in_band(p: np.ndarray, q: np.ndarray) -> complex:
+        # p and q each stack a band spectrum over its Gram form
+        return area * np.vdot(q[0], p[1])
+
+    def reduced(s: int, made, pairing) -> object:
         """``reduce`` of the planes of ``fields``, from the iterable of each input's plane."""
         planes = [None] * len(fields)
         for k, plane in enumerate(made):
-            if k < len(pairs):
-                i, j = pairs[k]
+            if k < len(packed):
+                i, j = packed[k]
                 planes[i], planes[j] = 2 * plane.real, 2 * plane.imag
             else:
-                planes[alone[k - len(pairs)]] = plane
-        return reduce(s, planes)
+                planes[alone[k - len(packed)]] = plane
+        if pairs is None:
+            return reduce(s, planes)
+        return reduce(s, [pairing(planes[i], planes[j]) for i, j in pairs])
 
     if not fast:
         mask = grid.trapezoid_mask()
@@ -664,7 +754,8 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
         def one_scale(s: int) -> object:
             kernel = _lag_kernel(w, mu[s], grid)
-            return reduced(s, (_correlate_direct(v, kernel) * measure[s] for v in masked))
+            return reduced(s, (_correlate_direct(v, kernel) * measure[s] for v in masked),
+                           on_planes)
 
         return _map_scales(lambda: one_scale, len(mu))
 
@@ -673,34 +764,52 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     # one buffer per input for the largest shape of the FFT path, at whose front
     # each run's spectra go
     size = max((math.prod(shape) for shape, _ in runs if shape), default=0)
-    buffers = [np.empty(size, dtype=complex) for _ in range(len(pairs) + len(alone))]
+    buffers = [np.empty(size, dtype=complex) for _ in range(len(packed) + len(alone))]
+    # A worker's planes: one for each input that goes in alone, of which the pairs
+    # share the first complex field's, as each is unpacked before the next is made,
+    # or have one of their own; the leftover real field's, the last, holds its two
+    # scales while they are made.
+    held = max(len(alone) - len(lone), bool(packed)) + len(lone)
 
-    def transformed(shape: tuple) -> list:
-        # the mask is freed before the workers make their scratch
+    def transformed(shape: tuple, run: list) -> list:
+        # along x only on the columns of the run's widest band, the only ones its
+        # kernels do not zero; the mask is freed before the workers make their scratch
+        band = [bands[s][1] for s in run]
+        columns = _band_spans(shape[1], None if None in band else max(band))
         mask = grid.trapezoid_mask()
-        return [_padded_fft2(v, mask, out[:math.prod(shape)].reshape(shape))
+        return [_padded_fft2(v, mask, out[:math.prod(shape)].reshape(shape), columns)
                 for v, out in zip(inputs(), buffers)]
 
-    def worker(shape, units: list, spectra: list):
-        # A (px, ny) half plane for each input that goes in alone, (nx, ny) on the
-        # matrix path, where the spectra are the inputs themselves: the pairs share
-        # the first complex field's half plane, as each is unpacked before the next
-        # is made, or have one of their own; the leftover real field's, the last,
-        # holds its two scales while they are made.  The FFT path adds a kernel
-        # block and a product block over the same rows.
-        px = spectra[0].shape[0]
-        shared = max(len(alone) - len(lone), bool(pairs))
-        half_planes = [np.empty((px, grid.ny), dtype=complex) for _ in range(shared + len(lone))]
-        if shape is None:
-            def prepare(unit: tuple):
-                return functools.partial(_band_correlate, _band_operator(
-                    m, grid, mu[list(unit)], measure[list(unit)]))
-        else:
-            block = np.empty(_row_block(spectra[0].shape))
-            product = np.empty(block.shape, dtype=complex)
+    def unit_task(units: list, prepare, spectra: list, outs: list, pairing):
+        """The task of one unit, a scale or a scale pair of the leftover real field.
 
-            def prepare(unit: tuple):
-                return functools.partial(plane, unit)
+        ``prepare(unit)`` gives the unit's ``apply(spectrum, out)``, which
+        makes one input's plane in ``out``, one of the worker's ``outs``.
+        """
+        def planes(s: int, last):
+            # each input's plane at scale s, the leftover real field's, if any, in last
+            apply = prepare((s,)) if len(spectra) > len(lone) else None
+            for k, f in enumerate(spectra[:len(spectra) - len(lone)]):
+                yield apply(f, outs[max(0, k - len(packed))])
+            yield from last
+
+        def one_unit(u: int) -> list:
+            unit = units[u]
+            parts = [()] * len(unit)
+            if lone:
+                z = prepare(unit)(spectra[-1], outs[-1])
+                parts = [(z.real,), (z.imag,)]
+            return [reduced(s, planes(s, last), pairing) for s, last in zip(unit, parts)]
+
+        return one_unit
+
+    def fft_worker(units: list, spectra: list):
+        # a (px, ny) half plane for each held plane, and a kernel block and a
+        # product block over the same rows
+        px = spectra[0].shape[0]
+        half_planes = [np.empty((px, grid.ny), dtype=complex) for _ in range(held)]
+        block = np.empty(_row_block(spectra[0].shape))
+        product = np.empty(block.shape, dtype=complex)
 
         def plane(unit: tuple, f: np.ndarray, half: np.ndarray) -> np.ndarray:
             # ifft along y of each row block of the product f * K over the kernel's
@@ -723,30 +832,54 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
                 half[r:r + len(part)] = part[:, :grid.ny]
             return ifft(half, axis=0, out=half)[:grid.nx]
 
-        def planes(s: int, last):
-            # each input's plane at scale s, the leftover real field's, if any, in last
-            apply = prepare((s,)) if len(spectra) > len(lone) else None
-            for k, f in enumerate(spectra[:len(spectra) - len(lone)]):
-                yield apply(f, half_planes[max(0, k - len(pairs))])
-            yield from last
+        return unit_task(units, lambda unit: functools.partial(plane, unit), spectra,
+                         half_planes, on_planes)
 
-        def one_unit(u: int) -> list:
-            unit = units[u]
-            parts = [()] * len(unit)
-            if lone:
-                z = prepare(unit)(spectra[-1], half_planes[-1])
-                parts = [(z.real,), (z.imag,)]
-            return [reduced(s, planes(s, last)) for s, last in zip(unit, parts)]
+    def band_worker(run: list, units: list, spectra: list, op: tuple, grams):
+        # an (nx, ny) plane for each held plane, none when the sums are Gram forms
+        _, rx, _, ry, run_bands, band_kernel = op
+        outs = ([None] * held if grams else
+                [np.empty((grid.nx, grid.ny), dtype=complex) for _ in range(held)])
 
-        return one_unit
+        def prepare(unit: tuple):
+            i = unit[0] - run[0]
+            bx, by = run_bands[i]
+            k = band_kernel(i, measure[unit[0]], run_bands[i])
+            if len(unit) == 2:
+                k = k + 1j * band_kernel(i + 1, measure[unit[1]], run_bands[i])
+
+            def apply(f: np.ndarray, out) -> np.ndarray:
+                x = f[:by, :bx] * k
+                if grams:
+                    return np.stack([x, _gram_form(grams[0][:bx, :bx], grams[1][:by, :by], x)])
+                # the leftover real field's odd last scale is real, in a plane of its own
+                return _back_project(rx[:bx], ry[:by], x, out if np.iscomplexobj(x) else None)
+
+            return apply
+
+        return unit_task(units, prepare, spectra, outs, in_band)
+
+    def units_of(run: list, paired: bool) -> list:
+        # the run's scales one at a time, or two at a time for the leftover real field
+        step = 2 if lone and paired else 1
+        return [tuple(run[i:i + step]) for i in range(0, len(run), step)]
 
     values = []
-    step = 2 if lone else 1
     for shape, run in runs:
-        units = [tuple(run[i:i + step]) for i in range(0, len(run), step)]
-        spectra = list(inputs()) if shape is None else transformed(shape)
-        values += itertools.chain.from_iterable(
-            _map_scales(functools.partial(worker, shape, units, spectra), len(units)))
+        if shape is None:
+            op = _band_operator(m, grid, mu[run])
+            rx_in, rx, ry_in, ry = op[:4]
+            spectra = [_band_transform(rx_in, ry_in, v) for v in inputs()]
+            grams = None
+            if pairs is not None:
+                gx = _real_matmul(rx_in, rx.T)
+                grams = gx, (gx if ry is rx else _real_matmul(ry_in, ry.T))
+            units = units_of(run, grams is None)
+            worker = functools.partial(band_worker, run, units, spectra, op, grams)
+        else:
+            units = units_of(run, True)
+            worker = functools.partial(fft_worker, units, transformed(shape, run))
+        values += itertools.chain.from_iterable(_map_scales(worker, len(units)))
     return values
 
 
@@ -843,7 +976,8 @@ def inverse(coeffs: CCWTCoefficients, w: MotherWavelet, c_prime: float,
     part is added, in scale order, into one sum on the output grid.  On
     the kappa grid's own layout the scales of one padded shape are summed
     in the Fourier domain first, so one inverse FFT serves each such run,
-    and the widest scales are matrix DFTs (:func:`_matrix_start`); onto any
+    and the widest scales are matrix DFTs, summed in the band and
+    back-projected once per run of one length (:func:`_band_runs`); onto any
     other grid each scale is a separable contraction
     (:func:`specfun.separable_correlate`).
     """
@@ -857,22 +991,18 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
 
     ``plane`` is called inside the per-scale task, so a getter that reads
     the plane from a file keeps only the planes in flight in memory.  Every
-    part goes, in scale order, into one sum on the output grid, made when
-    the first part reaches it.  On the kappa grid's layout the scales go in
-    the runs of :func:`_runs`, one ``_map_scales`` call per run.  A scale of
-    the FFT path is a padded spectrum of its run's shape, added into the
-    run's sum, which is zeroed when the run starts and, when it ends, taken
-    back to the grid by one inverse FFT and added to the grid sum.  A banded
-    scale (:func:`_kernel_spectrum`) is transformed along x only on its
-    band's columns, and multiplied and added only on its band's rows; the
-    rest of its part is left unread.  The run's sum sits at the front of
-    one buffer for the FFT path's largest shape, and each worker makes its
-    spectrum and kernel block in the run's shape, so a run holds exactly
-    workers + 1 spectra, and the grid sum beside them from the second run
-    on.  On the matrix path (:func:`_matrix_start`) each worker
-    back-projects its scale's part into one plane of its own
-    (:func:`_band_correlate`); onto any other grid a part is its scale's
-    separable contraction.  Both go into the grid sum directly.
+    part goes, in scale order, into one sum on the output grid, made by the
+    first part.  On the kappa grid's layout the scales go in the runs of
+    :func:`_runs`, one ``_map_scales`` call per run.  A scale of the FFT
+    path is a padded spectrum of its run's shape, transformed along x only
+    on its band's columns and added on its band's rows only, into the
+    run's sum at the front of one buffer for the largest shape; each
+    worker makes its spectrum and kernel block in the run's shape, so a run
+    holds exactly workers + 1 spectra.  A scale of the matrix path is its
+    band transform times its kernel, added into the run's band sum.  Each
+    run's sum is taken back to the grid once, by one inverse FFT or one
+    back-projection.  Onto any other grid a part is its scale's separable
+    contraction.
     """
     if not np.isfinite(c_prime) or c_prime <= 0:
         raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
@@ -899,16 +1029,7 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
             # the rows of scale s's band, in the forward's spans
             return _band_spans(shape[0], bands[s][0], _KERNEL_TILE)
 
-        def worker(shape, run: list):
-            if shape is None:
-                part = np.empty((kgrid.nx, kgrid.ny), dtype=complex)
-
-                def back_projected(i: int) -> np.ndarray:
-                    s = run[i]
-                    op = _band_operator(m, kgrid, mu[s:s + 1], weights[s:s + 1])
-                    return _band_correlate(op, plane(s), part)
-
-                return back_projected
+        def worker(shape: tuple, run: list):
             spectrum, block = np.empty(shape, dtype=complex), np.empty(_row_block(shape))
 
             def one_scale(i: int) -> np.ndarray:
@@ -925,14 +1046,33 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
             for lo, hi in rows(run_sum.shape, run[i]):
                 np.add(run_sum[lo:hi], part[lo:hi], out=run_sum[lo:hi])
 
+        def band_worker(run: list, op: tuple):
+            rx_in, _, ry_in, _, run_bands, band_kernel = op
+
+            def band_part(i: int) -> np.ndarray:
+                bx, by = run_bands[i]
+                f = _band_transform(rx_in[:bx], ry_in[:by], plane(run[i]))
+                f *= band_kernel(i, weights[run[i]], run_bands[i])
+                return f
+
+            return band_part
+
+        def band_summed(band_sum: np.ndarray, i: int, part: np.ndarray) -> None:
+            band_sum[:part.shape[0], :part.shape[1]] += part
+
         for shape, run in runs:
-            task = functools.partial(worker, shape, run)
             if shape is None:
-                _map_scales(task, len(run), lambda i, part: add(part))
+                # the run's band spectra, summed in scale order, are back-projected once
+                op = _band_operator(m, kgrid, mu[run])
+                band_sum = np.zeros(op[4][0][::-1], dtype=complex)
+                _map_scales(functools.partial(band_worker, run, op), len(run),
+                            functools.partial(band_summed, band_sum))
+                add(_back_project(op[1], op[3], band_sum))
                 continue
             run_sum = flat[:math.prod(shape)].reshape(shape)
             run_sum.fill(0)
-            _map_scales(task, len(run), functools.partial(summed, run_sum, run))
+            _map_scales(functools.partial(worker, shape, run), len(run),
+                        functools.partial(summed, run_sum, run))
             add(_cropped_ifft2(run_sum, out_grid.nx, out_grid.ny))
 
     else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,48 +52,20 @@ class ParsevalReport:
                    (scales.mu_min, scales.mu_max), summary)
 
 
-def _trapezoid_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum_ij w_i w_j a_ij b_ij for real planes, w the trapezoid weights (1/2 at either end).
-
-    einsum's own loops make no plane-sized temporary, and no BLAS call, whose
-    threads would compete with the scale workers that run this.
-    """
-    rows = np.einsum("ij,ij->i", a, b)
-    rows -= 0.5 * (a[:, 0] * b[:, 0] + a[:, -1] * b[:, -1])
-    return rows.sum() - 0.5 * (rows[0] + rows[-1])
-
-
 def _pairing_reports(fields, pairs, w: MotherWavelet, scales: ScaleGrid,
                      engine: str) -> list:
     """Parseval reports for each index pair (i, j) of ``fields``.
 
     Every field goes through one forward call, which checks that they
-    share a grid and transforms two real fields as one.  Each scale's task
-    reduces its planes to the pairing sums, so no plane leaves its task
-    and no (S, n, n) coefficient cube is held.
+    share a grid, transforms two real fields as one and reduces each
+    scale's planes to the pairing sums in the scale's task, so no plane
+    leaves its task and no (S, n, n) coefficient cube is held; on the
+    matrix path the sums are Gram forms in the band, with no plane made.
     """
     fast = _is_fft_engine(engine)
     grid = fields[0].grid
-    measure = grid.cell_area() / np.pi
-    mask = grid.trapezoid_mask() * measure
-    scratch = threading.local()
-
-    def pairing(p: np.ndarray, q: np.ndarray) -> complex:
-        if np.iscomplexobj(p) or np.iscomplexobj(q):
-            # the bits of a whole-cube reduction, sum(mask * p * conj(q)), in two
-            # complex planes that each thread makes once
-            if not hasattr(scratch, "planes"):
-                scratch.planes = np.empty((2, *mask.shape), dtype=complex)
-            a, b = scratch.planes
-            np.multiply(mask, p, out=a)
-            np.conjugate(q, out=b)
-            return np.sum(np.multiply(a, b, out=a))
-        return measure * _trapezoid_dot(p, q)
-
-    def pairings(s: int, planes: list) -> list:
-        return [pairing(planes[i], planes[j]) for i, j in pairs]
-
-    per_scale = np.array(_forward_planes(fields, w, scales, fast, pairings), dtype=complex).T
+    per_scale = np.array(_forward_planes(fields, w, scales, fast, lambda s, sums: sums, pairs),
+                         dtype=complex).T
     weights = scale_weights(scales, 3)
     c_prime = c_psi_prime(w)
     reports = []

@@ -662,14 +662,15 @@ def test_fast_engine_makes_a_y_table_unless_the_axes_match(grid, monkeypatch):
     assert len(tables) == len(set(_padded_shapes(square, 4, scales.mu_values)))
 
 
-def whole_kernel_spectrum(m, mu, grid, shapes):
+def whole_kernel_spectrum(m, mu, grid, runs):
     """The kernel as it was applied before row blocks: one whole (px, py) product per scale.
 
     Its tables are zeroed past the bands that ``ccwt._kernel_spectrum`` gives, and each
     product is made over every row, whatever the spans asked for, in the block given:
     a scale pair's two kernels go into the real and imaginary parts of its product.
     """
-    _, bands = whole_kernel_spectrum.original(m, mu, grid, shapes)
+    _, bands = whole_kernel_spectrum.original(m, mu, grid, runs)
+    shapes = {s: shape for shape, run in runs for s in run}
 
     def table(n, step, p, band):
         t = _axis_spectra(len(m), n, step, p)
@@ -696,7 +697,7 @@ def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
     m = separable_coeffs(w)
     shapes = _padded_shapes(grid, len(m), scales.mu_values)
     assert shapes[-1] == (75, 60)
-    _, bands = ccwt._kernel_spectrum(m, scales.mu_values, grid, shapes)
+    _, _, bands = ccwt._runs(grid, m, scales.mu_values)
     # the EMHW's scale 3 is banded along x: rows 0-30 and 40-74
     banded = [s for s, (jx, _) in enumerate(bands) if jx is not None]
     assert banded == ([3] if len(m) == 2 else [])
@@ -1342,8 +1343,9 @@ def _check_matrix_path(grid, w, scales, values):
 
 
 def test_matrix_path_matches_the_references_at_256():
-    # verify's default grid and scales: the widest 35 take the matrix path, an odd
-    # count, so the lone real field's scales there go in 17 pairs and a leftover
+    # verify's default grid and scales: the widest 35 take the matrix path in runs of
+    # 3, 5, 7, 9 and 11 scales, odd counts, so the lone real field's scales there go
+    # in 15 pairs and a leftover per run
     grid = ComplexPlaneGrid.centered(256, 8.0)
     scales = ScaleGrid.log_spaced(64, 0.25, 16.0)
     assert _check_matrix_path(grid, emhw(), scales, windowed_noise(grid, seed=5)) == 64 - 35
@@ -1351,8 +1353,9 @@ def test_matrix_path_matches_the_references_at_256():
 
 def test_matrix_path_takes_every_scale_at_192():
     # every scale from 3 to 12 is cut by the grid and has a band of at most a quarter
-    # of each axis, so the matrix path is the call's only run: the inverse makes no
-    # spectrum, and its parts alone make its sum on the grid
+    # of each axis, so the matrix path takes every run, here three of one scale each:
+    # the inverse makes no padded spectrum, and its back-projections alone make its
+    # sum on the grid
     grid = ComplexPlaneGrid.centered(192, 8.0)
     scales = ScaleGrid.log_spaced(3, 3.0, 12.0)
     assert _check_matrix_path(grid, emhw(), scales, windowed_noise(grid, seed=8)) == 0
@@ -1376,3 +1379,106 @@ def test_matrix_path_matches_the_references_on_rectangular_grids(nx, ny, hx, hy,
     kinds = _scale_kinds(grid, len(separable_coeffs(w)), scales.mu_values)
     assume("matrix" in kinds and len(kinds) > 1)
     _check_matrix_path(grid, w, scales, windowed_noise(grid, seed))
+
+
+@pytest.mark.parametrize("grid, scales, w, expected", [
+    # the CLI round trip's grid, and verify's default one: (P, scales) per run
+    (ComplexPlaneGrid.centered(256, 32.0), ScaleGrid.log_spaced(96, 0.25, 32.0), emhw(),
+     [(567, 4), (678, 6), (924, 9), (1489, 12)]),
+    (ComplexPlaneGrid.centered(256, 8.0), ScaleGrid.log_spaced(64, 0.25, 16.0), emhw(),
+     [(555, 3), (671, 5), (915, 7), (1449, 9), (2721, 11)]),
+    (ComplexPlaneGrid(220, 192, -7.0, -5.0, 14.0 / 219, 10.0 / 191),
+     ScaleGrid.log_spaced(40, 10.0 / 191, 42.0), random_admissible_lg(4, seed=2), None),
+], ids=["cli-256", "verify-256", "rectangular"])
+def test_band_runs_share_the_length_of_their_widest_scale(grid, scales, w, expected):
+    mu = scales.mu_values
+    m = separable_coeffs(w)
+    t = ccwt._support_radius(len(m))
+    first = ccwt._matrix_start(grid, len(m), mu, _padded_shapes(grid, len(m), mu))
+    runs, _, _ = ccwt._runs(grid, m, mu)
+    band_runs = [run for shape, run in runs if shape is None]
+    # the matrix path's runs come last and take its scales in order
+    assert [shape for shape, _ in runs[-len(band_runs):]] == [None] * len(band_runs)
+    assert list(itertools.chain(*band_runs)) == list(range(first, len(mu))) != []
+    lengths = []
+    for run in band_runs:
+        top = mu[run[-1]]
+        for n, h in ((grid.nx, grid.dx), (grid.ny, grid.dy)):
+            # the run's length on this axis is its widest scale's own
+            p = ccwt._band_lengths(n, h, t, top, top)[0]
+            for s in [run[0] - 1] + run:
+                band, own = (2 * ccwt._band_lengths(n, h, t, mu[s], top)[1] + 1,
+                             2 * ccwt._band_lengths(n, h, t, mu[s], mu[s])[1] + 1)
+                assert ccwt._band_lengths(n, h, t, mu[s], top)[0] == p
+                if s >= run[0]:
+                    assert band <= n / 4 and band <= 2 * own
+        # the scale below a run, if on the matrix path, fits neither axis's limits
+        if run[0] > first:
+            assert not all(
+                2 * ccwt._band_lengths(n, h, t, mu[run[0] - 1], top)[1] + 1
+                <= min(n / 4, 2 * (2 * ccwt._band_lengths(n, h, t, mu[run[0] - 1],
+                                                           mu[run[0] - 1])[1] + 1))
+                for n, h in ((grid.nx, grid.dx), (grid.ny, grid.dy)))
+        lengths.append((ccwt._band_lengths(grid.nx, grid.dx, t, top, top)[0], len(run)))
+    if expected is not None:
+        assert lengths == expected
+    else:
+        assert len(lengths) > 1
+
+
+@settings(max_examples=6, deadline=None)
+@example(nx=200, ny=216, square=False, hx=7.0, hy=6.0, w=random_admissible_lg(8, seed=4),
+         over=3.0, seed=2)
+@given(nx=st.integers(196, 224), ny=st.integers(196, 224), square=st.booleans(),
+       hx=st.floats(5.0, 8.0), hy=st.floats(5.0, 8.0),
+       w=st.one_of(st.just(emhw()),
+                   st.builds(random_admissible_lg, st.integers(2, 8), st.integers(0, 2**16))),
+       over=st.floats(2.0, 4.0), seed=st.integers(0, 2**16))
+def test_band_gram_pairings_match_plane_pairings(nx, ny, square, hx, hy, w, over, seed):
+    # a packed real pair, a complex field and a leftover real field in one call, over
+    # FFT-path scales and the matrix path's runs: each pairing sum, taken on planes on
+    # the FFT path and as a Gram form in the band on the matrix path, against the
+    # weighted sum over the planes themselves
+    if square:
+        ny, hy = nx, hx
+    grid = ComplexPlaneGrid(nx, ny, -hx, -hy, 2 * hx / (nx - 1), 2 * hy / (ny - 1))
+    width = max((nx - 1) * grid.dx, (ny - 1) * grid.dy)
+    scales = ScaleGrid.log_spaced(16, 2 * min(grid.dx, grid.dy), over * width)
+    kinds = _scale_kinds(grid, len(separable_coeffs(w)), scales.mu_values)
+    assume("matrix" in kinds and len(kinds) > 1)
+    fields = [Field(grid, windowed_noise(grid, seed + k).real) for k in range(2)]
+    fields += [Field(grid, windowed_noise(grid, seed + 2)),
+               Field(grid, windowed_noise(grid, seed + 3).real)]
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    sums = _forward_planes(fields, w, scales, True, lambda s, sums: sums, pairs)
+    planes = _forward_planes(fields, w, scales, True, copied)
+    mask = grid.trapezoid_mask() * grid.cell_area() / np.pi
+    for s in range(len(scales)):
+        for (i, j), got in zip(pairs, sums[s]):
+            p, q = planes[s][i], planes[s][j]
+            expected = np.sum(mask * p * np.conj(q))
+            assert abs(got - expected) <= 1e-13 * np.sum(mask * np.abs(p) * np.abs(q))
+
+
+def test_kernel_blocks_stay_under_the_blas_cap(monkeypatch):
+    # A 33-term wavelet's kernel blocks hold more multiply-adds than OpenBLAS keeps on
+    # the calling thread; each block's product goes in whole tiles of 8 rows under the cap
+    products = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, out=None):
+            products.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return np.matmul(a, b, out=out)
+
+    w = laguerre_gaussian([n and 1 / math.factorial(n) for n in range(33)])
+    monkeypatch.setattr(ccwt, "np", CountingNumpy())
+    for n in (96, 250):
+        grid = ComplexPlaneGrid.centered(n, 12.0)
+        scales = ScaleGrid.log_spaced(4, 0.25, 12.0)
+        coeffs = forward_fast(Field(grid, windowed_noise(grid, seed=n)), w, scales)
+        inverse(coeffs, w, 1.0)
+    assert products and max(products) <= ccwt._GEMM_MACS

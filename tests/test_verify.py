@@ -195,9 +195,9 @@ def test_parseval_suite_transforms_each_field_once(monkeypatch):
     original = verify._forward_planes
     calls = []
 
-    def spy(fields, w, scales, fast, reduce):
+    def spy(fields, w, scales, fast, reduce, pairs):
         calls.append(len(scales))
-        return original(fields, w, scales, fast, reduce)
+        return original(fields, w, scales, fast, reduce, pairs)
 
     monkeypatch.setattr(verify, "_forward_planes", spy)
     run_suite("parseval", SMALL_SUITE)
@@ -215,14 +215,14 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     original = verify._forward_planes
     calls, pools, tables, threads, ffts, reducers = [], [], [], set(), [], set()
 
-    def spy(fields, w, scales, fast, reduce):
+    def spy(fields, w, scales, fast, reduce, pairs):
         calls.append(len(fields))
 
-        def reduce_on_thread(s, planes):
+        def reduce_on_thread(s, sums):
             reducers.add(threading.get_ident())
-            return reduce(s, planes)
+            return reduce(s, sums)
 
-        return original(fields, w, scales, fast, reduce_on_thread)
+        return original(fields, w, scales, fast, reduce_on_thread, pairs)
 
     class SpyPool(ccwt.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -262,6 +262,28 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     assert tables == [threading.get_ident()] * 2
     assert 1 <= len(threads) <= 2
     assert 1 <= len(reducers) <= ccwt.worker_count(len(scales))
+
+
+def test_pairing_reports_make_no_plane_on_the_matrix_path(monkeypatch):
+    # verify's default grid and scales: the widest 35 scales take the matrix path,
+    # where each pairing is a Gram form in the band, one per scale for the packed
+    # (vacuum, |1,1>) input, and no scale is back-projected to a plane
+    settings = VerifySettings()
+    grid, scales = settings.grid(), settings.scales()
+    projected, formed = [], []
+    gram_form = ccwt._gram_form
+
+    def counted_gram_form(*args):
+        formed.append(args[2].shape)
+        return gram_form(*args)
+
+    monkeypatch.setattr(ccwt, "_back_project", lambda *args: projected.append(args))
+    monkeypatch.setattr(ccwt, "_gram_form", counted_gram_form)
+    fields = [unit_norm_field(d, grid) for d in ("number:0,0", "number:1,1")]
+    reports = verify._pairing_reports(fields, [(0, 0), (0, 1), (1, 1)], emhw(), scales, "fft")
+    assert projected == []
+    assert len(formed) == 35
+    assert all(abs(rep.rel_error) <= verify.THEOREM_TOL for rep in (reports[0], reports[2]))
 
 
 def literal_kernel(eta, eta_prime, w, scales, grid):
@@ -433,7 +455,7 @@ def test_report_csv_schema(tmp_path):
             CaseResult("constant[number:1,1]", 0.5, 0.5, 0.0, True)]
     path = str(tmp_path / "r.csv")
     write_report_csv(rows, path)
-    lines = open(path).read().splitlines()
+    lines = (tmp_path / "r.csv").read_text().splitlines()
     assert lines[0] == "case,lhs_re,lhs_im,rhs_re,rhs_im,rel_error"
     assert lines[1].startswith("demo,1.0,2.0,1.0,0.0,0.1")
     with open(path, newline="") as fh:
@@ -468,4 +490,4 @@ def test_trapezoid_dot_is_the_masked_sum(layout):
     mask = grid.trapezoid_mask()
     for a, b in ((p, q), (p, p), (q, p)):
         expected = np.sum(mask * a * b)
-        assert abs(verify._trapezoid_dot(a, b) - expected) <= 1e-13 * np.sum(mask * abs(a * b))
+        assert abs(ccwt._trapezoid_dot(a, b) - expected) <= 1e-13 * np.sum(mask * abs(a * b))
