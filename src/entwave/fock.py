@@ -197,8 +197,11 @@ def coherent_state_eta(z1: complex, z2: complex, eta, *, tol: float = 1e-10):
 def _coherent_order(a1: float, a2: float, tol: float) -> int:
     a = max(a1, a2, 1e-6)
     for order in range(8, _SERIES_ORDER_CAP + 1):
-        if a**order / math.sqrt(math.factorial(order)) < 0.01 * tol:
-            return order
+        try:
+            if a**order / math.sqrt(math.factorial(order)) < 0.01 * tol:
+                return order
+        except OverflowError:  # past the float range this term, and each later one, is too big
+            break
     raise ConvergenceError(
         f"coherent amplitudes ({a1:.3g}, {a2:.3g}) too large for the "
         f"series cap {_SERIES_ORDER_CAP}"

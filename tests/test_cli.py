@@ -239,6 +239,15 @@ def _assert_exits_cleanly(result, code, message):
     assert ".entwave-" not in result.output and "Traceback" not in result.output
 
 
+def test_overflowing_coherent_amplitude_exits_3_and_writes_nothing(runner, tmp_path):
+    # a**order overflows the float range at order 8: the series cannot converge
+    out = str(tmp_path / "big.ewg")
+    result = runner.invoke(main, ["fock", "sample", "coherent:1e200,0,0,0", "--grid-n", "64",
+                                  "--grid-extent", "8", "--output", out])
+    _assert_exits_cleanly(result, 3, "coherent amplitudes")
+    _assert_no_output(out)
+
+
 def test_io_errors_exit_with_their_codes_and_name_the_user_path(runner, tmp_path):
     # an output in a missing directory or at a directory exits 3, an input that
     # is a directory exits 2; each message names the user's path, and the

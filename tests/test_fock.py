@@ -135,6 +135,37 @@ def test_coherent_series_cap():
         parse_state_descriptor("coherent:9,0,0,0")
 
 
+def _unguarded_coherent_order(a1, a2, tol):
+    """The series order as chosen before overflowing terms were caught."""
+    a = max(a1, a2, 1e-6)
+    for order in range(8, fock._SERIES_ORDER_CAP + 1):
+        if a**order / math.sqrt(math.factorial(order)) < 0.01 * tol:
+            return order
+    raise ConvergenceError("cap")
+
+
+def test_coherent_order_is_unchanged_wherever_no_term_overflows():
+    # an overflowing term counts as not converged, so the call ends in
+    # ConvergenceError; every other amplitude keeps its order, or its error
+    amplitudes = np.concatenate([np.geomspace(1e-9, 1e300, 601), [0.0, 5.0, 7.5, 9.0, 30.0,
+                                                                   1.3e5, 1e200, 1e308]])
+    overflowed = 0
+    for a in amplitudes.tolist():
+        for tol in (1e-10, 1e-6):
+            try:
+                expected = _unguarded_coherent_order(a, 0.5 * a, tol)
+            except (ConvergenceError, OverflowError) as exc:
+                overflowed += isinstance(exc, OverflowError)
+                with pytest.raises(ConvergenceError, match="series cap"):
+                    fock._coherent_order(a, 0.5 * a, tol)
+            else:
+                assert fock._coherent_order(a, 0.5 * a, tol) == expected
+                assert fock._coherent_order(0.5 * a, a, tol) == expected
+    assert overflowed > 0
+    with pytest.raises(ConvergenceError):
+        parse_state_descriptor("coherent:1e200,0,0,0")
+
+
 def test_xi_eta_overlap_values():
     assert xi_eta_overlap(0.0, 0.0) == 0.5
     rng = np.random.default_rng(14)
