@@ -4,34 +4,27 @@ The forward transform W(mu, kappa) = (1/mu) int d2eta/pi g(eta)
 psi*((eta - kappa)/mu) is, per scale, a 2D cross-correlation of the field
 with the dilated wavelet.  ``forward`` contracts the sampled lag kernel
 directly (BLAS row blocks), the literal Riemann sum on the field's grid;
-``forward_fast`` uses zero-padded FFTs and drops the kernel's lags past
-its support, where each term of the kernel is below 2^-60 of its peak.
-Each scale is padded only as far as its dilated wavelet reaches, and
-scales of one padded shape form a run.  Every radial wavelet is a short
-sum of products h_2a(x) h_2b(y) of Hermite functions, each its own
-Fourier transform, so a kernel's spectrum is made from 1D DFTs and is as
-short as its lags are: past |k| = t*/mu every term is below 2^-60, and
-neither direction transforms, multiplies or adds what is then known to
-be zero.  A lone real field's planes are real, so two scales of one run
-share one complex inverse FFT, W_s + i W_{s+1} = IFFT(F (K_s + i K_{s+1})).
-The widest scales, whose kernels the grid cuts, are matrix DFTs over
-that band instead, R_x^T (K o (R_x V R_y^T)) R_y, in runs of one DFT
-length: a run's scales share one band transform of each input in the
-forward and one back-projection in the inverse, and a pairing of two of
-their planes is a Gram form in the band, with no plane made.
-The inverse integrates dmu/mu^4 of per-scale correlations with the
-(unconjugated) wavelet; on the coefficients' own grid it sums each run's
-per-scale products in the Fourier domain, or in the band, and takes the
-sum back to the grid once per run, and onto any other grid each scale is
-the separable contraction sum_ab M_ab X_a V Y_b^T over per-axis Hermite
+``forward_fast`` drops the kernel's lags past its support, where each term
+of the kernel is below 2^-60 of its peak, and its frequencies past
+t*/mu, where each term's spectrum is.  Every radial wavelet is a short sum
+of products h_2a(x) h_2b(y) of Hermite functions, each its own Fourier
+transform, so a kernel's spectrum is made from 1D transforms.  Per scale,
+both spectral paths take the band of an input's length-P DFT, multiply it
+by the kernel's spectrum there and take the product back to the grid; the
+scales go in runs that share P, each run one operator (:func:`_runs`).  On
+the FFT path a run is the scales of one padded shape, each padded only as
+far as its wavelet reaches, and its FFTs skip what is known to be zero; the
+widest scales, whose kernels the grid cuts, are matrix DFTs over the band,
+R_x^T (K o (R_x V R_y^T)) R_y, and their pairings Gram forms, with no plane
+made.  A lone real field's planes are real, so two scales share one complex
+transform back.  The inverse integrates dmu/mu^4 of per-scale correlations
+with the (unconjugated) wavelet: on the coefficients' own grid it sums each
+run's parts in its band and takes the sum back once per run, and onto any
+other grid each scale is a separable contraction over per-axis Hermite
 matrices.  Both directions go one run at a time, one ``_map_scales`` call
-per run, whose worker loops, one on the calling thread and the rest on
-the process's one pool, take the run's scales one plane at a time in
-scratch made once per run; no task outlives its call.  Each scale's
-planes are reduced inside its task, and the inverse reads each plane
-inside its task, so neither direction needs the (S, nx, ny) cube, and a
-kernel spectrum is made one block of rows at a time, so neither holds a
-(px, py) real array.
+per run, whose worker loops take its scales one at a time in scratch made
+once per run; no task outlives its call, and no (S, nx, ny) cube or (px,
+py) real kernel spectrum is held.
 A 1D transform pair over the real line is included as a baseline, with
 per-scale translation grids sized to the dilated wavelet.
 """
@@ -282,65 +275,6 @@ def _band_spans(p: int, band, tile: int = 1) -> list:
     return [(0, p)] if upper <= band + 1 else [(0, band + 1), (upper, p)]
 
 
-def _kernel_spectrum(m: np.ndarray, mu: np.ndarray, grid: ComplexPlaneGrid, runs: list):
-    """``(blocks, bands)``: the row blocks of each scale's real spectrum K, and its band.
-
-    ``runs`` are the FFT path's runs of :func:`_runs`, ``(shape, scales)``.
-    K is the real DFT of the padded lag kernel of ``c * m`` at mu[s],
-    (U_s^T c M) V_s, of its run's shape (px, py).  ``blocks(s, c, block,
-    spans)`` yields ``(r, K[r:r + len(b)])`` over the row spans ``spans``,
-    each made in ``block``, an array of the :func:`_row_block` shape (or a
-    view of one), which the next one overwrites, so no (px, py) real array
-    is ever held.  A block is at most as many whole tiles of 8 rows as
-    keep its product under ``_GEMM_MACS`` (:func:`_real_matmul`): all of
-    ``block`` for a wavelet of up to 8 terms.  Every scale's axis tables
-    are made here, once per run; one serves both axes when they match.
-
-    Each term h_2a is its own Fourier transform up to a sign, so past
-    |k| = t*/mu (:func:`_support_radius`) every term's spectrum is below
-    2^-60 of its peak, as its samples are past t* mu.  On an axis of n
-    nodes, step h and length P that is the bins |j| > J, J = floor(t* P h
-    / (2 pi mu)).  A scale is banded on that axis when 2J + 1 < P and its
-    kernel is not cut by the grid, t* mu / h < min(n, P - n + 1) - 1; its
-    table is then set to zero past J, so K is exactly zero outside the box
-    of its bands.  ``bands[s]`` is (Jx, Jy), None on an axis not banded.
-    """
-    square = (grid.nx, grid.dx) == (grid.ny, grid.dy)
-    t = _support_radius(len(m))
-
-    def banded(n: int, steps, p: int) -> tuple:
-        table = _axis_spectra(len(m), n, steps, p)
-        half = np.floor(t * p * steps / (2 * np.pi)).astype(int)
-        fits = (2 * half + 1 < p) & (t / steps < min(n, p - n + 1) - 1)
-        bands = [int(j) if ok else None for j, ok in zip(half, fits)]
-        for k, j in enumerate(bands):
-            if j is not None:
-                table[k, :, j + 1:p - j] = 0
-        return list(table), bands
-
-    u, v, bands_x, bands_y = [], [], [], []
-    for (px, py), run in runs:
-        run_mu = mu[run]
-        table, band = banded(grid.nx, grid.dx / run_mu, px)
-        u += table
-        bands_x += band
-        if not square:
-            table, band = banded(grid.ny, grid.dy / run_mu, py)
-        v += table
-        bands_y += band
-
-    def blocks(s: int, c: float, block: np.ndarray, spans: list):
-        left = _real_matmul(u[s].T, m * c)
-        # whole tiles of at most _GEMM_MACS multiply-adds: all of a block up to 8 terms
-        size = min(len(block), max(_KERNEL_TILE, _GEMM_MACS // v[s].size // _KERNEL_TILE
-                                   * _KERNEL_TILE))
-        for lo, hi in spans:
-            for r in range(lo, hi, size):
-                yield r, np.matmul(left[r:min(hi, r + size)], v[s], out=block[:min(hi - r, size)])
-
-    return blocks, list(zip(bands_x, bands_y))
-
-
 def _next_fast_len(target: int) -> int:
     """Smallest n >= target with no prime factor above 11, a fast pocketfft length."""
     n = target
@@ -428,7 +362,7 @@ def _band_lengths(n: int, step: float, t: float, mu_lo: float, mu_hi: float) -> 
 
 
 def _matrix_start(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray, shapes: list) -> int:
-    """The first scale of the matrix path (:func:`_band_operator`), len(mu) if none takes it.
+    """The first scale of the matrix path (:class:`_BandRun`), len(mu) if none takes it.
 
     A scale's kernel is cut by the grid on an axis when t* mu / h >=
     min(n, P - n + 1) - 1 at its padded length P (:func:`_padded_shapes`):
@@ -487,59 +421,6 @@ def _band_runs(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray, first: int) -
     return runs
 
 
-def _band_operator(m: np.ndarray, grid: ComplexPlaneGrid, mu: np.ndarray) -> tuple:
-    """``(rx_in, rx, ry_in, ry, bands, kernel)``: a matrix-path run's band DFTs and kernels.
-
-    ``mu`` holds the run's scales, ascending (:func:`_band_runs`).  On each
-    axis the run shares P, :func:`_band_lengths` of its widest scale, and
-    each scale's band is its J at P, the narrowest scale's the widest.  The
-    kernel's spectrum is real and even in each frequency, so the sum over
-    the bins |j| <= J is one over cosines and sines: R (B x n, B = 2J + 1)
-    holds cos(2 pi j a / P) for j = 0, then cos and sin in turn for j =
-    1..J, so a scale's band is R's leading B_s = 2 J_s + 1 rows.  Each
-    phase is reduced mod P in integers and read from a table of the P
-    roots of unity, and the bins j and -j give twice the weight of bin j.
-    rx_in and ry_in carry the trapezoid weights.  ``bands[i]`` is (B_x,
-    B_y) of the run's scale i.
-
-    ``kernel(i, c, band)`` is scale i's kernel spectrum over the leading
-    ``band`` (B_x, B_y) bins, transposed, (U^T c M V) / (P_x P_y).  At P >=
-    n + t* mu / h the kernel's samples are whole, so their length-P DFT
-    is, by Poisson's formula, the samples of the continuous transform:
-    each h_2a is its own Fourier transform up to (-1)^a, and at step s = h
-    / mu bin j is sqrt(2 pi) / s (-1)^a h_2a(2 pi j / (P s)), to within
-    2^-60 of the peak.  So the band's spectra are sampled in closed form,
-    at a cost that does not grow with P.
-    """
-    t = _support_radius(len(m))
-    sign = (-1.0) ** np.arange(len(m))
-
-    def axis(n: int, step: float) -> tuple:
-        p, band = _band_lengths(n, step, t, mu[0], mu[-1])
-        j = np.arange(1, 2 * band + 2) // 2
-        roots = np.exp(2j * np.pi / p * np.arange(p))
-        phase = np.multiply.outer(j, np.arange(n)) % p
-        sines = (np.arange(len(j)) % 2 == 0) & (j > 0)
-        r = np.where(sines[:, None], roots.imag[phase], roots.real[phase])
-        s = step / mu
-        freqs = np.multiply.outer(2 * np.pi / (p * s), j)
-        table = hermite_functions(freqs, 2 * len(m) - 1)[::2] * sign[:, None, None]
-        table *= (math.sqrt(2 * np.pi) / s)[:, None] * np.where(j, 2.0, 1.0)
-        bands = [2 * _band_lengths(n, step, t, one, mu[-1])[1] + 1 for one in mu]
-        return r * _trap_mask_1d(n), r, table.transpose(1, 0, 2), p, bands
-
-    rx_in, rx, u, px, bands_x = axis(grid.nx, grid.dx)
-    square = (grid.nx, grid.dx) == (grid.ny, grid.dy)
-    ry_in, ry, v, py, bands_y = ((rx_in, rx, u, px, bands_x) if square
-                                 else axis(grid.ny, grid.dy))
-
-    def kernel(i: int, c: float, band: tuple) -> np.ndarray:
-        bx, by = band
-        return v[i][:, :by].T @ (m.T * (c / (px * py))) @ u[i][:, :bx]
-
-    return rx_in, rx, ry_in, ry, list(zip(bands_x, bands_y)), kernel
-
-
 #: The most multiply-adds in one product inside the scale workers.  OpenBLAS (0.3.31,
 #: 2 CPUs) keeps a real product of 2^19 on the calling thread and hands one of 2^20 to
 #: its own threads, which serialize concurrent callers and spin after each call; so the
@@ -561,15 +442,6 @@ def _real_matmul(r: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) ->
     for i in range(0, len(r), rows):
         np.matmul(r[i:i + rows], flat_z, out=flat[i:i + rows])
     return out
-
-
-def _band_transform(rx_in: np.ndarray, ry_in: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """ry_in (rx_in V)^T: the band spectrum of ``values``, transposed, (B_y, B_x).
-
-    Each product is taken from the left by a real matrix, so the
-    intermediate B x n array is transposed between them.
-    """
-    return _real_matmul(ry_in, _real_matmul(rx_in, values).T)
 
 
 def _back_project(rx: np.ndarray, ry: np.ndarray, f: np.ndarray,
@@ -659,21 +531,273 @@ def _cropped_ifft2(spectrum: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return ifft(rows, axis=0, out=rows)[:nx]
 
 
-def _runs(grid: ComplexPlaneGrid, m: np.ndarray, mu: np.ndarray) -> tuple:
-    """``(runs, kernel, bands)``: the scales in runs, and the FFT path's kernel spectra.
+# ---------------------------------------------------------------------------
+# Run operators: one per run of scales, for both paths and both directions
+# ---------------------------------------------------------------------------
 
-    ``runs`` lists ``(shape, scales)`` in scale order: one run of the FFT
-    path per padded shape (:func:`_padded_shapes`), then the matrix path's
-    runs (:func:`_matrix_start`, :func:`_band_runs`), if any, with shape
-    None.  ``kernel`` and ``bands`` are :func:`_kernel_spectrum` of the FFT
-    path's runs.
+
+class _FFTRun:
+    """A run of the FFT path: scales of one padded ``shape`` (px, py), transformed by FFTs.
+
+    Both run operators index a run's scales by position i, and the factors
+    and plane getters given them by scale.  K_i, scale i's real spectrum,
+    is the DFT of the padded lag kernel of ``c * m``, (U_i^T c M) V_i, from
+    the run's axis tables (:func:`_axis_spectra`), made with the run, on the
+    calling thread; one serves both axes when they match.
+
+    Each term h_2a is its own Fourier transform up to a sign, so past |k| =
+    t*/mu (:func:`_support_radius`) every term's spectrum is below 2^-60 of
+    its peak, as its samples are past t* mu.  On an axis of n nodes, step h
+    and length P that is the bins |j| > J, J = floor(t* P h / (2 pi mu)).
+    A scale is banded on that axis when 2J + 1 < P and its kernel is not cut
+    by the grid, t* mu / h < min(n, P - n + 1) - 1; its table is then set to
+    zero past J, so K is exactly zero outside the box of its bands, and no
+    product, FFT or sum is made past it.  ``bands[i]`` is (Jx, Jy), None on
+    an axis not banded.
+    """
+
+    def __init__(self, grid: ComplexPlaneGrid, m: np.ndarray, mu: np.ndarray, scales: list,
+                 shape: tuple):
+        self.grid, self.m, self.scales, self.shape = grid, m, scales, shape
+        t = _support_radius(len(m))
+
+        def banded(n: int, steps, p: int) -> tuple:
+            table = _axis_spectra(len(m), n, steps, p)
+            half = np.floor(t * p * steps / (2 * np.pi)).astype(int)
+            fits = (2 * half + 1 < p) & (t / steps < min(n, p - n + 1) - 1)
+            bands = [int(j) if ok else None for j, ok in zip(half, fits)]
+            for k, j in enumerate(bands):
+                if j is not None:
+                    table[k, :, j + 1:p - j] = 0
+            return table, bands
+
+        self.u, bands_x = banded(grid.nx, grid.dx / mu[scales], shape[0])
+        square = (grid.nx, grid.dx) == (grid.ny, grid.dy)
+        self.v, bands_y = ((self.u, bands_x) if square
+                           else banded(grid.ny, grid.dy / mu[scales], shape[1]))
+        self.bands = list(zip(bands_x, bands_y))
+
+    def blocks(self, i: int, c: float, block: np.ndarray, spans: list):
+        """``(r, K_i[r:r + len(b)])`` over the row spans ``spans``, each made in ``block``.
+
+        ``block`` (:func:`_row_block`) is overwritten by the next, so no (px, py)
+        real array is held.  Each is whole tiles of 8 rows under ``_GEMM_MACS``.
+        """
+        left = _real_matmul(self.u[i].T, self.m * c)
+        size = min(len(block), max(_KERNEL_TILE, _GEMM_MACS // self.v[i].size // _KERNEL_TILE
+                                   * _KERNEL_TILE))
+        for lo, hi in spans:
+            for r in range(lo, hi, size):
+                rows = min(hi - r, size)
+                yield r, np.matmul(left[r:r + rows], self.v[i], out=block[:rows])
+
+    def _spans(self, axis: int, unit) -> list:
+        # the bins of the widest band of the unit's scales on an axis; rows from whole tiles
+        band = [self.bands[i][axis] for i in unit]
+        return _band_spans(self.shape[axis], None if None in band else max(band),
+                           _KERNEL_TILE if axis == 0 else 1)
+
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        """The forward's padded spectrum of ``values``, along x on the run's widest band only."""
+        out, columns = np.empty(self.shape, dtype=complex), self._spans(1, range(len(self.scales)))
+        return _padded_fft2(values, self.grid.trapezoid_mask(), out, columns)
+
+    def grams(self) -> None:
+        """No Gram matrices: the FFT path pairs planes."""
+
+    def planes(self, held: int, measure, grams=None):
+        """A worker's ``prepare(unit)``, whose ``apply(f, k)`` makes the unit's plane of spectrum f.
+
+        A scale pair's K_i + i K_(i+1) makes the real and imaginary parts of
+        one plane, in the k-th of the worker's ``held`` (px, ny) half planes:
+        each row block of f K over the band, transformed back along y, keeps
+        its leading ny columns, and those go back along x.
+        """
+        nx, ny = self.grid.nx, self.grid.ny
+        halves = [np.empty((self.shape[0], ny), dtype=complex) for _ in range(held)]
+        block = np.empty(_row_block(self.shape))
+        product = np.empty(block.shape, dtype=complex)
+
+        def prepare(unit: tuple):
+            spans, i = self._spans(0, unit), unit[0]
+            c = [measure[self.scales[k]] for k in unit]
+
+            def apply(f: np.ndarray, k: int) -> np.ndarray:
+                half = halves[k]
+                half[spans[0][1]:spans[-1][0]] = 0
+                if len(unit) == 1:
+                    made = ((r, np.multiply(f[r:r + len(b)], b, out=product[:len(b)]))
+                            for r, b in self.blocks(i, c[0], block, spans))
+                else:
+                    # K_i + i K_(i+1), made in the real and imaginary parts of the product block
+                    made = ((r, np.multiply(f[r:r + len(b)], product[:len(b)],
+                                            out=product[:len(b)]))
+                            for (r, b), _ in zip(self.blocks(i, c[0], product.real, spans),
+                                                 self.blocks(i + 1, c[1], product.imag, spans)))
+                for r, part in made:
+                    ifft(part, axis=1, out=part)
+                    half[r:r + len(part)] = part[:, :ny]
+                return ifft(half, axis=0, out=half)[:nx]
+
+            return apply
+
+        return prepare
+
+    def parts(self, plane, weights):
+        """The inverse's ``worker()``, whose ``part(i)`` is scale i's padded spectrum times K_i.
+
+        Only the box of K_i's band is transformed along x, made and multiplied.
+        """
+        mask = self.grid.trapezoid_mask()
+
+        def worker():
+            spectrum, block = np.empty(self.shape, dtype=complex), np.empty(_row_block(self.shape))
+
+            def part(i: int) -> np.ndarray:
+                f = _padded_fft2(plane(self.scales[i]), mask, spectrum, self._spans(1, (i,)))
+                for r, k in self.blocks(i, weights[self.scales[i]], block, self._spans(0, (i,))):
+                    f[r:r + len(k)] *= k
+                return f
+
+            return part
+
+        return worker
+
+    def add(self, total: np.ndarray, i: int, part: np.ndarray) -> None:
+        for lo, hi in self._spans(0, (i,)):
+            np.add(total[lo:hi], part[lo:hi], out=total[lo:hi])
+
+    def back(self, total: np.ndarray) -> np.ndarray:
+        return _cropped_ifft2(total, self.grid.nx, self.grid.ny)
+
+
+class _BandRun:
+    """A run of the matrix path: scales of one DFT length per axis, transformed by matrices.
+
+    The scales ascend (:func:`_band_runs`).  On each axis the run shares P,
+    :func:`_band_lengths` of its widest scale, and each scale's band is its
+    J at P, the narrowest scale's the widest.  The kernel's spectrum is real
+    and even in each frequency, so the sum over the bins |j| <= J is one over
+    cosines and sines: R (B x n, B = 2J + 1) holds cos(2 pi j a / P) for j =
+    0, then cos and sin in turn for j = 1..J, so a scale's band is R's
+    leading B_i = 2 J_i + 1 rows.  Each phase is reduced mod P in integers
+    and read from a table of the P roots of unity, and the bins j and -j
+    give twice the weight of bin j.  rx_in and ry_in carry the trapezoid
+    weights.  ``bands[i]`` is (B_x, B_y), and ``shape`` is (B_y, B_x) of
+    scale 0, the widest band: that of a transposed band spectrum.
+
+    At P >= n + t* mu / h the kernel's samples are whole, so their length-P
+    DFT is, by Poisson's formula, the samples of the continuous transform:
+    each h_2a is its own Fourier transform up to (-1)^a, and at step s = h /
+    mu bin j is sqrt(2 pi) / s (-1)^a h_2a(2 pi j / (P s)), to within 2^-60
+    of the peak.  So the band's spectra are sampled in closed form, at a
+    cost that does not grow with P.
+    """
+
+    def __init__(self, grid: ComplexPlaneGrid, m: np.ndarray, mu: np.ndarray, scales: list):
+        self.grid, self.m, self.scales = grid, m, scales
+        mu = mu[scales]
+        t = _support_radius(len(m))
+        sign = (-1.0) ** np.arange(len(m))
+
+        def axis(n: int, step: float) -> tuple:
+            p, band = _band_lengths(n, step, t, mu[0], mu[-1])
+            j = np.arange(1, 2 * band + 2) // 2
+            roots = np.exp(2j * np.pi / p * np.arange(p))
+            phase = np.multiply.outer(j, np.arange(n)) % p
+            sines = (np.arange(len(j)) % 2 == 0) & (j > 0)
+            r = np.where(sines[:, None], roots.imag[phase], roots.real[phase])
+            s = step / mu
+            freqs = np.multiply.outer(2 * np.pi / (p * s), j)
+            table = hermite_functions(freqs, 2 * len(m) - 1)[::2] * sign[:, None, None]
+            table *= (math.sqrt(2 * np.pi) / s)[:, None] * np.where(j, 2.0, 1.0)
+            bands = [2 * _band_lengths(n, step, t, one, mu[-1])[1] + 1 for one in mu]
+            return r * _trap_mask_1d(n), r, table.transpose(1, 0, 2), p, bands
+
+        self.rx_in, self.rx, self.u, self.px, bands_x = axis(grid.nx, grid.dx)
+        square = (grid.nx, grid.dx) == (grid.ny, grid.dy)
+        self.ry_in, self.ry, self.v, self.py, bands_y = (
+            (self.rx_in, self.rx, self.u, self.px, bands_x) if square
+            else axis(grid.ny, grid.dy))
+        self.bands = list(zip(bands_x, bands_y))
+        self.shape = bands_y[0], bands_x[0]
+
+    def kernel(self, i: int, c: float, band=None) -> np.ndarray:
+        """(U^T c M V) / (P_x P_y): scale i's kernel over ``band``, its own by default."""
+        bx, by = band or self.bands[i]
+        return self.v[i][:, :by].T @ (self.m.T * (c / (self.px * self.py))) @ self.u[i][:, :bx]
+
+    def transform(self, values: np.ndarray, i: int = 0) -> np.ndarray:
+        """ry_in (rx_in V)^T, (B_y, B_x), over scale i's band, the run's widest by default."""
+        bx, by = self.bands[i]
+        return _real_matmul(self.ry_in[:by], _real_matmul(self.rx_in[:bx], values).T)
+
+    def grams(self) -> tuple:
+        """(G_x, G_y), G = R D R^T, whose leading bins give a scale's Gram forms."""
+        gx = _real_matmul(self.rx_in, self.rx.T)
+        return gx, (gx if self.ry is self.rx else _real_matmul(self.ry_in, self.ry.T))
+
+    def planes(self, held: int, measure, grams=None):
+        """A worker's ``prepare(unit)``, whose ``apply(f, k)`` makes the unit's plane of spectrum f.
+
+        f's leading bins times the unit's kernel go back (:func:`_back_project`)
+        into the k-th of the worker's ``held`` (nx, ny) planes, or a real one
+        into its own.  With ``grams`` ``apply`` gives the product stacked over
+        its Gram form (:func:`_gram_form`) instead.
+        """
+        nx, ny = self.grid.nx, self.grid.ny
+        outs = [None] * held if grams else [np.empty((nx, ny), dtype=complex) for _ in range(held)]
+
+        def prepare(unit: tuple):
+            i = unit[0]
+            bx, by = self.bands[i]
+            k = self.kernel(i, measure[self.scales[i]])
+            if len(unit) == 2:
+                k = k + 1j * self.kernel(i + 1, measure[self.scales[i + 1]], self.bands[i])
+
+            def apply(f: np.ndarray, slot: int) -> np.ndarray:
+                x = f[:by, :bx] * k
+                if grams:
+                    return np.stack([x, _gram_form(grams[0][:bx, :bx], grams[1][:by, :by], x)])
+                return _back_project(self.rx[:bx], self.ry[:by], x,
+                                     outs[slot] if np.iscomplexobj(x) else None)
+
+            return apply
+
+        return prepare
+
+    def parts(self, plane, weights):
+        """The inverse's ``worker()``: ``part(i)`` is scale i's band transform times its kernel."""
+        def part(i: int) -> np.ndarray:
+            f = self.transform(plane(self.scales[i]), i)
+            f *= self.kernel(i, weights[self.scales[i]])
+            return f
+
+        return lambda: part
+
+    def add(self, total: np.ndarray, i: int, part: np.ndarray) -> None:
+        total[:part.shape[0], :part.shape[1]] += part
+
+    def back(self, total: np.ndarray) -> np.ndarray:
+        return _back_project(self.rx, self.ry, total)
+
+
+def _runs(grid: ComplexPlaneGrid, m: np.ndarray, mu: np.ndarray):
+    """The scales' run operators in scale order, each made when the caller reaches it.
+
+    One :class:`_FFTRun` per padded shape (:func:`_padded_shapes`), then
+    the matrix path's :class:`_BandRun` runs (:func:`_matrix_start`,
+    :func:`_band_runs`), if any.  Each offers ``scales``, ``shape``, the
+    shape of a run's spectrum, and for the forward ``transform``,
+    ``grams`` and ``planes``, for the inverse ``parts``, ``add`` and
+    ``back``, so one worker per direction serves both paths.
     """
     shapes = _padded_shapes(grid, len(m), mu)
     first = _matrix_start(grid, len(m), mu, shapes)
-    runs = [(shape, list(run)) for shape, run in itertools.groupby(
-        range(first), key=shapes.__getitem__)]
-    kernel, bands = _kernel_spectrum(m, mu, grid, runs)
-    return runs + [(None, run) for run in _band_runs(grid, len(m), mu, first)], kernel, bands
+    for shape, run in itertools.groupby(range(first), key=shapes.__getitem__):
+        yield _FFTRun(grid, m, mu, list(run), shape)
+    for run in _band_runs(grid, len(m), mu, first):
+        yield _BandRun(grid, m, mu, run)
 
 
 def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, reduce,
@@ -687,26 +811,26 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     do) whose plane's 2 Re and 2 Im are the two planes.  Complex fields
     and a leftover real field go in alone.  For the FFT engine the scales
     go in the runs of :func:`_runs`, one ``_map_scales`` call per run, and
-    before each run the calling thread transforms every input once: one
-    padded FFT into the front of one buffer per input sized for the
-    largest shape, along x only on the columns of the run's widest band,
-    or on the matrix path one band transform (:func:`_band_transform`),
-    whose leading bins each scale multiplies by its kernel and
-    back-projects (:func:`_back_project`).  The leftover real field's
-    planes are real, so two scales of a run share one complex inverse FFT
-    or back-projection and are handed to ``reduce`` as its real and
-    imaginary parts; a run's odd last scale goes alone.  Each task calls
-    ``reduce`` on its scales' planes, so a caller never holds an (S, nx,
-    ny) cube; a plane not unpacked from a pair is a view of its worker's
-    scratch, valid only until ``reduce`` returns.
+    before each run the calling thread transforms every input once with the
+    run's operator, by one padded FFT or one band transform.  One worker
+    serves both paths: for each scale it has the operator multiply each
+    input's spectrum by the kernel over its band and take the product back
+    to the grid.  The leftover real field's planes are real, so two scales
+    of a run share one complex inverse FFT or back-projection and are
+    handed to ``reduce`` as its real and imaginary parts; a run's odd last
+    scale goes alone.  Each task calls ``reduce`` on its scales' planes, so
+    a caller never holds an (S, nx, ny) cube; a plane not unpacked from a
+    pair is a view of its worker's scratch, valid only until ``reduce``
+    returns.
 
     With ``pairs``, index pairs (i, j) of ``fields``, ``reduce(s, sums)``
     gets instead the sums of mask W_i conj(W_j) over the grid, mask the
-    trapezoid weights times d2kappa/pi (:func:`_plane_pairing`).  A scale
-    of the matrix path then makes no plane: each sum is a Gram form in
-    the band (:func:`_gram_form`), the run's G made once, and the leftover
-    real field's scales go one at a time, since the Gram form of a complex
-    spectrum costs as much as two real ones.
+    trapezoid weights times d2kappa/pi (:func:`_plane_pairing`).  A run
+    whose operator has Gram matrices, one of the matrix path, then makes
+    no plane: each sum is a Gram form in the band (:func:`_gram_form`), the
+    run's G made once, and the leftover real field's scales go one at a
+    time, since the Gram form of a complex spectrum costs as much as two
+    real ones.
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
@@ -759,127 +883,45 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
         return _map_scales(lambda: one_scale, len(mu))
 
-    m = separable_coeffs(w)
-    runs, kernel, bands = _runs(grid, m, mu)
-    # one buffer per input for the largest shape of the FFT path, at whose front
-    # each run's spectra go
-    size = max((math.prod(shape) for shape, _ in runs if shape), default=0)
-    buffers = [np.empty(size, dtype=complex) for _ in range(len(packed) + len(alone))]
     # A worker's planes: one for each input that goes in alone, of which the pairs
     # share the first complex field's, as each is unpacked before the next is made,
     # or have one of their own; the leftover real field's, the last, holds its two
     # scales while they are made.
     held = max(len(alone) - len(lone), bool(packed)) + len(lone)
 
-    def transformed(shape: tuple, run: list) -> list:
-        # along x only on the columns of the run's widest band, the only ones its
-        # kernels do not zero; the mask is freed before the workers make their scratch
-        band = [bands[s][1] for s in run]
-        columns = _band_spans(shape[1], None if None in band else max(band))
-        mask = grid.trapezoid_mask()
-        return [_padded_fft2(v, mask, out[:math.prod(shape)].reshape(shape), columns)
-                for v, out in zip(inputs(), buffers)]
+    def worker(run, units: list, spectra: list, grams):
+        """The task of one unit, a scale or a scale pair of the leftover real field."""
+        prepare = run.planes(held, measure, grams)
+        pairing = in_band if grams else on_planes
 
-    def unit_task(units: list, prepare, spectra: list, outs: list, pairing):
-        """The task of one unit, a scale or a scale pair of the leftover real field.
-
-        ``prepare(unit)`` gives the unit's ``apply(spectrum, out)``, which
-        makes one input's plane in ``out``, one of the worker's ``outs``.
-        """
-        def planes(s: int, last):
-            # each input's plane at scale s, the leftover real field's, if any, in last
-            apply = prepare((s,)) if len(spectra) > len(lone) else None
+        def planes(i: int, last):
+            # each input's plane at scale i, the leftover real field's, if any, in last
+            apply = prepare((i,)) if len(spectra) > len(lone) else None
             for k, f in enumerate(spectra[:len(spectra) - len(lone)]):
-                yield apply(f, outs[max(0, k - len(packed))])
+                yield apply(f, max(0, k - len(packed)))
             yield from last
 
         def one_unit(u: int) -> list:
             unit = units[u]
             parts = [()] * len(unit)
             if lone:
-                z = prepare(unit)(spectra[-1], outs[-1])
+                z = prepare(unit)(spectra[-1], held - 1)
                 parts = [(z.real,), (z.imag,)]
-            return [reduced(s, planes(s, last), pairing) for s, last in zip(unit, parts)]
+            return [reduced(run.scales[i], planes(i, last), pairing)
+                    for i, last in zip(unit, parts)]
 
         return one_unit
 
-    def fft_worker(units: list, spectra: list):
-        # a (px, ny) half plane for each held plane, and a kernel block and a
-        # product block over the same rows
-        px = spectra[0].shape[0]
-        half_planes = [np.empty((px, grid.ny), dtype=complex) for _ in range(held)]
-        block = np.empty(_row_block(spectra[0].shape))
-        product = np.empty(block.shape, dtype=complex)
-
-        def plane(unit: tuple, f: np.ndarray, half: np.ndarray) -> np.ndarray:
-            # ifft along y of each row block of the product f * K over the kernel's
-            # band, of which the leading ny columns are kept, then ifft along x of
-            # those columns; the rows past the band are zero
-            s = unit[0]
-            band = [bands[t][0] for t in unit]
-            spans = _band_spans(px, None if None in band else max(band), _KERNEL_TILE)
-            half[spans[0][1]:spans[-1][0]] = 0
-            if len(unit) == 1:
-                made = ((r, np.multiply(f[r:r + len(k)], k, out=product[:len(k)]))
-                        for r, k in kernel(s, measure[s], block, spans))
-            else:
-                # K_s + i K_{s+1}, made in the real and imaginary parts of the product block
-                made = ((r, np.multiply(f[r:r + len(k)], product[:len(k)], out=product[:len(k)]))
-                        for (r, k), _ in zip(kernel(s, measure[s], product.real, spans),
-                                             kernel(s + 1, measure[s + 1], product.imag, spans)))
-            for r, part in made:
-                ifft(part, axis=1, out=part)
-                half[r:r + len(part)] = part[:, :grid.ny]
-            return ifft(half, axis=0, out=half)[:grid.nx]
-
-        return unit_task(units, lambda unit: functools.partial(plane, unit), spectra,
-                         half_planes, on_planes)
-
-    def band_worker(run: list, units: list, spectra: list, op: tuple, grams):
-        # an (nx, ny) plane for each held plane, none when the sums are Gram forms
-        _, rx, _, ry, run_bands, band_kernel = op
-        outs = ([None] * held if grams else
-                [np.empty((grid.nx, grid.ny), dtype=complex) for _ in range(held)])
-
-        def prepare(unit: tuple):
-            i = unit[0] - run[0]
-            bx, by = run_bands[i]
-            k = band_kernel(i, measure[unit[0]], run_bands[i])
-            if len(unit) == 2:
-                k = k + 1j * band_kernel(i + 1, measure[unit[1]], run_bands[i])
-
-            def apply(f: np.ndarray, out) -> np.ndarray:
-                x = f[:by, :bx] * k
-                if grams:
-                    return np.stack([x, _gram_form(grams[0][:bx, :bx], grams[1][:by, :by], x)])
-                # the leftover real field's odd last scale is real, in a plane of its own
-                return _back_project(rx[:bx], ry[:by], x, out if np.iscomplexobj(x) else None)
-
-            return apply
-
-        return unit_task(units, prepare, spectra, outs, in_band)
-
-    def units_of(run: list, paired: bool) -> list:
-        # the run's scales one at a time, or two at a time for the leftover real field
-        step = 2 if lone and paired else 1
-        return [tuple(run[i:i + step]) for i in range(0, len(run), step)]
-
     values = []
-    for shape, run in runs:
-        if shape is None:
-            op = _band_operator(m, grid, mu[run])
-            rx_in, rx, ry_in, ry = op[:4]
-            spectra = [_band_transform(rx_in, ry_in, v) for v in inputs()]
-            grams = None
-            if pairs is not None:
-                gx = _real_matmul(rx_in, rx.T)
-                grams = gx, (gx if ry is rx else _real_matmul(ry_in, ry.T))
-            units = units_of(run, grams is None)
-            worker = functools.partial(band_worker, run, units, spectra, op, grams)
-        else:
-            units = units_of(run, True)
-            worker = functools.partial(fft_worker, units, transformed(shape, run))
-        values += itertools.chain.from_iterable(_map_scales(worker, len(units)))
+    for run in _runs(grid, separable_coeffs(w), mu):
+        spectra = [run.transform(v) for v in inputs()]
+        grams = None if pairs is None else run.grams()
+        # the run's scales one at a time, or two at a time for the leftover real field
+        step = 2 if lone and grams is None else 1
+        units = [tuple(range(len(run.scales)))[i:i + step] for i in range(0, len(run.scales), step)]
+        values += itertools.chain.from_iterable(
+            _map_scales(functools.partial(worker, run, units, spectra, grams), len(units)))
+        del spectra  # freed before the next run's are made
     return values
 
 
@@ -993,16 +1035,17 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
     the plane from a file keeps only the planes in flight in memory.  Every
     part goes, in scale order, into one sum on the output grid, made by the
     first part.  On the kappa grid's layout the scales go in the runs of
-    :func:`_runs`, one ``_map_scales`` call per run.  A scale of the FFT
-    path is a padded spectrum of its run's shape, transformed along x only
-    on its band's columns and added on its band's rows only, into the
-    run's sum at the front of one buffer for the largest shape; each
-    worker makes its spectrum and kernel block in the run's shape, so a run
-    holds exactly workers + 1 spectra.  A scale of the matrix path is its
-    band transform times its kernel, added into the run's band sum.  Each
-    run's sum is taken back to the grid once, by one inverse FFT or one
-    back-projection.  Onto any other grid a part is its scale's separable
-    contraction.
+    :func:`_runs`, one ``_map_scales`` call per run, whose one worker and
+    one scale-order sum serve both paths through the run's operator.  A
+    scale's part is its plane's spectrum over its kernel's band times the
+    kernel, added into the run's sum on that band only: on the FFT path a
+    padded spectrum of the run's shape, transformed along x only on its
+    band's columns and added on its band's rows, each worker making its
+    spectrum and kernel block once, so a run holds exactly workers + 1
+    spectra; on the matrix path a band transform, added into the run's
+    band sum.  Each run's sum is taken back to the grid once, by one
+    inverse FFT or one back-projection.  Onto any other grid a part is its
+    scale's separable contraction.
     """
     if not np.isfinite(c_prime) or c_prime <= 0:
         raise ValueError(f"c_prime must be positive and finite, got {c_prime}")
@@ -1010,7 +1053,6 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         out_grid = kgrid
     mu = scales.mu_values
     weights = scale_weights(scales, 4)
-    mask = kgrid.trapezoid_mask()
     m = separable_coeffs(w)
     total = None
 
@@ -1020,63 +1062,17 @@ def _inverse_planes(plane, scales: ScaleGrid, kgrid: ComplexPlaneGrid, w: Mother
         total = part.copy() if total is None else np.add(total, part, out=total)
 
     if out_grid.same_layout(kgrid):
-        runs, kernel, bands = _runs(kgrid, m, mu)
-        # one buffer for the largest shape, at whose front each run of the FFT path sums
-        flat = np.empty(max((math.prod(shape) for shape, _ in runs if shape), default=0),
-                        dtype=complex)
-
-        def rows(shape: tuple, s: int) -> list:
-            # the rows of scale s's band, in the forward's spans
-            return _band_spans(shape[0], bands[s][0], _KERNEL_TILE)
-
-        def worker(shape: tuple, run: list):
-            spectrum, block = np.empty(shape, dtype=complex), np.empty(_row_block(shape))
-
-            def one_scale(i: int) -> np.ndarray:
-                # K is zero outside its band's box: only the box is made, multiplied and added
-                s = run[i]
-                f = _padded_fft2(plane(s), mask, spectrum, _band_spans(shape[1], bands[s][1]))
-                for r, k in kernel(s, weights[s], block, rows(shape, s)):
-                    f[r:r + len(k)] *= k
-                return f
-
-            return one_scale
-
-        def summed(run_sum: np.ndarray, run: list, i: int, part: np.ndarray) -> None:
-            for lo, hi in rows(run_sum.shape, run[i]):
-                np.add(run_sum[lo:hi], part[lo:hi], out=run_sum[lo:hi])
-
-        def band_worker(run: list, op: tuple):
-            rx_in, _, ry_in, _, run_bands, band_kernel = op
-
-            def band_part(i: int) -> np.ndarray:
-                bx, by = run_bands[i]
-                f = _band_transform(rx_in[:bx], ry_in[:by], plane(run[i]))
-                f *= band_kernel(i, weights[run[i]], run_bands[i])
-                return f
-
-            return band_part
-
-        def band_summed(band_sum: np.ndarray, i: int, part: np.ndarray) -> None:
-            band_sum[:part.shape[0], :part.shape[1]] += part
-
-        for shape, run in runs:
-            if shape is None:
-                # the run's band spectra, summed in scale order, are back-projected once
-                op = _band_operator(m, kgrid, mu[run])
-                band_sum = np.zeros(op[4][0][::-1], dtype=complex)
-                _map_scales(functools.partial(band_worker, run, op), len(run),
-                            functools.partial(band_summed, band_sum))
-                add(_back_project(op[1], op[3], band_sum))
-                continue
-            run_sum = flat[:math.prod(shape)].reshape(shape)
-            run_sum.fill(0)
-            _map_scales(functools.partial(worker, shape, run), len(run),
-                        functools.partial(summed, run_sum, run))
-            add(_cropped_ifft2(run_sum, out_grid.nx, out_grid.ny))
+        for run in _runs(kgrid, m, mu):
+            # the run's parts, summed in scale order, go back to the grid once
+            run_sum = np.zeros(run.shape, dtype=complex)
+            _map_scales(run.parts(plane, weights), len(run.scales),
+                        functools.partial(run.add, run_sum))
+            add(run.back(run_sum))
+            del run_sum  # freed before the next run's is made
 
     else:
         axes = (kgrid.x, kgrid.y), (out_grid.x, out_grid.y)
+        mask = kgrid.trapezoid_mask()
 
         def one_scale(s: int) -> np.ndarray:
             return separable_correlate(plane(s) * mask, m, mu[s], *axes) * weights[s]

@@ -662,29 +662,27 @@ def test_fast_engine_makes_a_y_table_unless_the_axes_match(grid, monkeypatch):
     assert len(tables) == len(set(_padded_shapes(square, 4, scales.mu_values)))
 
 
-def whole_kernel_spectrum(m, mu, grid, runs):
-    """The kernel as it was applied before row blocks: one whole (px, py) product per scale.
+def whole_kernel_blocks(grid, mu):
+    """``_FFTRun.blocks`` as the kernel was applied before row blocks: one whole product.
 
-    Its tables are zeroed past the bands that ``ccwt._kernel_spectrum`` gives, and each
-    product is made over every row, whatever the spans asked for, in the block given:
-    a scale pair's two kernels go into the real and imaginary parts of its product.
+    Each scale's (px, py) product is made from tables zeroed past the bands that
+    its run gives, over every row, whatever the spans asked for, in the block
+    given: a scale pair's two kernels go into the real and imaginary parts of its
+    product.
     """
-    _, bands = whole_kernel_spectrum.original(m, mu, grid, runs)
-    shapes = {s: shape for shape, run in runs for s in run}
-
-    def table(n, step, p, band):
-        t = _axis_spectra(len(m), n, step, p)
+    def axis_table(terms, n, step, p, band):
+        t = _axis_spectra(terms, n, step, p)
         if band is not None:
             t[:, band + 1:p - band] = 0
         return t
 
-    def blocks(s, c, block, spans):
-        (px, py), (jx, jy) = shapes[s], bands[s]
-        u = table(grid.nx, grid.dx / mu[s], px, jx)
-        v = table(grid.ny, grid.dy / mu[s], py, jy)
-        return [(0, np.matmul(u.T @ (m * c), v, out=block[:px]))]
+    def blocks(run, i, c, block, spans):
+        s, (px, py), (jx, jy) = run.scales[i], run.shape, run.bands[i]
+        u = axis_table(len(run.m), grid.nx, grid.dx / mu[s], px, jx)
+        v = axis_table(len(run.m), grid.ny, grid.dy / mu[s], py, jy)
+        return [(0, np.matmul(u.T @ (run.m * c), v, out=block[:px]))]
 
-    return blocks, bands
+    return blocks
 
 
 @pytest.mark.parametrize("w", [emhw(), random_admissible_lg(32, seed=3)], ids=["emhw", "lg32"])
@@ -697,7 +695,9 @@ def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
     m = separable_coeffs(w)
     shapes = _padded_shapes(grid, len(m), scales.mu_values)
     assert shapes[-1] == (75, 60)
-    _, _, bands = ccwt._runs(grid, m, scales.mu_values)
+    runs = list(ccwt._runs(grid, m, scales.mu_values))
+    assert all(isinstance(run, ccwt._FFTRun) for run in runs)
+    bands = [band for run in runs for band in run.bands]
     # the EMHW's scale 3 is banded along x: rows 0-30 and 40-74
     banded = [s for s, (jx, _) in enumerate(bands) if jx is not None]
     assert banded == ([3] if len(m) == 2 else [])
@@ -720,8 +720,7 @@ def test_kernel_row_blocks_give_the_bits_of_the_whole_product(w, monkeypatch):
     monkeypatch.setattr(ccwt, "_BLOCK", 24 * 60)
     blocked = transforms()
     # the reference: the whole product, transformed along y, then along x on ny columns
-    whole_kernel_spectrum.original = ccwt._kernel_spectrum
-    monkeypatch.setattr(ccwt, "_kernel_spectrum", whole_kernel_spectrum)
+    monkeypatch.setattr(ccwt._FFTRun, "blocks", whole_kernel_blocks(grid, scales.mu_values))
     monkeypatch.setattr(ccwt, "_BLOCK", 80 * 60)  # 80 rows, whole tiles, hold all 75
     for got, expected in zip(blocked, transforms()):
         assert np.array_equal(got, expected)
@@ -1361,6 +1360,39 @@ def test_matrix_path_takes_every_scale_at_192():
     assert _check_matrix_path(grid, emhw(), scales, windowed_noise(grid, seed=8)) == 0
 
 
+def test_one_worker_takes_every_input_kind_on_every_path():
+    # one call takes a packed real pair, a complex field and a leftover real field,
+    # over two FFT-path runs, with unbanded, banded and grid-cut scales, and a
+    # matrix-path run; with and without pairs, the same one worker per run
+    grid = ComplexPlaneGrid(144, 136, -6.0, -6.0, 12.0 / 143, 12.0 / 135)
+    scales = ScaleGrid.log_spaced(8, 0.1, 16.0)
+    mu, w = scales.mu_values, emhw()
+    runs = list(ccwt._runs(grid, separable_coeffs(w), mu))
+    assert [(type(run), run.scales) for run in runs] == [
+        (ccwt._FFTRun, [0, 1]), (ccwt._FFTRun, [2, 3, 4, 5, 6]), (ccwt._BandRun, [7])]
+    # scales 0-1 are unbanded, 2-3 banded, 4-6 cut by the grid, and 7 on the matrix path
+    assert runs[0].bands + runs[1].bands == [(None, None)] * 2 + [(87, 88), (42, 42)] + [
+        (None, None)] * 3
+    fields = [Field(grid, windowed_noise(grid, seed).real) for seed in (1, 2)]
+    fields += [Field(grid, windowed_noise(grid, seed=3)),
+               Field(grid, windowed_noise(grid, seed=4).real)]
+    planes = _forward_planes(fields, w, scales, True, copied)
+    for s in (1, 3, 4, 7):
+        (direct,) = _forward_planes(fields, w, ScaleGrid(mu[s:s + 1]), False, copied)
+        for plane, expected in zip(planes[s], direct):
+            assert np.abs(plane - expected).max() <= 1e-10 * np.abs(expected).max()
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    sums = _forward_planes(fields, w, scales, True, lambda s, sums: sums, pairs)
+    pairing = ccwt._plane_pairing(grid)
+    mask = grid.trapezoid_mask() * grid.cell_area() / np.pi
+    # on planes on the FFT path, to rounding as a plane may go in as a view, and as
+    # a Gram form in the band on the matrix path
+    for s in range(len(mu)):
+        for (i, j), got in zip(pairs, sums[s]):
+            p, q = planes[s][i], planes[s][j]
+            assert abs(got - pairing(p, q)) <= 1e-13 * np.sum(mask * np.abs(p) * np.abs(q))
+
+
 @settings(max_examples=4, deadline=None)
 @example(nx=150, ny=128, hx=7.0, hy=5.0, w=emhw(), lo=1.0, over=1.5, count=40, seed=1)
 @given(nx=st.integers(120, 160), ny=st.integers(120, 160), hx=st.floats(4.0, 8.0),
@@ -1395,10 +1427,10 @@ def test_band_runs_share_the_length_of_their_widest_scale(grid, scales, w, expec
     m = separable_coeffs(w)
     t = ccwt._support_radius(len(m))
     first = ccwt._matrix_start(grid, len(m), mu, _padded_shapes(grid, len(m), mu))
-    runs, _, _ = ccwt._runs(grid, m, mu)
-    band_runs = [run for shape, run in runs if shape is None]
+    runs = list(ccwt._runs(grid, m, mu))
+    band_runs = [run.scales for run in runs if isinstance(run, ccwt._BandRun)]
     # the matrix path's runs come last and take its scales in order
-    assert [shape for shape, _ in runs[-len(band_runs):]] == [None] * len(band_runs)
+    assert all(isinstance(run, ccwt._BandRun) for run in runs[-len(band_runs):])
     assert list(itertools.chain(*band_runs)) == list(range(first, len(mu))) != []
     lengths = []
     for run in band_runs:

@@ -844,7 +844,7 @@ def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeyp
     args = ["ccwt", "forward", field, "--scales", "40", "--mu-min", "0.3", "--mu-max", "6"]
     started, raised, closed, written = (threading.Event(), threading.Event(),
                                         threading.Event(), [])
-    axis_spectra, kernel_spectrum = ccwt._axis_spectra, ccwt._kernel_spectrum
+    axis_spectra, blocks = ccwt._axis_spectra, ccwt._FFTRun.blocks
     plane_writer = ccwt._plane_writer
 
     def nan_axis_spectra(*args):
@@ -852,18 +852,13 @@ def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeyp
         table[3] = np.nan
         return table
 
-    def held_kernel_spectrum(*args):
-        blocks, bands = kernel_spectrum(*args)
-
-        def held(s, c, block, spans):
-            if s == 3:
-                started.wait(30)
-            elif s == 4:
-                started.set()
-                raised.wait(30)
-            return blocks(s, c, block, spans)
-
-        return held, bands
+    def held_blocks(run, i, c, block, spans):
+        if run.scales[i] == 3:
+            started.wait(30)
+        elif run.scales[i] == 4:
+            started.set()
+            raised.wait(30)
+        return blocks(run, i, c, block, spans)
 
     @contextlib.contextmanager
     def watched_plane_writer(*args):
@@ -885,7 +880,7 @@ def test_non_finite_plane_in_mid_stream_leaves_no_file(runner, tmp_path, monkeyp
     before = _tree(tmp_path)
     out_path = str(tmp_path / "c.ewc")
     monkeypatch.setattr(ccwt, "_axis_spectra", nan_axis_spectra)
-    monkeypatch.setattr(ccwt, "_kernel_spectrum", held_kernel_spectrum)
+    monkeypatch.setattr(ccwt._FFTRun, "blocks", held_blocks)
     monkeypatch.setattr(ccwt, "_plane_writer", watched_plane_writer)
     result = runner.invoke(main, [*args, "--output", out_path])
     assert result.exit_code == 3, result.output

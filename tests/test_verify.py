@@ -207,10 +207,10 @@ def test_parseval_suite_transforms_each_field_once(monkeypatch):
 def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     # the three fields share one call; inside it the real (vacuum, |1,1>) pair
     # is packed into one input, so the coherent state makes the second and last
-    # padded FFT.  Each call builds its table of kernel spectra once, and the
-    # worker pool belongs to the process: two scans make at most one pool
-    # between them, of one thread fewer than the workers, as the calling
-    # thread is one.  The pairing sums are taken in the scale tasks.
+    # padded FFT.  Each run builds its table of kernel spectra once, on the
+    # calling thread, and the worker pool belongs to the process: two scans make
+    # at most one pool between them, of one thread fewer than the workers, as
+    # the calling thread is one.  The pairing sums are taken in the scale tasks.
     monkeypatch.setenv("ENTWAVE_THREADS", "2")
     original = verify._forward_planes
     calls, pools, tables, threads, ffts, reducers = [], [], [], set(), [], set()
@@ -229,25 +229,24 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    def kernel_spectrum(*args):
+    def axis_spectra(*args):
         tables.append(threading.get_ident())
-        kernel, bands = kernel_spectrum.original(*args)
+        return axis_spectra.original(*args)
 
-        def one_scale(s, c, block, spans):
-            threads.add(threading.get_ident())
-            return kernel(s, c, block, spans)
-
-        return one_scale, bands
+    def blocks(*args):
+        threads.add(threading.get_ident())
+        return blocks.original(*args)
 
     def padded_fft2(*args):
         ffts.append(args[0].shape)
         return padded_fft2.original(*args)
 
-    kernel_spectrum.original = ccwt._kernel_spectrum
+    axis_spectra.original, blocks.original = ccwt._axis_spectra, ccwt._FFTRun.blocks
     padded_fft2.original = ccwt._padded_fft2
     monkeypatch.setattr(verify, "_forward_planes", spy)
     monkeypatch.setattr(ccwt, "ThreadPoolExecutor", SpyPool)
-    monkeypatch.setattr(ccwt, "_kernel_spectrum", kernel_spectrum)
+    monkeypatch.setattr(ccwt, "_axis_spectra", axis_spectra)
+    monkeypatch.setattr(ccwt._FFTRun, "blocks", blocks)
     monkeypatch.setattr(ccwt, "_padded_fft2", padded_fft2)
     scales = ScaleGrid.log_spaced(8, 0.25, 8.0)
     ccwt._pool.cache_clear()
@@ -259,7 +258,8 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     runs = len(set(ccwt._padded_shapes(ComplexPlaneGrid.centered(64, 8.0), 2, scales.mu_values)))
     assert ffts == [(64, 64)] * 4 * runs
     assert pools == [ccwt.worker_count(len(scales)) - 1] == [1]
-    assert tables == [threading.get_ident()] * 2
+    # the grid is square: one table serves both axes of a run
+    assert tables == [threading.get_ident()] * 2 * runs
     assert 1 <= len(threads) <= 2
     assert 1 <= len(reducers) <= ccwt.worker_count(len(scales))
 
