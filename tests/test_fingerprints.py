@@ -55,9 +55,9 @@ def corpus() -> dict:
         for s, plane in enumerate(cube):
             out[f"{name}/s{s:02d}"] = _plane(np.asarray(plane))
 
-    def forward_mix(name, fields, w, scales, fast=True) -> list:
+    def forward_mix(name, fields, w, scales) -> list:
         # each field's planes, every input kind in one call
-        made = _forward_planes(fields, w, scales, fast, lambda s, made: [p.copy() for p in made])
+        made = _forward_planes(fields, w, scales, True, lambda s, made: [p.copy() for p in made])
         cubes = list(zip(*made))
         for k, cube in enumerate(cubes):
             planes(f"{name}/field{k}", cube)
@@ -112,20 +112,20 @@ def corpus() -> dict:
     return out
 
 
-def read_record(path: Path = RECORD) -> dict:
+def read_record() -> dict:
     record = {}
-    for line in path.read_text().splitlines():
+    for line in RECORD.read_text().splitlines():
         if line and not line.startswith("#"):
             name, kind, *figures = line.split()
             record[name] = (kind, [float(f) for f in figures])
     return record
 
 
-def write_record(entries: dict, path: Path = RECORD) -> None:
+def write_record(entries: dict) -> None:
     lines = ["# name kind figures: see tests/test_fingerprints.py"]
     lines += [" ".join([name, kind, *(f"{f:.17g}" for f in figures)])
               for name, (kind, figures) in entries.items()]
-    path.write_text("\n".join(lines) + "\n")
+    RECORD.write_text("\n".join(lines) + "\n")
 
 
 def sizes(kind: str, figures: list) -> list:
