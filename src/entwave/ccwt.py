@@ -16,11 +16,13 @@ the FFT path a run is the scales of one padded shape, each padded only as
 far as its wavelet reaches, and its FFTs skip what is known to be zero; the
 widest scales, whose kernels the grid cuts, are matrix DFTs over the band,
 R_x^T (K o (R_x V R_y^T)) R_y, and their pairings Gram forms, with no plane
-made.  A lone real field's planes are real, so two scales share one complex
-transform back.  The inverse integrates dmu/mu^4 of per-scale correlations
-with the (unconjugated) wavelet: on the coefficients' own grid it sums each
-run's parts in its band and takes the sum back once per run, and onto any
-other grid each scale is a separable contraction over per-axis Hermite
+made; an FFT-path run of narrow bands pairs its scales as Gram forms too,
+its padded spectra folded into the same cos/sin rows.  A lone real field's
+planes are real, so two scales share one complex transform back.  The
+inverse integrates dmu/mu^4 of per-scale correlations with the
+(unconjugated) wavelet: on the coefficients' own grid it sums each run's
+parts in its band and takes the sum back once per run, and onto any other
+grid each scale is a separable contraction over per-axis Hermite
 matrices.  Both directions go one run at a time, one ``_map_scales`` call
 per run, whose worker loops take its scales one at a time in scratch made
 once per run; no task outlives its call, and no (S, nx, ny) cube or (px,
@@ -421,6 +423,10 @@ def _band_runs(grid: ComplexPlaneGrid, terms: int, mu: np.ndarray, first: int) -
     return runs
 
 
+#: The multiply-adds of the Gram forms' BLAS products that take as long as one point
+#: through the planes' pocketfft transforms of a few hundred points, on one thread: about
+#: 110-125 on each of verify's 320^2, 384^2 and 512^2 runs (:meth:`_FFTRun.grams`).
+_GRAM_MACS_PER_POINT = 120
 #: The most multiply-adds in one product inside the scale workers.  OpenBLAS (0.3.31,
 #: 2 CPUs) keeps a real product of 2^19 on the calling thread and hands one of 2^20 to
 #: its own threads, which serialize concurrent callers and spin after each call; so the
@@ -456,6 +462,11 @@ def _back_project(rx: np.ndarray, ry: np.ndarray, f: np.ndarray,
     return _real_matmul(rx.T, _real_matmul(ry.T, f).T, out)
 
 
+def _one_call(bx: int, by: int) -> bool:
+    """Whether each product of a complex (B_y, B_x) spectrum's Gram form is one BLAS call."""
+    return 2 * bx * by * max(bx, by) <= _GEMM_MACS
+
+
 def _gram_form(gx: np.ndarray, gy: np.ndarray, f: np.ndarray) -> np.ndarray:
     """gy f gx, the Gram form of a transposed band spectrum ``f``.
 
@@ -464,6 +475,74 @@ def _gram_form(gx: np.ndarray, gy: np.ndarray, f: np.ndarray) -> np.ndarray:
     a pairing of two planes without either plane.
     """
     return _real_matmul(gx, _real_matmul(gy, f).T).T
+
+
+def _folded_bins(band: int) -> np.ndarray:
+    """|j| of each row of :func:`_cos_sin_rows`: 0, then 1, 1, 2, 2, ..., band, band."""
+    return np.arange(1, 2 * band + 2) // 2
+
+
+def _cos_sin_rows(n: int, p: int, band: int) -> np.ndarray:
+    """R (B x n, B = 2 band + 1): the bins |j| <= band of a length-p DFT on n nodes, in real rows.
+
+    A kernel's spectrum is real and even in each frequency, so a sum over the
+    bins |j| <= J is one over cosines and sines: R holds cos(2 pi j a / p)
+    for j = 0, then cos and sin in turn for j = 1..J (:func:`_folded_bins`),
+    so a narrower band is R's leading rows, and bins j and -j give twice
+    the weight of bin j.  Each phase is reduced mod p in integers and read
+    from a table of the p roots of unity.
+    """
+    j = _folded_bins(band)
+    roots = np.exp(2j * np.pi / p * np.arange(p))
+    phase = np.multiply.outer(j, np.arange(n)) % p
+    sines = (np.arange(len(j)) % 2 == 0) & (j > 0)
+    return np.where(sines[:, None], roots.imag[phase], roots.real[phase])
+
+
+def _gram(r: np.ndarray) -> np.ndarray:
+    """G = R D R^T of rows R (:func:`_cos_sin_rows`), D the trapezoid weights."""
+    return _real_matmul(r * _trap_mask_1d(r.shape[1]), r.T)
+
+
+def _band_kernel(m: np.ndarray, u: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
+    """v^T (c M^T) u, (B_y, B_x): a kernel over the band of the tables u and v in |j| rows."""
+    return _real_matmul(v.T @ (m.T * c), u)
+
+
+def _fold(f: np.ndarray, band: int) -> np.ndarray:
+    """The bins |j| <= band of a DFT along f's first axis, in the rows of :func:`_cos_sin_rows`.
+
+    Row 0 is bin 0; for j = 1..band the cos row is (F_j + F_-j) / 2 and
+    the sin row i (F_j - F_-j) / 2, the sums over cosines and sines.
+    """
+    out = np.empty((2 * band + 1, *f.shape[1:]), dtype=complex)
+    pos, neg = f[1:band + 1], f[:-band - 1:-1]
+    out[0] = f[0]
+    np.multiply(np.add(pos, neg, out=out[1::2]), 0.5, out=out[1::2])
+    np.multiply(np.subtract(pos, neg, out=out[2::2]), 0.5j, out=out[2::2])
+    return out
+
+
+def _gram_planes(run, measure, grams: tuple):
+    """A worker's ``prepare(unit)`` for pairings in the band, with no plane made.
+
+    ``apply(f, k)`` gives the unit's one scale's product of f's leading bins
+    and its kernel (``run.kernel``), stacked over its Gram form
+    (:func:`_gram_form`) in the leading bins of ``grams``.
+    """
+    def prepare(unit: tuple):
+        (i,) = unit
+        k = run.kernel(i, measure[run.scales[i]])
+        by, bx = k.shape
+        gx, gy = grams[0][:bx, :bx], grams[1][:by, :by]
+
+        def apply(f: np.ndarray, slot: int) -> np.ndarray:
+            x = f[:by, :bx] * k
+            return np.stack([x, _gram_form(gx, gy, x)])
+
+        return apply
+
+    return prepare
 
 
 def _trapezoid_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -554,6 +633,12 @@ class _FFTRun:
     zero past J, so K is exactly zero outside the box of its bands, and no
     product, FFT or sum is made past it.  ``bands[i]`` is (Jx, Jy), None on
     an axis not banded.
+
+    A run whose scales are all banded may pair them in the band instead
+    (:meth:`grams`): each input's padded spectrum is folded once into the
+    cos/sin rows of :func:`_cos_sin_rows` at the run's lengths, and each
+    scale's kernel is its tables' bins |j| <= J in those rows, so its
+    pairings are the Gram forms of :class:`_BandRun`'s, with no plane made.
     """
 
     def __init__(self, grid: ComplexPlaneGrid, m: np.ndarray, mu: np.ndarray, scales: list,
@@ -563,7 +648,8 @@ class _FFTRun:
 
         def banded(n: int, steps, p: int) -> tuple:
             table = _axis_spectra(len(m), n, steps, p)
-            half = np.floor(t * p * steps / (2 * np.pi)).astype(int)
+            # in floats: a band past every int, as of a vanishing scale, is no band
+            half = np.floor(t * p * steps / (2 * np.pi))
             fits = (2 * half + 1 < p) & (t / steps < min(n, p - n + 1) - 1)
             bands = [int(j) if ok else None for j, ok in zip(half, fits)]
             for k, j in enumerate(bands):
@@ -597,15 +683,54 @@ class _FFTRun:
         return _band_spans(self.shape[axis], None if None in band else max(band),
                            _KERNEL_TILE if axis == 0 else 1)
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        """The forward's padded spectrum of ``values``, along x on the run's widest band only."""
+    def transform(self, values: np.ndarray, grams=None) -> np.ndarray:
+        """The forward's padded spectrum of ``values``, along x on the run's widest band only.
+
+        With ``grams`` (:meth:`grams`) its bins |j| <= J of the widest band
+        are folded (:func:`_fold`) into cos/sin rows, (B_y, B_x), as a band
+        transform of :class:`_BandRun` is, and the padded spectrum is not kept.
+        """
         out, columns = np.empty(self.shape, dtype=complex), self._spans(1, range(len(self.scales)))
-        return _padded_fft2(values, self.grid.trapezoid_mask(), out, columns)
+        f = _padded_fft2(values, self.grid.trapezoid_mask(), out, columns)
+        if grams is None:
+            return f
+        jx, jy = self.bands[0]
+        return _fold(_fold(f, jx).T, jy)
 
-    def grams(self) -> None:
-        """No Gram matrices: the FFT path pairs planes."""
+    def kernel(self, i: int, c: float) -> np.ndarray:
+        """K_i / (P_x P_y) over scale i's band, (B_y, B_x), in the rows of :func:`_cos_sin_rows`."""
+        ju, jv = (_folded_bins(j) for j in self.bands[i])
+        return _band_kernel(self.m, self.u[i][:, ju] * np.where(ju, 2.0, 1.0),
+                            self.v[i][:, jv] * np.where(jv, 2.0, 1.0), c / math.prod(self.shape))
 
-    def planes(self, held: int, measure, grams=None):
+    def grams(self):
+        """(G_x, G_y) of :func:`_gram` over the widest band if the run pairs in the band, else None.
+
+        The run pairs in the band when every scale is banded on both axes
+        and, summed over its scales, the Gram forms cost less than the
+        planes, per input: a scale's Gram form is 2 B_x B_y (B_x + B_y) real
+        multiply-adds, and its plane B_x P_y + n_y P_x points through 1D
+        FFTs (B_x rows back along y, n_y columns back along x), each point
+        worth ``_GRAM_MACS_PER_POINT`` multiply-adds.  Each input's spectrum
+        is the one padded FFT either way, folded for the band.  The rule
+        depends only on the grid, the term count and the scales.
+        """
+        if any(None in band for band in self.bands):
+            return None
+        (px, py), ny = self.shape, self.grid.ny
+        widths = [(2 * jx + 1, 2 * jy + 1) for jx, jy in self.bands]
+        macs = sum(2 * bx * by * (bx + by) for bx, by in widths)
+        points = sum(bx * py + ny * px for bx, _ in widths)
+        if macs >= _GRAM_MACS_PER_POINT * points:
+            return None
+        def gram(axis: int) -> np.ndarray:
+            n = (self.grid.nx, self.grid.ny)[axis]
+            return _gram(_cos_sin_rows(n, self.shape[axis], self.bands[0][axis]))
+
+        gx = gram(0)
+        return gx, (gx if self.v is self.u else gram(1))
+
+    def planes(self, held: int, measure):
         """A worker's ``prepare(unit)``, whose ``apply(f, k)`` makes the unit's plane of spectrum f.
 
         A scale pair's K_i + i K_(i+1) makes the real and imaginary parts of
@@ -678,13 +803,11 @@ class _BandRun:
     :func:`_band_lengths` of its widest scale, and each scale's band is its
     J at P, the narrowest scale's the widest.  The kernel's spectrum is real
     and even in each frequency, so the sum over the bins |j| <= J is one over
-    cosines and sines: R (B x n, B = 2J + 1) holds cos(2 pi j a / P) for j =
-    0, then cos and sin in turn for j = 1..J, so a scale's band is R's
-    leading B_i = 2 J_i + 1 rows.  Each phase is reduced mod P in integers
-    and read from a table of the P roots of unity, and the bins j and -j
-    give twice the weight of bin j.  rx_in and ry_in carry the trapezoid
-    weights.  ``bands[i]`` is (B_x, B_y), and ``shape`` is (B_y, B_x) of
-    scale 0, the widest band: that of a transposed band spectrum.
+    the cosines and sines of R (B x n, B = 2J + 1; :func:`_cos_sin_rows`),
+    and a scale's band is R's leading B_i = 2 J_i + 1 rows.  rx_in and
+    ry_in carry the trapezoid weights.  ``bands[i]`` is (B_x, B_y), and
+    ``shape`` is (B_y, B_x) of scale 0, the widest band: that of a
+    transposed band spectrum.
 
     At P >= n + t* mu / h the kernel's samples are whole, so their length-P
     DFT is, by Poisson's formula, the samples of the continuous transform:
@@ -702,11 +825,8 @@ class _BandRun:
 
         def axis(n: int, step: float) -> tuple:
             p, band = _band_lengths(n, step, t, mu[0], mu[-1])
-            j = np.arange(1, 2 * band + 2) // 2
-            roots = np.exp(2j * np.pi / p * np.arange(p))
-            phase = np.multiply.outer(j, np.arange(n)) % p
-            sines = (np.arange(len(j)) % 2 == 0) & (j > 0)
-            r = np.where(sines[:, None], roots.imag[phase], roots.real[phase])
+            j = _folded_bins(band)
+            r = _cos_sin_rows(n, p, band)
             s = step / mu
             freqs = np.multiply.outer(2 * np.pi / (p * s), j)
             table = hermite_functions(freqs, 2 * len(m) - 1)[::2] * sign[:, None, None]
@@ -725,28 +845,31 @@ class _BandRun:
     def kernel(self, i: int, c: float, band=None) -> np.ndarray:
         """(U^T c M V) / (P_x P_y): scale i's kernel over ``band``, its own by default."""
         bx, by = band or self.bands[i]
-        return self.v[i][:, :by].T @ (self.m.T * (c / (self.px * self.py))) @ self.u[i][:, :bx]
+        return _band_kernel(self.m, self.u[i][:, :bx], self.v[i][:, :by],
+                            c / (self.px * self.py))
 
-    def transform(self, values: np.ndarray, i: int = 0) -> np.ndarray:
-        """ry_in (rx_in V)^T, (B_y, B_x), over scale i's band, the run's widest by default."""
+    def transform(self, values: np.ndarray, grams=None, i: int = 0) -> np.ndarray:
+        """ry_in (rx_in V)^T, (B_y, B_x), over scale i's band, the run's widest by default.
+
+        Its bins are the cos/sin rows of :func:`_cos_sin_rows` with or without ``grams``.
+        """
         bx, by = self.bands[i]
         return _real_matmul(self.ry_in[:by], _real_matmul(self.rx_in[:bx], values).T)
 
     def grams(self) -> tuple:
-        """(G_x, G_y), G = R D R^T, whose leading bins give a scale's Gram forms."""
-        gx = _real_matmul(self.rx_in, self.rx.T)
-        return gx, (gx if self.ry is self.rx else _real_matmul(self.ry_in, self.ry.T))
+        """(G_x, G_y) of :func:`_gram`, whose leading bins give a scale's Gram forms."""
+        gx = _gram(self.rx)
+        return gx, (gx if self.ry is self.rx else _gram(self.ry))
 
-    def planes(self, held: int, measure, grams=None):
+    def planes(self, held: int, measure):
         """A worker's ``prepare(unit)``, whose ``apply(f, k)`` makes the unit's plane of spectrum f.
 
         f's leading bins times the unit's kernel go back (:func:`_back_project`)
         into the k-th of the worker's ``held`` (nx, ny) planes, or a real one
-        into its own.  With ``grams`` ``apply`` gives the product stacked over
-        its Gram form (:func:`_gram_form`) instead.
+        into its own.
         """
         nx, ny = self.grid.nx, self.grid.ny
-        outs = [None] * held if grams else [np.empty((nx, ny), dtype=complex) for _ in range(held)]
+        outs = [np.empty((nx, ny), dtype=complex) for _ in range(held)]
 
         def prepare(unit: tuple):
             i = unit[0]
@@ -757,8 +880,6 @@ class _BandRun:
 
             def apply(f: np.ndarray, slot: int) -> np.ndarray:
                 x = f[:by, :bx] * k
-                if grams:
-                    return np.stack([x, _gram_form(grams[0][:bx, :bx], grams[1][:by, :by], x)])
                 return _back_project(self.rx[:bx], self.ry[:by], x,
                                      outs[slot] if np.iscomplexobj(x) else None)
 
@@ -769,7 +890,7 @@ class _BandRun:
     def parts(self, plane, weights):
         """The inverse's ``worker()``: ``part(i)`` is scale i's band transform times its kernel."""
         def part(i: int) -> np.ndarray:
-            f = self.transform(plane(self.scales[i]), i)
+            f = self.transform(plane(self.scales[i]), i=i)
             f *= self.kernel(i, weights[self.scales[i]])
             return f
 
@@ -825,18 +946,28 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
     With ``pairs``, index pairs (i, j) of ``fields``, ``reduce(s, sums)``
     gets instead the sums of mask W_i conj(W_j) over the grid, mask the
-    trapezoid weights times d2kappa/pi (:func:`_plane_pairing`).  A run
-    whose operator has Gram matrices, one of the matrix path, then makes
-    no plane: each sum is a Gram form in the band (:func:`_gram_form`), the
+    trapezoid weights times d2kappa/pi (:func:`_plane_pairing`), a packed
+    field's taken on its part of the pair's plane and scaled by 2.  A run
+    whose operator has Gram matrices then makes no plane: every run of the
+    matrix path, and an FFT-path run whose Gram forms cost less than its
+    planes (:meth:`_FFTRun.grams`), its inputs' spectra folded into the
+    band.  Each sum is a Gram form in the band (:func:`_gram_form`), the
     run's G made once, and the leftover real field's scales go one at a
     time, since the Gram form of a complex spectrum costs as much as two
-    real ones.
+    real ones.  A run whose Gram products are each one BLAS call runs on
+    the calling thread alone (:func:`_one_call`).
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
         raise ValueError("fields must share a grid")
     for g in fields:
         _check_transform_input(g, w)
+    mu = scales.mu_values
+    # the widest lag over the narrowest scale, squared, must be a float: past that the
+    # direct engine's kernel samples are NaN and the FFT engine's tables all zero
+    reach = math.hypot((grid.nx - 1) * grid.dx, (grid.ny - 1) * grid.dy) / float(mu[0])
+    if not math.isfinite(reach * reach):
+        raise ValueError(f"scale {mu[0]:g} is too small to sample the wavelet on the grid")
     real = [i for i, g in enumerate(fields) if not g.values.imag.any()]
     packed = list(zip(real[0::2], real[1::2]))
     # the inputs that go in alone: the complex fields, then the leftover real field
@@ -850,14 +981,17 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
         for i in alone:
             yield fields[i].values
 
-    mu = scales.mu_values
     measure = grid.cell_area() / (np.pi * mu)
     area = grid.cell_area() / np.pi
     on_planes = None if pairs is None else _plane_pairing(grid)
 
+    # a packed field's plane is twice a part of its pair's, paired as that part's view
+    twice = {i: 2.0 for pair in packed for i in pair}
+
     def in_band(p: np.ndarray, q: np.ndarray) -> complex:
-        # p and q each stack a band spectrum over its Gram form
-        return area * np.vdot(q[0], p[1])
+        # p and q each stack a band spectrum over its Gram form; einsum's own loops
+        # keep the sum off BLAS's threads
+        return area * np.einsum("ij,ij->", np.conjugate(q[0]), p[1])
 
     def reduced(s: int, made, pairing) -> object:
         """``reduce`` of the planes of ``fields``, from the iterable of each input's plane."""
@@ -865,12 +999,14 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
         for k, plane in enumerate(made):
             if k < len(packed):
                 i, j = packed[k]
-                planes[i], planes[j] = 2 * plane.real, 2 * plane.imag
+                planes[i], planes[j] = ((plane.real, plane.imag) if pairs
+                                        else (2 * plane.real, 2 * plane.imag))
             else:
                 planes[alone[k - len(packed)]] = plane
         if pairs is None:
             return reduce(s, planes)
-        return reduce(s, [pairing(planes[i], planes[j]) for i, j in pairs])
+        return reduce(s, [twice.get(i, 1.0) * twice.get(j, 1.0) * pairing(planes[i], planes[j])
+                          for i, j in pairs])
 
     if not fast:
         mask = grid.trapezoid_mask()
@@ -886,19 +1022,20 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     # A worker's planes: one for each input that goes in alone, of which the pairs
     # share the first complex field's, as each is unpacked before the next is made,
     # or have one of their own; the leftover real field's, the last, holds its two
-    # scales while they are made.
-    held = max(len(alone) - len(lone), bool(packed)) + len(lone)
+    # scales while they are made.  Paired in place, every input keeps its own.
+    shared = 0 if pairs else len(packed)
+    held = max(len(packed) + len(alone) - len(lone) - shared, bool(packed)) + len(lone)
 
     def worker(run, units: list, spectra: list, grams):
         """The task of one unit, a scale or a scale pair of the leftover real field."""
-        prepare = run.planes(held, measure, grams)
+        prepare = _gram_planes(run, measure, grams) if grams else run.planes(held, measure)
         pairing = in_band if grams else on_planes
 
         def planes(i: int, last):
             # each input's plane at scale i, the leftover real field's, if any, in last
             apply = prepare((i,)) if len(spectra) > len(lone) else None
             for k, f in enumerate(spectra[:len(spectra) - len(lone)]):
-                yield apply(f, max(0, k - len(packed)))
+                yield apply(f, max(0, k - shared))
             yield from last
 
         def one_unit(u: int) -> list:
@@ -914,13 +1051,20 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
 
     values = []
     for run in _runs(grid, separable_coeffs(w), mu):
-        spectra = [run.transform(v) for v in inputs()]
         grams = None if pairs is None else run.grams()
+        spectra = [run.transform(v, grams) for v in inputs()]
         # the run's scales one at a time, or two at a time for the leftover real field
         step = 2 if lone and grams is None else 1
         units = [tuple(range(len(run.scales)))[i:i + step] for i in range(0, len(run.scales), step)]
-        values += itertools.chain.from_iterable(
-            _map_scales(functools.partial(worker, run, units, spectra, grams), len(units)))
+        task = functools.partial(worker, run, units, spectra, grams)
+        if grams is not None and _one_call(*map(len, grams)):
+            # each Gram form's products are single BLAS calls, which OpenBLAS runs one
+            # caller at a time: a second worker only waits, so the run takes one
+            one_unit = task()
+            made = [one_unit(u) for u in range(len(units))]
+        else:
+            made = _map_scales(task, len(units))
+        values += itertools.chain.from_iterable(made)
         del spectra  # freed before the next run's are made
     return values
 

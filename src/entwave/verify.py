@@ -23,7 +23,7 @@ from .ccwt import forward, forward_fast  # noqa: F401
 from .fock import unit_norm_field
 from .grid import (ComplexPlaneGrid, Field, ScaleGrid, integrate, scale_weights, _atomic_write,
                    _trap_mask_1d)
-from .specfun import axis_hermite, gauss_laguerre, hermite2, laguerre
+from .specfun import gauss_laguerre, hermite2, hermite_functions, laguerre
 from .wavelets import MotherWavelet, c_psi_prime, separable_coeffs
 
 _REL_FLOOR = 1e-12
@@ -94,12 +94,6 @@ def energy_isometry(g: Field, w: MotherWavelet, scales: ScaleGrid,
     return parseval_pairing(g, g, w, scales, engine=engine)
 
 
-def _axis_gram(m_terms: int, pos: float, pos_prime: float, nodes, mu: float) -> np.ndarray:
-    """G[a, c] = sum_i w_i h_2a((pos' - x_i)/mu) h_2c((pos - x_i)/mu), trapezoid w_i."""
-    h, h_prime = axis_hermite([pos, pos_prime], nodes, mu, m_terms).transpose(1, 0, 2)
-    return (h_prime * _trap_mask_1d(nodes.size)) @ h.T
-
-
 def reproducing_kernel(eta: complex, eta_prime: complex, w: MotherWavelet,
                        scales: ScaleGrid, kappa_grid: ComplexPlaneGrid) -> complex:
     """Parameter-space kernel of the mother wavelet.
@@ -112,16 +106,23 @@ def reproducing_kernel(eta: complex, eta_prime: complex, w: MotherWavelet,
 
     The radial wavelet is sum_ab M[a, b] h_2a(x) h_2b(y) and the trapezoid
     mask is a product wx_i wy_j, so each scale's sum over the kappa nodes
-    is sum(M * (X M Y^T)) with X, Y the per-axis Gram matrices of
-    :func:`_axis_gram`: the same Riemann sum, in O(n order^2) per scale.
+    is sum(M * (X M Y^T)) with X, Y the per-axis Gram matrices
+    G[a, c] = sum_i w_i h_2a((pos' - x_i)/mu) h_2c((pos - x_i)/mu): the
+    same Riemann sum, in O(n order^2) per scale, made for every scale at
+    once from one table of Hermite functions per axis.
     """
     m = separable_coeffs(w)
-    weights = scale_weights(scales, 5)
-    total = 0.0
-    for s, mu in enumerate(scales.mu_values):
-        x = _axis_gram(len(m), eta.real, eta_prime.real, kappa_grid.x, mu)
-        y = _axis_gram(len(m), eta.imag, eta_prime.imag, kappa_grid.y, mu)
-        total += weights[s] * np.sum(m * (x @ m @ y.T))
+    mu = scales.mu_values
+
+    def grams(pos: float, pos_prime: float, nodes: np.ndarray) -> np.ndarray:
+        # G[s, a, c] over the (S, 2, n) lags of pos and pos' at every scale
+        lags = (np.array([pos, pos_prime])[:, None] - nodes) / mu[:, None, None]
+        h = hermite_functions(lags, 2 * len(m) - 1)[::2]
+        return np.einsum("asi,csi,i->sac", h[:, :, 1], h[:, :, 0], _trap_mask_1d(nodes.size))
+
+    x = grams(eta.real, eta_prime.real, kappa_grid.x)
+    y = grams(eta.imag, eta_prime.imag, kappa_grid.y)
+    total = np.einsum("s,ab,sac,cd,sbd->", scale_weights(scales, 5), m, x, m, y)
     measure = kappa_grid.cell_area() / np.pi
     return complex(total * measure / c_psi_prime(w))
 

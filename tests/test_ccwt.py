@@ -1458,26 +1458,9 @@ def test_band_runs_share_the_length_of_their_widest_scale(grid, scales, w, expec
         assert len(lengths) > 1
 
 
-@settings(max_examples=6, deadline=None)
-@example(nx=200, ny=216, square=False, hx=7.0, hy=6.0, w=random_admissible_lg(8, seed=4),
-         over=3.0, seed=2)
-@given(nx=st.integers(196, 224), ny=st.integers(196, 224), square=st.booleans(),
-       hx=st.floats(5.0, 8.0), hy=st.floats(5.0, 8.0),
-       w=st.one_of(st.just(emhw()),
-                   st.builds(random_admissible_lg, st.integers(2, 8), st.integers(0, 2**16))),
-       over=st.floats(2.0, 4.0), seed=st.integers(0, 2**16))
-def test_band_gram_pairings_match_plane_pairings(nx, ny, square, hx, hy, w, over, seed):
-    # a packed real pair, a complex field and a leftover real field in one call, over
-    # FFT-path scales and the matrix path's runs: each pairing sum, taken on planes on
-    # the FFT path and as a Gram form in the band on the matrix path, against the
-    # weighted sum over the planes themselves
-    if square:
-        ny, hy = nx, hx
-    grid = ComplexPlaneGrid(nx, ny, -hx, -hy, 2 * hx / (nx - 1), 2 * hy / (ny - 1))
-    width = max((nx - 1) * grid.dx, (ny - 1) * grid.dy)
-    scales = ScaleGrid.log_spaced(16, 2 * min(grid.dx, grid.dy), over * width)
-    kinds = _scale_kinds(grid, len(separable_coeffs(w)), scales.mu_values)
-    assume("matrix" in kinds and len(kinds) > 1)
+def _pairings_match_planes(grid, w, scales, seed):
+    """A packed real pair, a complex field and a leftover real field in one call: each
+    pairing sum against the weighted sum over the planes themselves."""
     fields = [Field(grid, windowed_noise(grid, seed + k).real) for k in range(2)]
     fields += [Field(grid, windowed_noise(grid, seed + 2)),
                Field(grid, windowed_noise(grid, seed + 3).real)]
@@ -1490,6 +1473,55 @@ def test_band_gram_pairings_match_plane_pairings(nx, ny, square, hx, hy, w, over
             p, q = planes[s][i], planes[s][j]
             expected = np.sum(mask * p * np.conj(q))
             assert abs(got - expected) <= 1e-13 * np.sum(mask * np.abs(p) * np.abs(q))
+
+
+@settings(max_examples=6, deadline=None)
+@example(nx=200, ny=216, square=False, hx=7.0, hy=6.0, w=random_admissible_lg(8, seed=4),
+         lo=2.0, over=3.0, seed=2)
+# an FFT-path run of 440^2 and one of 441 x 432 whose scales pair as Gram forms, each
+# after a run that pairs on planes
+@example(nx=218, ny=218, square=True, hx=7.2, hy=7.2, w=emhw(), lo=2.1, over=3.2, seed=5)
+@example(nx=221, ny=214, square=False, hx=6.1, hy=6.1, w=emhw(), lo=2.1, over=3.0, seed=6)
+@given(nx=st.integers(196, 224), ny=st.integers(196, 224), square=st.booleans(),
+       hx=st.floats(5.0, 8.0), hy=st.floats(5.0, 8.0),
+       w=st.one_of(st.just(emhw()),
+                   st.builds(random_admissible_lg, st.integers(2, 8), st.integers(0, 2**16))),
+       lo=st.floats(2.0, 6.0), over=st.floats(2.0, 4.0), seed=st.integers(0, 2**16))
+def test_band_gram_pairings_match_plane_pairings(nx, ny, square, hx, hy, w, lo, over, seed):
+    # over FFT-path scales and the matrix path's runs: each pairing sum, taken on planes
+    # or, on the matrix path and on FFT-path runs of narrow bands, as a Gram form in the
+    # band, against the weighted sum over the planes
+    if square:
+        ny, hy = nx, hx
+    grid = ComplexPlaneGrid(nx, ny, -hx, -hy, 2 * hx / (nx - 1), 2 * hy / (ny - 1))
+    width = max((nx - 1) * grid.dx, (ny - 1) * grid.dy)
+    scales = ScaleGrid.log_spaced(16, lo * min(grid.dx, grid.dy), over * width)
+    kinds = _scale_kinds(grid, len(separable_coeffs(w)), scales.mu_values)
+    assume("matrix" in kinds and len(kinds) > 1)
+    _pairings_match_planes(grid, w, scales, seed)
+
+
+@pytest.mark.parametrize("first", [1, 0], ids=["all-banded", "one-unbanded"])
+def test_fft_runs_pair_in_the_band_only_when_every_scale_is_banded(monkeypatch, first):
+    # at 192^2 over [-8, 8]^2 the scales 0.45 and 0.8 share one 288^2 run whose bands are
+    # narrow, so each scale's pairings are Gram forms, one per input; the unbanded scale
+    # 0.25 below them joins the run and keeps all three scales on planes
+    grid = ComplexPlaneGrid.centered(192, 8.0)
+    scales = ScaleGrid(ScaleGrid.log_spaced(3, 0.25, 0.8).mu_values[first:])
+    (run,) = ccwt._runs(grid, separable_coeffs(emhw()), scales.mu_values)
+    assert isinstance(run, ccwt._FFTRun) and run.shape == (288, 288)
+    assert [None in band for band in run.bands] == [True, False, False][first:]
+    assert (run.grams() is None) == (first == 0)
+    formed = []
+    gram_form = ccwt._gram_form
+
+    def counted_gram_form(*args):
+        formed.append(args[2].shape)
+        return gram_form(*args)
+
+    monkeypatch.setattr(ccwt, "_gram_form", counted_gram_form)
+    _pairings_match_planes(grid, emhw(), scales, seed=11)
+    assert len(formed) == (3 * len(scales) if first else 0)
 
 
 def test_kernel_blocks_stay_under_the_blas_cap(monkeypatch):

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,32 @@ def test_overflowing_coherent_amplitude_exits_3_and_writes_nothing(runner, tmp_p
                                   "--grid-extent", "8", "--output", out])
     _assert_exits_cleanly(result, 3, "coherent amplitudes")
     _assert_no_output(out)
+
+
+def test_vanishing_scales_agree_across_engines_or_exit_3(runner, tmp_path):
+    # at mu_min = 1e-150 the FFT engine's smallest scales are unbanded, so both engines'
+    # planes (peaks near 1e149 and 1e74) agree, with no RuntimeWarning; at 1e-300 the
+    # widest lag over mu squares past the float range, so both exit 3 and write nothing
+    field = str(tmp_path / "field.ewg")
+    run_ok(runner, ["fock", "sample", "coherent:0.5,0,0.3,0", "--grid-n", "32",
+                    "--grid-extent", "16", "--output", field])
+    tiny = ["ccwt", "forward", field, "--scales", "3", "--mu-max", "1", "--mu-min"]
+    planes = []
+    for engine in ("fft", "direct"):
+        out = str(tmp_path / f"{engine}.ewc")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_ok(runner, [*tiny, "1e-150", "--engine", engine, "--output", out])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        planes.append(read_coefficients_ewc1(out).values)
+        out = str(tmp_path / f"{engine}-1e-300.ewc")
+        result = runner.invoke(main, [*tiny, "1e-300", "--engine", engine, "--output", out])
+        _assert_exits_cleanly(result, 3, "scale 1e-300 is too small")
+        _assert_no_output(out)
+    fast, direct = planes
+    for a, b in zip(fast, direct):
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+    assert np.abs(direct[0]).max() > 1e148
 
 
 def test_io_errors_exit_with_their_codes_and_name_the_user_path(runner, tmp_path):

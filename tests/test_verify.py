@@ -264,10 +264,12 @@ def test_constant_scan_makes_one_transform_call_on_one_pool(monkeypatch):
     assert 1 <= len(reducers) <= ccwt.worker_count(len(scales))
 
 
-def test_pairing_reports_make_no_plane_on_the_matrix_path(monkeypatch):
-    # verify's default grid and scales: the widest 35 scales take the matrix path,
-    # where each pairing is a Gram form in the band, one per scale for the packed
-    # (vacuum, |1,1>) input, and no scale is back-projected to a plane
+def test_pairing_reports_make_no_plane_in_gram_form_runs(monkeypatch):
+    # verify's default grid and scales: the widest 35 scales take the matrix path, and
+    # the 11 scales of the 384^2 FFT-path run and the 10 of the 512^2 one have narrow
+    # bands; on both paths each of those 56 scales' pairings is a Gram form in the band,
+    # one per scale for the packed (vacuum, |1,1>) input, and no scale is
+    # back-projected to a plane
     settings = VerifySettings()
     grid, scales = settings.grid(), settings.scales()
     projected, formed = [], []
@@ -282,7 +284,7 @@ def test_pairing_reports_make_no_plane_on_the_matrix_path(monkeypatch):
     fields = [unit_norm_field(d, grid) for d in ("number:0,0", "number:1,1")]
     reports = verify._pairing_reports(fields, [(0, 0), (0, 1), (1, 1)], emhw(), scales, "fft")
     assert projected == []
-    assert len(formed) == 35
+    assert len(formed) == 35 + 11 + 10
     assert all(abs(rep.rel_error) <= verify.THEOREM_TOL for rep in (reports[0], reports[2]))
 
 
