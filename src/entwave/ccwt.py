@@ -952,10 +952,11 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     matrix path, and an FFT-path run whose Gram forms cost less than its
     planes (:meth:`_FFTRun.grams`), its inputs' spectra folded into the
     band.  Each sum is a Gram form in the band (:func:`_gram_form`), the
-    run's G made once, and the leftover real field's scales go one at a
-    time, since the Gram form of a complex spectrum costs as much as two
-    real ones.  A run whose Gram products are each one BLAS call runs on
-    the calling thread alone (:func:`_one_call`).
+    run's G made once, and the leftover real field's band spectrum is
+    taken real and its scales go one at a time, since the Gram form of a
+    complex spectrum costs as much as two real ones.  A run whose Gram
+    products are each one BLAS call runs on the calling thread alone
+    (:func:`_one_call`).
     """
     grid = fields[0].grid
     if not all(grid.same_layout(g.grid) for g in fields[1:]):
@@ -1053,6 +1054,9 @@ def _forward_planes(fields, w: MotherWavelet, scales: ScaleGrid, fast: bool, red
     for run in _runs(grid, separable_coeffs(w), mu):
         grams = None if pairs is None else run.grams()
         spectra = [run.transform(v, grams) for v in inputs()]
+        if grams is not None and lone:
+            # a real field's band spectrum is real: its Gram forms take real products
+            spectra[-1] = np.ascontiguousarray(spectra[-1].real)
         # the run's scales one at a time, or two at a time for the leftover real field
         step = 2 if lone and grams is None else 1
         units = [tuple(range(len(run.scales)))[i:i + step] for i in range(0, len(run.scales), step)]
